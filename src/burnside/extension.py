@@ -24,6 +24,7 @@ from .groups import (
     join_normalizing,
     normalizer,
     quotient_group,
+    rewrap,
     subgroup_class_id,
     trivial_subgroup,
     SET_CAP,
@@ -67,30 +68,15 @@ class ExtensionContext:
 
 
 def _big_subgroup(S: PermGroup, G: PermGroup) -> Subgroup:
-    """Wrap a PermGroup as a subgroup handle of S without re-deriving it."""
+    """Wrap a PermGroup as a subgroup handle of S without re-deriving it.
+
+    The class key is left unset: it is computed in S's numbering."""
     sub = Subgroup.__new__(Subgroup)
     sub.ambient = S
     sub.gens = G.gens
     sub.order = G.order
     sub._elems = frozenset(G.elements()) if G.order <= SET_CAP else None
     sub._group = G
-    sub._fp = None
-    sub._profile = None
-    return sub
-
-
-def rewrap(G: PermGroup, H: Subgroup) -> Subgroup:
-    """The same subgroup as a handle of a different ambient group."""
-    if H.ambient is G:
-        return H
-    if H.order <= SET_CAP:
-        return Subgroup(G, H.gens, elems=H.elements())
-    sub = Subgroup.__new__(Subgroup)
-    sub.ambient = G
-    sub.gens = H.gens
-    sub.order = H.order
-    sub._elems = H._elems
-    sub._group = H._group if H._group is not None else None
     sub._fp = None
     sub._profile = None
     return sub
@@ -147,7 +133,7 @@ def split_inner_classes(a_classes: list[Subgroup],
     unstable_idx = [i for i, s in enumerate(stable) if not s]
     a_cid_of = {}
     for i in unstable_idx:
-        a_cid_of[subgroup_class_id(A, rewrap(A, a_classes[i]))] = i
+        a_cid_of[subgroup_class_id(A, a_classes[i])] = i
     assigned: set[int] = set()
     classes: list[InnerClass] = []
     raw_fused = 0
@@ -161,8 +147,7 @@ def split_inner_classes(a_classes: list[Subgroup],
         partners = [i]
         g = ctx.t
         for _ in range(p - 1):
-            conj_h = rewrap(A, handles[i].conjugated(g))
-            cid = subgroup_class_id(A, conj_h)
+            cid = subgroup_class_id(A, handles[i].conjugated(g))
             j = a_cid_of.get(cid)
             if j is None or j in assigned or j in partners:
                 raise RuntimeError("inconsistent class fusion")

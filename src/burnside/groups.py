@@ -8,6 +8,17 @@ is reproducible run to run.
 Subgroups of a common ambient group carry their element sets whenever
 the order is at most SET_CAP; conjugacy of subgroups is resolved by
 orbit enumeration with per-class caches stored on the ambient group.
+
+Each group numbers its elements on first sight (an index per element
+tuple) and keeps one conjugation table per generator, index to index,
+filled on demand.  The class key of a subgroup of order at most SET_CAP
+is the frozenset of its element indices in the ambient group's
+numbering, so a step of a class orbit walk is one table gather per
+element instead of a permutation conjugation.  A class stores its orbit
+as a Schreier tree (member key -> parent key and generator index), and
+conjugating elements are multiplied out only for the members asked for.
+Class ids, conjugacy tests and normalizers rewrap a subgroup handle of
+another ambient group before reading its key.
 """
 
 from __future__ import annotations
@@ -139,6 +150,25 @@ def _chain_elements(levels: list[dict], degree: int) -> list[tuple[int, ...]]:
 # groups
 
 
+class _Numbering:
+    """Element indices of one group, assigned on first sight, and one
+    conjugation table per generator (index -> index, -1 while unfilled)."""
+
+    __slots__ = ("index", "elts", "tabs")
+
+    def __init__(self, ngens: int):
+        self.index: dict = {}                  # element tuple -> index
+        self.elts: list = []                   # index -> element tuple
+        self.tabs: list[list[int]] = [[] for _ in range(ngens)]
+
+    def number(self, x: tuple[int, ...]) -> int:
+        i = self.index.get(x)
+        if i is None:
+            i = self.index[x] = len(self.elts)
+            self.elts.append(x)
+        return i
+
+
 class PermGroup:
     """A permutation group with a cached deterministic stabilizer chain.
 
@@ -164,10 +194,11 @@ class PermGroup:
         self._sorted_elements: list[tuple[int, ...]] | None = None
         self._element_classes = None
         self._class_of_element: dict | None = None
+        self._numbering: _Numbering | None = None   # made on first use
         # subgroup conjugacy caches
-        self._sub_class_of: dict = {}       # fingerprint -> class id
+        self._sub_class_of: dict = {}       # class key -> class id
         self._sub_classes: list = []        # class id -> _SubClass
-        self._normalizers: dict = {}        # fingerprint -> Subgroup
+        self._normalizers: dict = {}        # class key -> Subgroup
         self._centralizers: dict = {}       # element tuple -> Subgroup
 
     # -- basics ------------------------------------------------------------
@@ -200,6 +231,41 @@ class PermGroup:
 
     def gen_perms(self) -> list[Perm]:
         return [Perm(g) for g in self.gens]
+
+    # -- element numbering -------------------------------------------------
+
+    def _num(self) -> "_Numbering":
+        if self._numbering is None:
+            self._numbering = _Numbering(len(self.gens))
+        return self._numbering
+
+    def index_set(self, elems) -> frozenset:
+        """Frozenset of the indices of the given elements (a re-iterable
+        collection), numbering the ones not seen before."""
+        num = self._num()
+        try:
+            return frozenset(map(num.index.__getitem__, elems))
+        except KeyError:
+            return frozenset(map(num.number, elems))
+
+    def elements_of(self, idxs) -> frozenset:
+        """The element tuples with the given indices."""
+        return frozenset(map(self._num().elts.__getitem__, idxs))
+
+    def conj_index_set(self, idxs: frozenset, k: int) -> frozenset:
+        """Index set of the conjugates x^s, x in idxs, s = gens[k]."""
+        num = self._num()
+        tab, elts = num.tabs[k], num.elts
+        if len(tab) < len(elts):
+            tab.extend([-1] * (len(elts) - len(tab)))
+        out = frozenset(map(tab.__getitem__, idxs))
+        if -1 not in out:
+            return out
+        s = self.gens[k]
+        for i in idxs:
+            if tab[i] < 0:
+                tab[i] = num.number(conj(elts[i], s))
+        return frozenset(map(tab.__getitem__, idxs))
 
     def __repr__(self) -> str:
         return f"PermGroup(order={self.order}, degree={self.degree})"
@@ -245,11 +311,6 @@ class PermGroup:
     def class_of_element(self, x: tuple[int, ...]) -> int:
         self.element_classes()
         return self._class_of_element[x]
-
-
-def group_of(sub: "Subgroup") -> PermGroup:
-    """Promote a subgroup handle to a standalone PermGroup."""
-    return sub.as_group()
 
 
 class Subgroup:
@@ -314,14 +375,16 @@ class Subgroup:
     __contains__ = contains
 
     def fingerprint(self):
-        """Hashable identity key: the element set for small subgroups.
+        """Hashable class key: for small subgroups the frozenset of the
+        element indices in the ambient group's numbering.
 
         Big subgroups fall back to a generator-based key, which is only
         unique per handle; class identification treats them separately.
+        The key is only meaningful within the ambient group.
         """
         if self._fp is None:
             if self.order <= SET_CAP:
-                self._fp = self.elements()
+                self._fp = self.ambient.index_set(self.elements())
             else:
                 self._fp = ("big", self.order, tuple(sorted(self.gens)))
         return self._fp
@@ -372,6 +435,27 @@ def whole_subgroup(G: PermGroup) -> Subgroup:
     sub.order = G.order
     sub._elems = None
     sub._group = G
+    sub._fp = None
+    sub._profile = None
+    return sub
+
+
+def rewrap(G: PermGroup, H: Subgroup) -> Subgroup:
+    """The same subgroup as a handle of a different ambient group.
+
+    The class key is relative to the ambient group's numbering, so the
+    new handle computes its own.
+    """
+    if H.ambient is G:
+        return H
+    if H.order <= SET_CAP:
+        return Subgroup(G, H.gens, elems=H.elements())
+    sub = Subgroup.__new__(Subgroup)
+    sub.ambient = G
+    sub.gens = H.gens
+    sub.order = H.order
+    sub._elems = H._elems
+    sub._group = H._group
     sub._fp = None
     sub._profile = None
     return sub
@@ -429,23 +513,22 @@ def join_normalizing(h_elems: frozenset, h_gens, z: tuple[int, ...]):
 # orbit-stabilizer machinery
 
 
-def _stabilizer_from_orbit(G: PermGroup, orbit_reps, orbit_index, act,
+def _stabilizer_from_orbit(G: PermGroup, nodes, rep_of, act,
                            target_order: int, seed_gens) -> list:
     """Schreier generators of a point stabilizer, sifted until complete.
 
-    orbit_reps: list of transversal elements u_i (u_0 = id), orbit_index:
-    mapping node -> position, act(node, g) -> node.  Returns generators.
+    nodes: the orbit, starting at the point; rep_of(node) -> an element
+    taking the point to node (identity at the point); act(node, k) -> the
+    image of node under G.gens[k].  Returns generators.
     """
     gens = list(dict.fromkeys(g for g in seed_gens))
     sub = PermGroup(gens, G.degree)
     if sub.order == target_order:
         return gens
-    nodes = list(orbit_index)
-    for i, node in enumerate(nodes):
-        u = orbit_reps[i]
-        for s in G.gens:
-            image = act(node, s)
-            v = orbit_reps[orbit_index[image]]
+    for node in nodes:
+        u = rep_of(node)
+        for k, s in enumerate(G.gens):
+            v = rep_of(act(node, k))
             sg = mul(mul(u, s), inv(v))
             if not sub.contains(sg):
                 gens.append(sg)
@@ -481,9 +564,12 @@ def centralizer(G: PermGroup, x) -> Subgroup:
                 queue.append(z)
     target = G.order // len(orbit_index)
     gens = _stabilizer_from_orbit(
-        G, reps, orbit_index, lambda node, s: conj(node, s), target, [t])
+        G, orbit_index, lambda y: reps[orbit_index[y]],
+        lambda y, k: conj(y, G.gens[k]), target, [t])
     result = Subgroup(G, gens)
-    assert result.order == target
+    if result.order != target:
+        raise RuntimeError(
+            f"centralizer of order {result.order}, expected {target}")
     G._centralizers[t] = result
     return result
 
@@ -492,16 +578,36 @@ def centralizer(G: PermGroup, x) -> Subgroup:
 class _SubClass:
     rep: Subgroup
     size: int
-    # fingerprint -> conjugator g with rep^g == member
-    transversal: dict = field(default_factory=dict)
+    # Schreier tree of the class orbit: member key -> (parent key,
+    # generator index); None at the root and at aliases of rep
+    tree: dict = field(default_factory=dict)
+    # member key -> conjugator g with rep^g == member, for members asked for
+    known: dict = field(default_factory=dict)
+
+    def conjugator(self, key, gens) -> tuple[int, ...]:
+        """An element g with rep^g the member with this key: the product
+        of the generators along the tree path from the root."""
+        path = []
+        node = key
+        g = self.known.get(node)
+        while g is None:
+            node, k = self.tree[node]
+            path.append(k)
+            g = self.known.get(node)
+        for k in reversed(path):
+            g = mul(g, gens[k])
+        self.known[key] = g
+        return g
 
 
 def subgroup_class_id(G: PermGroup, H: Subgroup) -> int:
     """Conjugacy-class id of H in G, enumerating the class on first sight.
 
     The whole class orbit is cached on G, so later identifications of
-    any member are dictionary lookups.
+    any member are dictionary lookups.  Each orbit step conjugates a
+    member's index set by one generator through its conjugation table.
     """
+    H = rewrap(G, H)
     fp = H.fingerprint()
     cid = G._sub_class_of.get(fp)
     if cid is not None:
@@ -509,26 +615,23 @@ def subgroup_class_id(G: PermGroup, H: Subgroup) -> int:
     if H.order > SET_CAP:
         return _class_id_big(G, H)
     cid = len(G._sub_classes)
-    cls = _SubClass(rep=H, size=0)
+    cls = _SubClass(rep=H, size=0, tree={fp: None}, known={fp: G.identity})
     G._sub_classes.append(cls)
-    idn = G.identity
-    queue = [fp]
-    cls.transversal[fp] = idn
     G._sub_class_of[fp] = cid
-    base = list(H.elements())
+    tree = cls.tree
+    queue = [fp]
+    ks = range(len(G.gens))
     qi = 0
     while qi < len(queue):
-        node_fp = queue[qi]
-        u = cls.transversal[node_fp]
+        node = queue[qi]
         qi += 1
-        for s in G.gens:
-            w = mul(u, s)
-            nfp = frozenset(conj(x, w) for x in base)
-            if nfp not in cls.transversal:
-                cls.transversal[nfp] = w
-                G._sub_class_of[nfp] = cid
-                queue.append(nfp)
-    cls.size = len(cls.transversal)
+        for k in ks:
+            image = G.conj_index_set(node, k)
+            if image not in tree:
+                tree[image] = (node, k)
+                G._sub_class_of[image] = cid
+                queue.append(image)
+    cls.size = len(tree)
     return cid
 
 
@@ -544,15 +647,15 @@ def _class_id_big(G: PermGroup, H: Subgroup) -> int:
         if cls.rep.order == H.order and cls.rep.order > SET_CAP:
             if H.same_subgroup(cls.rep):
                 G._sub_class_of[fp] = cid
-                cls.transversal[fp] = G.identity
+                cls.tree[fp] = None
+                cls.known[fp] = G.identity
                 return cid
     if not H.is_normal_in(G):
         raise CapExceededError(
             "conjugacy-class enumeration of a non-normal subgroup of order "
             f"{H.order} is above the element-set cap")
     cid = len(G._sub_classes)
-    cls = _SubClass(rep=H, size=1)
-    cls.transversal[fp] = G.identity
+    cls = _SubClass(rep=H, size=1, tree={fp: None}, known={fp: G.identity})
     G._sub_classes.append(cls)
     G._sub_class_of[fp] = cid
     return cid
@@ -570,13 +673,14 @@ def are_conjugate_subgroups(G: PermGroup, H: Subgroup, K: Subgroup):
         return G.identity
     if H.order <= SET_CAP and H.order_profile() != K.order_profile():
         return None
+    H, K = rewrap(G, H), rewrap(G, K)
     ch = subgroup_class_id(G, H)
     ck = subgroup_class_id(G, K)
     if ch != ck:
         return None
     cls = G._sub_classes[ch]
-    gh = cls.transversal[H.fingerprint()]
-    gk = cls.transversal[K.fingerprint()]
+    gh = cls.conjugator(H.fingerprint(), G.gens)
+    gk = cls.conjugator(K.fingerprint(), G.gens)
     # rep^gh = H, rep^gk = K  =>  H^(gh^-1 gk) = K
     return mul(inv(gh), gk)
 
@@ -587,7 +691,14 @@ def subgroup_class_size(G: PermGroup, H: Subgroup) -> int:
 
 
 def normalizer(G: PermGroup, H: Subgroup) -> Subgroup:
-    """Normalizer of H in G via orbit-stabilizer on the conjugation orbit."""
+    """Normalizer of H in G via orbit-stabilizer on the conjugation orbit.
+
+    The orbit is H's class, walked on index sets through the conjugation
+    tables; transversal elements are multiplied out only for the members
+    the Schreier-generator search visits.  A non-normal subgroup above
+    SET_CAP is refused by the class walk.
+    """
+    H = rewrap(G, H)
     fp = H.fingerprint()
     cached = G._normalizers.get(fp)
     if cached is not None:
@@ -598,30 +709,20 @@ def normalizer(G: PermGroup, H: Subgroup) -> Subgroup:
         result = whole_subgroup(G)
         G._normalizers[fp] = result
         return result
-    cid = subgroup_class_id(G, H)
-    cls = G._sub_classes[cid]
+    cls = G._sub_classes[subgroup_class_id(G, H)]
     # re-root the class transversal at H
-    g0 = cls.transversal[fp]
-    node_index: dict = {}
-    reps: list = []
-    for nfp, g in cls.transversal.items():
-        node_index[nfp] = len(reps)
-        reps.append(mul(inv(g0), g))
-    # reps[i] conjugates H to the i-th member; rep for H itself is identity
-    small = H.order <= SET_CAP
-    base = list(H.elements()) if small else list(H.gens)
+    g0inv = inv(cls.conjugator(fp, G.gens))
 
-    def act_node(nfp, s):
-        g = mul(reps[node_index[nfp]], s)
-        if small:
-            return frozenset(conj(x, g) for x in base)
-        return ("big", H.order, tuple(sorted(conj(x, g) for x in base)))
+    def rep_of(key):
+        return mul(g0inv, cls.conjugator(key, G.gens))
 
     target = G.order // cls.size
     gens = _stabilizer_from_orbit(
-        G, reps, node_index, act_node, target, list(H.gens))
+        G, cls.tree, rep_of, G.conj_index_set, target, list(H.gens))
     result = Subgroup(G, gens)
-    assert result.order == target
+    if result.order != target:
+        raise RuntimeError(
+            f"normalizer of order {result.order}, expected {target}")
     G._normalizers[fp] = result
     return result
 
@@ -664,7 +765,8 @@ def coset_transversal(G: PermGroup, H: Subgroup) -> list[tuple[int, ...]]:
             if k not in seen:
                 seen.add(k)
                 reps.append(g)
-    assert len(reps) == index
+    if len(reps) != index:
+        raise RuntimeError(f"{len(reps)} cosets found, expected {index}")
     return reps
 
 

@@ -25,6 +25,7 @@ from .groups import (
     join_normalizing,
     normalizer,
     quotient_group,
+    rewrap,
     subgroup_class_id,
     trivial_subgroup,
     whole_subgroup,
@@ -36,7 +37,6 @@ from .marks import (
     SubgroupPattern,
     mark_fixed_cosets,
 )
-from .extension import rewrap
 from .perms import conj, order_of, power
 
 DEFAULT_CAP = 2000
@@ -126,10 +126,11 @@ def all_subgroups_brute(G: PermGroup, cap: int = DEFAULT_CAP) -> LatticeDump:
         cid = subgroup_class_id(G, rep)
         cls = G._sub_classes[cid]
         idxs = []
-        for fp, g in cls.transversal.items():
+        for key in cls.tree:
+            g = cls.conjugator(key, G.gens)
             idxs.append(len(subgroups))
             gens = tuple(conj(x, g) for x in cls.rep.gens)
-            subgroups.append(Subgroup(G, gens, elems=fp))
+            subgroups.append(Subgroup(G, gens, elems=G.elements_of(key)))
         classes.append(idxs)
     return LatticeDump(subgroups=subgroups, classes=classes)
 
@@ -234,11 +235,16 @@ def subgroup_classes_search(G: PermGroup, *,
                 t = lift(w)
                 if H.order * q <= SET_CAP:
                     elems = join_normalizing(H.elements(), H.gens, t)
-                    assert elems is not None
+                    if elems is None:
+                        raise RuntimeError(
+                            "lifted quotient element does not normalize")
                     K = Subgroup(G, H.gens + (t,), elems=elems)
                 else:
                     K = Subgroup(G, H.gens + (t,))
-                assert K.order == q * H.order
+                if K.order != q * H.order:
+                    raise RuntimeError(
+                        f"extension of order {K.order}, expected "
+                        f"{q * H.order}")
                 cid = subgroup_class_id(G, K)
                 if cid not in known:
                     known.add(cid)
@@ -311,8 +317,7 @@ def compare_patterns(a: SubgroupPattern, b: SubgroupPattern) -> MatchReport:
             if j in used:
                 continue
             if are_conjugate_subgroups(
-                    G, rewrap(G, a.classes[i].rep),
-                    rewrap(G, b.classes[j].rep)) is not None:
+                    G, a.classes[i].rep, b.classes[j].rep) is not None:
                 found = j
                 break
         if found is None:

@@ -35,7 +35,6 @@ from .extension import (
     ExtensionContext,
     StepClasses,
     extend_classes,
-    rewrap,
 )
 from .groups import (
     PermGroup,
@@ -44,6 +43,7 @@ from .groups import (
     composition_series,
     join_normalizing,
     normalizer,
+    rewrap,
     subgroup_class_id,
     trivial_subgroup,
 )
@@ -167,6 +167,10 @@ def mark_fixed_cosets(G: PermGroup, K: Subgroup, H: Subgroup, *,
 # identification of subgroups against a fixed transversal
 
 
+class ConjugateDuplicatesError(ValueError):
+    """Two representatives of a class transversal are conjugate."""
+
+
 class ClassIdentifier:
     """Maps subgroups of S to their index in a fixed class transversal."""
 
@@ -174,9 +178,11 @@ class ClassIdentifier:
         self.S = S
         self.index_of_cid = {}
         for i, rep in enumerate(reps):
-            cid = subgroup_class_id(S, rewrap(S, rep))
+            cid = subgroup_class_id(S, rep)
             if cid in self.index_of_cid:
-                raise ValueError("transversal contains conjugate duplicates")
+                raise ConjugateDuplicatesError(
+                    "transversal contains conjugate duplicates: classes "
+                    f"{self.index_of_cid[cid]} and {i}")
             self.index_of_cid[cid] = i
 
     def index_of(self, K: Subgroup) -> int:
@@ -930,7 +936,7 @@ def validate_pattern(pattern: SubgroupPattern, *,
     diagonal = normalizer index, first column = group index, last row
     of ones, row divisibility by the diagonal, the mod-p column
     congruence for recorded (rep∩A, rep) pairs, and (optionally) the
-    Dress congruences.
+    Dress congruences, which also reject conjugate representatives.
     """
     out = []
     n = pattern.n
@@ -968,6 +974,9 @@ def validate_pattern(pattern: SubgroupPattern, *,
                         f"column congruence mod {p} fails at row {i}, "
                         f"columns ({g},{j})")
     if check_dress:
-        ok, viol = verify_dress(pattern)
+        try:
+            ok, viol = verify_dress(pattern)
+        except ConjugateDuplicatesError as exc:
+            viol = [str(exc)]
         out.extend(viol)
     return out

@@ -1,8 +1,15 @@
 """Kernel tests; expected values come from brute-force scans done right
 here in the test, independent of the library's own machinery."""
 
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import burnside
 from burnside.catalog import CATALOG, cyclic_group
 from burnside.groups import (
     CapExceededError,
@@ -19,6 +26,7 @@ from burnside.groups import (
     quotient_group,
     trivial_subgroup,
 )
+from burnside.lattice import all_subgroup_classes_brute
 from burnside.perms import conj, mul, order_of, parse_cycles
 
 
@@ -209,3 +217,55 @@ def test_subgroup_validation(s4):
         Subgroup(s4, [parse_cycles("(1,2,3,4,5)", 5)])
     with pytest.raises(ValueError):
         Subgroup(CATALOG.group("A4"), [parse_cycles("(1,2)", 4)], check=True)
+
+
+# ---------------------------------------------------------------------------
+# class keys, conjugators and normalizers against a full conjugation scan
+
+
+def relabeled(name, seed):
+    """A fresh copy of a catalog group with its points renamed by a
+    seeded permutation (seed 0 keeps the labels)."""
+    G = CATALOG.group(name)
+    sigma = list(range(G.degree))
+    random.Random(seed).shuffle(sigma)
+    gens = [conj(g, tuple(sigma)) for g in G.gens] if seed else G.gens
+    return PermGroup(gens, G.degree)
+
+
+def scanned_class(G, rep):
+    """Every member of rep's class, each found by conjugating with every
+    element of G: element set -> generators of that member."""
+    members = {}
+    for g in G.elements():
+        elems = frozenset(conj(x, g) for x in rep.elements())
+        if elems not in members:
+            members[elems] = [conj(x, g) for x in rep.gens]
+    return members
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("name", ["S5", "A6", "GL2(3)"])
+def test_class_members_conjugators_and_normalizers(name, seed):
+    G = relabeled(name, seed)
+    for rep in all_subgroup_classes_brute(G):
+        members = scanned_class(G, rep)
+        assert normalizer(G, rep).order == G.order // len(members)
+        for gens in members.values():
+            K = Subgroup(G, gens)
+            g = are_conjugate_subgroups(G, rep, K)
+            assert g is not None and G.contains(g)
+            assert rep.conjugated(g).same_subgroup(K)
+
+
+def test_subgroups_output_ignores_the_hash_seed():
+    src = str(Path(burnside.__file__).resolve().parents[1])
+    outs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-m", "burnside.cli", "subgroups", "S5"],
+            env=env, capture_output=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout)
+    assert outs[0] == outs[1] and outs[0].count(b"\n") == 19

@@ -237,3 +237,43 @@ def test_cli_bench_rows():
     assert c2[:5] == ["C2", "1", "2", "0", "0"]
     s5row = lines[2].split(",")
     assert s5row[:5] == ["S5", "9", "19", "0", "0"]
+
+
+def test_cli_conjugate_representatives_fail_validation(tmp_path):
+    """A pattern file whose class 2 repeats the class-1 generators (both
+    order 2 in S5) is a validation failure, for verify and for --base."""
+    good = tmp_path / "s5.json"
+    code, _ = _capture(["tom", "S5", "--via", "oracle", "--format", "json",
+                        "--out", str(good)])
+    assert code == 0
+    doc = json.loads(good.read_text())
+    assert doc["classes"][1]["order"] == doc["classes"][2]["order"] == 2
+    doc["classes"][2]["generators"] = doc["classes"][1]["generators"]
+    bad = tmp_path / "dup.json"
+    bad.write_text(json.dumps(doc))
+    code, out = _capture(["verify", str(bad)])
+    assert code == 4
+    assert "FAIL: transversal contains conjugate duplicates" in out
+    code, _ = _capture(["tom", "S5", "--via", "extension", "--base",
+                        str(bad)])
+    assert code == 4
+
+
+def test_cli_bench_millis_is_the_whole_chain(monkeypatch):
+    """The solvable row times the whole chain, not its last step: with a
+    clock that ticks one second per reading, the row spans every reading
+    while the last step's own stats span one tick."""
+    import burnside.cli as cli
+
+    ticks = []
+
+    def clock():
+        ticks.append(len(ticks))
+        return float(len(ticks))
+
+    monkeypatch.setattr(cli.time, "monotonic", clock)
+    row = cli._bench_row("C4")
+    assert row[:3] == ("C4", 2, 3)
+    # cli start, two readings per extension step, cli end
+    assert len(ticks) == 2 + 2 * 2
+    assert row[5] == (len(ticks) - 1) * 1000
