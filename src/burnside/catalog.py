@@ -8,9 +8,10 @@ per entry (e.g. S5 builds on A5).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .groups import PermGroup
+from .groups import PermGroup, prime_factors
 from .perms import format_tuple, parse_cycles
 
 
@@ -19,7 +20,6 @@ class CatalogEntry:
     name: str
     degree: int
     generators: list[str]
-    solvable_hint: bool | None = None
     extension_base: str | None = None   # normal prime-index subgroup
     search_ok: bool = False             # class search is complete here
 
@@ -214,39 +214,31 @@ def _fmt(perms) -> list[str]:
 
 def default_catalog() -> Catalog:
     cat = Catalog()
-    cat.add(CatalogEntry("trivial", 1, [], solvable_hint=True))
+    cat.add(CatalogEntry("trivial", 1, []))
     for n in range(2, 13):
         cat.add(CatalogEntry(
-            f"C{n}", n, _fmt(cyclic_group(n).gens), solvable_hint=True,
+            f"C{n}", n, _fmt(cyclic_group(n).gens),
             extension_base=None if n > 2 else "trivial"))
-    cat.add(CatalogEntry("S3", 3, _fmt(dihedral_group(3).gens),
-                         solvable_hint=True))
-    cat.add(CatalogEntry("D8", 4, _fmt(dihedral_group(4).gens),
-                         solvable_hint=True))
-    cat.add(CatalogEntry("Q8", 8, _fmt(dicyclic_group(2).gens),
-                         solvable_hint=True))
-    cat.add(CatalogEntry("D12", 6, _fmt(dihedral_group(6).gens),
-                         solvable_hint=True))
-    cat.add(CatalogEntry("A4", 4, _fmt(alternating_group(4).gens),
-                         solvable_hint=True))
+    cat.add(CatalogEntry("S3", 3, _fmt(dihedral_group(3).gens)))
+    cat.add(CatalogEntry("D8", 4, _fmt(dihedral_group(4).gens)))
+    cat.add(CatalogEntry("Q8", 8, _fmt(dicyclic_group(2).gens)))
+    cat.add(CatalogEntry("D12", 6, _fmt(dihedral_group(6).gens)))
+    cat.add(CatalogEntry("A4", 4, _fmt(alternating_group(4).gens)))
     cat.add(CatalogEntry("S4", 4, _fmt(symmetric_group(4).gens),
-                         solvable_hint=True, extension_base="A4"))
+                         extension_base="A4"))
     gl = gl23_generators()
-    cat.add(CatalogEntry("SL2(3)", 8, _fmt(gl[:2]), solvable_hint=True))
-    cat.add(CatalogEntry("GL2(3)", 8, _fmt(gl), solvable_hint=True,
-                         extension_base="SL2(3)"))
-    cat.add(CatalogEntry("A5", 5, _fmt(alternating_group(5).gens),
-                         solvable_hint=False))
+    cat.add(CatalogEntry("SL2(3)", 8, _fmt(gl[:2])))
+    cat.add(CatalogEntry("GL2(3)", 8, _fmt(gl), extension_base="SL2(3)"))
+    cat.add(CatalogEntry("A5", 5, _fmt(alternating_group(5).gens)))
     cat.add(CatalogEntry("S5", 5, _fmt(symmetric_group(5).gens),
-                         solvable_hint=False, extension_base="A5"))
-    cat.add(CatalogEntry("A6", 6, _fmt(alternating_group(6).gens),
-                         solvable_hint=False))
+                         extension_base="A5"))
+    cat.add(CatalogEntry("A6", 6, _fmt(alternating_group(6).gens)))
     cat.add(CatalogEntry("S6", 6, _fmt(symmetric_group(6).gens),
-                         solvable_hint=False, extension_base="A6"))
+                         extension_base="A6"))
     cat.add(CatalogEntry("L2(32)", 33, _fmt(l2_32_generators()),
-                         solvable_hint=False, search_ok=True))
+                         search_ok=True))
     cat.add(CatalogEntry("L2(32):5", 33, _fmt(l2_32_generators(True)),
-                         solvable_hint=False, extension_base="L2(32)"))
+                         extension_base="L2(32)"))
     return cat
 
 
@@ -270,16 +262,7 @@ def _partitions(n: int):
 def abelian_types(order: int) -> list[tuple[int, ...]]:
     """All abelian isomorphism types of the given order, as tuples of
     prime-power cyclic factors."""
-    factors: dict[int, int] = {}
-    n = order
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
+    factors = Counter(prime_factors(order))
     types = [()]
     for p, e in sorted(factors.items()):
         types = [t + tuple(p ** part for part in parts)

@@ -9,6 +9,26 @@ Subcommands:
 * ``verify`` - run the invariant suite on a stored pattern file,
 * ``bench`` - timing/statistics rows for extension steps.
 
+One route function (``_route``) decides, for every command, where the
+bottom of the computation comes from and which extension steps run on
+top.  The command says what it needs: ``subgroups`` a class listing,
+``tom`` a table by its ``--via`` choice, ``bench`` a table through an
+extension.  The rules, in order:
+
+* ``--via oracle``: the brute-force oracle, if the group is within the
+  cap (``MARKS_MAX_ORDER``, default 2000);
+* a ``--base`` file: one extension step from its pattern; its group
+  must be a normal subgroup of prime index, else exit 4;
+* a solvable group: the composition-series chain from the trivial group;
+* a class listing of a catalog group whose class search is complete
+  (L2(32)): the class search;
+* a class listing or an ``auto`` table: the oracle, up to the cap;
+* a catalog group with an extension base (S5 on A5, L2(32):5 on
+  L2(32)): the base group's own route, then one step;
+* anything else exits 3.
+
+A ``--base`` file is read and validated whenever it is given.
+
 Exit codes: 0 ok, 2 input error, 3 unsupported computation path,
 4 validation failure.
 """
@@ -16,9 +36,11 @@ Exit codes: 0 ok, 2 input error, 3 unsupported computation path,
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import time
+from dataclasses import dataclass, field
 
 from .catalog import CATALOG, CatalogEntry
 from .extension import (
@@ -49,7 +71,7 @@ from .marks import (
 )
 from .patterns import (
     PatternFormatError,
-    pattern_from_json,
+    pattern_from_dict,
     pattern_to_json,
     render_class_listing,
     render_text,
@@ -63,17 +85,6 @@ class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-def _oracle_cap() -> int:
-    value = os.environ.get("MARKS_MAX_ORDER")
-    if value:
-        try:
-            return int(value)
-        except ValueError:
-            raise CliError(INPUT_ERROR,
-                           f"bad MARKS_MAX_ORDER value {value!r}")
-    return DEFAULT_CAP
 
 
 def _resolve_group(args) -> tuple[str, PermGroup, CatalogEntry | None]:
@@ -94,16 +105,15 @@ def _resolve_group(args) -> tuple[str, PermGroup, CatalogEntry | None]:
     return entry.name, CATALOG.group(entry.name), entry
 
 
-def _load_base_pattern(path: str) -> SubgroupPattern:
+def _read_pattern(path: str) -> SubgroupPattern:
+    """Load a pattern file; its group is named in the file and resolved
+    from the catalog."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            doc = json.load(fh)
+        name = doc["group"]
     except OSError as exc:
         raise CliError(INPUT_ERROR, f"cannot read {path}: {exc}")
-    import json
-    try:
-        doc = json.loads(text)
-        name = doc["group"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise CliError(INPUT_ERROR, f"bad pattern file {path}: {exc}")
     entry = CATALOG.get(name)
@@ -111,131 +121,143 @@ def _load_base_pattern(path: str) -> SubgroupPattern:
         raise CliError(INPUT_ERROR,
                        f"pattern file names unknown group {name!r}")
     try:
-        pattern = pattern_from_json(text, CATALOG.group(entry.name))
+        return pattern_from_dict(doc, CATALOG.group(entry.name))
     except PatternFormatError as exc:
         raise CliError(INPUT_ERROR, f"bad pattern file {path}: {exc}")
-    problems = validate_pattern(pattern)
+
+
+@dataclass
+class Route:
+    """How a command gets its result: a base source for ``group``, then
+    one extension step to each group of ``steps``, bottom up.
+
+    The source is ``"file"`` (the pattern of a --base file), ``"chain"``
+    (the composition-series chain up from the trivial group),
+    ``"oracle"`` (the brute-force lattice, up to ``cap``) or
+    ``"search"`` (the class search, for class listings only).
+    """
+
+    source: str
+    group: PermGroup
+    steps: list[PermGroup] = field(default_factory=list)
+    pattern: SubgroupPattern | None = None
+    cap: int = DEFAULT_CAP
+
+
+def _route(name: str, G: PermGroup, entry: CatalogEntry | None,
+           base_path: str | None, need: str) -> Route:
+    """The one place that decides how a command computes its result.
+
+    ``need`` is ``"classes"`` for a class listing, or the --via choice
+    (``"auto"``, ``"oracle"``, ``"extension"``) for a table.  A --base
+    file is read and validated whenever it is given; a route that uses
+    it requires its group to be a normal subgroup of G of prime index
+    (exit 4).  A catalog entry with an ``extension_base`` plans that
+    group here too, as a class listing or as an ``"auto"`` table, and
+    adds one step to G.
+    """
+    base = _read_pattern(base_path) if base_path else None
+    problems = validate_pattern(base) if base is not None else []
     if problems:
         raise CliError(VALIDATION_FAILURE,
                        "base pattern fails validation: " + problems[0])
-    return pattern
-
-
-def _classes_of(name: str, G: PermGroup, entry: CatalogEntry | None,
-                base: SubgroupPattern | None):
-    """Class transversal of G with normalizer orders, by the best route."""
-    if base is not None:
-        ctx = ExtensionContext.create(G, base.group)
-        step = extend_classes(sort_class_reps(
-            [c.rep for c in base.sorted_ascending().classes]), ctx)
-        classes = [
-            PatternClass(rep=r, order=r.order, length=G.order // no,
-                         normalizer_order=no)
-            for r, no in zip(step.reps, step.normalizer_orders)]
-        classes.sort(key=lambda c: c.order)
-        return classes
-    if is_solvable(G):
-        reps = subgroup_classes_solvable(G)
-    elif entry is not None and entry.search_ok:
-        reps = subgroup_classes_search(G)
-    elif G.order <= _oracle_cap():
-        reps = all_subgroup_classes_brute(G, cap=_oracle_cap())
-    elif entry is not None and entry.extension_base:
+    if need != "oracle":
+        if base is not None:
+            try:
+                ExtensionContext.create(G, base.group)
+            except ValueError as exc:
+                raise CliError(
+                    VALIDATION_FAILURE,
+                    "base pattern group is not a normal prime-index "
+                    f"subgroup of {name}: {exc}")
+            return Route("file", base.group, [G], pattern=base)
+        if is_solvable(G):
+            return Route("chain", G)
+        if need == "classes" and entry is not None and entry.search_ok:
+            return Route("search", G)
+    if need != "extension":
+        value = os.environ.get("MARKS_MAX_ORDER")
+        try:
+            cap = int(value) if value else DEFAULT_CAP
+        except ValueError:
+            raise CliError(INPUT_ERROR,
+                           f"bad MARKS_MAX_ORDER value {value!r}")
+        if G.order <= cap:
+            return Route("oracle", G, cap=cap)
+        if need != "classes":
+            raise CliError(
+                UNSUPPORTED,
+                f"{name}: group order {G.order} exceeds the oracle cap; "
+                "set MARKS_MAX_ORDER to raise it")
+    if entry is not None and entry.extension_base:
         base_entry = CATALOG.get(entry.extension_base)
-        base_group = CATALOG.group(base_entry.name)
-        base_classes = _classes_of(base_entry.name, base_group,
-                                   base_entry, None)
-        ctx = ExtensionContext.create(G, base_group)
-        step = extend_classes(sort_class_reps(
-            [c.rep for c in base_classes]), ctx)
-        classes = [
-            PatternClass(rep=r, order=r.order, length=G.order // no,
-                         normalizer_order=no)
-            for r, no in zip(step.reps, step.normalizer_orders)]
-        classes.sort(key=lambda c: c.order)
-        return classes
+        route = _route(base_entry.name, CATALOG.group(base_entry.name),
+                       base_entry, None,
+                       "classes" if need == "classes" else "auto")
+        route.steps.append(G)
+        return route
+    raise CliError(
+        UNSUPPORTED,
+        f"{name} is not solvable and no base pattern was supplied; "
+        "pass --base <pattern.json> for a normal prime-index subgroup")
+
+
+def _class_listing(route: Route) -> list[PatternClass]:
+    """Class transversal with normalizer orders, sorted by order."""
+    G = route.group
+    if route.source == "file":
+        reps = [c.rep for c in route.pattern.sorted_ascending().classes]
+    elif route.source == "chain":
+        reps = subgroup_classes_solvable(G)
+    elif route.source == "search":
+        reps = subgroup_classes_search(G)
     else:
-        raise CliError(
-            UNSUPPORTED,
-            f"{name} is not solvable and no base pattern was supplied; "
-            "pass --base <pattern.json> for a normal prime-index subgroup")
-    out = []
-    for rep in reps:
-        n_order = normalizer(G, rep).order
-        out.append(PatternClass(rep=rep, order=rep.order,
-                                length=G.order // n_order,
-                                normalizer_order=n_order))
-    return out
+        reps = all_subgroup_classes_brute(G, cap=route.cap)
+    if route.steps:
+        for S in route.steps:
+            step = extend_classes(sort_class_reps(reps),
+                                  ExtensionContext.create(S, G))
+            reps, G = step.reps, S
+        orders = step.normalizer_orders
+    else:
+        orders = [normalizer(G, rep).order for rep in reps]
+    classes = [PatternClass(rep=rep, order=rep.order, length=G.order // no,
+                            normalizer_order=no)
+               for rep, no in zip(reps, orders)]
+    classes.sort(key=lambda c: c.order)
+    return classes
+
+
+def _patterns(route: Route) -> tuple[list[SubgroupPattern], int]:
+    """Patterns along the route, bottom up, and the milliseconds of its
+    extension work: the whole solvable chain, or the steps above the
+    base (not the oracle or the file)."""
+    if route.source == "file":
+        chain = [route.pattern]
+    elif route.source == "oracle":
+        chain = [table_of_marks_brute(route.group, cap=route.cap)]
+    start = time.monotonic()
+    if route.source == "chain":
+        chain = solvable_pattern_chain(route.group)
+    for S in route.steps:
+        chain.append(extend_table_of_marks(chain[-1], S))
+    return chain, int((time.monotonic() - start) * 1000)
 
 
 def cmd_subgroups(args) -> int:
     name, G, entry = _resolve_group(args)
-    base = _load_base_pattern(args.base) if args.base else None
-    try:
-        classes = _classes_of(name, G, entry, base)
-    except NotSolvableError as exc:
-        raise CliError(UNSUPPORTED, str(exc))
-    except CapExceededError as exc:
-        raise CliError(UNSUPPORTED, str(exc))
-    sys.stdout.write(render_class_listing(classes))
+    route = _route(name, G, entry, args.base, "classes")
+    sys.stdout.write(render_class_listing(_class_listing(route)))
     return OK
-
-
-def _tom_pattern(name: str, G: PermGroup, entry: CatalogEntry | None,
-                 args) -> SubgroupPattern:
-    via = args.via
-    base = _load_base_pattern(args.base) if args.base else None
-    if via == "auto":
-        if base is not None:
-            via = "extension"
-        elif is_solvable(G):
-            via = "extension"
-        else:
-            via = "oracle"
-    if via == "oracle":
-        if G.order > _oracle_cap():
-            raise CliError(
-                UNSUPPORTED,
-                f"group order {G.order} exceeds the oracle cap; "
-                "set MARKS_MAX_ORDER to raise it")
-        return table_of_marks_brute(G, cap=_oracle_cap())
-    # extension route
-    if base is not None:
-        if G.order % base.group.order or \
-                not all(G.contains(g) for g in base.group.gens):
-            raise CliError(VALIDATION_FAILURE,
-                           "base pattern group is not a subgroup")
-        return extend_table_of_marks(base, G)
-    if is_solvable(G):
-        chain = solvable_pattern_chain(G)
-        return chain[-1]
-    if entry is not None and entry.extension_base:
-        base_entry = CATALOG.get(entry.extension_base)
-        base_group = CATALOG.group(base_entry.name)
-        if base_group.order > _oracle_cap():
-            raise CliError(
-                UNSUPPORTED,
-                f"base group {base_entry.name} is beyond the oracle cap; "
-                "supply --base with a precomputed pattern")
-        base_pattern = table_of_marks_brute(base_group, cap=_oracle_cap())
-        return extend_table_of_marks(base_pattern, G)
-    raise CliError(
-        UNSUPPORTED,
-        f"{name} is not solvable and no base pattern was supplied")
 
 
 def cmd_tom(args) -> int:
     name, G, entry = _resolve_group(args)
-    try:
-        pattern = _tom_pattern(name, G, entry, args)
-    except NotSolvableError as exc:
-        raise CliError(UNSUPPORTED, str(exc))
-    except CapExceededError as exc:
-        raise CliError(UNSUPPORTED, str(exc))
+    chain, _ = _patterns(_route(name, G, entry, args.base, args.via))
     if args.format == "json":
-        text = pattern_to_json(pattern, name) + "\n"
+        text = pattern_to_json(chain[-1], name) + "\n"
     else:
-        text = render_text(pattern, name)
+        text = render_text(chain[-1], name)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -245,24 +267,7 @@ def cmd_tom(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise CliError(INPUT_ERROR, f"cannot read {args.file}: {exc}")
-    import json
-    try:
-        doc = json.loads(text)
-        name = doc["group"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise CliError(INPUT_ERROR, f"parse failure: {exc}")
-    entry = CATALOG.get(name)
-    if entry is None:
-        raise CliError(INPUT_ERROR, f"unknown group {name!r} in pattern file")
-    try:
-        pattern = pattern_from_json(text, CATALOG.group(entry.name))
-    except PatternFormatError as exc:
-        raise CliError(INPUT_ERROR, f"parse failure: {exc}")
+    pattern = _read_pattern(args.file)
     problems = validate_pattern(pattern)
     if problems:
         for line in problems:
@@ -273,35 +278,17 @@ def cmd_verify(args) -> int:
 
 
 def _bench_row(name: str) -> tuple:
-    """One CSV row; millis is the measured time of the whole solvable
-    chain, or of the single extension step from the oracle base."""
+    """One CSV row; millis is the extension work of the route (see
+    ``_patterns``), classes-in the class count of the pattern below."""
     entry = CATALOG.get(name)
     if entry is None:
         raise CliError(INPUT_ERROR, f"unknown group {name!r}")
     G = CATALOG.group(entry.name)
-    if is_solvable(G):
-        start = time.monotonic()
-        chain = solvable_pattern_chain(G)
-        millis = int((time.monotonic() - start) * 1000)
-        if len(chain) == 1:
-            return (entry.name, 1, 1, 0, 0, millis)
-        final = chain[-1]
-        return (entry.name, chain[-2].n, final.n, final.stats.probes,
-                final.stats.max_probe, millis)
-    if not entry.extension_base:
-        raise CliError(UNSUPPORTED,
-                       f"no extension route for {entry.name}")
-    base_entry = CATALOG.get(entry.extension_base)
-    base_group = CATALOG.group(base_entry.name)
-    if base_group.order > _oracle_cap():
-        raise CliError(UNSUPPORTED,
-                       f"base group {base_entry.name} beyond the oracle cap")
-    base_pattern = table_of_marks_brute(base_group, cap=_oracle_cap())
-    start = time.monotonic()
-    pattern = extend_table_of_marks(base_pattern, G)
-    millis = int((time.monotonic() - start) * 1000)
-    return (entry.name, base_pattern.n, pattern.n, pattern.stats.probes,
-            pattern.stats.max_probe, millis)
+    chain, millis = _patterns(_route(entry.name, G, entry, None, "extension"))
+    final = chain[-1]
+    below = chain[-2].n if len(chain) > 1 else 1
+    return (entry.name, below, final.n, final.stats.probes,
+            final.stats.max_probe, millis)
 
 
 def cmd_bench(args) -> int:
@@ -358,6 +345,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except (NotSolvableError, CapExceededError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return UNSUPPORTED
 
 
 if __name__ == "__main__":  # pragma: no cover

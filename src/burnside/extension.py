@@ -23,13 +23,15 @@ from .groups import (
     composition_series,
     join_normalizing,
     normalizer,
+    prime_factors,
     quotient_group,
+    rational_classes,
     rewrap,
     subgroup_class_id,
     trivial_subgroup,
     SET_CAP,
 )
-from .perms import conj, mul, order_of, power
+from .perms import mul, order_of, power
 
 # largest normalizer quotient we are willing to enumerate element-wise
 QUOTIENT_CAP = 200_000
@@ -51,35 +53,16 @@ class ExtensionContext:
         if S.order % A.order:
             raise ValueError("subgroup order does not divide the group order")
         p = S.order // A.order
-        if p == 1 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if prime_factors(p) != [p]:
             raise ValueError(f"index {p} is not prime")
         for a in A.gens:
             if not S.contains(a):
                 raise ValueError("normal subgroup not inside the group")
-        asub = _big_subgroup(S, A)
-        if not asub.is_normal_in(S):
+        if not rewrap(S, A).is_normal_in(S):
             raise ValueError("subgroup is not normal")
         t = next((g for g in S.gens if not A.contains(g)), None)
         assert t is not None
         return cls(S=S, A=A, p=p, t=t)
-
-    def in_A(self, x) -> bool:
-        return self.A.contains(x)
-
-
-def _big_subgroup(S: PermGroup, G: PermGroup) -> Subgroup:
-    """Wrap a PermGroup as a subgroup handle of S without re-deriving it.
-
-    The class key is left unset: it is computed in S's numbering."""
-    sub = Subgroup.__new__(Subgroup)
-    sub.ambient = S
-    sub.gens = G.gens
-    sub.order = G.order
-    sub._elems = frozenset(G.elements()) if G.order <= SET_CAP else None
-    sub._group = G
-    sub._fp = None
-    sub._profile = None
-    return sub
 
 
 @dataclass
@@ -204,31 +187,9 @@ def extension_elements(ctx: ExtensionContext, H: Subgroup):
         raise CapExceededError(
             f"quotient of order {W.order} is over the enumeration cap")
 
-    targets = [w for w in W.sorted_elements()
-               if order_of(w) == p and not A.contains(lift(w))]
-    seen: set = set()
+    # A is normal, so lying in A is constant on rational classes
     out = []
-    for w in targets:
-        if w in seen:
-            continue
-        # rational class: close under W-conjugacy and prime-to-p powers
-        orbit = [w]
-        oset = {w}
-        qi = 0
-        while qi < len(orbit):
-            x = orbit[qi]
-            qi += 1
-            for g in W.gens:
-                y = conj(x, g)
-                if y not in oset:
-                    oset.add(y)
-                    orbit.append(y)
-            for k in range(2, p):
-                y = power(x, k)
-                if y not in oset:
-                    oset.add(y)
-                    orbit.append(y)
-        seen |= oset
+    for w in rational_classes(W, p, lambda x: A.contains(lift(x))):
         t0 = lift(w)
         n = order_of(t0)
         q = n

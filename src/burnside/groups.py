@@ -229,9 +229,6 @@ class PermGroup:
             self._sorted_elements = sorted(self.elements())
         return self._sorted_elements
 
-    def gen_perms(self) -> list[Perm]:
-        return [Perm(g) for g in self.gens]
-
     # -- element numbering -------------------------------------------------
 
     def _num(self) -> "_Numbering":
@@ -426,36 +423,29 @@ def trivial_subgroup(G: PermGroup) -> Subgroup:
     return Subgroup(G, [], elems=[G.identity])
 
 
-def whole_subgroup(G: PermGroup) -> Subgroup:
-    if G.order <= SET_CAP:
-        return Subgroup(G, G.gens, elems=G.elements())
-    sub = Subgroup.__new__(Subgroup)
-    sub.ambient = G
-    sub.gens = G.gens
-    sub.order = G.order
-    sub._elems = None
-    sub._group = G
-    sub._fp = None
-    sub._profile = None
-    return sub
+def rewrap(G: PermGroup, H: Subgroup | PermGroup) -> Subgroup:
+    """The same group as a subgroup handle of G, re-deriving nothing: H
+    is a subgroup handle of another ambient group, or a PermGroup inside
+    G (``rewrap(G, G)`` is the whole group).
 
-
-def rewrap(G: PermGroup, H: Subgroup) -> Subgroup:
-    """The same subgroup as a handle of a different ambient group.
-
-    The class key is relative to the ambient group's numbering, so the
-    new handle computes its own.
+    The element set is kept (and made when the order is at most
+    SET_CAP); the class key is relative to the ambient group's
+    numbering, so the new handle computes its own.
     """
-    if H.ambient is G:
+    if isinstance(H, PermGroup):
+        group, elems = H, None
+    elif H.ambient is G:
         return H
-    if H.order <= SET_CAP:
-        return Subgroup(G, H.gens, elems=H.elements())
+    else:
+        group, elems = H._group, H._elems
+    if elems is None and H.order <= SET_CAP:
+        elems = frozenset(H.elements())
     sub = Subgroup.__new__(Subgroup)
     sub.ambient = G
     sub.gens = H.gens
     sub.order = H.order
-    sub._elems = H._elems
-    sub._group = H._group
+    sub._elems = elems
+    sub._group = group
     sub._fp = None
     sub._profile = None
     return sub
@@ -685,11 +675,6 @@ def are_conjugate_subgroups(G: PermGroup, H: Subgroup, K: Subgroup):
     return mul(inv(gh), gk)
 
 
-def subgroup_class_size(G: PermGroup, H: Subgroup) -> int:
-    cid = subgroup_class_id(G, H)
-    return G._sub_classes[cid].size
-
-
 def normalizer(G: PermGroup, H: Subgroup) -> Subgroup:
     """Normalizer of H in G via orbit-stabilizer on the conjugation orbit.
 
@@ -706,7 +691,7 @@ def normalizer(G: PermGroup, H: Subgroup) -> Subgroup:
     if not all(g in G for g in H.gens):
         raise ValueError("subgroup not inside the group")
     if H.is_normal_in(G):
-        result = whole_subgroup(G)
+        result = rewrap(G, G)
         G._normalizers[fp] = result
         return result
     cls = G._sub_classes[subgroup_class_id(G, H)]
@@ -820,8 +805,55 @@ def quotient_group(N: PermGroup, H: Subgroup):
     return W, lift
 
 
+def rational_classes(W: PermGroup, q: int, skip=None) -> list:
+    """One element per rational class of order-q elements of W (q prime),
+    each the first of its class in sorted element order.
+
+    Rational class: closed under conjugacy and prime-to-q powers, so
+    two elements are equivalent exactly when they generate conjugate
+    subgroups of order q.  ``skip`` filters elements out entirely; it
+    must be constant on rational classes.
+    """
+    seen: set = set()
+    out = []
+    for w in W.sorted_elements():
+        if w in seen or order_of(w) != q:
+            continue
+        if skip is not None and skip(w):
+            continue
+        orbit = [perm_power(w, k) for k in range(1, q)]
+        oset = set(orbit)
+        qi = 0
+        while qi < len(orbit):
+            x = orbit[qi]
+            qi += 1
+            for g in W.gens:
+                y = conj(x, g)
+                if y not in oset:
+                    oset.add(y)
+                    orbit.append(y)
+        seen |= oset
+        out.append(w)
+    return out
+
+
 # ---------------------------------------------------------------------------
-# derived series, solvability, composition series
+# primes, derived series, solvability, composition series
+
+
+def prime_factors(n: int) -> list[int]:
+    """Prime factors of n in ascending order, with multiplicity
+    (empty for n < 2)."""
+    out = []
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out.append(d)
+            n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def normal_closure(G: PermGroup, gens) -> list[tuple[int, ...]]:
@@ -883,19 +915,6 @@ class SeriesChain:
             assert b.order == a.order * p
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.append(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def composition_series(G: PermGroup) -> SeriesChain:
     """Composition series 1 = G_0 < G_1 < ... < G_n = G with prime steps.
 
@@ -926,7 +945,7 @@ def composition_series(G: PermGroup) -> SeriesChain:
                 while not cur.contains(x):
                     x = mul(x, w)
                     o += 1
-                p = _prime_factors(o)[0]
+                p = prime_factors(o)[0]
                 step_gen = perm_power(w, o // p)
                 cur_gens = cur_gens + [step_gen]
                 cur = PermGroup(cur_gens, W.degree)

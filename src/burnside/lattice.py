@@ -24,11 +24,12 @@ from .groups import (
     close_elements,
     join_normalizing,
     normalizer,
+    prime_factors,
     quotient_group,
+    rational_classes,
     rewrap,
     subgroup_class_id,
     trivial_subgroup,
-    whole_subgroup,
     SET_CAP,
 )
 from .marks import (
@@ -40,6 +41,9 @@ from .marks import (
 from .perms import conj, order_of, power
 
 DEFAULT_CAP = 2000
+
+# largest normalizer quotient the class search enumerates element-wise
+SEARCH_QUOTIENT_CAP = 300_000
 
 
 @dataclass
@@ -54,26 +58,13 @@ class LatticeDump:
         return len(self.classes)
 
 
-def _is_prime_power(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return n == 1
-        p += 1
-    return True
-
-
 def zuppos(G: PermGroup) -> list[tuple[tuple[int, ...], frozenset]]:
     """Cyclic subgroups of prime-power order, as (generator, elements)."""
     out = []
     seen = set()
     for x in G.sorted_elements():
         n = order_of(x)
-        if not _is_prime_power(n):
+        if len(set(prime_factors(n))) != 1:
             continue
         elems = frozenset(power(x, k) for k in range(n))
         if elems in seen:
@@ -167,38 +158,7 @@ def table_of_marks_brute(G: PermGroup,
 # class-level search past the brute cap
 
 
-def _rational_prime_reps(W: PermGroup, q: int, skip=None):
-    """One element per rational class of order-q elements of W.
-
-    Rational class: closed under conjugacy and prime-to-q powers, so
-    two elements are equivalent exactly when they generate conjugate
-    subgroups of order q.  ``skip`` filters elements out entirely.
-    """
-    seen: set = set()
-    out = []
-    for w in W.sorted_elements():
-        if w in seen or order_of(w) != q:
-            continue
-        if skip is not None and skip(w):
-            continue
-        orbit = [power(w, k) for k in range(1, q)]
-        oset = set(orbit)
-        qi = 0
-        while qi < len(orbit):
-            x = orbit[qi]
-            qi += 1
-            for g in W.gens:
-                y = conj(x, g)
-                if y not in oset:
-                    oset.add(y)
-                    orbit.append(y)
-        seen |= oset
-        out.append(w)
-    return out
-
-
-def subgroup_classes_search(G: PermGroup, *,
-                            quotient_cap: int = 300_000) -> list[Subgroup]:
+def subgroup_classes_search(G: PermGroup) -> list[Subgroup]:
     """Transversal of the subgroup classes via prime-cyclic extensions.
 
     Grows every class upward inside normalizer quotients, one prime at
@@ -225,13 +185,12 @@ def subgroup_classes_search(G: PermGroup, *,
             W: PermGroup = N.as_group()
             lift = lambda w: w  # noqa: E731
         else:
-            if index > quotient_cap:
+            if index > SEARCH_QUOTIENT_CAP:
                 raise CapExceededError(
                     f"normalizer quotient of order {index} over the cap")
             W, lift = quotient_group(N.as_group(), rewrap(N.as_group(), H))
-        primes = sorted({p for p in _prime_divisors(W.order)})
-        for q in primes:
-            for w in _rational_prime_reps(W, q):
+        for q in sorted(set(prime_factors(W.order))):
+            for w in rational_classes(W, q):
                 t = lift(w)
                 if H.order * q <= SET_CAP:
                     elems = join_normalizing(H.elements(), H.gens, t)
@@ -250,25 +209,11 @@ def subgroup_classes_search(G: PermGroup, *,
                     known.add(cid)
                     reps.append(K)
     if all(h.order != G.order for h in reps):
-        whole = whole_subgroup(G)
+        whole = rewrap(G, G)
         known.add(subgroup_class_id(G, whole))
         reps.append(whole)
     reps.sort(key=lambda h: h.order)
     return reps
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # ---------------------------------------------------------------------------

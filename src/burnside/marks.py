@@ -877,54 +877,31 @@ def dress_rows_full(pattern: SubgroupPattern) -> list[DressRow]:
     return out
 
 
-def verify_dress(pattern: SubgroupPattern,
-                 rows: list[DressRow] | None = None):
+def verify_dress(pattern: SubgroupPattern):
     """Check every row of the table against every Dress congruence.
 
-    Returns (ok, violations); each violation names the class U whose
-    congruence fails and the offending row.
+    Returns (ok, violations); each violation names the offending row,
+    the class U whose congruence fails, and the row's sum modulo
+    |N(U):U|, row by row within each congruence.  Sums are accumulated
+    over the nonzero cells of each coefficient column only: a row whose
+    sum never gets a term sums to zero, which every congruence admits.
     """
-    if rows is None:
-        rows = dress_rows_full(pattern)
-    n = pattern.n
+    columns: list[list[tuple[int, int]]] = [[] for _ in range(pattern.n)]
+    for i, row in enumerate(pattern.rows):
+        for j, v in enumerate(row):
+            if v:
+                columns[j].append((i, v))
     violations = []
-    if n >= 300:
-        try:
-            return _verify_dress_sparse(pattern, rows)
-        except ImportError:  # pragma: no cover
-            pass
-    for dr in rows:
-        for i in range(n):
-            s = sum(njj * pattern.cell(i, j) for j, njj in dr.coeffs.items())
-            if s % dr.modulus:
+    for dr in dress_rows_full(pattern):
+        sums: dict[int, int] = {}
+        for j, n in dr.coeffs.items():
+            for i, v in columns[j]:
+                sums[i] = sums.get(i, 0) + n * v
+        for i in sorted(sums):
+            if sums[i] % dr.modulus:
                 violations.append(
                     f"row {i}: congruence of class {dr.u_index} fails "
-                    f"(sum {s} mod {dr.modulus})")
-    return not violations, violations
-
-
-def _verify_dress_sparse(pattern: SubgroupPattern, rows: list[DressRow]):
-    import numpy as np
-    from scipy import sparse
-
-    n = pattern.n
-    M = np.zeros((n, n), dtype=np.int64)
-    for i, row in enumerate(pattern.rows):
-        M[i, :len(row)] = row
-    data, ri, ci = [], [], []
-    mods = np.ones(n, dtype=np.int64)
-    for dr in rows:
-        mods[dr.u_index] = dr.modulus
-        for j, njj in dr.coeffs.items():
-            ri.append(dr.u_index)
-            ci.append(j)
-            data.append(njj)
-    D = sparse.csr_matrix((data, (ri, ci)), shape=(n, n), dtype=np.int64)
-    R = np.asarray((D @ M.T))  # R[u, i] = sum_j n(u,j) M[i, j]
-    bad = np.argwhere(R % mods[:, None] != 0)
-    violations = [
-        f"row {i}: congruence of class {u} fails"
-        for u, i in bad.tolist()]
+                    f"(sum {sums[i]} mod {dr.modulus})")
     return not violations, violations
 
 

@@ -8,7 +8,7 @@ split extension p^k:Cq.  Everything else falls back to G<order>.
 
 from __future__ import annotations
 
-from .groups import Subgroup
+from .groups import Subgroup, prime_factors
 
 # (order, order profile) -> name, fed by the catalog and by hand
 _PROFILE_NAMES: dict = {}
@@ -20,32 +20,6 @@ def register_profile(name: str, order: int, profile) -> None:
 
 def _profile(sub: Subgroup):
     return sub.order_profile()
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _prime_power(n: int):
-    if n < 2:
-        return None
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            k = 0
-            while n % p == 0:
-                n //= p
-                k += 1
-            return (p, k) if n == 1 else None
-        p += 1
-    return (n, 1)
 
 
 def subgroup_name(sub: Subgroup) -> str:
@@ -62,10 +36,9 @@ def subgroup_name(sub: Subgroup) -> str:
         return named
     if prof.get(n):
         return f"C{n}"
-    pp = _prime_power(n)
-    if pp and prof.get(pp[0], 0) == n - 1:
-        p, k = pp
-        return f"{p}^{k}"
+    factors = prime_factors(n)
+    if len(set(factors)) == 1 and prof.get(factors[0], 0) == n - 1:
+        return f"{factors[0]}^{len(factors)}"
     # dihedral: n = 2m, a cyclic half plus m reflections
     if n % 2 == 0:
         m = n // 2
@@ -73,7 +46,7 @@ def subgroup_name(sub: Subgroup) -> str:
             return "S3" if n == 6 else f"D{n}"
         # generalized quaternion: unique involution, element of order m
         if n >= 8 and n % 4 == 0 and prof.get(2, 0) == 1 \
-                and prof.get(n // 2, 0) and _prime_power(n):
+                and prof.get(n // 2, 0) and len(set(factors)) == 1:
             return f"Q{n}"
     # split extension p^k : Cq with q prime
     pq = _split_elementary(prof, n)
@@ -89,13 +62,13 @@ def _has_cyclic(prof: dict, m: int) -> bool:
 
 def _split_elementary(prof: dict, n: int):
     for q in sorted(prof):
-        if not _is_prime(q) or n % q:
+        if prime_factors(q) != [q] or n % q:
             continue
         rest = n // q
-        pp = _prime_power(rest)
-        if not pp or pp[0] == q:
+        factors = prime_factors(rest)
+        if len(set(factors)) != 1 or factors[0] == q:
             continue
-        p, k = pp
+        p, k = factors[0], len(factors)
         # all non-identity orders are p or q exactly
         if set(o for o in prof if prof[o] and o > 1) <= {p, q} \
                 and prof.get(p, 0) == rest - 1:

@@ -23,6 +23,7 @@ from burnside.groups import (
     derived_series,
     is_solvable,
     normalizer,
+    prime_factors,
     quotient_group,
     trivial_subgroup,
 )
@@ -269,3 +270,15 @@ def test_subgroups_output_ignores_the_hash_seed():
         assert run.returncode == 0, run.stderr
         outs.append(run.stdout)
     assert outs[0] == outs[1] and outs[0].count(b"\n") == 19
+
+
+def test_prime_factors_against_trial_division():
+    for n in range(1, 400):
+        got = prime_factors(n)
+        assert got == sorted(got)
+        assert all(p > 1 and all(p % d for d in range(2, p)) for p in got)
+        prod = 1
+        for p in got:
+            prod *= p
+        assert prod == n
+    assert prime_factors(163680) == [2] * 5 + [3, 5, 11, 31]

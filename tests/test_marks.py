@@ -5,7 +5,7 @@ import pytest
 
 from fixtures import FIG_A5, FIG_S5, GL23_PANELS
 
-from burnside.catalog import CATALOG, cyclic_group
+from burnside.catalog import CATALOG, abelian_group, cyclic_group
 from burnside.groups import Subgroup, normalizer, trivial_subgroup
 from burnside.lattice import (
     all_subgroup_classes_brute,
@@ -407,3 +407,31 @@ def test_inconsistent_input_detected(a5_pattern, s5):
                           rows=rows, stats=a5_pattern.stats)
     with pytest.raises((InconsistentTableError, AssertionError)):
         extend_table_of_marks(bad, s5)
+
+
+def _dress_violations_by_ints(pattern):
+    """verify_dress's violation list, recomputed with Python integers."""
+    out = []
+    for dr in dress_rows_full(pattern):
+        for i in range(pattern.n):
+            s = sum(n * pattern.cell(i, j) for j, n in dr.coeffs.items())
+            if s % dr.modulus:
+                out.append(f"row {i}: congruence of class {dr.u_index} "
+                           f"fails (sum {s} mod {dr.modulus})")
+    return out
+
+
+@pytest.mark.parametrize("bump", [1, 2 ** 64 + 1])
+def test_verify_dress_matches_python_ints(bump):
+    """On the 374-class C2^5 table with one cell bumped (past int64 for
+    the second bump), verify_dress reports exactly the violations that
+    Python integer sums give, in the same words and order."""
+    pat = solvable_pattern_chain(abelian_group((2,) * 5))[-1]
+    assert pat.n == 374
+    rows = [list(r) for r in pat.rows]
+    rows[200][37] += bump
+    bad = SubgroupPattern(group=pat.group, classes=pat.classes, rows=rows,
+                          stats=pat.stats)
+    want = _dress_violations_by_ints(bad)
+    assert want and all("row 200:" in v for v in want)
+    assert verify_dress(bad) == (False, want)

@@ -277,3 +277,68 @@ def test_cli_bench_millis_is_the_whole_chain(monkeypatch):
     # cli start, two readings per extension step, cli end
     assert len(ticks) == 2 + 2 * 2
     assert row[5] == (len(ticks) - 1) * 1000
+
+
+@pytest.fixture(scope="module")
+def base_files(tmp_path_factory):
+    """Oracle pattern files of A4, D8 and A5, by name."""
+    d = tmp_path_factory.mktemp("bases")
+    paths = {}
+    for name in ("A4", "D8", "A5"):
+        paths[name] = str(d / f"{name}.json")
+        code, _ = _capture(["tom", name, "--via", "oracle", "--format",
+                            "json", "--out", paths[name]])
+        assert code == 0
+    return paths
+
+
+HEADER = "group,classes-in,classes-out,probes,max-probe,millis"
+
+
+ROUTES = [
+    # a base file that is not a normal prime-index subgroup
+    (["subgroups", "S5", "--base", "A4"], {}, 4, ""),
+    (["subgroups", "S4", "--base", "D8"], {}, 4, ""),
+    (["tom", "S4", "--via", "extension", "--base", "D8"], {}, 4, ""),
+    (["tom", "S5", "--base", "A4"], {}, 4, ""),
+    (["tom", "A5", "--base", "A5"], {}, 4, ""),
+    # no route
+    (["tom", "L2(32):5"], {}, 3, ""),
+    (["tom", "L2(32):5", "--via", "extension"], {}, 3, ""),
+    (["bench", "L2(32):5"], {}, 3, HEADER),
+    (["bench", "A5"], {}, 3, HEADER),
+    (["tom", "A5", "--via", "extension"], {}, 3, ""),
+    (["subgroups", "--gens", "(1,2,3)", "--gens", "(3,4,5)", "5"],
+     {"MARKS_MAX_ORDER": "50"}, 3, ""),
+    # working routes
+    (["subgroups", "S4"], {},
+     0, "   1  order      1  length      1  normalizer     24  1"),
+    (["subgroups", "S5", "--base", "A5"], {},
+     0, "   1  order      1  length      1  normalizer    120  1"),
+    (["subgroups", "--gens", "(1,2,3)", "--gens", "(3,4,5)", "5"], {},
+     0, "   1  order      1  length      1  normalizer     60  1"),
+    (["tom", "S5", "--base", "A5"], {}, 0, "S5/1   120"),
+    (["tom", "S5", "--via", "oracle", "--base", "A4"], {}, 0, "S5/1   120"),
+    (["tom", "GL23", "--via", "extension"], {}, 0, "GL2(3)/1            48"),
+    (["tom", "trivial"], {}, 0, "trivial/1  1"),
+    (["bench", "C2"], {}, 0, HEADER),
+]
+
+
+@pytest.mark.parametrize("argv, env, code, first", ROUTES,
+                         ids=[" ".join([f"{k}={v}" for k, v in r[1].items()]
+                                       + r[0]) for r in ROUTES])
+def test_cli_routes(argv, env, code, first, base_files, monkeypatch,
+                    capsys):
+    """Exit code and first stdout line of every route; a failing route
+    prints an error line, never a traceback."""
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    argv = [base_files.get(a, a) if argv[i - 1] == "--base" else a
+            for i, a in enumerate(argv)]
+    capsys.readouterr()
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert (out.splitlines() or [""])[0] == first
+    if code:
+        assert err.startswith("error: ")
