@@ -19,7 +19,8 @@ extension.  The rules, in order:
   cap (``MARKS_MAX_ORDER``, default 2000);
 * a ``--base`` file: one extension step from its pattern; its group
   must be a normal subgroup of prime index, else exit 4;
-* a solvable group: the composition-series chain from the trivial group;
+* a solvable group: the trivial group, then one step to each group of
+  a composition series;
 * a class listing of a catalog group whose class search is complete
   (L2(32)): the class search;
 * a class listing or an ``auto`` table: the oracle, up to the cap;
@@ -47,13 +48,12 @@ from .extension import (
     ExtensionContext,
     extend_classes,
     sort_class_reps,
-    subgroup_classes_solvable,
 )
 from .groups import (
     CapExceededError,
     NotSolvableError,
     PermGroup,
-    is_solvable,
+    composition_steps,
     normalizer,
 )
 from .lattice import (
@@ -66,7 +66,7 @@ from .marks import (
     PatternClass,
     SubgroupPattern,
     extend_table_of_marks,
-    solvable_pattern_chain,
+    trivial_pattern,
     validate_pattern,
 )
 from .patterns import (
@@ -114,7 +114,7 @@ def _read_pattern(path: str) -> SubgroupPattern:
         name = doc["group"]
     except OSError as exc:
         raise CliError(INPUT_ERROR, f"cannot read {path}: {exc}")
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise CliError(INPUT_ERROR, f"bad pattern file {path}: {exc}")
     entry = CATALOG.get(name)
     if entry is None:
@@ -131,10 +131,10 @@ class Route:
     """How a command gets its result: a base source for ``group``, then
     one extension step to each group of ``steps``, bottom up.
 
-    The source is ``"file"`` (the pattern of a --base file), ``"chain"``
-    (the composition-series chain up from the trivial group),
-    ``"oracle"`` (the brute-force lattice, up to ``cap``) or
-    ``"search"`` (the class search, for class listings only).
+    The source is ``"pattern"`` (a known pattern: a --base file's, or
+    the trivial group's below a composition series), ``"oracle"`` (the
+    brute-force lattice, up to ``cap``) or ``"search"`` (the class
+    search, for class listings only).
     """
 
     source: str
@@ -170,9 +170,14 @@ def _route(name: str, G: PermGroup, entry: CatalogEntry | None,
                     VALIDATION_FAILURE,
                     "base pattern group is not a normal prime-index "
                     f"subgroup of {name}: {exc}")
-            return Route("file", base.group, [G], pattern=base)
-        if is_solvable(G):
-            return Route("chain", G)
+            return Route("pattern", base.group, [G], pattern=base)
+        try:
+            steps = composition_steps(G)
+        except NotSolvableError:
+            steps = None
+        if steps is not None:
+            trivial = trivial_pattern(G.degree)
+            return Route("pattern", trivial.group, steps, pattern=trivial)
         if need == "classes" and entry is not None and entry.search_ok:
             return Route("search", G)
     if need != "extension":
@@ -205,10 +210,8 @@ def _route(name: str, G: PermGroup, entry: CatalogEntry | None,
 def _class_listing(route: Route) -> list[PatternClass]:
     """Class transversal with normalizer orders, sorted by order."""
     G = route.group
-    if route.source == "file":
+    if route.source == "pattern":
         reps = [c.rep for c in route.pattern.sorted_ascending().classes]
-    elif route.source == "chain":
-        reps = subgroup_classes_solvable(G)
     elif route.source == "search":
         reps = subgroup_classes_search(G)
     else:
@@ -230,15 +233,13 @@ def _class_listing(route: Route) -> list[PatternClass]:
 
 def _patterns(route: Route) -> tuple[list[SubgroupPattern], int]:
     """Patterns along the route, bottom up, and the milliseconds of its
-    extension work: the whole solvable chain, or the steps above the
-    base (not the oracle or the file)."""
-    if route.source == "file":
+    extension work: the steps above the base (not the oracle or a base
+    file), which for a solvable group is its whole chain."""
+    if route.source == "pattern":
         chain = [route.pattern]
-    elif route.source == "oracle":
+    else:
         chain = [table_of_marks_brute(route.group, cap=route.cap)]
     start = time.monotonic()
-    if route.source == "chain":
-        chain = solvable_pattern_chain(route.group)
     for S in route.steps:
         chain.append(extend_table_of_marks(chain[-1], S))
     return chain, int((time.monotonic() - start) * 1000)

@@ -20,7 +20,7 @@ from .groups import (
     CapExceededError,
     PermGroup,
     Subgroup,
-    composition_series,
+    composition_steps,
     join_normalizing,
     normalizer,
     prime_factors,
@@ -61,7 +61,8 @@ class ExtensionContext:
         if not rewrap(S, A).is_normal_in(S):
             raise ValueError("subgroup is not normal")
         t = next((g for g in S.gens if not A.contains(g)), None)
-        assert t is not None
+        if t is None:
+            raise RuntimeError("every generator lies in the subgroup")
         return cls(S=S, A=A, p=p, t=t)
 
 
@@ -141,7 +142,8 @@ def split_inner_classes(a_classes: list[Subgroup],
         classes.append(InnerClass(
             rep=hs, a_indices=tuple(partners),
             normalizer_order=norms[i].order))
-    assert raw_fused == p * sum(1 for c in classes if not c.stable)
+    if raw_fused != p * sum(not c.stable for c in classes):
+        raise RuntimeError("merged classes are not p A-classes each")
     return InnerSplit(classes=classes, raw_fused_count=raw_fused)
 
 
@@ -172,8 +174,9 @@ def extension_elements(ctx: ExtensionContext, H: Subgroup):
         return []
     if hs.order == 1:
         if A.order % p:
-            # Sylow case: the only order-p class; any p-element works
-            return [_find_p_element(ctx)]
+            # Sylow case: the only order-p class; any p-element works,
+            # and t has order divisible by p as it lies outside A
+            return [power(ctx.t, order_of(ctx.t) // p)]
         W = N.as_group()
         lift = lambda w: w  # noqa: E731
     else:
@@ -196,31 +199,11 @@ def extension_elements(ctx: ExtensionContext, H: Subgroup):
         while q % p == 0:
             q //= p
         t = power(t0, q)
-        assert not A.contains(t)
+        if A.contains(t):
+            raise RuntimeError("extension element lies in A")
         out.append(t)
     out.sort(key=lambda t: order_of(t))
     return out
-
-
-def _find_p_element(ctx: ExtensionContext) -> tuple[int, ...]:
-    """Deterministic element of order p of S (p prime to |A|)."""
-    p = ctx.p
-    frontier = [ctx.S.identity]
-    seen = {ctx.S.identity}
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in ctx.S.gens:
-                y = mul(x, g)
-                if y in seen:
-                    continue
-                n = order_of(y)
-                if n % p == 0:
-                    return power(y, n // p)
-                seen.add(y)
-                new.append(y)
-        frontier = new
-    raise RuntimeError("no element of the required order")  # pragma: no cover
 
 
 def _extend_subgroup(ctx: ExtensionContext, H: Subgroup,
@@ -228,11 +211,14 @@ def _extend_subgroup(ctx: ExtensionContext, H: Subgroup,
     S, p = ctx.S, ctx.p
     if H.order <= SET_CAP and H.order * p <= SET_CAP:
         elems = join_normalizing(H.elements(), H.gens, t)
-        assert elems is not None, "extension element does not normalize"
+        if elems is None:
+            raise RuntimeError("extension element does not normalize")
         K = Subgroup(S, H.gens + (t,), elems=elems)
     else:
         K = Subgroup(S, H.gens + (t,))
-    assert K.order == p * H.order
+    if K.order != p * H.order:
+        raise RuntimeError(
+            f"extension of order {K.order}, expected {p * H.order}")
     return K
 
 
@@ -282,9 +268,9 @@ def extend_classes(a_classes: list[Subgroup],
     """
     inner = split_inner_classes(a_classes, ctx)
     outer = outer_classes(a_classes, ctx)
-    expected = len(inner.classes) + len(outer)
     reps = [c.rep for c in inner.classes] + [c.rep for c in outer]
-    assert len({id(r) for r in reps}) == expected
+    if len({id(r) for r in reps}) != len(reps):
+        raise RuntimeError("one representative stands for two classes")
     return StepClasses(ctx=ctx, a_classes=[rewrap(ctx.S, h) for h in a_classes],
                        inner=inner, outer=outer)
 
@@ -300,16 +286,9 @@ def subgroup_classes_solvable(G: PermGroup) -> list[Subgroup]:
     Runs the extension step along a composition series, starting from
     the trivial group.  Raises NotSolvableError otherwise.
     """
-    series = composition_series(G)
-    classes: list[Subgroup] = [trivial_subgroup(G)]
-    prev_group: PermGroup | None = None
-    for i in range(1, len(series.terms)):
-        term = series.terms[i]
-        S = G if term.order == G.order else term.as_group()
-        A = prev_group if prev_group is not None else \
-            series.terms[i - 1].as_group()
-        ctx = ExtensionContext.create(S, A)
-        step = extend_classes(sort_class_reps(classes), ctx)
-        classes = step.reps
-        prev_group = S
-    return sort_class_reps([rewrap(G, h) for h in classes])
+    classes, A = [trivial_subgroup(G)], PermGroup([], G.degree)
+    for S in composition_steps(G):
+        classes = extend_classes(sort_class_reps(classes),
+                                 ExtensionContext.create(S, A)).reps
+        A = S
+    return sort_class_reps(classes)

@@ -5,6 +5,13 @@ Groups are given by generators.  A deterministic Schreier-Sims chain
 order) backs order and membership, so every computation in the package
 is reproducible run to run.
 
+Every orbit is walked by one helper, ``orbit(seeds, gens, act)``: a
+breadth-first walk that returns the Schreier tree in discovery order
+(point -> None at a seed, or (parent, k) with point = act(parent,
+gens[k])).  Chain levels, element classes, centralizers, subgroup
+classes, cosets and rational classes all use it; ``transversal`` and
+``path_product`` multiply out the group elements along the tree.
+
 Subgroups of a common ambient group carry their element sets whenever
 the order is at most SET_CAP; conjugacy of subgroups is resolved by
 orbit enumeration with per-class caches stored on the ambient group.
@@ -52,25 +59,62 @@ class CapExceededError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# orbits
+
+
+def orbit(seeds, gens, act) -> dict:
+    """Breadth-first orbit of the seeds under gens, as a Schreier tree.
+
+    Points come in discovery order, seeds first; each maps to None (a
+    seed) or to (parent, k) with point == act(parent, gens[k]).
+    """
+    tree = dict.fromkeys(seeds)
+    queue = list(tree)
+    qi = 0
+    while qi < len(queue):
+        x = queue[qi]
+        qi += 1
+        for k, g in enumerate(gens):
+            y = act(x, g)
+            if y not in tree:
+                tree[y] = (x, k)
+                queue.append(y)
+    return tree
+
+
+def transversal(tree: dict, gens, one) -> dict:
+    """Point -> the product of the generators along its tree path, so
+    rep[point] == mul(rep[parent], gens[k]); ``one`` at the seeds."""
+    rep: dict = {}
+    for x, edge in tree.items():
+        rep[x] = one if edge is None else mul(rep[edge[0]], gens[edge[1]])
+    return rep
+
+
+def path_product(tree: dict, node, gens, known: dict):
+    """The product of the generators along the tree path to node, from
+    its nearest ancestor in ``known`` (point -> product, holding the
+    seeds at least); the result is added to ``known``."""
+    path = []
+    x = node
+    g = known.get(x)
+    while g is None:
+        x, k = tree[x]
+        path.append(k)
+        g = known.get(x)
+    for k in reversed(path):
+        g = mul(g, gens[k])
+    known[node] = g
+    return g
+
+
+# ---------------------------------------------------------------------------
 # stabilizer chain
 
 
 def _orbit_rebuild(level: dict, degree: int) -> None:
-    base = level["base"]
-    orbit = {base: identity_tuple(degree)}
-    queue = [base]
-    qi = 0
-    gens = level["gens"]
-    while qi < len(queue):
-        pt = queue[qi]
-        qi += 1
-        u = orbit[pt]
-        for s in gens:
-            q = s[pt]
-            if q not in orbit:
-                orbit[q] = mul(u, s)
-                queue.append(q)
-    level["orbit"] = orbit
+    tree = orbit([level["base"]], level["gens"], lambda pt, s: s[pt])
+    level["orbit"] = transversal(tree, level["gens"], identity_tuple(degree))
 
 
 def _chain_sift(levels: list[dict], g: tuple[int, ...]) -> tuple[int, ...]:
@@ -117,11 +161,11 @@ def build_chain(gens, degree: int) -> list[dict]:
             _orbit_rebuild(lv, degree)
         for i in range(m + 1):
             lv = levels[i]
-            orbit = lv["orbit"]
-            for pt in list(orbit):
-                u = orbit[pt]
+            reps = lv["orbit"]
+            for pt in list(reps):
+                u = reps[pt]
                 for s in lv["gens"]:
-                    sg = mul(mul(u, s), inv(orbit[s[pt]]))
+                    sg = mul(mul(u, s), inv(reps[s[pt]]))
                     if sg != idn:
                         sift_add(sg, i + 1)
 
@@ -283,21 +327,9 @@ class PermGroup:
             for x in elems:
                 if x in class_of:
                     continue
-                orbit = [x]
-                seen = {x}
-                qi = 0
-                while qi < len(orbit):
-                    y = orbit[qi]
-                    qi += 1
-                    for g in self.gens:
-                        z = conj(y, g)
-                        if z not in seen:
-                            seen.add(z)
-                            orbit.append(z)
-                cid = len(classes)
-                classes.append((x, len(orbit)))
-                for y in orbit:
-                    class_of[y] = cid
+                members = orbit([x], self.gens, conj)
+                class_of.update(dict.fromkeys(members, len(classes)))
+                classes.append((x, len(members)))
             ordering = sorted(range(len(classes)),
                               key=lambda i: (order_of(classes[i][0]), i))
             remap = {old: new for new, old in enumerate(ordering)}
@@ -538,24 +570,11 @@ def centralizer(G: PermGroup, x) -> Subgroup:
     cached = G._centralizers.get(t)
     if cached is not None:
         return cached
-    orbit_index = {t: 0}
-    reps = [G.identity]
-    queue = [t]
-    qi = 0
-    while qi < len(queue):
-        y = queue[qi]
-        qi += 1
-        u = reps[orbit_index[y]]
-        for s in G.gens:
-            z = conj(y, s)
-            if z not in orbit_index:
-                orbit_index[z] = len(reps)
-                reps.append(mul(u, s))
-                queue.append(z)
-    target = G.order // len(orbit_index)
+    reps = transversal(orbit([t], G.gens, conj), G.gens, G.identity)
+    target = G.order // len(reps)
     gens = _stabilizer_from_orbit(
-        G, orbit_index, lambda y: reps[orbit_index[y]],
-        lambda y, k: conj(y, G.gens[k]), target, [t])
+        G, reps, reps.__getitem__, lambda y, k: conj(y, G.gens[k]), target,
+        [t])
     result = Subgroup(G, gens)
     if result.order != target:
         raise RuntimeError(
@@ -577,17 +596,7 @@ class _SubClass:
     def conjugator(self, key, gens) -> tuple[int, ...]:
         """An element g with rep^g the member with this key: the product
         of the generators along the tree path from the root."""
-        path = []
-        node = key
-        g = self.known.get(node)
-        while g is None:
-            node, k = self.tree[node]
-            path.append(k)
-            g = self.known.get(node)
-        for k in reversed(path):
-            g = mul(g, gens[k])
-        self.known[key] = g
-        return g
+        return path_product(self.tree, key, gens, self.known)
 
 
 def subgroup_class_id(G: PermGroup, H: Subgroup) -> int:
@@ -605,23 +614,10 @@ def subgroup_class_id(G: PermGroup, H: Subgroup) -> int:
     if H.order > SET_CAP:
         return _class_id_big(G, H)
     cid = len(G._sub_classes)
-    cls = _SubClass(rep=H, size=0, tree={fp: None}, known={fp: G.identity})
-    G._sub_classes.append(cls)
-    G._sub_class_of[fp] = cid
-    tree = cls.tree
-    queue = [fp]
-    ks = range(len(G.gens))
-    qi = 0
-    while qi < len(queue):
-        node = queue[qi]
-        qi += 1
-        for k in ks:
-            image = G.conj_index_set(node, k)
-            if image not in tree:
-                tree[image] = (node, k)
-                G._sub_class_of[image] = cid
-                queue.append(image)
-    cls.size = len(tree)
+    tree = orbit([fp], range(len(G.gens)), G.conj_index_set)
+    G._sub_classes.append(
+        _SubClass(rep=H, size=len(tree), tree=tree, known={fp: G.identity}))
+    G._sub_class_of.update(dict.fromkeys(tree, cid))
     return cid
 
 
@@ -716,40 +712,34 @@ def normalizer(G: PermGroup, H: Subgroup) -> Subgroup:
 # coset actions and quotients
 
 
-def coset_transversal(G: PermGroup, H: Subgroup) -> list[tuple[int, ...]]:
-    """Deterministic transversal of the right cosets Hg, identity first."""
-    index = G.order // H.order
-    reps = [G.identity]
-    if index == 1:
-        return reps
+def _coset_key(H: Subgroup, known: list):
+    """The key of the right coset Hg, an element of it: its least element
+    when H has an element set; above SET_CAP, the first of ``known`` in
+    Hg, or g itself, appended to ``known``, when Hg is new."""
     if H.order <= SET_CAP:
         helems = sorted(H.elements())
-        seen = {min(helems)}  # canonical key: min element of the coset
+        return lambda g: min(mul(h, g) for h in helems)
 
-        def key(g):
-            return min(mul(h, g) for h in helems)
-    else:
-        seen = set()
-        known: list[tuple[int, ...]] = []
+    def key(g):
+        for r in known:
+            if mul(g, inv(r)) in H:
+                return r
+        known.append(g)
+        return g
+    return key
 
-        def key(g):
-            for i, r in enumerate(known):
-                if mul(g, inv(r)) in H:
-                    return i
-            known.append(g)
-            return len(known) - 1
-        key(G.identity)
-        seen = {0}
-    qi = 0
-    while qi < len(reps):
-        r = reps[qi]
-        qi += 1
-        for s in G.gens:
-            g = mul(r, s)
-            k = key(g)
-            if k not in seen:
-                seen.add(k)
-                reps.append(g)
+
+def coset_transversal(G: PermGroup, H: Subgroup) -> list[tuple[int, ...]]:
+    """Deterministic transversal of the right cosets Hg, identity first:
+    the cosets in breadth-first order, each represented by the product
+    of the generators along its tree path."""
+    index = G.order // H.order
+    if index == 1:
+        return [G.identity]
+    # the identity is the least tuple, so it is its own coset's key
+    key = _coset_key(H, [G.identity])
+    tree = orbit([G.identity], G.gens, lambda c, s: key(mul(c, s)))
+    reps = list(transversal(tree, G.gens, G.identity).values())
     if len(reps) != index:
         raise RuntimeError(f"{len(reps)} cosets found, expected {index}")
     return reps
@@ -761,28 +751,22 @@ def coset_action(G: PermGroup, H: Subgroup, *, max_degree: int = 200_000):
     Returns (image group, hom) where hom maps an element tuple of G to
     its image tuple of degree |G:H|.
     """
+    return _coset_action(G, H, max_degree)[:2]
+
+
+def _coset_action(G: PermGroup, H: Subgroup, max_degree: int = 200_000):
+    """coset_action, and the transversal whose cosets are the points."""
     index = G.order // H.order
     if index > max_degree:
         raise CapExceededError(f"coset action degree {index} over the limit")
     reps = coset_transversal(G, H)
-    if H.order <= SET_CAP:
-        helems = sorted(H.elements())
-        label = {min(mul(h, r) for h in helems): i for i, r in enumerate(reps)}
-
-        def label_of(g):
-            return label[min(mul(h, g) for h in helems)]
-    else:
-        def label_of(g):
-            for i, r in enumerate(reps):
-                if mul(g, inv(r)) in H:
-                    return i
-            raise RuntimeError("coset labeling failed")
+    key = _coset_key(H, reps)
+    label = {key(r): i for i, r in enumerate(reps)}
 
     def hom(g):
-        return tuple(label_of(mul(r, g)) for r in reps)
+        return tuple(label[key(mul(r, g))] for r in reps)
 
-    image = PermGroup([hom(g) for g in G.gens], index)
-    return image, hom
+    return PermGroup([hom(g) for g in G.gens], index), hom, reps
 
 
 def quotient_group(N: PermGroup, H: Subgroup):
@@ -794,8 +778,7 @@ def quotient_group(N: PermGroup, H: Subgroup):
     """
     if not H.is_normal_in(N):
         raise ValueError("subgroup is not normal")
-    W, hom = coset_action(N, H)
-    reps = coset_transversal(N, H)
+    W, _, reps = _coset_action(N, H)
     if W.order != N.order // H.order:  # pragma: no cover
         raise RuntimeError("quotient action is not regular")
 
@@ -821,18 +804,8 @@ def rational_classes(W: PermGroup, q: int, skip=None) -> list:
             continue
         if skip is not None and skip(w):
             continue
-        orbit = [perm_power(w, k) for k in range(1, q)]
-        oset = set(orbit)
-        qi = 0
-        while qi < len(orbit):
-            x = orbit[qi]
-            qi += 1
-            for g in W.gens:
-                y = conj(x, g)
-                if y not in oset:
-                    oset.add(y)
-                    orbit.append(y)
-        seen |= oset
+        seen.update(orbit([perm_power(w, k) for k in range(1, q)], W.gens,
+                          conj))
         out.append(w)
     return out
 
@@ -912,7 +885,9 @@ class SeriesChain:
 
     def __post_init__(self):
         for a, b, p in zip(self.terms, self.terms[1:], self.indices):
-            assert b.order == a.order * p
+            if b.order != a.order * p:
+                raise RuntimeError(
+                    f"series step of index {b.order // a.order}, expected {p}")
 
 
 def composition_series(G: PermGroup) -> SeriesChain:
@@ -929,7 +904,10 @@ def composition_series(G: PermGroup) -> SeriesChain:
         # extend from dseries[step] up to dseries[step-1]
         bottom = terms[-1]
         top = dseries[step - 1]
-        assert bottom.order == dseries[step].order
+        if bottom.order != dseries[step].order:
+            raise RuntimeError(
+                f"refinement at order {bottom.order}, expected "
+                f"{dseries[step].order}")
         if bottom.order == 1:
             W: PermGroup = top
             lift = lambda w: w  # noqa: E731
@@ -951,10 +929,20 @@ def composition_series(G: PermGroup) -> SeriesChain:
                 cur = PermGroup(cur_gens, W.degree)
                 lifted = terms[-1].gens + (lift(step_gen),)
                 new_term = Subgroup(G, lifted)
-                assert new_term.order == terms[-1].order * p, \
-                    "prime refinement step failed"
+                if new_term.order != terms[-1].order * p:
+                    raise RuntimeError("prime refinement step failed")
                 terms.append(new_term)
                 indices.append(p)
-        assert terms[-1].order == top.order, "factor refinement incomplete"
-    assert terms[-1].order == G.order
+        if terms[-1].order != top.order:
+            raise RuntimeError("factor refinement incomplete")
+    if terms[-1].order != G.order:
+        raise RuntimeError("composition series does not reach the group")
     return SeriesChain(terms=terms, indices=indices)
+
+
+def composition_steps(G: PermGroup) -> list[PermGroup]:
+    """The groups of a composition series above the trivial one, bottom
+    up, with G itself at the top: each is one extension step over the
+    one before.  Raises NotSolvableError if G is not solvable."""
+    return [G if term.order == G.order else term.as_group()
+            for term in composition_series(G).terms[1:]]

@@ -40,14 +40,16 @@ from .groups import (
     PermGroup,
     Subgroup,
     centralizer,
-    composition_series,
+    composition_steps,
     join_normalizing,
     normalizer,
+    orbit,
+    path_product,
     rewrap,
     subgroup_class_id,
     trivial_subgroup,
 )
-from .perms import conj, inv, mul
+from .perms import conj, inv
 
 # dress refinement skips a congruence when more than this many cells in
 # its support are undecided (assignment enumeration is exponential)
@@ -250,72 +252,35 @@ def incidence_probe(S: PermGroup, K: Subgroup, t: tuple[int, ...]):
     if not T:
         return []
     N = normalizer(S, K)
-    # N-orbits on T
-    orbit_of: dict = {}
-    orbits = []
+    # one element of each N-orbit on T
+    reps, seen = [], set()
     for x in T:
-        if x in orbit_of:
-            continue
-        orb = [x]
-        seen = {x}
-        qi = 0
-        while qi < len(orb):
-            y = orb[qi]
-            qi += 1
-            for g in N.gens:
-                z = conj(y, g)
-                if z not in seen:
-                    seen.add(z)
-                    orb.append(z)
-        oid = len(orbits)
-        orbits.append(x)
-        for y in orb:
-            orbit_of[y] = oid
+        if x not in seen:
+            seen.update(orbit([x], N.gens, conj))
+            reps.append(x)
     C = centralizer(S, t)
     members: list[frozenset] = []
     seen_fp: set = set()
     kelems = K.elements()
-    for a in orbits:
+    for a in reps:
         s = _element_conjugator(S, a, t)
-        ks = frozenset(conj(x, s) for x in kelems)
-        queue = [ks]
-        local = {ks}
-        qi = 0
-        while qi < len(queue):
-            m = queue[qi]
-            qi += 1
-            for g in C.gens:
-                m2 = frozenset(conj(x, g) for x in m)
-                if m2 not in local:
-                    local.add(m2)
-                    queue.append(m2)
-        assert not (local & seen_fp), "centralizer orbits are not disjoint"
-        seen_fp |= local
-        members.extend(queue)
+        local = orbit([frozenset(conj(x, s) for x in kelems)], C.gens,
+                      lambda m, g: frozenset(conj(x, g) for x in m))
+        assert not (local.keys() & seen_fp), \
+            "centralizer orbits are not disjoint"
+        seen_fp.update(local)
+        members.extend(local)
     assert all(t in m for m in members)
     return members
 
 
 def _element_conjugator(S: PermGroup, a: tuple, b: tuple) -> tuple:
-    """Some s in S with a^s = b (a, b conjugate)."""
-    if a == b:
-        return S.identity
-    reps = {a: S.identity}
-    queue = [a]
-    qi = 0
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
-        u = reps[x]
-        for g in S.gens:
-            y = conj(x, g)
-            if y not in reps:
-                w = mul(u, g)
-                if y == b:
-                    return w
-                reps[y] = w
-                queue.append(y)
-    raise ValueError("elements are not conjugate")
+    """Some s in S with a^s = b (a, b conjugate): the product along the
+    tree path to b in the orbit of a."""
+    tree = orbit([a], S.gens, conj)
+    if b not in tree:
+        raise ValueError("elements are not conjugate")
+    return path_product(tree, b, S.gens, {a: S.identity})
 
 
 def explicit_mark(S: PermGroup, K: Subgroup, V: Subgroup,
@@ -838,11 +803,8 @@ def solvable_pattern_chain(G: PermGroup) -> list[SubgroupPattern]:
     raw output of one extension step (inner block first).  Inputs of
     each step are re-sorted by ascending subgroup order.
     """
-    series = composition_series(G)
     chain = [trivial_pattern(G.degree)]
-    for i in range(1, len(series.terms)):
-        term = series.terms[i]
-        S = G if term.order == G.order else term.as_group()
+    for S in composition_steps(G):
         chain.append(extend_table_of_marks(chain[-1], S))
     return chain
 

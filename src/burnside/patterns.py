@@ -67,19 +67,27 @@ def pattern_from_dict(doc: dict, group: PermGroup) -> SubgroupPattern:
             f"degree {degree} does not match the group's {group.degree}")
     classes = []
     for k, rc in enumerate(raw_classes):
+        if not isinstance(rc, dict):
+            raise PatternFormatError(f"class {k}: not an object")
         try:
-            gens = [parse_cycles(s, degree) for s in rc["generators"]]
+            order, length = rc["order"], rc["length"]
+            normalizer_order, gen_strings = rc["normalizer"], rc["generators"]
+        except KeyError as exc:
+            raise PatternFormatError(
+                f"class {k}: missing field {exc}") from exc
+        try:
+            gens = [parse_cycles(s, degree) for s in gen_strings]
             rep = Subgroup(group, gens, check=True)
         except ValueError as exc:
             raise PatternFormatError(
                 f"class {k}: bad generators ({exc})") from exc
-        if rep.order != rc["order"]:
+        if rep.order != order:
             raise PatternFormatError(
                 f"class {k}: generators span order {rep.order}, "
-                f"stated {rc['order']}")
+                f"stated {order}")
         classes.append(PatternClass(
-            rep=rep, order=rc["order"], length=rc["length"],
-            normalizer_order=rc["normalizer"]))
+            rep=rep, order=order, length=length,
+            normalizer_order=normalizer_order))
     if len(marks) != len(classes):
         raise PatternFormatError("marks row count differs from class count")
     for i, row in enumerate(marks):

@@ -23,8 +23,10 @@ from burnside.groups import (
     derived_series,
     is_solvable,
     normalizer,
+    orbit,
     prime_factors,
     quotient_group,
+    transversal,
     trivial_subgroup,
 )
 from burnside.lattice import all_subgroup_classes_brute
@@ -282,3 +284,37 @@ def test_prime_factors_against_trial_division():
             prod *= p
         assert prod == n
     assert prime_factors(163680) == [2] * 5 + [3, 5, 11, 31]
+
+
+def test_orbit_is_a_breadth_first_schreier_tree(s5):
+    """Seeds first, then the points in breadth-first discovery order (the
+    generators tried in the order given); every edge (parent, k)
+    reproduces its point from an earlier one."""
+    x = parse_cycles("(1,2)(3,4)", 5)
+    seeds = [x, conj(x, s5.gens[1]), x]
+    tree = orbit(seeds, s5.gens, conj)
+    expected = list(dict.fromkeys(seeds))
+    level = list(expected)
+    while level:
+        nxt = []
+        for y in level:
+            for g in s5.gens:
+                z = conj(y, g)
+                if z not in expected and z not in nxt:
+                    nxt.append(z)
+        expected += nxt
+        level = nxt
+    assert list(tree) == expected and len(tree) == 15
+    pos = {y: i for i, y in enumerate(tree)}
+    for y, edge in tree.items():
+        if y in seeds:
+            assert edge is None
+            continue
+        parent, k = edge
+        assert conj(parent, s5.gens[k]) == y and pos[parent] < pos[y]
+    # on points, the transversal takes the seed to each point
+    points = orbit([2], s5.gens, lambda pt, s: s[pt])
+    assert sorted(points) == list(range(5))
+    reps = transversal(points, s5.gens, s5.identity)
+    assert list(reps) == list(points)
+    assert all(u[2] == pt for pt, u in reps.items())

@@ -2,11 +2,15 @@
 
 import json
 import io
+import os
+import re
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import burnside
 from burnside.catalog import CATALOG
 from burnside.cli import main
 from burnside.lattice import table_of_marks_brute
@@ -342,3 +346,50 @@ def test_cli_routes(argv, env, code, first, base_files, monkeypatch,
     assert (out.splitlines() or [""])[0] == first
     if code:
         assert err.startswith("error: ")
+
+
+BAD_PATTERN_FILES = {
+    "not utf-8": b"\xff\xfe{}",
+    "no generators": {"group": "A5", "degree": 5, "classes": [
+        {"order": 1, "length": 1, "normalizer": 60}], "marks": [[60]]},
+    "no length": {"group": "A5", "degree": 5, "classes": [
+        {"order": 1, "normalizer": 60, "generators": []}], "marks": [[60]]},
+    "class not an object": {"group": "A5", "degree": 5, "classes": [7],
+                            "marks": [[60]]},
+}
+
+
+@pytest.mark.parametrize("content", BAD_PATTERN_FILES.values(),
+                         ids=BAD_PATTERN_FILES.keys())
+def test_cli_verify_malformed_pattern_file_exits_2(content, tmp_path, capsys):
+    path = tmp_path / "pattern.json"
+    if isinstance(content, dict):
+        content = json.dumps(content).encode()
+    path.write_bytes(content)
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 2
+    _, err = capsys.readouterr()
+    assert err.startswith("error: ")
+
+
+def _mask_millis(text: str) -> str:
+    return re.sub(r'"millis": \d+', '"millis": 0', text)
+
+
+@pytest.mark.parametrize("where", ["in-process", "python -O"])
+def test_cli_tom_gl23_json_matches_golden(where):
+    """The generator strings of every class are pinned, not only the
+    class names the text goldens print."""
+    argv = ["tom", "GL23", "--format", "json"]
+    if where == "in-process":
+        code, out = _capture(argv)
+    else:
+        src = str(Path(burnside.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-O", "-m", "burnside.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=300)
+        code, out = run.returncode, run.stdout
+    assert code == 0
+    assert _mask_millis(out) == _mask_millis(
+        (GOLDEN / "gl23.json").read_text())
