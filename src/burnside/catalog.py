@@ -39,7 +39,8 @@ class Catalog:
 
     def add(self, entry: CatalogEntry) -> None:
         key = _norm(entry.name)
-        assert key not in self.entries
+        if key in self.entries:
+            raise ValueError(f"catalog entry {entry.name!r} added twice")
         self.entries[key] = entry
 
     def get(self, name: str) -> CatalogEntry | None:
@@ -87,7 +88,8 @@ def abelian_group(factors) -> PermGroup:
 
 def dihedral_group(n: int) -> PermGroup:
     """Dihedral group of order 2n on n points (n >= 3)."""
-    assert n >= 3
+    if n < 3:
+        raise ValueError(f"dihedral group needs n >= 3, got {n}")
     rot = tuple((i + 1) % n for i in range(n))
     ref = tuple((n - i) % n for i in range(n))
     return PermGroup([rot, ref], n)
@@ -102,7 +104,8 @@ def regular_representation(elems: list, mult) -> list[tuple[int, ...]]:
 def dicyclic_group(m: int) -> PermGroup:
     """Dicyclic group of order 4m (generalized quaternion for m a power
     of 2), in its regular representation."""
-    assert m >= 2
+    if m < 2:
+        raise ValueError(f"dicyclic group needs m >= 2, got {m}")
     elems = [(i, e) for e in (0, 1) for i in range(2 * m)]
 
     def mult(x, g):
@@ -118,7 +121,8 @@ def dicyclic_group(m: int) -> PermGroup:
     a = perms[elems.index((1, 0))]
     b = perms[elems.index((0, 1))]
     G = PermGroup([a, b], 4 * m)
-    assert G.order == 4 * m
+    if G.order != 4 * m:
+        raise RuntimeError(f"dicyclic group of order {G.order}")
     return G
 
 
@@ -132,7 +136,8 @@ def symmetric_group(n: int) -> PermGroup:
 
 
 def alternating_group(n: int) -> PermGroup:
-    assert n >= 3
+    if n < 3:
+        raise ValueError(f"alternating group needs n >= 3, got {n}")
     c3 = list(range(n))
     c3[0], c3[1], c3[2] = 1, 2, 0
     gens = [tuple(c3)]

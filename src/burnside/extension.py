@@ -6,7 +6,9 @@ Subgroups of S split into the *inner* ones (contained in A) and the
 or p A-classes, decided by whether the S-normalizer leaves A; outer
 classes correspond to classes of order-p subgroups of normalizer
 quotients N_S(H)/H not contained in N_A(H)/H, one for each rational
-class of order-p elements outside the A-part.
+class of order-p elements outside the A-part.  The quotient comes from
+``groups.quotient_group`` and each outer representative is
+``H.join(t)``, the kernel's one construction of <H, t>.
 
 Iterating the step along a composition series enumerates the classes
 of any solvable group starting from the trivial one.
@@ -17,11 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import (
-    CapExceededError,
     PermGroup,
     Subgroup,
     composition_steps,
-    join_normalizing,
     normalizer,
     prime_factors,
     quotient_group,
@@ -29,12 +29,8 @@ from .groups import (
     rewrap,
     subgroup_class_id,
     trivial_subgroup,
-    SET_CAP,
 )
 from .perms import mul, order_of, power
-
-# largest normalizer quotient we are willing to enumerate element-wise
-QUOTIENT_CAP = 200_000
 
 
 @dataclass
@@ -105,8 +101,6 @@ def split_inner_classes(a_classes: list[Subgroup],
     handles = []
     for H in a_classes:
         hs = rewrap(S, H)
-        if not all(S.contains(g) for g in hs.gens):
-            raise ValueError("input class representative outside the group")
         if not all(A.contains(g) for g in hs.gens):
             raise ValueError("input class representative not inside A")
         handles.append(hs)
@@ -172,30 +166,17 @@ def extension_elements(ctx: ExtensionContext, H: Subgroup):
     N = normalizer(S, hs)
     if all(A.contains(g) for g in N.gens):
         return []
-    if hs.order == 1:
-        if A.order % p:
-            # Sylow case: the only order-p class; any p-element works,
-            # and t has order divisible by p as it lies outside A
-            return [power(ctx.t, order_of(ctx.t) // p)]
-        W = N.as_group()
-        lift = lambda w: w  # noqa: E731
-    else:
-        Ngrp = N.as_group()
-        if Ngrp.order // hs.order > QUOTIENT_CAP:
-            raise CapExceededError(
-                f"normalizer quotient of order {Ngrp.order // hs.order} "
-                "is over the enumeration cap")
-        W, lift = quotient_group(Ngrp, hs)
-    if W.order > QUOTIENT_CAP:
-        raise CapExceededError(
-            f"quotient of order {W.order} is over the enumeration cap")
+    if hs.order == 1 and A.order % p:
+        # Sylow case: the only order-p class; any p-element works, and
+        # t has order divisible by p as it lies outside A
+        return [power(ctx.t, order_of(ctx.t) // p)]
+    W, lift = quotient_group(N.as_group(), hs)
 
     # A is normal, so lying in A is constant on rational classes
     out = []
     for w in rational_classes(W, p, lambda x: A.contains(lift(x))):
         t0 = lift(w)
-        n = order_of(t0)
-        q = n
+        q = order_of(t0)
         while q % p == 0:
             q //= p
         t = power(t0, q)
@@ -206,22 +187,6 @@ def extension_elements(ctx: ExtensionContext, H: Subgroup):
     return out
 
 
-def _extend_subgroup(ctx: ExtensionContext, H: Subgroup,
-                     t: tuple[int, ...]) -> Subgroup:
-    S, p = ctx.S, ctx.p
-    if H.order <= SET_CAP and H.order * p <= SET_CAP:
-        elems = join_normalizing(H.elements(), H.gens, t)
-        if elems is None:
-            raise RuntimeError("extension element does not normalize")
-        K = Subgroup(S, H.gens + (t,), elems=elems)
-    else:
-        K = Subgroup(S, H.gens + (t,))
-    if K.order != p * H.order:
-        raise RuntimeError(
-            f"extension of order {K.order}, expected {p * H.order}")
-    return K
-
-
 def outer_classes(a_classes: list[Subgroup],
                   ctx: ExtensionContext) -> list[OuterClass]:
     """One representative per S-class of subgroups not contained in A."""
@@ -229,7 +194,12 @@ def outer_classes(a_classes: list[Subgroup],
     for i, H in enumerate(a_classes):
         hs = rewrap(ctx.S, H)
         for t in extension_elements(ctx, hs):
-            K = _extend_subgroup(ctx, hs, t)
+            K = hs.join(t)
+            # |K| = p|H| and t outside A force K meet A = H, normal in K
+            if K.order != ctx.p * hs.order:
+                raise RuntimeError(
+                    f"extension of order {K.order}, expected "
+                    f"{ctx.p * hs.order}")
             out.append(OuterClass(
                 rep=K, base_index=i, gen_element=t,
                 normalizer_order=normalizer(ctx.S, K).order))
@@ -241,8 +211,6 @@ def outer_classes(a_classes: list[Subgroup],
 class StepClasses:
     """All S-classes produced by one extension step, inner block first."""
 
-    ctx: ExtensionContext
-    a_classes: list[Subgroup]
     inner: InnerSplit
     outer: list[OuterClass]
 
@@ -266,13 +234,11 @@ def extend_classes(a_classes: list[Subgroup],
     the outer block sorted by subgroup order with first-construction
     ties.
     """
-    inner = split_inner_classes(a_classes, ctx)
-    outer = outer_classes(a_classes, ctx)
-    reps = [c.rep for c in inner.classes] + [c.rep for c in outer]
-    if len({id(r) for r in reps}) != len(reps):
+    step = StepClasses(inner=split_inner_classes(a_classes, ctx),
+                       outer=outer_classes(a_classes, ctx))
+    if len({id(r) for r in step.reps}) != len(step.reps):
         raise RuntimeError("one representative stands for two classes")
-    return StepClasses(ctx=ctx, a_classes=[rewrap(ctx.S, h) for h in a_classes],
-                       inner=inner, outer=outer)
+    return step
 
 
 def sort_class_reps(reps: list[Subgroup]) -> list[Subgroup]:

@@ -16,6 +16,10 @@ Subgroups of a common ambient group carry their element sets whenever
 the order is at most SET_CAP; conjugacy of subgroups is resolved by
 orbit enumeration with per-class caches stored on the ambient group.
 
+Cyclic extensions are built here only: ``Subgroup.join(t)`` is <H, t>,
+and ``quotient_group(N, H)`` is N(H)/H with a lift map, under the one
+cap on coset actions, QUOTIENT_CAP.
+
 Each group numbers its elements on first sight (an index per element
 tuple) and keeps one conjugation table per generator, index to index,
 filled on demand.  The class key of a subgroup of order at most SET_CAP
@@ -48,6 +52,9 @@ SET_CAP = 5000
 
 # elements() refuses beyond this, to keep accidental blowups loud
 ELEMENTS_CAP = 250_000
+
+# coset actions, so normalizer quotients N(H)/H, refuse a degree beyond this
+QUOTIENT_CAP = 200_000
 
 
 class NotSolvableError(ValueError):
@@ -137,13 +144,8 @@ def build_chain(gens, degree: int) -> list[dict]:
     levels: list[dict] = []
 
     def sift_add(g: tuple[int, ...], i: int) -> None:
-        for j in range(i, len(levels)):
-            lv = levels[j]
-            u = lv["orbit"].get(g[lv["base"]])
-            if u is None:
-                add_gen(g)
-                return
-            g = mul(g, inv(u))
+        # a residue stuck at some level moves its base point
+        g = _chain_sift(levels[i:], g)
         if g != idn:
             add_gen(g)
 
@@ -194,6 +196,19 @@ def _chain_elements(levels: list[dict], degree: int) -> list[tuple[int, ...]]:
 # groups
 
 
+def _clean_gens(gens, degree: int) -> tuple[tuple[int, ...], ...]:
+    """The generators as tuples of the given degree, identities and
+    repeats dropped, first occurrences in order."""
+    raw = []
+    for g in gens:
+        t = g.images if isinstance(g, Perm) else tuple(g)
+        if len(t) != degree:
+            raise ValueError("generator degree mismatch")
+        if any(x != i for i, x in enumerate(t)):
+            raw.append(t)
+    return tuple(dict.fromkeys(raw))
+
+
 class _Numbering:
     """Element indices of one group, assigned on first sight, and one
     conjugation table per generator (index -> index, -1 while unfilled)."""
@@ -223,15 +238,8 @@ class PermGroup:
     """
 
     def __init__(self, gens, degree: int):
-        raw = []
-        for g in gens:
-            t = g.images if isinstance(g, Perm) else tuple(g)
-            if len(t) != degree:
-                raise ValueError("generator degree mismatch")
-            if any(x != i for i, x in enumerate(t)):
-                raw.append(t)
         self.degree = degree
-        self.gens: tuple[tuple[int, ...], ...] = tuple(dict.fromkeys(raw))
+        self.gens: tuple[tuple[int, ...], ...] = _clean_gens(gens, degree)
         self.chain = build_chain(self.gens, degree)
         self.order: int = _chain_order(self.chain)
         self._elements: list[tuple[int, ...]] | None = None
@@ -353,15 +361,8 @@ class Subgroup:
                  "_profile")
 
     def __init__(self, ambient: PermGroup, gens, *, elems=None, check=False):
-        raw = []
-        for g in gens:
-            t = g.images if isinstance(g, Perm) else tuple(g)
-            if len(t) != ambient.degree:
-                raise ValueError("generator degree mismatch")
-            if any(x != i for i, x in enumerate(t)):
-                raw.append(t)
         self.ambient = ambient
-        self.gens = tuple(dict.fromkeys(raw))
+        self.gens = _clean_gens(gens, ambient.degree)
         if check:
             for t in self.gens:
                 if not ambient.contains(t):
@@ -369,18 +370,14 @@ class Subgroup:
         self._group = None
         self._fp = None
         self._profile = None
+        if elems is None:
+            elems = close_elements(self.gens, ambient.degree, cap=SET_CAP)
         if elems is not None:
             self._elems = frozenset(elems)
             self.order = len(self._elems)
         else:
-            elems = close_elements(self.gens, ambient.degree, cap=SET_CAP)
-            if elems is not None:
-                self._elems = frozenset(elems)
-                self.order = len(self._elems)
-            else:
-                self._elems = None
-                self._group = PermGroup(self.gens, ambient.degree)
-                self.order = self._group.order
+            self._elems = None
+            self.order = self.as_group().order
 
     def as_group(self) -> PermGroup:
         if self._group is None:
@@ -391,9 +388,6 @@ class Subgroup:
         if self._elems is None:
             self._elems = frozenset(self.as_group().elements())
         return self._elems
-
-    def sorted_elements(self) -> list[tuple[int, ...]]:
-        return sorted(self.elements())
 
     def contains(self, g) -> bool:
         t = g.images if isinstance(g, Perm) else tuple(g)
@@ -442,10 +436,24 @@ class Subgroup:
                             elems=[conj(x, g) for x in self._elems])
         return Subgroup(self.ambient, gens)
 
+    def join(self, t: tuple[int, ...]) -> "Subgroup":
+        """<H, t>, generated by H.gens + (t,).  When t normalizes H, and
+        |H| m <= SET_CAP for the least m with t^m in H (m divides the
+        order of t), the elements are the cosets H t^i (join_normalizing);
+        otherwise they are closed from the generators."""
+        gens = self.gens + (t,)
+        w, m, n = t, 1, order_of(t)
+        while self.order * n > SET_CAP >= self.order * m and w not in self:
+            w, m = mul(w, t), m + 1
+        if self.order * m <= SET_CAP:
+            elems = join_normalizing(self.elements(), self.gens, t)
+            if elems is not None:
+                return Subgroup(self.ambient, gens, elems=elems)
+        return Subgroup(self.ambient, gens)
+
     def is_normal_in(self, other) -> bool:
         """True iff this subgroup is normalized by all generators of other."""
-        gens = other.gens if not isinstance(other, PermGroup) else other.gens
-        return all(conj(x, g) in self for g in gens for x in self.gens)
+        return all(conj(x, g) in self for g in other.gens for x in self.gens)
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order}, degree={self.ambient.degree})"
@@ -745,19 +753,19 @@ def coset_transversal(G: PermGroup, H: Subgroup) -> list[tuple[int, ...]]:
     return reps
 
 
-def coset_action(G: PermGroup, H: Subgroup, *, max_degree: int = 200_000):
+def coset_action(G: PermGroup, H: Subgroup):
     """Action of G on the cosets of H.
 
     Returns (image group, hom) where hom maps an element tuple of G to
-    its image tuple of degree |G:H|.
+    its image tuple of degree |G:H|, at most QUOTIENT_CAP.
     """
-    return _coset_action(G, H, max_degree)[:2]
+    return _coset_action(G, H)[:2]
 
 
-def _coset_action(G: PermGroup, H: Subgroup, max_degree: int = 200_000):
+def _coset_action(G: PermGroup, H: Subgroup):
     """coset_action, and the transversal whose cosets are the points."""
     index = G.order // H.order
-    if index > max_degree:
+    if index > QUOTIENT_CAP:
         raise CapExceededError(f"coset action degree {index} over the limit")
     reps = coset_transversal(G, H)
     key = _coset_key(H, reps)
@@ -774,8 +782,11 @@ def quotient_group(N: PermGroup, H: Subgroup):
 
     H must be normal in N.  Returns (W, lift) where lift maps a
     W-element tuple to a coset representative in N; lift of the
-    identity is the identity (which lies in H).
+    identity is the identity (which lies in H).  N itself for a
+    trivial H; otherwise |N:H| is at most QUOTIENT_CAP.
     """
+    if H.order == 1:
+        return N, lambda w: w
     if not H.is_normal_in(N):
         raise ValueError("subgroup is not normal")
     W, _, reps = _coset_action(N, H)
@@ -908,11 +919,7 @@ def composition_series(G: PermGroup) -> SeriesChain:
             raise RuntimeError(
                 f"refinement at order {bottom.order}, expected "
                 f"{dseries[step].order}")
-        if bottom.order == 1:
-            W: PermGroup = top
-            lift = lambda w: w  # noqa: E731
-        else:
-            W, lift = quotient_group(top, bottom)
+        W, lift = quotient_group(top, bottom)
         # peel the abelian factor W into prime steps
         cur_gens: list[tuple[int, ...]] = []
         cur = PermGroup(cur_gens, W.degree)

@@ -30,7 +30,6 @@ from .groups import (
     rewrap,
     subgroup_class_id,
     trivial_subgroup,
-    SET_CAP,
 )
 from .marks import (
     PatternClass,
@@ -41,9 +40,6 @@ from .marks import (
 from .perms import conj, order_of, power
 
 DEFAULT_CAP = 2000
-
-# largest normalizer quotient the class search enumerates element-wise
-SEARCH_QUOTIENT_CAP = 300_000
 
 
 @dataclass
@@ -178,28 +174,16 @@ def subgroup_classes_search(G: PermGroup) -> list[Subgroup]:
         if H.order == G.order:
             continue
         N = normalizer(G, H)
-        index = N.order // H.order
-        if index == 1:
+        if N.order == H.order:
             continue
-        if H.order == 1:
-            W: PermGroup = N.as_group()
-            lift = lambda w: w  # noqa: E731
-        else:
-            if index > SEARCH_QUOTIENT_CAP:
-                raise CapExceededError(
-                    f"normalizer quotient of order {index} over the cap")
-            W, lift = quotient_group(N.as_group(), rewrap(N.as_group(), H))
+        W, lift = quotient_group(N.as_group(), H)
         for q in sorted(set(prime_factors(W.order))):
             for w in rational_classes(W, q):
                 t = lift(w)
-                if H.order * q <= SET_CAP:
-                    elems = join_normalizing(H.elements(), H.gens, t)
-                    if elems is None:
-                        raise RuntimeError(
-                            "lifted quotient element does not normalize")
-                    K = Subgroup(G, H.gens + (t,), elems=elems)
-                else:
-                    K = Subgroup(G, H.gens + (t,))
+                if any(conj(g, t) not in H for g in H.gens):
+                    raise RuntimeError(
+                        "lifted quotient element does not normalize")
+                K = H.join(t)
                 if K.order != q * H.order:
                     raise RuntimeError(
                         f"extension of order {K.order}, expected "

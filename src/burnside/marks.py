@@ -41,13 +41,14 @@ from .groups import (
     Subgroup,
     centralizer,
     composition_steps,
-    join_normalizing,
+    coset_transversal,
     normalizer,
     orbit,
     path_product,
     rewrap,
     subgroup_class_id,
     trivial_subgroup,
+    SET_CAP,
 )
 from .perms import conj, inv
 
@@ -156,7 +157,6 @@ def mark_fixed_cosets(G: PermGroup, K: Subgroup, H: Subgroup, *,
         k_normal = K.is_normal_in(G)
     if k_normal:
         return (G.order // K.order) if H.is_subset_of(K) else 0
-    from .groups import coset_transversal
     count = 0
     for g in coset_transversal(G, K):
         gi = inv(g)
@@ -221,13 +221,11 @@ def dress_row(S: PermGroup, ident: ClassIdentifier, u_index: int,
     N = normalizer(S, U)
     modulus = N.order // U.order
     coeffs: dict[int, int] = {}
-    from .groups import coset_transversal
     for a in coset_transversal(N.as_group(), rewrap(N.as_group(), U)):
-        elems = join_normalizing(U.elements(), U.gens, a)
-        K = Subgroup(S, U.gens + (a,), elems=elems)
-        idx = ident.index_of(K)
+        idx = ident.index_of(U.join(a))
         coeffs[idx] = coeffs.get(idx, 0) + 1
-    assert sum(coeffs.values()) == modulus
+    if sum(coeffs.values()) != modulus:
+        raise RuntimeError(f"Dress row of class {u_index} misses cosets")
     return DressRow(u_index=u_index, coeffs=coeffs, modulus=modulus,
                     inner_size=inner_size)
 
@@ -266,11 +264,12 @@ def incidence_probe(S: PermGroup, K: Subgroup, t: tuple[int, ...]):
         s = _element_conjugator(S, a, t)
         local = orbit([frozenset(conj(x, s) for x in kelems)], C.gens,
                       lambda m, g: frozenset(conj(x, g) for x in m))
-        assert not (local.keys() & seen_fp), \
-            "centralizer orbits are not disjoint"
+        if local.keys() & seen_fp:
+            raise RuntimeError("centralizer orbits are not disjoint")
         seen_fp.update(local)
         members.extend(local)
-    assert all(t in m for m in members)
+    if not all(t in m for m in members):
+        raise RuntimeError("a probe member does not contain t")
     return members
 
 
@@ -308,7 +307,8 @@ class MarksExtender:
     def __init__(self, pattern_A: SubgroupPattern, S: PermGroup):
         pa = pattern_A.sorted_ascending()
         orders = pa.class_orders()
-        assert orders == sorted(orders)
+        if orders != sorted(orders):
+            raise RuntimeError("sorted pattern is not in ascending order")
         self.pa = pa
         self.S = S
         self.ctx = ExtensionContext.create(S, pa.group)
@@ -318,7 +318,6 @@ class MarksExtender:
         self.inner = self.step.inner.classes
         self.outer = self.step.outer
         self.b = len(self.inner)
-        self.n = self.b + len(self.outer)
         self.class_reps = self.step.reps
         # blue column of each A-class index
         self.col_of_a_index = {}
@@ -336,9 +335,6 @@ class MarksExtender:
 
     # -- quarters ---------------------------------------------------------
 
-    def _a_cell(self, i: int, j: int) -> int:
-        return self.pa.cell(i, j)
-
     def top_left_row(self, bi: int) -> list[int]:
         """Inner row: p-multiple of the A-row, or the merged-row sum."""
         c = self.inner[bi]
@@ -346,14 +342,14 @@ class MarksExtender:
         row = []
         for bj in range(bi + 1):
             cj = self.inner[bj].a_indices[0]
-            val = sum(self._a_cell(ai, cj) for ai in c.a_indices)
+            val = sum(self.pa.cell(ai, cj) for ai in c.a_indices)
             row.append(factor * val)
         return row
 
     def bottom_left_row(self, ri: int) -> list[int]:
         """Inner columns of an outer row: copy of the A-row of rep∩A."""
         base = self.outer[ri].base_index
-        return [self._a_cell(base, self.inner[bj].a_indices[0])
+        return [self.pa.cell(base, self.inner[bj].a_indices[0])
                 for bj in range(self.b)]
 
     def assemble_inner(self) -> None:
@@ -364,7 +360,8 @@ class MarksExtender:
     def _register_completed(self, i: int) -> None:
         row = self.rows[i]
         below = {j for j in range(i + 1) if row[j] > 0}
-        assert len(self._below) == i
+        if len(self._below) != i:
+            raise RuntimeError(f"row {i} completed out of order")
         self._below.append(below)
         while len(self._above) <= i:
             self._above.append(set())
@@ -422,7 +419,7 @@ class MarksExtender:
         values[i] = diag
         cand: dict[int, tuple] = {}
         decided_by = {}
-        kelems = K.elements() if K.order <= 5000 else None
+        kelems = K.elements() if K.order <= SET_CAP else None
         contained: set[int] = set()
         for rj in range(ri):
             j = self.b + rj
@@ -594,7 +591,8 @@ class MarksExtender:
                 inner_sum += njj * st.values[j]
             elif j <= i:
                 v = st.values[j]
-                assert v is not None
+                if v is None:
+                    raise RuntimeError(f"cell ({i},{j}) is undecided")
                 fixed += njj * v
             # columns past the row contribute 0
         if dr.inner_size is None:
@@ -603,7 +601,8 @@ class MarksExtender:
                     "outer congruence row has inner coefficients")
             return None, fixed
         bsize = dr.inner_size
-        assert bsize > 0
+        if bsize <= 0:
+            raise RuntimeError(f"class {dr.u_index} has inner size {bsize}")
         if inner_sum % bsize:
             raise InconsistentTableError(
                 "inner orbit count is not integral: corrupt input pattern")
@@ -739,7 +738,8 @@ class MarksExtender:
         self.assemble_inner()
         for ri in range(len(self.outer)):
             st = self.solve_row(ri)
-            assert all(v is not None for v in st.values)
+            if None in st.values:
+                raise RuntimeError(f"row {st.index} left undecided")
             self.rows.append([int(v) for v in st.values])
             self._register_completed(st.index)
             for j, tag in st.decided_by.items():

@@ -8,7 +8,7 @@ split extension p^k:Cq.  Everything else falls back to G<order>.
 
 from __future__ import annotations
 
-from .groups import Subgroup, prime_factors
+from .groups import SET_CAP, Subgroup, prime_factors
 
 # (order, order profile) -> name, fed by the catalog and by hand
 _PROFILE_NAMES: dict = {}
@@ -27,7 +27,7 @@ def subgroup_name(sub: Subgroup) -> str:
     n = sub.order
     if n == 1:
         return "1"
-    if n > 5000:
+    if n > SET_CAP:
         key = (n, None)
         return _PROFILE_NAMES.get(key, f"G{n}")
     prof = dict(_profile(sub))

@@ -54,6 +54,16 @@ def pattern_to_json(pattern: SubgroupPattern, name: str) -> str:
     return json.dumps(pattern_to_dict(pattern, name), indent=1)
 
 
+_KINDS = {int: "an integer", list: "a list", dict: "an object"}
+
+
+def _expect(value, kind: type, what: str):
+    """The value, if it is of the kind (a bool is not an integer)."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise PatternFormatError(f"{what} is not {_KINDS[kind]}: {value!r}")
+    return value
+
+
 def pattern_from_dict(doc: dict, group: PermGroup) -> SubgroupPattern:
     try:
         degree = doc["degree"]
@@ -62,23 +72,24 @@ def pattern_from_dict(doc: dict, group: PermGroup) -> SubgroupPattern:
         stats = doc.get("stats", {})
     except (KeyError, TypeError) as exc:
         raise PatternFormatError(f"missing field: {exc}") from exc
-    if degree != group.degree:
+    if _expect(degree, int, "degree") != group.degree:
         raise PatternFormatError(
             f"degree {degree} does not match the group's {group.degree}")
     classes = []
-    for k, rc in enumerate(raw_classes):
-        if not isinstance(rc, dict):
-            raise PatternFormatError(f"class {k}: not an object")
+    for k, rc in enumerate(_expect(raw_classes, list, "classes")):
+        _expect(rc, dict, f"class {k}")
         try:
             order, length = rc["order"], rc["length"]
             normalizer_order, gen_strings = rc["normalizer"], rc["generators"]
         except KeyError as exc:
             raise PatternFormatError(
                 f"class {k}: missing field {exc}") from exc
+        for key in ("order", "length", "normalizer"):
+            _expect(rc[key], int, f"class {k}: {key}")
         try:
             gens = [parse_cycles(s, degree) for s in gen_strings]
             rep = Subgroup(group, gens, check=True)
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:
             raise PatternFormatError(
                 f"class {k}: bad generators ({exc})") from exc
         if rep.order != order:
@@ -88,16 +99,19 @@ def pattern_from_dict(doc: dict, group: PermGroup) -> SubgroupPattern:
         classes.append(PatternClass(
             rep=rep, order=order, length=length,
             normalizer_order=normalizer_order))
-    if len(marks) != len(classes):
+    if len(_expect(marks, list, "marks")) != len(classes):
         raise PatternFormatError("marks row count differs from class count")
     for i, row in enumerate(marks):
-        if len(row) != i + 1:
+        if len(_expect(row, list, f"marks row {i}")) != i + 1:
             raise PatternFormatError(f"marks row {i} is not lower-triangular")
+        for j, v in enumerate(row):
+            _expect(v, int, f"mark ({i},{j})")
+    _expect(stats, dict, "stats")
     st = PatternStats(probes=stats.get("probes", 0),
                       max_probe=stats.get("max_probe", 0),
                       millis=stats.get("millis", 0))
     return SubgroupPattern(group=group, classes=classes,
-                           rows=[list(map(int, r)) for r in marks], stats=st)
+                           rows=[list(r) for r in marks], stats=st)
 
 
 def pattern_from_json(text: str, group: PermGroup) -> SubgroupPattern:

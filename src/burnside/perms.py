@@ -181,9 +181,6 @@ class Perm:
     def order(self) -> int:
         return order_of(self.images)
 
-    def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self.images))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Perm) and self.images == other.images
 

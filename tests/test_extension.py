@@ -5,7 +5,9 @@ import os
 
 import pytest
 
+from burnside import groups
 from burnside.catalog import CATALOG, abelian_group, dihedral_group
+from burnside.cli import main
 from burnside.extension import (
     ExtensionContext,
     extend_classes,
@@ -17,13 +19,17 @@ from burnside.extension import (
     subgroup_classes_solvable,
 )
 from burnside.groups import (
+    CapExceededError,
     PermGroup,
     Subgroup,
     normalizer,
     subgroup_class_id,
     trivial_subgroup,
 )
-from burnside.lattice import all_subgroup_classes_brute
+from burnside.lattice import (
+    all_subgroup_classes_brute,
+    subgroup_classes_search,
+)
 from burnside.perms import conj, order_of, parse_cycles
 
 
@@ -251,3 +257,20 @@ def test_s7_class_counts_slow():
     ctx = ExtensionContext.create(s7, a7)
     step = extend_classes(sort_class_reps(classes), ctx)
     assert len(step.reps) == 96
+
+
+def test_one_quotient_cap_governs_the_step_and_the_search(
+        s4, a4, monkeypatch, capsys):
+    """|N(V4):V4| = 6 in S4: with groups.QUOTIENT_CAP at 3 the extension
+    step from A4, the class search and the `subgroups S4` route all
+    refuse it, the route with exit 3."""
+    a4_classes = subgroup_classes_solvable(a4)
+    ctx = ExtensionContext.create(s4, a4)
+    monkeypatch.setattr(groups, "QUOTIENT_CAP", 3)
+    with pytest.raises(CapExceededError):
+        extend_classes(a4_classes, ctx)
+    with pytest.raises(CapExceededError):
+        subgroup_classes_search(s4)
+    capsys.readouterr()
+    assert main(["subgroups", "S4"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import burnside
+from burnside import groups
 from burnside.catalog import CATALOG, cyclic_group
 from burnside.groups import (
     CapExceededError,
@@ -318,3 +319,51 @@ def test_orbit_is_a_breadth_first_schreier_tree(s5):
     reps = transversal(points, s5.gens, s5.identity)
     assert list(reps) == list(points)
     assert all(u[2] == pt for pt, u in reps.items())
+
+
+@pytest.mark.parametrize("name", ["S5", "GL2(3)"])
+def test_join_matches_a_fresh_subgroup(name):
+    """<H, t> for every class representative H and a fixed sample of t,
+    normalizing or not: the generators H.gens + (t,), and the element
+    set and order of the same subgroup built from scratch."""
+    G = CATALOG.group(name)
+    sample = random.Random(5).sample(G.sorted_elements(), 12)
+    kinds = set()
+    for H in all_subgroup_classes_brute(G):
+        for t in sample:
+            K = H.join(t)
+            fresh = Subgroup(G, H.gens + (t,))
+            if t != G.identity and t not in H.gens:
+                assert K.gens == H.gens + (t,)
+            assert K.gens == fresh.gens and K.ambient is G
+            assert K.order == fresh.order
+            assert K.elements() == fresh.elements()
+            kinds.add(all(conj(g, t) in H for g in H.gens))
+    assert kinds == {True, False}
+
+
+def test_join_takes_the_coset_union_exactly_when_it_fits(monkeypatch):
+    """The join of C2 with a 4-cycle squaring into it has order 4: with
+    SET_CAP 5 it is the union of two cosets (no closure), with SET_CAP 3
+    it is closed from the generators."""
+    G = CATALOG.group("D8")
+    c4 = next(x for x in G.sorted_elements() if order_of(x) == 4)
+    H = Subgroup(G, [mul(c4, c4)])
+    closures = []
+    real = groups.close_elements
+
+    def counted(*args, **kwargs):
+        closures.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "close_elements", counted)
+    monkeypatch.setattr(groups, "SET_CAP", 5)
+    assert H.join(c4).order == 4 and not closures
+    monkeypatch.setattr(groups, "SET_CAP", 3)
+    assert H.join(c4).order == 4 and closures
+
+
+def test_quotient_by_the_trivial_group_is_the_group_itself(s4):
+    W, lift = quotient_group(s4, trivial_subgroup(s4))
+    assert W is s4
+    assert all(lift(x) == x for x in s4.elements())

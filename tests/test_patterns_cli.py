@@ -17,6 +17,7 @@ from burnside.lattice import table_of_marks_brute
 from burnside.marks import extend_table_of_marks
 from burnside.patterns import (
     PatternFormatError,
+    pattern_from_dict,
     pattern_from_json,
     pattern_to_dict,
     pattern_to_json,
@@ -357,6 +358,23 @@ BAD_PATTERN_FILES = {
     "class not an object": {"group": "A5", "degree": 5, "classes": [7],
                             "marks": [[60]]},
 }
+A5_TRIVIAL = {"group": "A5", "degree": 5, "classes": [
+    {"order": 1, "length": 1, "normalizer": 60, "generators": []}],
+    "marks": [[60]]}
+# a malformed field of an otherwise valid file -> the error names it
+BAD_FIELDS = {
+    "generator not a string": ({"classes": [
+        {"order": 1, "length": 1, "normalizer": 60, "generators": [7]}]},
+        "class 0: bad generators"),
+    "classes not a list": ({"classes": 5}, "classes is not a list"),
+    "marks not a list": ({"marks": 5}, "marks is not a list"),
+    "mark not an integer": ({"marks": [["x"]]},
+                            "mark (0,0) is not an integer"),
+    "stats not an object": ({"stats": 3}, "stats is not an object"),
+    "degree a string": ({"degree": "5"}, "degree is not an integer"),
+}
+BAD_PATTERN_FILES.update(
+    {k: {**A5_TRIVIAL, **v} for k, (v, _) in BAD_FIELDS.items()})
 
 
 @pytest.mark.parametrize("content", BAD_PATTERN_FILES.values(),
@@ -370,6 +388,13 @@ def test_cli_verify_malformed_pattern_file_exits_2(content, tmp_path, capsys):
     assert main(["verify", str(path)]) == 2
     _, err = capsys.readouterr()
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("fields,word", BAD_FIELDS.values(),
+                         ids=BAD_FIELDS.keys())
+def test_pattern_from_dict_names_the_malformed_field(fields, word):
+    with pytest.raises(PatternFormatError, match=re.escape(word)):
+        pattern_from_dict({**A5_TRIVIAL, **fields}, CATALOG.group("A5"))
 
 
 def _mask_millis(text: str) -> str:
