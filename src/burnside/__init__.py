@@ -7,7 +7,6 @@ subgroup of prime index step by step along a composition series, or by
 a brute-force subgroup-lattice oracle used for cross-validation.
 """
 
-from .perms import Perm, act, compose, inverse, parse_perm
 from .groups import (
     PermGroup,
     Subgroup,
@@ -46,7 +45,6 @@ from .lattice import (
 from .catalog import CATALOG
 
 __all__ = [
-    "Perm", "act", "compose", "inverse", "parse_perm",
     "PermGroup", "Subgroup", "SeriesChain",
     "are_conjugate_subgroups", "centralizer", "composition_series",
     "coset_action", "is_solvable", "normalizer", "quotient_group",

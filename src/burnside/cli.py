@@ -28,7 +28,8 @@ extension.  The rules, in order:
   L2(32)): the base group's own route, then one step;
 * anything else exits 3.
 
-A ``--base`` file is read and validated whenever it is given.
+A ``--base`` file is read and validated whenever it is given, and a
+table computed from it is validated again before it is printed.
 
 Exit codes: 0 ok, 2 input error, 3 unsupported computation path,
 4 validation failure.
@@ -254,7 +255,14 @@ def cmd_subgroups(args) -> int:
 
 def cmd_tom(args) -> int:
     name, G, entry = _resolve_group(args)
-    chain, _ = _patterns(_route(name, G, entry, args.base, args.via))
+    route = _route(name, G, entry, args.base, args.via)
+    chain, _ = _patterns(route)
+    if args.base and route.source == "pattern":
+        # a base that passes its own checks can still extend to a bad table
+        problems = validate_pattern(chain[-1])
+        if problems:
+            raise CliError(VALIDATION_FAILURE,
+                           "result fails validation: " + problems[0])
     if args.format == "json":
         text = pattern_to_json(chain[-1], name) + "\n"
     else:

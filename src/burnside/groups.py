@@ -36,14 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .perms import (
-    Perm,
-    conj,
-    identity_tuple,
-    inv,
-    mul,
-    order_of,
-)
+from .perms import conj, identity_tuple, inv, mul, order_of
 from .perms import power as perm_power
 
 # subgroups up to this order keep an explicit element set (used for
@@ -201,7 +194,7 @@ def _clean_gens(gens, degree: int) -> tuple[tuple[int, ...], ...]:
     repeats dropped, first occurrences in order."""
     raw = []
     for g in gens:
-        t = g.images if isinstance(g, Perm) else tuple(g)
+        t = tuple(g)
         if len(t) != degree:
             raise ValueError("generator degree mismatch")
         if any(x != i for i, x in enumerate(t)):
@@ -260,7 +253,7 @@ class PermGroup:
         return identity_tuple(self.degree)
 
     def contains(self, g) -> bool:
-        t = g.images if isinstance(g, Perm) else tuple(g)
+        t = tuple(g)
         if len(t) != self.degree:
             return False
         return _chain_sift(self.chain, t) == self.identity
@@ -390,7 +383,7 @@ class Subgroup:
         return self._elems
 
     def contains(self, g) -> bool:
-        t = g.images if isinstance(g, Perm) else tuple(g)
+        t = tuple(g)
         if self._elems is not None:
             return t in self._elems
         return self.as_group().contains(t)
@@ -572,7 +565,7 @@ def _stabilizer_from_orbit(G: PermGroup, nodes, rep_of, act,
 
 def centralizer(G: PermGroup, x) -> Subgroup:
     """Centralizer of an element of G, as a subgroup of G."""
-    t = x.images if isinstance(x, Perm) else tuple(x)
+    t = tuple(x)
     if not G.contains(t):
         raise ValueError("element outside the group")
     cached = G._centralizers.get(t)
@@ -904,9 +897,12 @@ class SeriesChain:
 def composition_series(G: PermGroup) -> SeriesChain:
     """Composition series 1 = G_0 < G_1 < ... < G_n = G with prime steps.
 
-    Built by refining the derived series: each abelian factor is peeled
-    into prime-order steps (smallest primes first) through the quotient
-    representation.
+    Built by refining the derived series: each abelian factor W is
+    peeled into prime-order steps (W's generators in order, smallest
+    primes first), and each step is the join of the term below with a
+    lifted element.  An element of W lies in the current term's image
+    exactly when its lift lies in the current term, which contains the
+    bottom of the factor.
     """
     dseries = derived_series(G)  # raises NotSolvableError if not solvable
     terms = [trivial_subgroup(G)]
@@ -920,22 +916,15 @@ def composition_series(G: PermGroup) -> SeriesChain:
                 f"refinement at order {bottom.order}, expected "
                 f"{dseries[step].order}")
         W, lift = quotient_group(top, bottom)
-        # peel the abelian factor W into prime steps
-        cur_gens: list[tuple[int, ...]] = []
-        cur = PermGroup(cur_gens, W.degree)
         for w in W.gens:
-            while not cur.contains(w):
+            while not terms[-1].contains(lift(w)):
                 o = 1
                 x = w
-                while not cur.contains(x):
+                while not terms[-1].contains(lift(x)):
                     x = mul(x, w)
                     o += 1
                 p = prime_factors(o)[0]
-                step_gen = perm_power(w, o // p)
-                cur_gens = cur_gens + [step_gen]
-                cur = PermGroup(cur_gens, W.degree)
-                lifted = terms[-1].gens + (lift(step_gen),)
-                new_term = Subgroup(G, lifted)
+                new_term = terms[-1].join(lift(perm_power(w, o // p)))
                 if new_term.order != terms[-1].order * p:
                     raise RuntimeError("prime refinement step failed")
                 terms.append(new_term)

@@ -74,7 +74,6 @@ class PatternClass:
     normalizer_order: int
     kind: str | None = None          # "inner" / "outer" for extension output
     gamma_index: int | None = None   # column of rep∩A's class (outer only)
-    probe_element: tuple | None = None  # coset element of p-power order
 
 
 @dataclass
@@ -123,7 +122,7 @@ class SubgroupPattern:
             classes.append(PatternClass(
                 rep=c.rep, order=c.order, length=c.length,
                 normalizer_order=c.normalizer_order, kind=c.kind,
-                gamma_index=gi, probe_element=c.probe_element))
+                gamma_index=gi))
         rows = [[self.cell(perm[i], perm[j]) for j in range(i + 1)]
                 for i in range(self.n)]
         return SubgroupPattern(group=self.group, classes=classes,
@@ -759,8 +758,7 @@ class MarksExtender:
                 rep=oc.rep, order=oc.rep.order,
                 length=self.S.order // oc.normalizer_order,
                 normalizer_order=oc.normalizer_order, kind="outer",
-                gamma_index=self.col_of_a_index[oc.base_index],
-                probe_element=oc.gen_element))
+                gamma_index=self.col_of_a_index[oc.base_index]))
         return SubgroupPattern(group=self.S, classes=classes,
                                rows=self.rows, stats=self.stats)
 
@@ -875,7 +873,8 @@ def validate_pattern(pattern: SubgroupPattern, *,
     diagonal = normalizer index, first column = group index, last row
     of ones, row divisibility by the diagonal, the mod-p column
     congruence for recorded (rep∩A, rep) pairs, and (optionally) the
-    Dress congruences, which also reject conjugate representatives.
+    Dress congruences, which also reject conjugate representatives and
+    a transversal that misses a class.
     """
     out = []
     n = pattern.n
@@ -915,7 +914,7 @@ def validate_pattern(pattern: SubgroupPattern, *,
     if check_dress:
         try:
             ok, viol = verify_dress(pattern)
-        except ConjugateDuplicatesError as exc:
+        except (ConjugateDuplicatesError, InconsistentTableError) as exc:
             viol = [str(exc)]
         out.extend(viol)
     return out

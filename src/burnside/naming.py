@@ -18,10 +18,6 @@ def register_profile(name: str, order: int, profile) -> None:
     _PROFILE_NAMES[(order, tuple(profile))] = name
 
 
-def _profile(sub: Subgroup):
-    return sub.order_profile()
-
-
 def subgroup_name(sub: Subgroup) -> str:
     """Best-effort structure name of a small subgroup."""
     n = sub.order
@@ -30,7 +26,7 @@ def subgroup_name(sub: Subgroup) -> str:
     if n > SET_CAP:
         key = (n, None)
         return _PROFILE_NAMES.get(key, f"G{n}")
-    prof = dict(_profile(sub))
+    prof = dict(sub.order_profile())
     named = _PROFILE_NAMES.get((n, tuple(sorted(prof.items()))))
     if named:
         return named

@@ -4,11 +4,11 @@ Conventions used throughout the package:
 
 * points are 0-based internally; cycle notation is 1-based (the only
   place where 1-based labels appear),
+* a permutation is a tuple ``images`` of length ``degree`` with
+  ``images[x] = x.g``; tuples are the only representation, and input
+  from outside enters through :func:`parse_cycles`,
 * permutations act on the right and compose left-to-right, so
-  ``act(x, mul(g, h)) == act(act(x, g), h)``,
-* the raw representation of a permutation is a tuple ``images`` of
-  length ``degree`` with ``images[x] = x.g``.  Hot loops work on the
-  raw tuples; :class:`Perm` is a thin wrapper for the public API.
+  ``mul(g, h)[x] == h[g[x]]``.
 """
 
 from __future__ import annotations
@@ -20,9 +20,6 @@ from math import lcm
 class CycleParseError(ValueError):
     """Malformed cycle expression, or a point outside 1..degree."""
 
-
-# ---------------------------------------------------------------------------
-# raw tuple helpers (hot path)
 
 def identity_tuple(degree: int) -> tuple[int, ...]:
     return tuple(range(degree))
@@ -144,74 +141,3 @@ def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
     if consumed != len(stripped):
         raise CycleParseError(f"malformed cycle expression {text!r}")
     return tuple(images)
-
-
-class Perm:
-    """An immutable permutation of {0, ..., degree-1}."""
-
-    __slots__ = ("images",)
-
-    def __init__(self, images):
-        images = tuple(images)
-        if sorted(images) != list(range(len(images))):
-            raise ValueError(f"not a permutation: {images}")
-        object.__setattr__(self, "images", images)
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("Perm is immutable")
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    def __mul__(self, other: "Perm") -> "Perm":
-        if len(self.images) != len(other.images):
-            raise ValueError("degree mismatch")
-        return Perm(mul(self.images, other.images))
-
-    def __pow__(self, n: int) -> "Perm":
-        return Perm(power(self.images, n))
-
-    def inverse(self) -> "Perm":
-        return Perm(inv(self.images))
-
-    def __call__(self, x: int) -> int:
-        return self.images[x]
-
-    def order(self) -> int:
-        return order_of(self.images)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Perm) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
-    def __repr__(self) -> str:
-        return f"Perm({format_tuple(self.images)}, degree={self.degree})"
-
-    def __str__(self) -> str:
-        return format_tuple(self.images)
-
-
-def parse_perm(text: str, degree: int) -> Perm:
-    """Parse cycle notation at the given degree; see :func:`parse_cycles`."""
-    return Perm(parse_cycles(text, degree))
-
-
-def identity(degree: int) -> Perm:
-    return Perm(identity_tuple(degree))
-
-
-def compose(g: Perm, h: Perm) -> Perm:
-    """Apply g, then h."""
-    return g * h
-
-
-def inverse(g: Perm) -> Perm:
-    return g.inverse()
-
-
-def act(x: int, g: Perm) -> int:
-    """Image of the (0-based) point x under g."""
-    return g.images[x]

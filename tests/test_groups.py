@@ -11,7 +11,7 @@ import pytest
 
 import burnside
 from burnside import groups
-from burnside.catalog import CATALOG, cyclic_group
+from burnside.catalog import CATALOG, abelian_group, cyclic_group
 from burnside.groups import (
     CapExceededError,
     NotSolvableError,
@@ -188,6 +188,24 @@ def test_composition_series_gl23(gl23):
     ser = composition_series(gl23)
     assert ser.indices == [2, 2, 2, 3, 2]
     assert [t.order for t in ser.terms] == [1, 2, 4, 8, 24, 48]
+
+
+@pytest.mark.parametrize("G", [CATALOG.group("GL2(3)"),
+                               abelian_group((2,) * 5)],
+                         ids=["GL2(3)", "C2^5"])
+def test_composition_series_builds_every_term_by_a_join(G, monkeypatch):
+    """Each term normalizes the one below, so joins take the coset union
+    and the series makes no closure."""
+    closures = []
+    real = groups.close_elements
+
+    def counted(*args, **kwargs):
+        closures.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "close_elements", counted)
+    ser = composition_series(G)
+    assert ser.terms[-1].order == G.order and not closures
 
 
 def test_not_solvable(a5):

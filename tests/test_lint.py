@@ -1,5 +1,6 @@
 """Source lint: checks on inputs and invariants must survive
-``python -O``, so the package holds no ``assert`` statement."""
+``python -O``, so the package holds no ``assert`` statement; and the
+package exports only names it defines."""
 
 import ast
 from pathlib import Path
@@ -15,3 +16,10 @@ def test_no_assert_in_the_package():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert SOURCES and not found, found
+
+
+def test_every_exported_name_exists():
+    """``from burnside import *`` needs every name of ``__all__``."""
+    missing = [name for name in burnside.__all__
+               if not hasattr(burnside, name)]
+    assert burnside.__all__ and not missing, missing

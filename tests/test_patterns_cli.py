@@ -220,17 +220,28 @@ def test_cli_verify_trivial(tmp_path):
     assert code == 0
 
 
+def _a5_raise_mark(doc):
+    doc["marks"][6][1] += 1
+
+
+def _a5_mark_an_absent_subgroup(doc):
+    # A4 (class 7) has no S3 (class 5); 2 x diagonal keeps every check of
+    # the file itself, but the S5 table extended from it breaks Dress
+    doc["marks"][7][5] += 2 * doc["marks"][5][5]
+
+
 def test_cli_bad_base_fails_validation(tmp_path):
     good = tmp_path / "a5.json"
     _capture(["tom", "A5", "--via", "oracle", "--format", "json",
               "--out", str(good)])
-    doc = json.loads(good.read_text())
-    doc["marks"][6][1] += 1
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
-    code, _ = _capture(["tom", "S5", "--via", "extension", "--base",
-                        str(bad)])
-    assert code == 4
+    for corrupt in (_a5_raise_mark, _a5_mark_an_absent_subgroup):
+        doc = json.loads(good.read_text())
+        corrupt(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out = _capture(["tom", "S5", "--via", "extension", "--base",
+                              str(bad)])
+        assert (code, out) == (4, ""), corrupt.__name__
 
 
 def test_cli_bench_rows():
@@ -244,24 +255,42 @@ def test_cli_bench_rows():
     assert s5row[:5] == ["S5", "9", "19", "0", "0"]
 
 
-def test_cli_conjugate_representatives_fail_validation(tmp_path):
-    """A pattern file whose class 2 repeats the class-1 generators (both
-    order 2 in S5) is a validation failure, for verify and for --base."""
-    good = tmp_path / "s5.json"
-    code, _ = _capture(["tom", "S5", "--via", "oracle", "--format", "json",
-                        "--out", str(good)])
-    assert code == 0
-    doc = json.loads(good.read_text())
+def _s5_repeat_class_1(doc):
+    # class 2 repeats the class-1 generators (both order 2 in S5)
     assert doc["classes"][1]["order"] == doc["classes"][2]["order"] == 2
     doc["classes"][2]["generators"] = doc["classes"][1]["generators"]
-    bad = tmp_path / "dup.json"
-    bad.write_text(json.dumps(doc))
-    code, out = _capture(["verify", str(bad)])
-    assert code == 4
-    assert "FAIL: transversal contains conjugate duplicates" in out
-    code, _ = _capture(["tom", "S5", "--via", "extension", "--base",
-                        str(bad)])
-    assert code == 4
+
+
+def _a4_drop_order_3(doc):
+    # the order-3 class goes, with its row and its column
+    k = [c["order"] for c in doc["classes"]].index(3)
+    del doc["classes"][k]
+    doc["marks"] = [row[:k] + row[k + 1:]
+                    for i, row in enumerate(doc["marks"]) if i != k]
+
+
+def test_cli_conjugate_representatives_fail_validation(tmp_path):
+    """A pattern file whose transversal repeats a class or misses one is a
+    validation failure, for verify and for --base."""
+    for group, target, corrupt, fail in [
+        ("S5", "S5", _s5_repeat_class_1,
+         "FAIL: transversal contains conjugate duplicates"),
+        ("A4", "S4", _a4_drop_order_3,
+         "FAIL: generated subgroup matches no class of the transversal"),
+    ]:
+        good = tmp_path / "good.json"
+        code, _ = _capture(["tom", group, "--via", "oracle", "--format",
+                            "json", "--out", str(good)])
+        assert code == 0
+        doc = json.loads(good.read_text())
+        corrupt(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out = _capture(["verify", str(bad)])
+        assert code == 4 and fail in out, out
+        code, _ = _capture(["tom", target, "--via", "extension", "--base",
+                            str(bad)])
+        assert code == 4, corrupt.__name__
 
 
 def test_cli_bench_millis_is_the_whole_chain(monkeypatch):
