@@ -4,8 +4,12 @@ fixed-coset tables of marks for small groups.
 Enumeration is bottom-up join closure: class representatives are
 extended by cyclic subgroups of prime-power order (zuppos) and
 deduplicated up to conjugacy; orbits are expanded afterwards for the
-full subgroup list.  Every mark is computed straight from the
-definition (fixed cosets), independent of the extension engine.
+full subgroup list.  A representative H is joined with one zuppo per
+orbit of its normalizer N on the zuppos outside H, since conjugate
+zuppos give conjugate joins.  N comes from the kernel, so it is checked
+here to normalize H; when it does not, H is joined with every zuppo,
+which costs time but never a class.  Every mark is computed straight
+from the definition (fixed cosets), independent of the extension engine.
 
 `subgroup_classes_search` extends the same idea to groups beyond the
 brute cap whose proper subgroups are all solvable (e.g. L2(32)): every
@@ -24,6 +28,7 @@ from .groups import (
     close_elements,
     join_normalizing,
     normalizer,
+    orbit,
     prime_factors,
     quotient_group,
     rational_classes,
@@ -70,9 +75,19 @@ def zuppos(G: PermGroup) -> list[tuple[tuple[int, ...], frozenset]]:
     return out
 
 
+def _conj_set(elems: frozenset, g: tuple[int, ...]) -> frozenset:
+    """The element set conjugated by g."""
+    return frozenset(conj(x, g) for x in elems)
+
+
 def all_subgroup_classes_brute(G: PermGroup,
                                cap: int = DEFAULT_CAP) -> list[Subgroup]:
     """Transversal of the subgroup classes by join closure with zuppos.
+
+    Each class representative H is joined with the first zuppo, in
+    zuppo order, of each N_G(H)-orbit outside H: <H, z^n> = <H, z>^n,
+    so the rest of the orbit adds no class, and every class is found by
+    the same (H, z) pair as with the full loop over the zuppos.
 
     Deterministic; the result is sorted by subgroup order with
     first-construction tie-breaks.
@@ -84,14 +99,27 @@ def all_subgroup_classes_brute(G: PermGroup,
     reps = [triv]
     known = {subgroup_class_id(G, triv)}
     zups = zuppos(G)
+    # zuppo -> its class in G: the orbits for every H normal in G
+    zclass: dict = {}
+    for _, zel in zups:
+        if zel not in zclass:
+            cls = tuple(orbit([zel], G.gens, _conj_set))
+            zclass.update(dict.fromkeys(cls, cls))
     qi = 0
     while qi < len(reps):
         H = reps[qi]
         qi += 1
         helems = H.elements()
-        for x, _zel in zups:
-            if x in helems:
+        normal = H.is_normal_in(G)
+        if not normal:
+            N = normalizer(G, H)
+            ngens = N.gens if H.is_normal_in(N) else ()
+        seen: set = set()
+        for x, zel in zups:
+            if x in helems or zel in seen:
                 continue
+            seen.update(zclass[zel] if normal
+                        else orbit([zel], ngens, _conj_set))
             elems = join_normalizing(helems, H.gens, x)
             if elems is None:
                 elems = close_elements(H.gens + (x,), G.degree, seed=helems)

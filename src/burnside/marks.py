@@ -869,9 +869,10 @@ def validate_pattern(pattern: SubgroupPattern, *,
                      check_dress: bool = True) -> list[str]:
     """Structural invariant suite; returns a list of violations.
 
-    Checks triangular shape, order divisibility at nonzero cells,
-    diagonal = normalizer index, first column = group index, last row
-    of ones, row divisibility by the diagonal, the mod-p column
+    Checks triangular shape, class length x normalizer order = group
+    order, order divisibility at nonzero cells, diagonal = normalizer
+    index, first column = group index, last row of ones, row
+    divisibility by the diagonal, the mod-p column
     congruence for recorded (rep∩A, rep) pairs, and (optionally) the
     Dress congruences, which also reject conjugate representatives and
     a transversal that misses a class.
@@ -885,6 +886,10 @@ def validate_pattern(pattern: SubgroupPattern, *,
     orders = pattern.class_orders()
     for i in range(n):
         ci = pattern.classes[i]
+        if ci.length * ci.normalizer_order != G.order:
+            out.append(f"class {i}: length {ci.length} x normalizer "
+                       f"{ci.normalizer_order} is not the group order "
+                       f"{G.order}")
         if pattern.rows[i][i] != ci.normalizer_order // ci.order:
             out.append(f"diagonal {i} is not the normalizer index")
         if pattern.rows[i][0] != G.order // ci.order:

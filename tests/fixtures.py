@@ -3,8 +3,15 @@
 FIG_A5 / FIG_S5 are the tables of marks of A5 and S5; FIG_S5 is given
 in its original layout (classes in PAPER_S5_ORDER).  GL23_PANELS are
 the intermediate tables along the composition series
-1 < 2 < 4 < Q8 < SL2(3) < GL2(3).
+1 < 2 < 4 < Q8 < SL2(3) < GL2(3).  ``relabeled`` makes seeded copies of
+catalog groups on renamed points.
 """
+
+import random
+
+from burnside.catalog import CATALOG
+from burnside.groups import PermGroup
+from burnside.perms import conj
 
 FIG_A5 = [
     [60],
@@ -77,3 +84,13 @@ BENCH_ROWS = {
     "S6": ("A6", 22, 56, 2, 4),
     "S7": ("A7", 40, 96, 3, 20),
 }
+
+
+def relabeled(name, seed):
+    """A fresh copy of a catalog group with its points renamed by a
+    seeded permutation (seed 0 keeps the labels)."""
+    G = CATALOG.group(name)
+    sigma = list(range(G.degree))
+    random.Random(seed).shuffle(sigma)
+    gens = [conj(g, tuple(sigma)) for g in G.gens] if seed else G.gens
+    return PermGroup(gens, G.degree)

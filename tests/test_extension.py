@@ -1,8 +1,6 @@
 """Class-level extension machinery: inner/outer splits, coset elements,
 and the solvable driver, cross-checked against the brute oracle."""
 
-import os
-
 import pytest
 
 from burnside import groups
@@ -246,8 +244,6 @@ def test_rejects_non_prime_index(s4):
         ExtensionContext.create(s4, v4)  # index 6
 
 
-@pytest.mark.skipif(not os.environ.get("RUN_SLOW"),
-                    reason="several minutes; set RUN_SLOW=1 to enable")
 def test_s7_class_counts_slow():
     from burnside.catalog import alternating_group, symmetric_group
     a7 = alternating_group(7)

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from fixtures import relabeled
+
 import burnside
 from burnside import groups
 from burnside.catalog import CATALOG, abelian_group, cyclic_group
@@ -245,16 +247,6 @@ def test_subgroup_validation(s4):
 # class keys, conjugators and normalizers against a full conjugation scan
 
 
-def relabeled(name, seed):
-    """A fresh copy of a catalog group with its points renamed by a
-    seeded permutation (seed 0 keeps the labels)."""
-    G = CATALOG.group(name)
-    sigma = list(range(G.degree))
-    random.Random(seed).shuffle(sigma)
-    gens = [conj(g, tuple(sigma)) for g in G.gens] if seed else G.gens
-    return PermGroup(gens, G.degree)
-
-
 def scanned_class(G, rep):
     """Every member of rep's class, each found by conjugating with every
     element of G: element set -> generators of that member."""
@@ -282,15 +274,16 @@ def test_class_members_conjugators_and_normalizers(name, seed):
 
 def test_subgroups_output_ignores_the_hash_seed():
     src = str(Path(burnside.__file__).resolve().parents[1])
-    outs = []
-    for hash_seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
-        run = subprocess.run(
-            [sys.executable, "-m", "burnside.cli", "subgroups", "S5"],
-            env=env, capture_output=True, timeout=300)
-        assert run.returncode == 0, run.stderr
-        outs.append(run.stdout)
-    assert outs[0] == outs[1] and outs[0].count(b"\n") == 19
+    for name, classes in (("S5", 19), ("A6", 22), ("S6", 56)):
+        outs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-m", "burnside.cli", "subgroups", name],
+                env=env, capture_output=True, timeout=300)
+            assert run.returncode == 0, run.stderr
+            outs.append(run.stdout)
+        assert outs[0] == outs[1] and outs[0].count(b"\n") == classes, name
 
 
 def test_prime_factors_against_trial_division():

@@ -2,10 +2,19 @@
 
 import pytest
 
-from fixtures import A5_CLASS_ORDERS, FIG_A5
+from fixtures import A5_CLASS_ORDERS, FIG_A5, relabeled
 
+from burnside import lattice
 from burnside.catalog import CATALOG, abelian_group, cyclic_group
-from burnside.groups import CapExceededError, PermGroup, subgroup_class_id
+from burnside.groups import (
+    CapExceededError,
+    PermGroup,
+    Subgroup,
+    close_elements,
+    rewrap,
+    subgroup_class_id,
+    trivial_subgroup,
+)
 from burnside.lattice import (
     all_subgroup_classes_brute,
     all_subgroups_brute,
@@ -128,3 +137,55 @@ def test_trivial_group_table():
     pat = table_of_marks_brute(PermGroup([], 1))
     assert pat.rows == [[1]]
     assert not validate_pattern(pat)
+
+
+def full_zuppo_loop(G):
+    """The oracle's transversal without the orbit shortcut: every class
+    representative joined with every zuppo outside it, each join closed
+    from its generators."""
+    triv = trivial_subgroup(G)
+    reps = [triv]
+    known = {subgroup_class_id(G, triv)}
+    zups = zuppos(G)
+    for H in reps:
+        for x, _ in zups:
+            if x in H:
+                continue
+            gens = H.gens + (x,)
+            K = Subgroup(G, gens, elems=close_elements(
+                gens, G.degree, seed=H.elements()))
+            cid = subgroup_class_id(G, K)
+            if cid not in known:
+                known.add(cid)
+                reps.append(K)
+    reps.sort(key=lambda h: h.order)
+    return [h.gens for h in reps]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("name", ["S4", "A5", "S5", "GL2(3)", "A6"])
+def test_one_join_per_orbit_keeps_the_full_loop_transversal(name, seed):
+    """Joining one zuppo per N(H)-orbit finds every class by the same
+    (H, z) pair as the full loop: same generators, same order."""
+    want = full_zuppo_loop(relabeled(name, seed))
+    got = all_subgroup_classes_brute(relabeled(name, seed))
+    assert [h.gens for h in got] == want
+
+
+def test_a_normalizer_that_does_not_normalize_falls_back(monkeypatch):
+    """With the kernel's normalizer replaced by the whole group, the
+    check fails for every non-normal H and the oracle joins every zuppo:
+    still all 19 classes of S5, with the same representatives."""
+    want = [h.gens for h in all_subgroup_classes_brute(relabeled("S5", 0))]
+    asked = []
+
+    def whole_group(G, H):
+        asked.append(H)
+        return rewrap(G, G)
+
+    monkeypatch.setattr(lattice, "normalizer", whole_group)
+    G = relabeled("S5", 0)
+    got = all_subgroup_classes_brute(G)
+    assert [h.gens for h in got] == want and len(got) == 19
+    # S5 has three normal subgroups: 1, A5 and S5
+    assert len(asked) == 16 and not any(H.is_normal_in(G) for H in asked)

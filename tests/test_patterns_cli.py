@@ -230,11 +230,18 @@ def _a5_mark_an_absent_subgroup(doc):
     doc["marks"][7][5] += 2 * doc["marks"][5][5]
 
 
+def _a5_double_length_of_class_2(doc):
+    # C3 has 10 conjugates in A5, not 20; its normalizer order stays 6
+    assert doc["classes"][2]["length"] == 10
+    doc["classes"][2]["length"] = 20
+
+
 def test_cli_bad_base_fails_validation(tmp_path):
     good = tmp_path / "a5.json"
     _capture(["tom", "A5", "--via", "oracle", "--format", "json",
               "--out", str(good)])
-    for corrupt in (_a5_raise_mark, _a5_mark_an_absent_subgroup):
+    for corrupt in (_a5_raise_mark, _a5_mark_an_absent_subgroup,
+                    _a5_double_length_of_class_2):
         doc = json.loads(good.read_text())
         corrupt(doc)
         bad = tmp_path / "bad.json"
@@ -270,13 +277,16 @@ def _a4_drop_order_3(doc):
 
 
 def test_cli_conjugate_representatives_fail_validation(tmp_path):
-    """A pattern file whose transversal repeats a class or misses one is a
-    validation failure, for verify and for --base."""
+    """A pattern file whose transversal repeats a class or misses one, or
+    whose class length disagrees with its normalizer, is a validation
+    failure, for verify and for --base."""
     for group, target, corrupt, fail in [
         ("S5", "S5", _s5_repeat_class_1,
          "FAIL: transversal contains conjugate duplicates"),
         ("A4", "S4", _a4_drop_order_3,
          "FAIL: generated subgroup matches no class of the transversal"),
+        ("A5", "S5", _a5_double_length_of_class_2,
+         "FAIL: class 2: length 20 x normalizer 6 is not the group order"),
     ]:
         good = tmp_path / "good.json"
         code, _ = _capture(["tom", group, "--via", "oracle", "--format",
