@@ -55,9 +55,6 @@ class Catalog:
             self._built[key] = entry.build()
         return self._built[key]
 
-    def names(self) -> list[str]:
-        return [e.name for e in self.entries.values()]
-
 
 # ---------------------------------------------------------------------------
 # constructors

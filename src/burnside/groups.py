@@ -860,11 +860,9 @@ def derived_subgroup(G: PermGroup) -> PermGroup:
     return PermGroup(gens, G.degree)
 
 
-def derived_series(G: PermGroup, *, max_steps: int = 64) -> list[PermGroup]:
+def derived_series(G: PermGroup) -> list[PermGroup]:
     series = [G]
     while series[-1].order > 1:
-        if len(series) > max_steps:
-            raise NotSolvableError("derived series did not terminate")
         nxt = derived_subgroup(series[-1])
         if nxt.order == series[-1].order:
             raise NotSolvableError(

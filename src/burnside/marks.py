@@ -19,7 +19,7 @@ block (classes of subgroups inside A) and the outer block:
   each column pair, divisibility by the diagonal, transitivity bounds,
   congruence constraints from the rows of the Dress matrix, and, as a
   last resort, explicit counting of the conjugates of K containing a
-  fixed element t (a union of centralizer orbits).
+  fixed element t (read off the class orbit of K).
 
 Everything is deterministic; per-row decisions are tagged for
 diagnostics.
@@ -39,12 +39,9 @@ from .extension import (
 from .groups import (
     PermGroup,
     Subgroup,
-    centralizer,
     composition_steps,
     coset_transversal,
     normalizer,
-    orbit,
-    path_product,
     rewrap,
     subgroup_class_id,
     trivial_subgroup,
@@ -236,64 +233,15 @@ def dress_row(S: PermGroup, ident: ClassIdentifier, u_index: int,
 def incidence_probe(S: PermGroup, K: Subgroup, t: tuple[int, ...]):
     """Conjugates of K containing t, as a list of element sets.
 
-    Computed as a disjoint union of centralizer orbits: the classes of
-    elements of K lying in the S-class of t are merged into
-    N_S(K)-orbits; each orbit contributes the C_S(t)-orbit of one
-    conjugate K^s with the orbit representative mapped onto t.
+    Read off the class orbit of K that the kernel keeps for class
+    identification: every member key (an element index set) that holds
+    the index of t is one such conjugate.
     """
     if K.is_normal_in(S):
         return [K.elements()] if t in K else []
-    tcid = S.class_of_element(t)
-    T = sorted(x for x in K.elements()
-               if x != S.identity and S.class_of_element(x) == tcid)
-    if not T:
-        return []
-    N = normalizer(S, K)
-    # one element of each N-orbit on T
-    reps, seen = [], set()
-    for x in T:
-        if x not in seen:
-            seen.update(orbit([x], N.gens, conj))
-            reps.append(x)
-    C = centralizer(S, t)
-    members: list[frozenset] = []
-    seen_fp: set = set()
-    kelems = K.elements()
-    for a in reps:
-        s = _element_conjugator(S, a, t)
-        local = orbit([frozenset(conj(x, s) for x in kelems)], C.gens,
-                      lambda m, g: frozenset(conj(x, g) for x in m))
-        if local.keys() & seen_fp:
-            raise RuntimeError("centralizer orbits are not disjoint")
-        seen_fp.update(local)
-        members.extend(local)
-    if not all(t in m for m in members):
-        raise RuntimeError("a probe member does not contain t")
-    return members
-
-
-def _element_conjugator(S: PermGroup, a: tuple, b: tuple) -> tuple:
-    """Some s in S with a^s = b (a, b conjugate): the product along the
-    tree path to b in the orbit of a."""
-    tree = orbit([a], S.gens, conj)
-    if b not in tree:
-        raise ValueError("elements are not conjugate")
-    return path_product(tree, b, S.gens, {a: S.identity})
-
-
-def explicit_mark(S: PermGroup, K: Subgroup, V: Subgroup,
-                  t: tuple[int, ...], *, norm_K_order: int | None = None):
-    """Exact mark of V on S/K by explicit incidence counting.
-
-    t must be an element of V; returns (mark, probe_size).
-    """
-    if K.order % V.order:
-        return 0, 0
-    members = incidence_probe(S, K, t)
-    hits = sum(1 for m in members if all(g in m for g in V.gens))
-    if norm_K_order is None:
-        norm_K_order = normalizer(S, K).order
-    return (norm_K_order // K.order) * hits, len(members)
+    cls = S._sub_classes[subgroup_class_id(S, K)]
+    (ti,) = S.index_set([t])
+    return [S.elements_of(key) for key in cls.tree if ti in key]
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +452,7 @@ class MarksExtender:
                     st.set_cand(j, opts)
         return changed
 
-    def dress_pass(self, st: "RowState", only: int | None = None) -> bool:
+    def dress_pass(self, st: "RowState") -> bool:
         """Prune candidates by the congruence and bound each stable inner
         class U imposes on the outer part of the row, then by the plain
         congruences of outer classes.
@@ -513,21 +461,17 @@ class MarksExtender:
         repeat passes only those whose support changed since the last
         visit."""
         rows = self.dress_rows()
-        if only is not None:
-            relevant = [k for k, dr in enumerate(rows) if dr.u_index == only]
+        hit = set()
+        if st.dress_fresh:
+            source = list(st.cand.keys())
+            st.dress_fresh = False
         else:
-            hit = set()
-            if st.dress_fresh:
-                source = list(st.cand.keys())
-                st.dress_fresh = False
-            else:
-                source = list(st.changed)
-            for j in source:
-                hit.update(self._supporters.get(j, ()))
-            st.changed.clear()
-            relevant = sorted(hit)
+            source = list(st.changed)
+        for j in source:
+            hit.update(self._supporters.get(j, ()))
+        st.changed.clear()
         changed = False
-        for k in relevant:
+        for k in sorted(hit):
             if self._dress_single(st, rows[k]):
                 changed = True
             if not st.cand:
@@ -865,15 +809,14 @@ def verify_dress(pattern: SubgroupPattern):
     return not violations, violations
 
 
-def validate_pattern(pattern: SubgroupPattern, *,
-                     check_dress: bool = True) -> list[str]:
+def validate_pattern(pattern: SubgroupPattern) -> list[str]:
     """Structural invariant suite; returns a list of violations.
 
     Checks triangular shape, class length x normalizer order = group
     order, order divisibility at nonzero cells, diagonal = normalizer
     index, first column = group index, last row of ones, row
     divisibility by the diagonal, the mod-p column
-    congruence for recorded (rep∩A, rep) pairs, and (optionally) the
+    congruence for recorded (rep∩A, rep) pairs, and the
     Dress congruences, which also reject conjugate representatives and
     a transversal that misses a class.
     """
@@ -916,10 +859,9 @@ def validate_pattern(pattern: SubgroupPattern, *,
                     out.append(
                         f"column congruence mod {p} fails at row {i}, "
                         f"columns ({g},{j})")
-    if check_dress:
-        try:
-            ok, viol = verify_dress(pattern)
-        except (ConjugateDuplicatesError, InconsistentTableError) as exc:
-            viol = [str(exc)]
-        out.extend(viol)
+    try:
+        _, viol = verify_dress(pattern)
+    except (ConjugateDuplicatesError, InconsistentTableError) as exc:
+        viol = [str(exc)]
+    out.extend(viol)
     return out

@@ -140,7 +140,7 @@ def test_criterion_5_dress_worked_example():
     targets, fixed = ext._dress_targets(st, dr, und)
     assert targets == [2] and fixed == 0, \
         "the involution congruence must force the two cells to sum to 2"
-    ext.dress_pass(st, only=1)
+    ext._dress_single(st, dr)
     assert st.cand.get(c4, (st.values[c4],)) in ((0, 2), (0,), (2,))
     assert st.cand.get(v4, (st.values[v4],)) in ((0, 2), (0,), (2,))
     while st.cand:

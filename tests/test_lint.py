@@ -1,6 +1,7 @@
 """Source lint: checks on inputs and invariants must survive
 ``python -O``, so the package holds no ``assert`` statement; and the
-package exports only names it defines."""
+package exports only names it defines, and references every private
+helper it defines."""
 
 import ast
 from pathlib import Path
@@ -23,3 +24,27 @@ def test_every_exported_name_exists():
     missing = [name for name in burnside.__all__
                if not hasattr(burnside, name)]
     assert burnside.__all__ and not missing, missing
+
+
+def test_every_private_helper_is_referenced():
+    """A private module-level function or class, or a private method,
+    that nothing else in the package names is a leftover."""
+    trees = [ast.parse(path.read_text(), str(path)) for path in SOURCES]
+    defined = []
+    used = set()
+    for tree in trees:
+        for node in tree.body:
+            defs = [node]
+            if isinstance(node, ast.ClassDef):
+                defs += node.body
+            defined += [d.name for d in defs
+                        if isinstance(d, (ast.FunctionDef, ast.ClassDef))
+                        and d.name.startswith("_")
+                        and not d.name.endswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    orphans = sorted(set(defined) - used)
+    assert defined and not orphans, orphans

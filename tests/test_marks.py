@@ -3,10 +3,17 @@ Dress machinery, incidence probes, and the assembled tables."""
 
 import pytest
 
-from fixtures import FIG_A5, FIG_S5, GL23_PANELS
+from fixtures import FIG_A5, FIG_S5, GL23_PANELS, relabeled
 
 from burnside.catalog import CATALOG, abelian_group, cyclic_group
-from burnside.groups import Subgroup, normalizer, trivial_subgroup
+from burnside.groups import (
+    Subgroup,
+    centralizer,
+    normalizer,
+    orbit,
+    path_product,
+    trivial_subgroup,
+)
 from burnside.lattice import (
     all_subgroup_classes_brute,
     compare_patterns,
@@ -17,7 +24,6 @@ from burnside.marks import (
     MarksExtender,
     SubgroupPattern,
     dress_rows_full,
-    explicit_mark,
     extend_table_of_marks,
     incidence_probe,
     mark_fixed_cosets,
@@ -27,7 +33,7 @@ from burnside.marks import (
     validate_pattern,
     verify_dress,
 )
-from burnside.perms import parse_cycles
+from burnside.perms import conj, parse_cycles
 
 
 def _sub(G, *cycles):
@@ -179,7 +185,7 @@ def test_dress_worked_example(s5_ext):
     assert targets == [2] and fixed == 0
     feas = ext._dress_enumerate(st, dr, und, targets, fixed)
     assert feas is not None
-    assert ext.dress_pass(st, only=1) is False  # nothing prunable yet
+    assert ext._dress_single(st, dr) is False  # nothing prunable yet
     assert st.cand[c4] == (0, 2) and st.cand[v4] == (0, 2)
     # finish the row: the engine must resolve to (0, 2) without probing
     while st.cand:
@@ -269,24 +275,65 @@ def test_incidence_probe_empty(s5):
     assert incidence_probe(s5, s4sub, t) == []
 
 
-def test_explicit_mark_values(s5, s4):
+def _probe_mark(S, K, V, t):
+    """|N(K):K| times the number of probe members (t in V) containing V."""
+    hits = sum(1 for m in incidence_probe(S, K, t) if V.elements() <= m)
+    return normalizer(S, K).order // K.order * hits
+
+
+def test_explicit_mark_values(s5):
     d8 = _sub(s5, "(1,2,3,4)", "(1,3)")
     c4 = _sub(s5, "(1,2,3,4)")
-    mark, size = explicit_mark(s5, d8, c4, parse_cycles("(1,2,3,4)", 5))
-    assert mark == 1
+    assert _probe_mark(s5, d8, c4, parse_cycles("(1,2,3,4)", 5)) == 1
     d12 = _sub(s5, "(1,2,3)", "(4,5)", "(1,2)")
     assert d12.order == 12
     v4red = _sub(s5, "(1,2)", "(3,4)")
-    mark2, _ = explicit_mark(s5, d12, v4red, parse_cycles("(1,2)", 5))
-    assert mark2 == 2
+    assert _probe_mark(s5, d12, v4red, parse_cycles("(1,2)", 5)) == 2
     c4red = _sub(s5, "(1,2,3,4)")
-    mark3, _ = explicit_mark(s5, d12, c4red, parse_cycles("(1,2,3,4)", 5))
-    assert mark3 == 0
-    # Lagrange short-circuit
-    c5 = _sub(s4, "(1,2,3)")
-    mark4, size4 = explicit_mark(s4, _sub(s4, "(1,2)"), c5,
-                                 parse_cycles("(1,2,3)", 4))
-    assert (mark4, size4) == (0, 0)
+    assert _probe_mark(s5, d12, c4red, parse_cycles("(1,2,3,4)", 5)) == 0
+
+
+def _probe_by_centralizer_orbits(S, K, t):
+    """Reference probe: the classes of elements of K lying in the S-class
+    of t are merged into N_S(K)-orbits; each orbit contributes the
+    C_S(t)-orbit of one conjugate K^s with the orbit representative
+    mapped onto t.  The identity is left out of K, so t = 1 gives []."""
+    if K.is_normal_in(S):
+        return [K.elements()] if t in K else []
+    tcid = S.class_of_element(t)
+    T = sorted(x for x in K.elements()
+               if x != S.identity and S.class_of_element(x) == tcid)
+    N = normalizer(S, K)
+    reps, seen = [], set()
+    for x in T:
+        if x not in seen:
+            seen.update(orbit([x], N.gens, conj))
+            reps.append(x)
+    C = centralizer(S, t)
+    kelems = K.elements()
+    members = []
+    for a in reps:
+        s = path_product(orbit([a], S.gens, conj), t, S.gens,
+                         {a: S.identity})
+        members.extend(orbit([frozenset(conj(x, s) for x in kelems)], C.gens,
+                             lambda m, g: frozenset(conj(x, g) for x in m)))
+    return members
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("name", ["S5", "A6", "GL2(3)", "S6"])
+def test_incidence_probe_matches_centralizer_orbits(name, seed):
+    G = relabeled(name, seed)
+    ts = [x for x, _ in G.element_classes() if x != G.identity]
+    for K in all_subgroup_classes_brute(G):
+        for t in ts:
+            want = _probe_by_centralizer_orbits(G, K, t)
+            got = incidence_probe(G, K, t)
+            assert len(got) == len(want) == len(set(want))
+            assert set(got) == set(want)
+        # every conjugate contains the identity
+        conjugates = G.order // normalizer(G, K).order
+        assert len(incidence_probe(G, K, G.identity)) == conjugates
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +398,7 @@ def test_pattern_sorted_ascending(a5_pattern, s5):
     srt = pat.sorted_ascending()
     orders = srt.class_orders()
     assert orders == sorted(orders)
-    assert not validate_pattern(srt, check_dress=False)
+    assert not validate_pattern(srt)
     # gamma links survive the sort
     for j, c in enumerate(srt.classes):
         if c.gamma_index is not None:
@@ -395,7 +442,7 @@ def test_validate_pattern_catches_bad_diag(a5_pattern):
     rows[3][3] += 1
     bad = SubgroupPattern(group=a5_pattern.group, classes=a5_pattern.classes,
                           rows=rows, stats=a5_pattern.stats)
-    problems = validate_pattern(bad, check_dress=False)
+    problems = validate_pattern(bad)
     assert problems
 
 
