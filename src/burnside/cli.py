@@ -113,6 +113,8 @@ def _read_pattern(path: str) -> SubgroupPattern:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         name = doc["group"]
+        if not isinstance(name, str):
+            raise TypeError(f"group is not a string: {name!r}")
     except OSError as exc:
         raise CliError(INPUT_ERROR, f"cannot read {path}: {exc}")
     except (ValueError, KeyError, TypeError) as exc:

@@ -485,33 +485,38 @@ def rewrap(G: PermGroup, H: Subgroup | PermGroup) -> Subgroup:
 
 
 def close_elements(gens, degree, *, cap=None, seed=None):
-    """Close a generating set into a full element set by BFS products.
+    """The element set of the group the generators span, closed by
+    cosets (Dimino's algorithm).
 
-    ``seed`` may carry already-known elements (they must lie in the
-    group the generators span).  Returns a set of tuples, or None if
-    ``cap`` is given and exceeded.
+    A known subgroup H grows to <H, gens> as a union of right cosets
+    H r: each coset representative r is multiplied by every generator,
+    and a product y outside the set brings its whole coset H y in.
+    Without ``seed``, H starts trivial and the generators are added one
+    at a time; ``seed`` must be the element set of a subgroup of the
+    group the generators span, and is closed in one step.  Returns a set
+    of tuples, or None exactly when the group order exceeds ``cap``.
     """
     idn = identity_tuple(degree)
     elems = {idn}
     if seed is not None:
         elems.update(seed)
     gens = list(dict.fromkeys(g for g in gens if g != idn))
-    if not gens:
-        return elems
-    elems.update(gens)
-    frontier = list(elems)
-    while frontier:
-        if cap is not None and len(elems) > cap:
-            return None
-        new = []
-        for x in frontier:
-            for s in gens:
-                y = mul(x, s)
+    steps = [gens] if seed is not None else [
+        gens[:i + 1] for i in range(len(gens))]
+    for step in steps:
+        if all(s in elems for s in step):
+            continue
+        subgroup = list(elems)
+        reps = [idn]
+        for r in reps:
+            for s in step:
+                y = mul(r, s)
                 if y not in elems:
-                    elems.add(y)
-                    new.append(y)
-        frontier = new
-    return elems
+                    elems.update([mul(h, y) for h in subgroup])
+                    reps.append(y)
+                    if cap is not None and len(elems) > cap:
+                        return None
+    return elems if cap is None or len(elems) <= cap else None
 
 
 def join_normalizing(h_elems: frozenset, h_gens, z: tuple[int, ...]):

@@ -40,7 +40,7 @@ from .marks import (
     PatternClass,
     PatternStats,
     SubgroupPattern,
-    mark_fixed_cosets,
+    mark_row,
 )
 from .perms import conj, order_of, power
 
@@ -162,18 +162,9 @@ def table_of_marks_brute(G: PermGroup,
         classes.append(PatternClass(
             rep=rep, order=rep.order, length=length,
             normalizer_order=G.order // length))
-    rows = []
-    for i, ki in enumerate(classes):
-        row = []
-        k_normal = ki.length == 1
-        for j in range(i + 1):
-            hj = classes[j]
-            if ki.order % hj.order:
-                row.append(0)
-            else:
-                row.append(mark_fixed_cosets(G, ki.rep, hj.rep,
-                                             k_normal=k_normal))
-        rows.append(row)
+    rows = [mark_row(G, ki.rep, [hj.rep for hj in classes[:i + 1]],
+                     k_normal=ki.length == 1)
+            for i, ki in enumerate(classes)]
     return SubgroupPattern(group=G, classes=classes, rows=rows,
                            stats=PatternStats())
 

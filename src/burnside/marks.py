@@ -137,28 +137,40 @@ def trivial_pattern(degree: int = 1) -> SubgroupPattern:
 # the defining mark computation (the oracle side uses only this)
 
 
-def mark_fixed_cosets(G: PermGroup, K: Subgroup, H: Subgroup, *,
-                      k_normal: bool | None = None) -> int:
-    """Number of cosets of K fixed by H in the action of G on G/K.
+def mark_row(G: PermGroup, K: Subgroup, Hs, *,
+             k_normal: bool | None = None) -> list[int]:
+    """Marks of each H in ``Hs`` on G/K: the number of cosets of K fixed
+    by H in the action of G on G/K.
 
-    Counted over an explicit coset transversal; a coset Kg is fixed
-    exactly when g H g^-1 lies inside K.  For normal K every conjugate
-    condition degenerates to plain containment, so the count is either
-    the full index or zero.  ``k_normal`` may be passed by callers that
-    already know it (e.g. from the class length).
+    Counted over an explicit coset transversal, built once for the row
+    and only if some order divides |K|; a coset Kg is fixed exactly when
+    g H g^-1 lies inside K.  For normal K every conjugate condition
+    degenerates to plain containment, so a mark is either the full index
+    or zero.  ``k_normal`` may be passed by callers that already know it
+    (e.g. from the class length).
     """
-    if K.order % H.order:
-        return 0
     if k_normal is None:
         k_normal = K.is_normal_in(G)
-    if k_normal:
-        return (G.order // K.order) if H.is_subset_of(K) else 0
-    count = 0
-    for g in coset_transversal(G, K):
-        gi = inv(g)
-        if all(conj(h, gi) in K for h in H.gens):
-            count += 1
-    return count
+    index = G.order // K.order
+    inverses = None
+    row = []
+    for H in Hs:
+        if K.order % H.order:
+            row.append(0)
+        elif k_normal:
+            row.append(index if H.is_subset_of(K) else 0)
+        else:
+            if inverses is None:
+                inverses = [inv(g) for g in coset_transversal(G, K)]
+            row.append(sum(all(conj(h, gi) in K for h in H.gens)
+                           for gi in inverses))
+    return row
+
+
+def mark_fixed_cosets(G: PermGroup, K: Subgroup, H: Subgroup, *,
+                      k_normal: bool | None = None) -> int:
+    """The mark of H on G/K: ``mark_row`` of a one-cell row."""
+    return mark_row(G, K, [H], k_normal=k_normal)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -75,8 +75,10 @@ def pattern_from_dict(doc: dict, group: PermGroup) -> SubgroupPattern:
     if _expect(degree, int, "degree") != group.degree:
         raise PatternFormatError(
             f"degree {degree} does not match the group's {group.degree}")
+    if not _expect(raw_classes, list, "classes"):
+        raise PatternFormatError("classes is empty")
     classes = []
-    for k, rc in enumerate(_expect(raw_classes, list, "classes")):
+    for k, rc in enumerate(raw_classes):
         _expect(rc, dict, f"class {k}")
         try:
             order, length = rc["order"], rc["length"]

@@ -32,7 +32,7 @@ from burnside.groups import (
     transversal,
     trivial_subgroup,
 )
-from burnside.lattice import all_subgroup_classes_brute
+from burnside.lattice import all_subgroup_classes_brute, zuppos
 from burnside.perms import conj, mul, order_of, parse_cycles
 
 
@@ -378,3 +378,36 @@ def test_quotient_by_the_trivial_group_is_the_group_itself(s4):
     W, lift = quotient_group(s4, trivial_subgroup(s4))
     assert W is s4
     assert all(lift(x) == x for x in s4.elements())
+
+
+CLOSURE_GROUPS = ["S4", "A5", "S5", "GL2(3)"]
+
+
+@pytest.mark.parametrize("name", CLOSURE_GROUPS)
+def test_close_elements_matches_a_breadth_first_closure(name):
+    """<H, z> for every class representative H and every zuppo z, closed
+    by cosets from scratch and from H's element set, is the group the
+    plain product closure finds."""
+    G = CATALOG.group(name)
+    zups = [x for x, _ in zuppos(G)]
+    for H in all_subgroup_classes_brute(G):
+        for z in zups:
+            gens = H.gens + (z,)
+            want = naive_closure(gens, G.degree)
+            assert groups.close_elements(gens, G.degree) == want
+            assert groups.close_elements(gens, G.degree,
+                                         seed=H.elements()) == want
+
+
+@pytest.mark.parametrize("name", CLOSURE_GROUPS)
+def test_close_elements_cap_is_the_largest_order_returned(name):
+    """A cap one below the order gives None, a cap equal to it the
+    element set, with and without a seed (the cyclic subgroup of the
+    first generator)."""
+    G = CATALOG.group(name)
+    for H in all_subgroup_classes_brute(G) + [Subgroup(G, G.gens)]:
+        want = H.elements()
+        for seed in (None, Subgroup(G, H.gens[:1]).elements()):
+            for cap, result in ((H.order - 1, None), (H.order, want)):
+                assert groups.close_elements(
+                    H.gens, G.degree, cap=cap, seed=seed) == result

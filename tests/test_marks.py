@@ -5,6 +5,7 @@ import pytest
 
 from fixtures import FIG_A5, FIG_S5, GL23_PANELS, relabeled
 
+from burnside import marks
 from burnside.catalog import CATALOG, abelian_group, cyclic_group
 from burnside.groups import (
     Subgroup,
@@ -27,6 +28,7 @@ from burnside.marks import (
     extend_table_of_marks,
     incidence_probe,
     mark_fixed_cosets,
+    mark_row,
     solvable_pattern_chain,
     table_of_marks_solvable,
     trivial_pattern,
@@ -74,6 +76,35 @@ def test_mark_against_incidence_formula(s4):
             cnt = sum(1 for c in conjugates
                       if all(g in c for g in H.gens))
             assert mark_fixed_cosets(s4, K, H) == nk * cnt
+
+
+@pytest.mark.parametrize("name", ["S4", "A5", "S5", "GL2(3)"])
+def test_mark_row_matches_each_cell(name, monkeypatch):
+    """Every row of the oracle's triangle, one mark_row call with the
+    normality read from the class length, equals the cells counted one
+    at a time; a row builds at most one coset transversal, and none when
+    K is normal or no H has an order dividing |K|."""
+    G = CATALOG.group(name)
+    pat = table_of_marks_brute(G)
+    built = []
+    real = marks.coset_transversal
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(marks, "coset_transversal", counted)
+    for i, ki in enumerate(pat.classes):
+        Hs = [hj.rep for hj in pat.classes[:i + 1]]
+        cells = [mark_fixed_cosets(G, ki.rep, H) for H in Hs]
+        built.clear()
+        assert mark_row(G, ki.rep, Hs, k_normal=ki.length == 1) == cells
+        assert cells == pat.rows[i]
+        assert len(built) == (ki.length > 1)  # the row's own H = K divides
+        built.clear()
+        whole = pat.classes[-1].rep
+        assert mark_row(G, ki.rep, [whole]) == [int(ki.rep.order == G.order)]
+        assert not built
 
 
 # ---------------------------------------------------------------------------

@@ -396,6 +396,9 @@ BAD_PATTERN_FILES = {
         {"order": 1, "normalizer": 60, "generators": []}], "marks": [[60]]},
     "class not an object": {"group": "A5", "degree": 5, "classes": [7],
                             "marks": [[60]]},
+    "group not a string": {"group": 5, "degree": 5, "classes": [
+        {"order": 1, "length": 1, "normalizer": 60, "generators": []}],
+        "marks": [[60]]},
 }
 A5_TRIVIAL = {"group": "A5", "degree": 5, "classes": [
     {"order": 1, "length": 1, "normalizer": 60, "generators": []}],
@@ -411,6 +414,7 @@ BAD_FIELDS = {
                             "mark (0,0) is not an integer"),
     "stats not an object": ({"stats": 3}, "stats is not an object"),
     "degree a string": ({"degree": "5"}, "degree is not an integer"),
+    "no classes": ({"classes": [], "marks": []}, "classes is empty"),
 }
 BAD_PATTERN_FILES.update(
     {k: {**A5_TRIVIAL, **v} for k, (v, _) in BAD_FIELDS.items()})
