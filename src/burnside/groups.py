@@ -22,12 +22,14 @@ cap on coset actions, QUOTIENT_CAP.
 
 Each group numbers its elements on first sight (an index per element
 tuple) and keeps one conjugation table per generator, index to index,
-filled on demand.  The class key of a subgroup of order at most SET_CAP
-is the frozenset of its element indices in the ambient group's
-numbering, so a step of a class orbit walk is one table gather per
-element instead of a permutation conjugation.  A class stores its orbit
-as a Schreier tree (member key -> parent key and generator index), and
-conjugating elements are multiplied out only for the members asked for.
+filled on demand by two gathers per entry through the generator's
+inverse, which is computed once (``perms.conj_by``).  The class key of
+a subgroup of order at most SET_CAP is the frozenset of its element
+indices in the ambient group's numbering, so a step of a class orbit
+walk is one table gather per element instead of a permutation
+conjugation.  A class stores its orbit as a Schreier tree (member key
+-> parent key and generator index), and conjugating elements are
+multiplied out only for the members asked for.
 Class ids, conjugacy tests and normalizers rewrap a subgroup handle of
 another ambient group before reading its key.
 """
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .perms import conj, identity_tuple, inv, mul, order_of
+from .perms import conj, conj_by, identity_tuple, inv, mul, order_of
 from .perms import power as perm_power
 
 # subgroups up to this order keep an explicit element set (used for
@@ -202,16 +204,23 @@ def _clean_gens(gens, degree: int) -> tuple[tuple[int, ...], ...]:
     return tuple(dict.fromkeys(raw))
 
 
+def _apply(x, f):
+    """Orbit action through a map: the image of x under f."""
+    return f(x)
+
+
 class _Numbering:
-    """Element indices of one group, assigned on first sight, and one
-    conjugation table per generator (index -> index, -1 while unfilled)."""
+    """Element indices of one group, assigned on first sight, one
+    conjugation table per generator (index -> index, -1 while unfilled),
+    and the map x -> x^s of each generator s, which fills it."""
 
-    __slots__ = ("index", "elts", "tabs")
+    __slots__ = ("index", "elts", "tabs", "conj")
 
-    def __init__(self, ngens: int):
+    def __init__(self, gens):
         self.index: dict = {}                  # element tuple -> index
         self.elts: list = []                   # index -> element tuple
-        self.tabs: list[list[int]] = [[] for _ in range(ngens)]
+        self.tabs: list[list[int]] = [[] for _ in gens]
+        self.conj = [conj_by(s) for s in gens]
 
     def number(self, x: tuple[int, ...]) -> int:
         i = self.index.get(x)
@@ -278,8 +287,12 @@ class PermGroup:
 
     def _num(self) -> "_Numbering":
         if self._numbering is None:
-            self._numbering = _Numbering(len(self.gens))
+            self._numbering = _Numbering(self.gens)
         return self._numbering
+
+    def gen_conj(self) -> list:
+        """The maps x -> x^s of the generators s, in generator order."""
+        return self._num().conj
 
     def index_set(self, elems) -> frozenset:
         """Frozenset of the indices of the given elements (a re-iterable
@@ -303,10 +316,10 @@ class PermGroup:
         out = frozenset(map(tab.__getitem__, idxs))
         if -1 not in out:
             return out
-        s = self.gens[k]
+        c = num.conj[k]
         for i in idxs:
             if tab[i] < 0:
-                tab[i] = num.number(conj(elts[i], s))
+                tab[i] = num.number(c(elts[i]))
         return frozenset(map(tab.__getitem__, idxs))
 
     def __repr__(self) -> str:
@@ -328,7 +341,7 @@ class PermGroup:
             for x in elems:
                 if x in class_of:
                     continue
-                members = orbit([x], self.gens, conj)
+                members = orbit([x], self.gen_conj(), _apply)
                 class_of.update(dict.fromkeys(members, len(classes)))
                 classes.append((x, len(members)))
             ordering = sorted(range(len(classes)),
@@ -423,10 +436,10 @@ class Subgroup:
                 and self.is_subset_of(other))
 
     def conjugated(self, g: tuple[int, ...]) -> "Subgroup":
-        gens = [conj(x, g) for x in self.gens]
+        c = conj_by(g)
+        gens = [c(x) for x in self.gens]
         if self._elems is not None and self.order <= SET_CAP:
-            return Subgroup(self.ambient, gens,
-                            elems=[conj(x, g) for x in self._elems])
+            return Subgroup(self.ambient, gens, elems=map(c, self._elems))
         return Subgroup(self.ambient, gens)
 
     def join(self, t: tuple[int, ...]) -> "Subgroup":
@@ -576,11 +589,11 @@ def centralizer(G: PermGroup, x) -> Subgroup:
     cached = G._centralizers.get(t)
     if cached is not None:
         return cached
-    reps = transversal(orbit([t], G.gens, conj), G.gens, G.identity)
+    cg = G.gen_conj()
+    reps = transversal(orbit([t], cg, _apply), G.gens, G.identity)
     target = G.order // len(reps)
     gens = _stabilizer_from_orbit(
-        G, reps, reps.__getitem__, lambda y, k: conj(y, G.gens[k]), target,
-        [t])
+        G, reps, reps.__getitem__, lambda y, k: cg[k](y), target, [t])
     result = Subgroup(G, gens)
     if result.order != target:
         raise RuntimeError(
@@ -813,8 +826,8 @@ def rational_classes(W: PermGroup, q: int, skip=None) -> list:
             continue
         if skip is not None and skip(w):
             continue
-        seen.update(orbit([perm_power(w, k) for k in range(1, q)], W.gens,
-                          conj))
+        seen.update(orbit([perm_power(w, k) for k in range(1, q)],
+                          W.gen_conj(), _apply))
         out.append(w)
     return out
 

@@ -42,7 +42,7 @@ from .marks import (
     SubgroupPattern,
     mark_row,
 )
-from .perms import conj, order_of, power
+from .perms import conj, conj_by, order_of, power
 
 DEFAULT_CAP = 2000
 
@@ -75,9 +75,9 @@ def zuppos(G: PermGroup) -> list[tuple[tuple[int, ...], frozenset]]:
     return out
 
 
-def _conj_set(elems: frozenset, g: tuple[int, ...]) -> frozenset:
-    """The element set conjugated by g."""
-    return frozenset(conj(x, g) for x in elems)
+def _conj_set(elems: frozenset, c) -> frozenset:
+    """The element set conjugated through c, a map x -> x^g."""
+    return frozenset(map(c, elems))
 
 
 def all_subgroup_classes_brute(G: PermGroup,
@@ -103,7 +103,7 @@ def all_subgroup_classes_brute(G: PermGroup,
     zclass: dict = {}
     for _, zel in zups:
         if zel not in zclass:
-            cls = tuple(orbit([zel], G.gens, _conj_set))
+            cls = tuple(orbit([zel], G.gen_conj(), _conj_set))
             zclass.update(dict.fromkeys(cls, cls))
     qi = 0
     while qi < len(reps):
@@ -113,13 +113,14 @@ def all_subgroup_classes_brute(G: PermGroup,
         normal = H.is_normal_in(G)
         if not normal:
             N = normalizer(G, H)
-            ngens = N.gens if H.is_normal_in(N) else ()
+            nconj = ([conj_by(g) for g in N.gens] if H.is_normal_in(N)
+                     else ())
         seen: set = set()
         for x, zel in zups:
             if x in helems or zel in seen:
                 continue
             seen.update(zclass[zel] if normal
-                        else orbit([zel], ngens, _conj_set))
+                        else orbit([zel], nconj, _conj_set))
             elems = join_normalizing(helems, H.gens, x)
             if elems is None:
                 elems = close_elements(H.gens + (x,), G.degree, seed=helems)

@@ -109,9 +109,9 @@ def pattern_from_dict(doc: dict, group: PermGroup) -> SubgroupPattern:
         for j, v in enumerate(row):
             _expect(v, int, f"mark ({i},{j})")
     _expect(stats, dict, "stats")
-    st = PatternStats(probes=stats.get("probes", 0),
-                      max_probe=stats.get("max_probe", 0),
-                      millis=stats.get("millis", 0))
+    st = PatternStats(**{
+        key: _expect(stats.get(key, 0), int, f"stats: {key}")
+        for key in ("probes", "max_probe", "millis")})
     return SubgroupPattern(group=group, classes=classes,
                            rows=[list(r) for r in marks], stats=st)
 

@@ -9,12 +9,23 @@ Conventions used throughout the package:
   from outside enters through :func:`parse_cycles`,
 * permutations act on the right and compose left-to-right, so
   ``mul(g, h)[x] == h[g[x]]``.
+
+The hot primitives are gathers, so that their loop over the points runs
+in C (``operator.itemgetter``): a product ``mul(a, b)`` gathers b at
+the points of a, and ``conj_by(g)`` is the map x -> x^g for conjugating
+many elements by one g, two gathers per element through g's inverse,
+which it computes once.  ``inv`` keeps its Python loop: an inverse is a
+scatter, not a gather, and its C-level forms (a sort, a dict) measure
+slower than the loop.  The one-shot ``conj(a, g)`` keeps its loop too:
+by gathers it would first have to invert g, which costs most of what
+the whole ``conj`` loop does.
 """
 
 from __future__ import annotations
 
 import re
 from math import lcm
+from operator import itemgetter
 
 
 class CycleParseError(ValueError):
@@ -27,6 +38,9 @@ def identity_tuple(degree: int) -> tuple[int, ...]:
 
 def mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Product `a then b` (left-to-right composition)."""
+    if len(a) > 1:
+        return itemgetter(*a)(b)
+    # a one-index itemgetter returns the item, not a 1-tuple
     return tuple(map(b.__getitem__, a))
 
 
@@ -43,6 +57,18 @@ def conj(a: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
     for i, x in enumerate(a):
         out[g[i]] = g[x]
     return tuple(out)
+
+
+def conj_by(g: tuple[int, ...]):
+    """The map x -> g^-1 * x * g, for conjugating many elements by one g.
+
+    x^g maps g[i] to g[x[i]], so x^g == g[x[g^-1]]: a gather of x at
+    the points of g^-1, then a gather of g at those.
+    """
+    if len(g) < 2:
+        return tuple  # the identity is the only permutation
+    gi = itemgetter(*inv(g))
+    return lambda x: itemgetter(*gi(x))(g)
 
 
 def power(a: tuple[int, ...], n: int) -> tuple[int, ...]:

@@ -411,3 +411,20 @@ def test_close_elements_cap_is_the_largest_order_returned(name):
             for cap, result in ((H.order - 1, None), (H.order, want)):
                 assert groups.close_elements(
                     H.gens, G.degree, cap=cap, seed=seed) == result
+
+
+@pytest.mark.parametrize("G", [CATALOG.group("S5"), CATALOG.group("GL2(3)"),
+                               relabeled("A6", 3)],
+                         ids=["S5", "GL2(3)", "A6 relabeled"])
+def test_conjugation_tables_match_tuple_conj(G):
+    """Every generator's table, filled over the whole group by gathers,
+    maps each index to the index of the conjugate by that generator."""
+    idxs = G.index_set(G.elements())
+    num = G._num()
+    for k, s in enumerate(G.gens):
+        image = G.conj_index_set(idxs, k)
+        assert image == idxs
+        tab, elts = num.tabs[k], num.elts
+        assert len(elts) == G.order
+        for i in range(G.order):
+            assert elts[tab[i]] == conj(elts[i], s)

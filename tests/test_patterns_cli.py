@@ -413,6 +413,12 @@ BAD_FIELDS = {
     "mark not an integer": ({"marks": [["x"]]},
                             "mark (0,0) is not an integer"),
     "stats not an object": ({"stats": 3}, "stats is not an object"),
+    "probes a string": ({"stats": {"probes": "x"}},
+                        "stats: probes is not an integer"),
+    "max_probe a float": ({"stats": {"max_probe": 1.5}},
+                          "stats: max_probe is not an integer"),
+    "millis a bool": ({"stats": {"millis": True}},
+                      "stats: millis is not an integer"),
     "degree a string": ({"degree": "5"}, "degree is not an integer"),
     "no classes": ({"classes": [], "marks": []}, "classes is empty"),
 }

@@ -4,6 +4,8 @@ import pytest
 
 from burnside.perms import (
     CycleParseError,
+    conj,
+    conj_by,
     format_tuple,
     identity_tuple,
     inv,
@@ -90,3 +92,43 @@ def test_format_round_trip():
         g = list(range(n)); rng.shuffle(g)
         g = tuple(g)
         assert parse_cycles(format_tuple(g), n) == g
+
+
+def _loop_mul(a, b):
+    # reference: the product point by point, b at each image of a
+    return tuple(map(b.__getitem__, a))
+
+
+def _loop_conj(a, g):
+    # g^-1 a g point by point: a maps i to a[i], so a^g maps g[i] to g[a[i]]
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        out[g[i]] = g[x]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 33, 155])
+def test_gathers_match_loop_definitions(n):
+    """mul, power, conj and conj_by equal the point-by-point definitions,
+    and return tuples at every degree (a one-index gather would not)."""
+    rng = random.Random(1000 + n)
+
+    def rand():
+        p = list(range(n))
+        rng.shuffle(p)
+        return tuple(p)
+
+    for _ in range(40):
+        a, b, g = rand(), rand(), rand()
+        assert type(mul(a, b)) is tuple
+        assert mul(a, b) == _loop_mul(a, b)
+        assert conj(a, g) == _loop_conj(a, g)
+        c = conj_by(g)
+        assert c(a) == _loop_conj(a, g)
+        assert type(c(a)) is tuple
+        k = rng.randrange(-3, 8)
+        want = identity_tuple(n)
+        step = a if k >= 0 else inv(a)
+        for _ in range(abs(k)):
+            want = _loop_mul(want, step)
+        assert power(a, k) == want
