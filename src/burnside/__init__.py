@@ -14,7 +14,6 @@ from .groups import (
     are_conjugate_subgroups,
     centralizer,
     composition_series,
-    coset_action,
     is_solvable,
     normalizer,
     quotient_group,
@@ -25,19 +24,16 @@ from .extension import (
     extension_elements,
     outer_classes,
     split_inner_classes,
-    subgroup_classes_solvable,
 )
 from .marks import (
     SubgroupPattern,
     extend_table_of_marks,
     mark_fixed_cosets,
     solvable_pattern_chain,
-    table_of_marks_solvable,
     validate_pattern,
     verify_dress,
 )
 from .lattice import (
-    all_subgroups_brute,
     compare_patterns,
     subgroup_classes_search,
     table_of_marks_brute,
@@ -47,13 +43,13 @@ from .catalog import CATALOG
 __all__ = [
     "PermGroup", "Subgroup", "SeriesChain",
     "are_conjugate_subgroups", "centralizer", "composition_series",
-    "coset_action", "is_solvable", "normalizer", "quotient_group",
+    "is_solvable", "normalizer", "quotient_group",
     "ExtensionContext", "extend_classes", "extension_elements",
-    "outer_classes", "split_inner_classes", "subgroup_classes_solvable",
+    "outer_classes", "split_inner_classes",
     "SubgroupPattern", "extend_table_of_marks", "mark_fixed_cosets",
-    "solvable_pattern_chain", "table_of_marks_solvable",
+    "solvable_pattern_chain",
     "validate_pattern", "verify_dress",
-    "all_subgroups_brute", "compare_patterns", "subgroup_classes_search",
+    "compare_patterns", "subgroup_classes_search",
     "table_of_marks_brute",
     "CATALOG",
 ]

@@ -21,14 +21,12 @@ from dataclasses import dataclass
 from .groups import (
     PermGroup,
     Subgroup,
-    composition_steps,
     normalizer,
     prime_factors,
     quotient_group,
     rational_classes,
     rewrap,
     subgroup_class_id,
-    trivial_subgroup,
 )
 from .perms import mul, order_of, power
 
@@ -244,17 +242,3 @@ def extend_classes(a_classes: list[Subgroup],
 def sort_class_reps(reps: list[Subgroup]) -> list[Subgroup]:
     """Stable sort by subgroup order (first-seen ties preserved)."""
     return sorted(reps, key=lambda h: h.order)
-
-
-def subgroup_classes_solvable(G: PermGroup) -> list[Subgroup]:
-    """Transversal of the subgroup classes of a solvable group.
-
-    Runs the extension step along a composition series, starting from
-    the trivial group.  Raises NotSolvableError otherwise.
-    """
-    classes, A = [trivial_subgroup(G)], PermGroup([], G.degree)
-    for S in composition_steps(G):
-        classes = extend_classes(sort_class_reps(classes),
-                                 ExtensionContext.create(S, A)).reps
-        A = S
-    return sort_class_reps(classes)

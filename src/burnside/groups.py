@@ -767,14 +767,10 @@ def coset_transversal(G: PermGroup, H: Subgroup) -> list[tuple[int, ...]]:
 def coset_action(G: PermGroup, H: Subgroup):
     """Action of G on the cosets of H.
 
-    Returns (image group, hom) where hom maps an element tuple of G to
-    its image tuple of degree |G:H|, at most QUOTIENT_CAP.
+    Returns (image group, hom, reps): hom maps an element tuple of G to
+    its image tuple of degree |G:H|, at most QUOTIENT_CAP, and point i
+    is the coset of reps[i].
     """
-    return _coset_action(G, H)[:2]
-
-
-def _coset_action(G: PermGroup, H: Subgroup):
-    """coset_action, and the transversal whose cosets are the points."""
     index = G.order // H.order
     if index > QUOTIENT_CAP:
         raise CapExceededError(f"coset action degree {index} over the limit")
@@ -800,7 +796,7 @@ def quotient_group(N: PermGroup, H: Subgroup):
         return N, lambda w: w
     if not H.is_normal_in(N):
         raise ValueError("subgroup is not normal")
-    W, _, reps = _coset_action(N, H)
+    W, _, reps = coset_action(N, H)
     if W.order != N.order // H.order:  # pragma: no cover
         raise RuntimeError("quotient action is not regular")
 

@@ -1,15 +1,15 @@
-"""Brute-force ground truth: full subgroup enumeration and direct
+"""Brute-force ground truth: subgroup classes by join closure and direct
 fixed-coset tables of marks for small groups.
 
 Enumeration is bottom-up join closure: class representatives are
 extended by cyclic subgroups of prime-power order (zuppos) and
-deduplicated up to conjugacy; orbits are expanded afterwards for the
-full subgroup list.  A representative H is joined with one zuppo per
-orbit of its normalizer N on the zuppos outside H, since conjugate
-zuppos give conjugate joins.  N comes from the kernel, so it is checked
-here to normalize H; when it does not, H is joined with every zuppo,
-which costs time but never a class.  Every mark is computed straight
-from the definition (fixed cosets), independent of the extension engine.
+deduplicated up to conjugacy.  A representative H is joined with one
+zuppo per orbit of its normalizer N on the zuppos outside H, since
+conjugate zuppos give conjugate joins.  N comes from the kernel, so it
+is checked here to normalize H; when it does not, H is joined with
+every zuppo, which costs time but never a class.  Every mark is
+computed straight from the definition (fixed cosets), independent of
+the extension engine.
 
 `subgroup_classes_search` extends the same idea to groups beyond the
 brute cap whose proper subgroups are all solvable (e.g. L2(32)): every
@@ -25,6 +25,7 @@ from .groups import (
     CapExceededError,
     PermGroup,
     Subgroup,
+    are_conjugate_subgroups,
     close_elements,
     join_normalizing,
     normalizer,
@@ -45,18 +46,6 @@ from .marks import (
 from .perms import conj, conj_by, order_of, power
 
 DEFAULT_CAP = 2000
-
-
-@dataclass
-class LatticeDump:
-    """All subgroups of a group, partitioned into conjugacy classes."""
-
-    subgroups: list[Subgroup]
-    classes: list[list[int]]   # indices into subgroups, one list per class
-
-    @property
-    def class_count(self) -> int:
-        return len(self.classes)
 
 
 def zuppos(G: PermGroup) -> list[tuple[tuple[int, ...], frozenset]]:
@@ -131,24 +120,6 @@ def all_subgroup_classes_brute(G: PermGroup,
                 reps.append(K)
     reps.sort(key=lambda h: h.order)
     return reps
-
-
-def all_subgroups_brute(G: PermGroup, cap: int = DEFAULT_CAP) -> LatticeDump:
-    """Every subgroup exactly once, grouped into conjugacy classes."""
-    reps = all_subgroup_classes_brute(G, cap)
-    subgroups: list[Subgroup] = []
-    classes: list[list[int]] = []
-    for rep in reps:
-        cid = subgroup_class_id(G, rep)
-        cls = G._sub_classes[cid]
-        idxs = []
-        for key in cls.tree:
-            g = cls.conjugator(key, G.gens)
-            idxs.append(len(subgroups))
-            gens = tuple(conj(x, g) for x in cls.rep.gens)
-            subgroups.append(Subgroup(G, gens, elems=G.elements_of(key)))
-        classes.append(idxs)
-    return LatticeDump(subgroups=subgroups, classes=classes)
 
 
 def table_of_marks_brute(G: PermGroup,
@@ -259,7 +230,6 @@ def compare_patterns(a: SubgroupPattern, b: SubgroupPattern) -> MatchReport:
         buckets.setdefault(key(b, j), []).append(j)
     perm: list[int | None] = [None] * a.n
     used: set[int] = set()
-    from .groups import are_conjugate_subgroups
     for i in range(a.n):
         found = None
         for j in buckets.get(key(a, i), []):

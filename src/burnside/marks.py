@@ -14,12 +14,15 @@ block (classes of subgroups inside A) and the outer block:
 * outer rows restricted to inner columns copy the A-row of the
   intersection with A;
 * inner columns of outer subgroups are zero;
-* outer-by-outer marks are decided by interval arithmetic on candidate
-  sets: upper bounds from the inner part, congruences modulo p down
-  each column pair, divisibility by the diagonal, transitivity bounds,
-  congruence constraints from the rows of the Dress matrix, and, as a
-  last resort, explicit counting of the conjugates of K containing a
-  fixed element t (read off the class orbit of K).
+* outer-by-outer marks are decided on candidate sets: upper bounds
+  from the inner part, congruences modulo p down each column pair,
+  divisibility by the diagonal, transitivity bounds, the congruences
+  from the rows of the Dress matrix, and, as a last resort, explicit
+  counting of the conjugates of K containing a fixed element t (read
+  off the class orbit of K).  Each Dress congruence is decided exactly,
+  whatever the number of undecided cells it touches: one pass over the
+  reachable partial sums of the row keeps the values that some
+  admissible assignment uses.
 
 Everything is deterministic; per-row decisions are tagged for
 diagnostics.
@@ -29,7 +32,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import product as iter_product
 
 from .extension import (
     ExtensionContext,
@@ -48,12 +50,6 @@ from .groups import (
     SET_CAP,
 )
 from .perms import conj, inv
-
-# dress refinement skips a congruence when more than this many cells in
-# its support are undecided (assignment enumeration is exponential)
-DRESS_UNDECIDED_CAP = 12
-DRESS_ASSIGNMENT_CAP = 50_000
-
 
 class InconsistentTableError(RuntimeError):
     """A candidate set became empty: the input pattern is corrupt."""
@@ -80,11 +76,6 @@ class PatternStats:
     millis: int = 0
     extension_p: int | None = None
     decided_by: dict = field(default_factory=dict)
-
-    def merge(self, other: "PatternStats") -> None:
-        self.probes += other.probes
-        self.max_probe = max(self.max_probe, other.max_probe)
-        self.millis += other.millis
 
 
 @dataclass
@@ -467,7 +458,8 @@ class MarksExtender:
     def dress_pass(self, st: "RowState") -> bool:
         """Prune candidates by the congruence and bound each stable inner
         class U imposes on the outer part of the row, then by the plain
-        congruences of outer classes.
+        congruences of outer classes.  Each congruence keeps exactly the
+        candidates some admissible assignment of its support uses.
 
         Only congruence rows touching an undecided cell are visited; on
         repeat passes only those whose support changed since the last
@@ -491,6 +483,11 @@ class MarksExtender:
         return changed
 
     def _dress_single(self, st: "RowState", dr: DressRow) -> bool:
+        """Prune the undecided cells of one congruence to the values that
+        some admissible assignment of its whole support uses.
+
+        Exact for every support size, with no cap: the feasible values
+        come from one pass over reachable sums (``_dress_feasible``)."""
         i = st.index
         und = [j for j in dr.coeffs if j in st.cand]
         if not und:
@@ -500,17 +497,7 @@ class MarksExtender:
             raise InconsistentTableError(
                 f"no admissible target sum for the congruence at class "
                 f"{dr.u_index} in row {i}")
-        too_big = len(und) > DRESS_UNDECIDED_CAP
-        if not too_big:
-            total = 1
-            for j in und:
-                total *= len(st.cand[j])
-                if total > DRESS_ASSIGNMENT_CAP:
-                    too_big = True
-                    break
-        if too_big:
-            return self._dress_relax(st, dr, und, targets, fixed)
-        feasible = self._dress_enumerate(st, dr, und, targets, fixed)
+        feasible = self._dress_feasible(st, dr, und, targets, fixed)
         if feasible is None:
             raise InconsistentTableError(
                 f"no feasible assignment for the congruence at class "
@@ -567,76 +554,46 @@ class MarksExtender:
                    if (o_r + o_b) % p == 0]
         return targets, fixed
 
-    def _dress_enumerate(self, st: "RowState", dr: DressRow,
-                         und: list[int], targets, fixed: int):
-        """Per-cell sets of feasible scaled values (None if infeasible)."""
-        scaled = [tuple(dr.coeffs[j] * y for y in st.cand[j]) for j in und]
-        lo = fixed + sum(v[0] for v in scaled)
-        hi = fixed + sum(v[-1] for v in scaled)
-        mod = dr.modulus
-        if targets is None:
-            if (hi // mod) * mod < lo:
-                return None
-        else:
-            tset = set(targets)
-            if not any(lo <= t <= hi for t in targets):
-                return None
-        feas = [set() for _ in und]
-        found = False
-        for combo in iter_product(*scaled):
-            s = fixed + sum(combo)
-            if targets is None:
-                if s % mod:
-                    continue
-            elif s not in tset:
-                continue
-            found = True
-            for k, v in enumerate(combo):
-                feas[k].add(v)
-        return feas if found else None
+    @staticmethod
+    def _dress_feasible(st: "RowState", dr: DressRow, und: list[int],
+                        targets, fixed: int):
+        """Per-cell sets of feasible scaled values (None if infeasible).
 
-    def _dress_relax(self, st: "RowState", dr: DressRow, und: list[int],
-                     targets, fixed: int) -> bool:
-        """Interval relaxation of the congruence for large supports.
-
-        A candidate y survives when some admissible target sum remains
-        reachable with the other cells anywhere between their current
-        minima and maxima (sound, weaker than full enumeration).
+        Forward, the sums reachable after each cell, starting from
+        ``fixed``: residues mod the modulus for outer U (``targets`` is
+        None), exact sums for inner U, where the admissible totals are
+        ``targets``; marks are non-negative, so a sum past the largest
+        target is dropped.  Backward from the admissible totals, a value
+        is feasible when some reachable prefix carries it to a sum that
+        still reaches one of them.
         """
-        lo = {j: dr.coeffs[j] * st.cand[j][0] for j in und}
-        hi = {j: dr.coeffs[j] * st.cand[j][-1] for j in und}
-        lo_all = fixed + sum(lo.values())
-        hi_all = fixed + sum(hi.values())
-        changed = False
-        for j in und:
-            n = dr.coeffs[j]
-            rest_lo = lo_all - lo[j]
-            rest_hi = hi_all - hi[j]
-            keep = []
-            for y in st.cand[j]:
-                a, b = rest_lo + n * y, rest_hi + n * y
-                if targets is None:
-                    ok = (b // dr.modulus) * dr.modulus >= a
-                else:
-                    ok = any(a <= t <= b for t in targets)
-                if ok:
-                    keep.append(y)
-            keep = tuple(keep)
-            if keep == st.cand[j]:
-                continue
-            changed = True
-            if not keep:
-                raise InconsistentTableError(
-                    f"congruence relaxation emptied cell ({st.index},{j})")
-            if len(keep) == 1:
-                st.decide(j, keep[0], f"dress:{dr.u_index}")
-            else:
-                st.set_cand(j, keep)
-            lo_all += n * keep[0] - lo[j]
-            hi_all += n * keep[-1] - hi[j]
-            lo[j] = n * keep[0]
-            hi[j] = n * keep[-1]
-        return changed
+        scaled = [tuple(dr.coeffs[j] * y for y in st.cand[j]) for j in und]
+        if targets is None:
+            mod = dr.modulus
+            norm = lambda s: s % mod
+            goal = {0}
+        else:
+            top = max(targets)
+            norm = lambda s: s if s <= top else None
+            goal = set(targets)
+        reach = [{fixed}]
+        for vals in scaled:
+            reach.append({norm(s + v) for s in reach[-1] for v in vals}
+                         - {None})
+        goal &= reach[-1]
+        if not goal:
+            return None
+        feas = []
+        for k in range(len(und) - 1, -1, -1):
+            cell, back = set(), set()
+            for s in reach[k]:
+                for v in scaled[k]:
+                    if norm(s + v) in goal:
+                        cell.add(v)
+                        back.add(s)
+            feas.append(cell)
+            goal = back
+        return feas[::-1]
 
     # -- explicit probes -----------------------------------------------------
 
@@ -761,22 +718,6 @@ def solvable_pattern_chain(G: PermGroup) -> list[SubgroupPattern]:
     for S in composition_steps(G):
         chain.append(extend_table_of_marks(chain[-1], S))
     return chain
-
-
-def table_of_marks_solvable(G: PermGroup) -> SubgroupPattern:
-    """Subgroup pattern of a solvable group, iterated along a
-    composition series starting from the trivial pattern.
-
-    Statistics aggregate all steps; the recorded extension prime (used
-    by the column-congruence validation) is the final step's.
-    """
-    chain = solvable_pattern_chain(G)
-    out = chain[-1]
-    agg = PatternStats(extension_p=out.stats.extension_p)
-    for pat in chain[1:]:
-        agg.merge(pat.stats)
-    return SubgroupPattern(group=out.group, classes=out.classes,
-                           rows=out.rows, stats=agg)
 
 
 # ---------------------------------------------------------------------------

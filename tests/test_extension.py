@@ -14,12 +14,12 @@ from burnside.extension import (
     rewrap,
     sort_class_reps,
     split_inner_classes,
-    subgroup_classes_solvable,
 )
 from burnside.groups import (
     CapExceededError,
     PermGroup,
     Subgroup,
+    composition_steps,
     normalizer,
     subgroup_class_id,
     trivial_subgroup,
@@ -199,6 +199,17 @@ def test_no_cross_color_conjugacy(s5_ctx, a5_classes, s5):
         for ko in outer:
             if hi.order == ko.order:
                 assert are_conjugate_subgroups(s5, hi, ko) is None
+
+
+def subgroup_classes_solvable(G):
+    """Class transversal of a solvable G: the class step along a
+    composition series, starting from the trivial group."""
+    classes, A = [trivial_subgroup(G)], PermGroup([], G.degree)
+    for S in composition_steps(G):
+        classes = extend_classes(sort_class_reps(classes),
+                                 ExtensionContext.create(S, A)).reps
+        A = S
+    return sort_class_reps(classes)
 
 
 def test_solvable_classes_counts():

@@ -1,8 +1,10 @@
 """Kernel tests; expected values come from brute-force scans done right
 here in the test, independent of the library's own machinery."""
 
+import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -137,18 +139,20 @@ def test_conjugate_subgroups(s5, s4):
 
 def test_coset_action_s4(s4):
     s3 = Subgroup(s4, [parse_cycles("(1,2)", 4), parse_cycles("(1,2,3)", 4)])
-    img, hom = coset_action(s4, s3)
+    img, hom, reps = coset_action(s4, s3)
     assert img.degree == 4 and img.order == 24
+    # point i is the coset of reps[i]
+    assert [hom(r)[0] for r in reps] == list(range(4))
     # homomorphism
     for g in s4.gens:
         for h in s4.gens:
             assert hom(mul(g, h)) == mul(hom(g), hom(h))
     d8 = Subgroup(s4, [parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,3)", 4)])
-    img2, _ = coset_action(s4, d8)
+    img2, _, _ = coset_action(s4, d8)
     assert img2.degree == 3 and img2.order == 6
     whole = Subgroup(s4, s4.gens)
-    img3, _ = coset_action(s4, whole)
-    assert img3.degree == 1 and img3.order == 1
+    img3, _, reps3 = coset_action(s4, whole)
+    assert img3.degree == 1 and img3.order == 1 and len(reps3) == 1
 
 
 def test_quotient_group(s4):
@@ -273,17 +277,27 @@ def test_class_members_conjugators_and_normalizers(name, seed):
 
 
 def test_subgroups_output_ignores_the_hash_seed():
+    """Class listings, and tables from the marks engine (S6 from A6, the
+    C2^5 chain), are the same under two hash seeds, timings aside."""
     src = str(Path(burnside.__file__).resolve().parents[1])
-    for name, classes in (("S5", 19), ("A6", 22), ("S6", 56)):
+    c2x5 = [a for k in range(5) for a in ("--gens", f"({2*k+1},{2*k+2})")]
+    cases = [(["subgroups", "S5"], 19), (["subgroups", "A6"], 22),
+             (["subgroups", "S6"], 56),
+             (["tom", "S6", "--via", "extension", "--format", "json"], 56),
+             (["tom", "10", *c2x5, "--format", "json"], 374)]
+    for argv, classes in cases:
         outs = []
         for hash_seed in ("0", "1"):
             env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
             run = subprocess.run(
-                [sys.executable, "-m", "burnside.cli", "subgroups", name],
+                [sys.executable, "-m", "burnside.cli", *argv],
                 env=env, capture_output=True, timeout=300)
             assert run.returncode == 0, run.stderr
-            outs.append(run.stdout)
-        assert outs[0] == outs[1] and outs[0].count(b"\n") == classes, name
+            outs.append(re.sub(rb'"millis": \d+', b'"millis": 0', run.stdout))
+        assert outs[0] == outs[1], argv
+        found = (outs[0].count(b"\n") if argv[0] == "subgroups"
+                 else len(json.loads(outs[0])["classes"]))
+        assert found == classes, argv
 
 
 def test_prime_factors_against_trial_division():

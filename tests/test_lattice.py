@@ -1,5 +1,7 @@
 """Brute-force oracle: enumeration, class structure, and comparisons."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from fixtures import A5_CLASS_ORDERS, FIG_A5, relabeled
@@ -16,8 +18,8 @@ from burnside.groups import (
     trivial_subgroup,
 )
 from burnside.lattice import (
+    DEFAULT_CAP,
     all_subgroup_classes_brute,
-    all_subgroups_brute,
     compare_patterns,
     subgroup_classes_search,
     table_of_marks_brute,
@@ -25,6 +27,37 @@ from burnside.lattice import (
 )
 from burnside.marks import validate_pattern
 from burnside.perms import conj
+
+
+@dataclass
+class LatticeDump:
+    """All subgroups of a group, partitioned into conjugacy classes."""
+
+    subgroups: list[Subgroup]
+    classes: list[list[int]]   # indices into subgroups, one list per class
+
+    @property
+    def class_count(self) -> int:
+        return len(self.classes)
+
+
+def all_subgroups_brute(G: PermGroup, cap: int = DEFAULT_CAP) -> LatticeDump:
+    """Every subgroup exactly once, grouped into conjugacy classes: the
+    oracle's class transversal expanded along each class orbit."""
+    reps = all_subgroup_classes_brute(G, cap)
+    subgroups: list[Subgroup] = []
+    classes: list[list[int]] = []
+    for rep in reps:
+        cid = subgroup_class_id(G, rep)
+        cls = G._sub_classes[cid]
+        idxs = []
+        for key in cls.tree:
+            g = cls.conjugator(key, G.gens)
+            idxs.append(len(subgroups))
+            gens = tuple(conj(x, g) for x in cls.rep.gens)
+            subgroups.append(Subgroup(G, gens, elems=G.elements_of(key)))
+        classes.append(idxs)
+    return LatticeDump(subgroups=subgroups, classes=classes)
 
 
 def test_s4_counts(s4):

@@ -1,6 +1,10 @@
 """Marks engine: the defining count, quarters, candidate propagation,
 Dress machinery, incidence probes, and the assembled tables."""
 
+import math
+import random
+from itertools import product
+
 import pytest
 
 from fixtures import FIG_A5, FIG_S5, GL23_PANELS, relabeled
@@ -21,8 +25,10 @@ from burnside.lattice import (
     table_of_marks_brute,
 )
 from burnside.marks import (
+    DressRow,
     InconsistentTableError,
     MarksExtender,
+    RowState,
     SubgroupPattern,
     dress_rows_full,
     extend_table_of_marks,
@@ -30,7 +36,6 @@ from burnside.marks import (
     mark_fixed_cosets,
     mark_row,
     solvable_pattern_chain,
-    table_of_marks_solvable,
     trivial_pattern,
     validate_pattern,
     verify_dress,
@@ -214,7 +219,7 @@ def test_dress_worked_example(s5_ext):
     targets, fixed = ext._dress_targets(st, dr, und)
     # o_B = 1, so o_R = 1 and the two cells must sum to exactly 2
     assert targets == [2] and fixed == 0
-    feas = ext._dress_enumerate(st, dr, und, targets, fixed)
+    feas = ext._dress_feasible(st, dr, und, targets, fixed)
     assert feas is not None
     assert ext._dress_single(st, dr) is False  # nothing prunable yet
     assert st.cand[c4] == (0, 2) and st.cand[v4] == (0, 2)
@@ -227,6 +232,76 @@ def test_dress_worked_example(s5_ext):
             ext.probe_one(st)
     assert st.values[c4] == 0 and st.values[v4] == 2
     assert ext.stats.probes == 0
+
+
+def _feasible_by_enumeration(st, dr, und, targets, fixed):
+    """Reference: walk the cross product of the scaled candidate sets."""
+    scaled = [tuple(dr.coeffs[j] * y for y in st.cand[j]) for j in und]
+    feas = [set() for _ in und]
+    found = False
+    for combo in product(*scaled):
+        s = fixed + sum(combo)
+        if targets is None:
+            if s % dr.modulus:
+                continue
+        elif s not in targets:
+            continue
+        found = True
+        for k, v in enumerate(combo):
+            feas[k].add(v)
+    return feas if found else None
+
+
+def _row_state(cand):
+    n = max(cand) + 1
+    return RowState(index=n, ri=0, values=[None] * (n + 1), cand=cand,
+                    decided_by={}, contained=set(), diag=1)
+
+
+@pytest.mark.parametrize("inner", [False, True])
+@pytest.mark.parametrize("cells", range(1, 15))
+def test_dress_feasible_matches_enumeration(cells, inner):
+    """The reachable-sums pass keeps exactly the values some admissible
+    assignment uses, for both target kinds, on seeded random rows."""
+    rng = random.Random(cells * 2 + inner)
+    infeasible = 0
+    for _ in range(12):
+        while True:
+            sizes = [rng.randint(1, 3) for _ in range(cells)]
+            if math.prod(sizes) <= 4096:
+                break
+        und = list(range(10, 10 + cells))
+        cand = {j: tuple(sorted(rng.sample(range(9), k)))
+                for j, k in zip(und, sizes)}
+        coeffs = {j: rng.randint(1, 3) for j in und}
+        dr = DressRow(u_index=0, coeffs=coeffs, modulus=rng.randint(1, 6))
+        fixed = rng.randint(0, 5)
+        targets = None
+        if inner:
+            top = fixed + sum(coeffs[j] * cand[j][-1] for j in und)
+            targets = sorted(rng.sample(range(top + 3),
+                                        rng.randint(1, min(4, top + 3))))
+        st = _row_state(cand)
+        want = _feasible_by_enumeration(st, dr, und, targets, fixed)
+        got = MarksExtender._dress_feasible(st, dr, und, targets, fixed)
+        assert got == want
+        infeasible += want is None
+    assert infeasible < 12
+
+
+def test_dress_single_decides_a_parity_cell_in_a_large_support(s5_ext):
+    """Thirteen undecided cells under one congruence mod 2: twelve hold
+    even candidates, so the odd candidate of the last cell can never be
+    completed to an even sum, whatever the support size."""
+    und = list(range(100, 113))
+    cand = {j: (0, 2) for j in und[:-1]}
+    cand[und[-1]] = (0, 1)
+    st = _row_state(cand)
+    dr = DressRow(u_index=7, coeffs=dict.fromkeys(und, 1), modulus=2)
+    assert s5_ext._dress_single(st, dr) is True
+    assert st.values[und[-1]] == 0
+    assert st.decided_by == {und[-1]: "dress:7"}
+    assert all(st.cand[j] == (0, 2) for j in und[:-1])
 
 
 def test_dress_zero_inner_forces_zero(s5_ext):
@@ -418,7 +493,7 @@ def test_gl23_chain_panels(gl23):
 
 
 def test_s4_solvable_matches_oracle(s4):
-    pe = table_of_marks_solvable(s4)
+    pe = solvable_pattern_chain(s4)[-1]
     po = table_of_marks_brute(s4)
     assert compare_patterns(pe, po).matched
     assert not validate_pattern(pe)
