@@ -32,7 +32,8 @@ A ``--base`` file is read and validated whenever it is given, and a
 table computed from it is validated again before it is printed.
 
 Exit codes: 0 ok, 2 input error, 3 unsupported computation path,
-4 validation failure.
+4 validation failure (a base pattern that makes the extension step
+inconsistent included).
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from dataclasses import dataclass, field
 from .catalog import CATALOG, CatalogEntry
 from .extension import (
     ExtensionContext,
+    InconsistentTableError,
     extend_classes,
     sort_class_reps,
 )
@@ -359,6 +361,9 @@ def main(argv=None) -> int:
     except (NotSolvableError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return UNSUPPORTED
+    except InconsistentTableError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return VALIDATION_FAILURE
 
 
 if __name__ == "__main__":  # pragma: no cover

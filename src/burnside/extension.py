@@ -2,13 +2,26 @@
 subgroup A of prime index p.
 
 Subgroups of S split into the *inner* ones (contained in A) and the
-*outer* ones (not contained in A).  Inner S-classes are unions of one
-or p A-classes, decided by whether the S-normalizer leaves A; outer
-classes correspond to classes of order-p subgroups of normalizer
-quotients N_S(H)/H not contained in N_A(H)/H, one for each rational
+*outer* ones (not contained in A).  An A-class is stable when the coset
+element t maps it to itself up to A-conjugacy; it is then an S-class,
+and otherwise p A-classes, conjugate under powers of t, fuse into one.
+Outer classes correspond to classes of order-p subgroups of normalizer
+quotients W = N_S(H)/H not contained in N_A(H)/H, one for each rational
 class of order-p elements outside the A-part.  The quotient comes from
 ``groups.quotient_group`` and each outer representative is
 ``H.join(t)``, the kernel's one construction of <H, t>.
+
+Every S-normalizer of the step is derived from what A has cached
+(Pfeiffer, Exp. Math. 6, 1997), so no class orbit of S is walked:
+
+* |N_S(H)| is p |N_A(H)| for a stable H and |N_A(H)| otherwise, read
+  off H's A-class; an unstable H has no extensions.
+* For a stable H the group N_S(H) is needed for W.  Its Schreier
+  generators come from a breadth-first walk of H's S-class rooted at
+  H, stopped once they span the known order; the walk is not cached.
+* |N_S(<H, t>)| is (p - 1) |N_S(H)| / R, with R the size of the
+  rational class of t's image in W.  For a trivial H with p not
+  dividing |A|, <t> is a Sylow subgroup whose normalizer is C_S(t).
 
 Iterating the step along a composition series enumerates the classes
 of any solvable group starting from the trivial one.
@@ -19,9 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import (
+    SET_CAP,
     PermGroup,
     Subgroup,
+    _normalizer_of_order,
     normalizer,
+    orbit,
     prime_factors,
     quotient_group,
     rational_classes,
@@ -29,6 +45,11 @@ from .groups import (
     subgroup_class_id,
 )
 from .perms import mul, order_of, power
+
+
+class InconsistentTableError(RuntimeError):
+    """The input is corrupt: a candidate set of the marks engine became
+    empty, or the A-classes of a step do not fuse into S-classes."""
 
 
 @dataclass
@@ -87,13 +108,28 @@ class InnerSplit:
         return [c for c in self.classes if not c.stable]
 
 
+def _inner_normalizer_order(ctx: ExtensionContext,
+                            H: Subgroup) -> tuple[bool, int]:
+    """Whether H (inside A) is stable, and |N_S(H)|, from A's classes:
+    H is stable when H^t lies in H's A-class, and N_S(H) then leaves A,
+    of order p |N_A(H)|; otherwise N_S(H) is N_A(H)."""
+    A = ctx.A
+    cid = subgroup_class_id(A, H)
+    order = A.order // A._sub_classes[cid].size
+    if subgroup_class_id(A, H.conjugated(ctx.t)) == cid:
+        return True, ctx.p * order
+    return False, order
+
+
 def split_inner_classes(a_classes: list[Subgroup],
                         ctx: ExtensionContext) -> InnerSplit:
     """Fuse the A-classes into S-classes.
 
-    A class is stable (kept as-is) when the S-normalizer of its
-    representative is not contained in A; otherwise exactly p A-classes
-    merge into one S-class, conjugate under powers of t.
+    A class is stable (kept as-is) when t maps it to itself up to
+    A-conjugacy, i.e. when the S-normalizer of its representative is not
+    contained in A; otherwise exactly p A-classes merge into one
+    S-class, conjugate under powers of t.  A transversal that misses
+    one of them raises InconsistentTableError.
     """
     S, A, p = ctx.S, ctx.A, ctx.p
     handles = []
@@ -102,38 +138,35 @@ def split_inner_classes(a_classes: list[Subgroup],
         if not all(A.contains(g) for g in hs.gens):
             raise ValueError("input class representative not inside A")
         handles.append(hs)
-    norms = [normalizer(S, hs) for hs in handles]
-    stable = [any(not A.contains(g) for g in n.gens) for n in norms]
+    norms = [_inner_normalizer_order(ctx, H) for H in a_classes]
 
     # resolve merged classes by conjugating with powers of t
-    unstable_idx = [i for i, s in enumerate(stable) if not s]
-    a_cid_of = {}
-    for i in unstable_idx:
-        a_cid_of[subgroup_class_id(A, a_classes[i])] = i
+    unstable_idx = [i for i, (stable, _) in enumerate(norms) if not stable]
+    a_cid_of = {subgroup_class_id(A, a_classes[i]): i for i in unstable_idx}
     assigned: set[int] = set()
     classes: list[InnerClass] = []
     raw_fused = 0
     for i, hs in enumerate(handles):
-        if stable[i]:
+        stable, order = norms[i]
+        if stable:
             classes.append(InnerClass(
-                rep=hs, a_indices=(i,), normalizer_order=norms[i].order))
+                rep=hs, a_indices=(i,), normalizer_order=order))
             continue
         if i in assigned:
             continue
         partners = [i]
         g = ctx.t
         for _ in range(p - 1):
-            cid = subgroup_class_id(A, handles[i].conjugated(g))
+            cid = subgroup_class_id(A, a_classes[i].conjugated(g))
             j = a_cid_of.get(cid)
             if j is None or j in assigned or j in partners:
-                raise RuntimeError("inconsistent class fusion")
+                raise InconsistentTableError("inconsistent class fusion")
             partners.append(j)
             g = mul(g, ctx.t)
         assigned.update(partners)
         raw_fused += p
         classes.append(InnerClass(
-            rep=hs, a_indices=tuple(partners),
-            normalizer_order=norms[i].order))
+            rep=hs, a_indices=tuple(partners), normalizer_order=order))
     if raw_fused != p * sum(not c.stable for c in classes):
         raise RuntimeError("merged classes are not p A-classes each")
     return InnerSplit(classes=classes, raw_fused_count=raw_fused)
@@ -149,8 +182,9 @@ class OuterClass:
     normalizer_order: int
 
 
-def extension_elements(ctx: ExtensionContext, H: Subgroup):
-    """Coset elements t generating the index-p extensions of H.
+def extension_elements(ctx: ExtensionContext, H: Subgroup) -> list:
+    """Coset elements t generating the index-p extensions of H, each with
+    the order of the S-normalizer of <H, t>.
 
     Each returned t normalizes H, has p-power order, lies outside A,
     and the subgroups <H, t> form a transversal of the S-classes of
@@ -161,18 +195,28 @@ def extension_elements(ctx: ExtensionContext, H: Subgroup):
     hs = rewrap(S, H)
     if not all(A.contains(g) for g in hs.gens):
         raise ValueError("subgroup not inside A")
-    N = normalizer(S, hs)
-    if all(A.contains(g) for g in N.gens):
+    stable, order = _inner_normalizer_order(ctx, hs)
+    if not stable:
         return []
     if hs.order == 1 and A.order % p:
         # Sylow case: the only order-p class; any p-element works, and
-        # t has order divisible by p as it lies outside A
-        return [power(ctx.t, order_of(ctx.t) // p)]
+        # t has order divisible by p as it lies outside A.  A normalizer
+        # of <t> meets A in C_A(t), so it is C_S(t).
+        t = power(ctx.t, order_of(ctx.t) // p)
+        return [(t, S.order // len(orbit([t], S.gen_conj(),
+                                         lambda x, c: c(x))))]
+    if order == S.order or hs.order > SET_CAP:
+        # S itself, or the kernel's refusal of a big non-normal H
+        N = normalizer(S, hs)
+    else:
+        N = _normalizer_of_order(S, hs, order)
     W, lift = quotient_group(N.as_group(), hs)
 
-    # A is normal, so lying in A is constant on rational classes
+    # A is normal, so lying in A is constant on rational classes.  The
+    # rational class of w holds the p - 1 generators of each conjugate
+    # of <w>, so its size R gives |N_W(<w>)| = (p - 1) |W| / R.
     out = []
-    for w in rational_classes(W, p, lambda x: A.contains(lift(x))):
+    for w, size in rational_classes(W, p, lambda x: A.contains(lift(x))):
         t0 = lift(w)
         q = order_of(t0)
         while q % p == 0:
@@ -180,8 +224,8 @@ def extension_elements(ctx: ExtensionContext, H: Subgroup):
         t = power(t0, q)
         if A.contains(t):
             raise RuntimeError("extension element lies in A")
-        out.append(t)
-    out.sort(key=lambda t: order_of(t))
+        out.append((t, (p - 1) * order // size))
+    out.sort(key=lambda pair: order_of(pair[0]))
     return out
 
 
@@ -191,7 +235,7 @@ def outer_classes(a_classes: list[Subgroup],
     out: list[OuterClass] = []
     for i, H in enumerate(a_classes):
         hs = rewrap(ctx.S, H)
-        for t in extension_elements(ctx, hs):
+        for t, normalizer_order in extension_elements(ctx, hs):
             K = hs.join(t)
             # |K| = p|H| and t outside A force K meet A = H, normal in K
             if K.order != ctx.p * hs.order:
@@ -200,7 +244,7 @@ def outer_classes(a_classes: list[Subgroup],
                     f"{ctx.p * hs.order}")
             out.append(OuterClass(
                 rep=K, base_index=i, gen_element=t,
-                normalizer_order=normalizer(ctx.S, K).order))
+                normalizer_order=normalizer_order))
     out.sort(key=lambda c: c.rep.order)  # stable: keeps construction order
     return out
 

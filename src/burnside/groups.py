@@ -10,11 +10,15 @@ breadth-first walk that returns the Schreier tree in discovery order
 (point -> None at a seed, or (parent, k) with point = act(parent,
 gens[k])).  Chain levels, element classes, centralizers, subgroup
 classes, cosets and rational classes all use it; ``transversal`` and
-``path_product`` multiply out the group elements along the tree.
+``path_product`` multiply out the group elements along the tree.  Its
+walk, ``orbit_walk``, also runs lazily, for a caller that may stop
+part way.
 
 Subgroups of a common ambient group carry their element sets whenever
 the order is at most SET_CAP; conjugacy of subgroups is resolved by
 orbit enumeration with per-class caches stored on the ambient group.
+A normalizer whose order a caller already knows walks H's class only
+until its Schreier generators span that order, and caches no class.
 
 Cyclic extensions are built here only: ``Subgroup.join(t)`` is <H, t>,
 and ``quotient_group(N, H)`` is N(H)/H with a lift map, under the one
@@ -36,6 +40,7 @@ another ambient group before reading its key.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from .perms import conj, conj_by, identity_tuple, inv, mul, order_of
@@ -71,17 +76,23 @@ def orbit(seeds, gens, act) -> dict:
     seed) or to (parent, k) with point == act(parent, gens[k]).
     """
     tree = dict.fromkeys(seeds)
+    deque(orbit_walk(tree, gens, act), maxlen=0)
+    return tree
+
+
+def orbit_walk(tree: dict, gens, act):
+    """The walk behind ``orbit``, grown lazily: starting from the points
+    already in ``tree`` (the seeds, each mapped to None), yields the
+    points in discovery order, each once its images under gens are in
+    the tree, so a caller can stop the walk part way."""
     queue = list(tree)
-    qi = 0
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
+    for x in queue:
         for k, g in enumerate(gens):
             y = act(x, g)
             if y not in tree:
                 tree[y] = (x, k)
                 queue.append(y)
-    return tree
+        yield x
 
 
 def transversal(tree: dict, gens, one) -> dict:
@@ -246,6 +257,7 @@ class PermGroup:
         self.order: int = _chain_order(self.chain)
         self._elements: list[tuple[int, ...]] | None = None
         self._sorted_elements: list[tuple[int, ...]] | None = None
+        self._by_order: dict | None = None  # element order -> elements
         self._element_classes = None
         self._class_of_element: dict | None = None
         self._numbering: _Numbering | None = None   # made on first use
@@ -282,6 +294,15 @@ class PermGroup:
         if self._sorted_elements is None:
             self._sorted_elements = sorted(self.elements())
         return self._sorted_elements
+
+    def elements_of_order(self, n: int) -> list[tuple[int, ...]]:
+        """The elements of order n, in sorted element order; one scan
+        of the element orders serves every n."""
+        if self._by_order is None:
+            self._by_order = {}
+            for x in self.sorted_elements():
+                self._by_order.setdefault(order_of(x), []).append(x)
+        return self._by_order.get(n, [])
 
     # -- element numbering -------------------------------------------------
 
@@ -716,14 +737,36 @@ def normalizer(G: PermGroup, H: Subgroup) -> Subgroup:
     def rep_of(key):
         return mul(g0inv, cls.conjugator(key, G.gens))
 
-    target = G.order // cls.size
+    return _normalizer_from_walk(G, H, cls.tree, rep_of, G.order // cls.size)
+
+
+def _normalizer_of_order(G: PermGroup, H: Subgroup, order: int) -> Subgroup:
+    """N_G(H) for a non-normal H of G with an element set, when its
+    order is known: the Schreier generators over a breadth-first walk of
+    H's class rooted at H, stopped as soon as they span ``order``.  The
+    walk is not kept, so G's class cache does not change."""
+    H = rewrap(G, H)
+    fp = H.fingerprint()
+    cached = G._normalizers.get(fp)
+    if cached is not None:
+        return cached
+    tree, known = {fp: None}, {fp: G.identity}
+    walk = orbit_walk(tree, range(len(G.gens)), G.conj_index_set)
+    return _normalizer_from_walk(
+        G, H, walk, lambda key: path_product(tree, key, G.gens, known), order)
+
+
+def _normalizer_from_walk(G: PermGroup, H: Subgroup, nodes, rep_of,
+                          order: int) -> Subgroup:
+    """The stabilizer of H's key over a walk of its class (see
+    ``_stabilizer_from_orbit``), checked against ``order`` and cached."""
     gens = _stabilizer_from_orbit(
-        G, cls.tree, rep_of, G.conj_index_set, target, list(H.gens))
+        G, nodes, rep_of, G.conj_index_set, order, list(H.gens))
     result = Subgroup(G, gens)
-    if result.order != target:
+    if result.order != order:
         raise RuntimeError(
-            f"normalizer of order {result.order}, expected {target}")
-    G._normalizers[fp] = result
+            f"normalizer of order {result.order}, expected {order}")
+    G._normalizers[H.fingerprint()] = result
     return result
 
 
@@ -807,8 +850,9 @@ def quotient_group(N: PermGroup, H: Subgroup):
 
 
 def rational_classes(W: PermGroup, q: int, skip=None) -> list:
-    """One element per rational class of order-q elements of W (q prime),
-    each the first of its class in sorted element order.
+    """One (representative, size) pair per rational class of order-q
+    elements of W (q prime), the representative the first of its class
+    in sorted element order.
 
     Rational class: closed under conjugacy and prime-to-q powers, so
     two elements are equivalent exactly when they generate conjugate
@@ -817,14 +861,15 @@ def rational_classes(W: PermGroup, q: int, skip=None) -> list:
     """
     seen: set = set()
     out = []
-    for w in W.sorted_elements():
-        if w in seen or order_of(w) != q:
+    for w in W.elements_of_order(q):
+        if w in seen:
             continue
         if skip is not None and skip(w):
             continue
-        seen.update(orbit([perm_power(w, k) for k in range(1, q)],
-                          W.gen_conj(), _apply))
-        out.append(w)
+        members = orbit([perm_power(w, k) for k in range(1, q)],
+                        W.gen_conj(), _apply)
+        seen.update(members)
+        out.append((w, len(members)))
     return out
 
 

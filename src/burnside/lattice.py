@@ -169,7 +169,7 @@ def subgroup_classes_search(G: PermGroup) -> list[Subgroup]:
             continue
         W, lift = quotient_group(N.as_group(), H)
         for q in sorted(set(prime_factors(W.order))):
-            for w in rational_classes(W, q):
+            for w, _ in rational_classes(W, q):
                 t = lift(w)
                 if any(conj(g, t) not in H for g in H.gens):
                     raise RuntimeError(

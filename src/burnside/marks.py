@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 
 from .extension import (
     ExtensionContext,
+    InconsistentTableError,
     StepClasses,
     extend_classes,
 )
@@ -50,10 +51,6 @@ from .groups import (
     SET_CAP,
 )
 from .perms import conj, inv
-
-class InconsistentTableError(RuntimeError):
-    """A candidate set became empty: the input pattern is corrupt."""
-
 
 # ---------------------------------------------------------------------------
 # pattern containers

@@ -3,11 +3,14 @@ and the solvable driver, cross-checked against the brute oracle."""
 
 import pytest
 
-from burnside import groups
+from fixtures import relabeled
+
+from burnside import extension, groups
 from burnside.catalog import CATALOG, abelian_group, dihedral_group
 from burnside.cli import main
 from burnside.extension import (
     ExtensionContext,
+    InconsistentTableError,
     extend_classes,
     extension_elements,
     outer_classes,
@@ -20,6 +23,7 @@ from burnside.groups import (
     PermGroup,
     Subgroup,
     composition_steps,
+    is_solvable,
     normalizer,
     subgroup_class_id,
     trivial_subgroup,
@@ -122,23 +126,24 @@ def test_extension_elements_s5(s5_ctx, a5_classes, s5):
     triv = a5_classes[0]
     ts = extension_elements(s5_ctx, rewrap(s5, triv))
     assert len(ts) == 1
-    assert order_of(ts[0]) == 2 and not s5_ctx.A.contains(ts[0])
+    assert order_of(ts[0][0]) == 2 and not s5_ctx.A.contains(ts[0][0])
     top = a5_classes[-1]
     assert top.order == 60
     ts_top = extension_elements(s5_ctx, rewrap(s5, top))
-    assert len(ts_top) == 1
+    assert len(ts_top) == 1 and ts_top[0][1] == 120
 
 
 def test_extension_elements_postconditions(s5_ctx, a5_classes, s5):
     for H in a5_classes:
         hs = rewrap(s5, H)
-        for t in extension_elements(s5_ctx, hs):
+        for t, normalizer_order in extension_elements(s5_ctx, hs):
             assert not s5_ctx.A.contains(t)
             n = order_of(t)
             while n % 2 == 0:
                 n //= 2
             assert n == 1, "coset element order is not a 2-power"
             assert all(conj(x, t) in hs for x in hs.gens)
+            assert normalizer_order == normalizer(s5, hs.join(t)).order
 
 
 def test_extension_elements_s4_klein(s4, a4):
@@ -147,8 +152,10 @@ def test_extension_elements_s4_klein(s4, a4):
     ts = extension_elements(ctx, h)
     assert len(ts) == 2
     orders = sorted(
-        Subgroup(s4, h.gens + (t,)).order for t in ts)
+        Subgroup(s4, h.gens + (t,)).order for t, _ in ts)
     assert orders == [4, 4]
+    # <(1,2)(3,4), (1,2)> and <(1,3,2,4)> both have a D8 as normalizer
+    assert [n for _, n in ts] == [8, 8]
 
 
 def test_extension_elements_requires_inner(s5_ctx, s5):
@@ -281,3 +288,126 @@ def test_one_quotient_cap_governs_the_step_and_the_search(
     capsys.readouterr()
     assert main(["subgroups", "S4"]) == 3
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_a_transversal_missing_a_fused_partner_is_inconsistent():
+    """Q8 -> SL2(3) fuses the three C4 classes; without one of them the
+    other two have no partner in the transversal."""
+    sl = relabeled("SL2(3)", 0)
+    q8 = next(rep for rep in all_subgroup_classes_brute(sl)
+              if rep.order == 8).as_group()
+    ctx = ExtensionContext.create(sl, q8)
+    q8_classes = all_subgroup_classes_brute(q8)
+    (merged,) = split_inner_classes(q8_classes, ctx).merged_classes
+    broken = [H for i, H in enumerate(q8_classes) if i != merged.a_indices[1]]
+    with pytest.raises(InconsistentTableError,
+                       match="inconsistent class fusion"):
+        split_inner_classes(broken, ctx)
+
+
+# ---------------------------------------------------------------------------
+# S-normalizers of the class step against full walks of the classes of S
+
+
+def full_walk_normalizer(S, H):
+    """N_S(H) as the class step took it before it read orders off A:
+    S itself for a normal H, else the whole class of H walked from H and
+    the Schreier generators over that walk up to |S| / (class length).
+    The class cache of S is not touched."""
+    H = rewrap(S, H)
+    if H.is_normal_in(S):
+        return rewrap(S, S)
+    fp = H.fingerprint()
+    tree = groups.orbit([fp], range(len(S.gens)), S.conj_index_set)
+    known = {fp: S.identity}
+    gens = groups._stabilizer_from_orbit(
+        S, tree, lambda key: groups.path_product(tree, key, S.gens, known),
+        S.conj_index_set, S.order // len(tree), list(H.gens))
+    return Subgroup(S, gens)
+
+
+def spied_step(A, S, a_classes):
+    """The class step, and the generators of each N_S(H) it hands to
+    quotient_group, in call order."""
+    handed = []
+    real = extension.quotient_group
+
+    def spy(N, H):
+        handed.append(N.gens)
+        return real(N, H)
+
+    extension.quotient_group = spy
+    try:
+        step = extend_classes(a_classes, ExtensionContext.create(S, A))
+    finally:
+        extension.quotient_group = real
+    return step, handed
+
+
+def check_against_full_walks(A, S, a_classes, step, handed):
+    """Stable flags, inner and outer normalizer orders, and the
+    generators handed to quotient_group, as full walks give them."""
+    p = S.order // A.order
+    norms = [full_walk_normalizer(S, H) for H in a_classes]
+    stable = [not all(A.contains(g) for g in N.gens) for N in norms]
+    for c in step.inner.classes:
+        assert [stable[i] for i in c.a_indices] == [c.stable] * len(
+            c.a_indices)
+        assert c.normalizer_order == norms[c.a_indices[0]].order
+    assert sorted(i for c in step.inner.classes for i in c.a_indices) == \
+        list(range(len(a_classes)))
+    sylow = A.order % p != 0
+    assert handed == [N.gens for H, N, s in zip(a_classes, norms, stable)
+                      if s and not (sylow and H.order == 1)]
+    for oc in step.outer:
+        assert oc.normalizer_order == full_walk_normalizer(S, oc.rep).order
+
+
+SOLVABLE = [entry.name for entry in CATALOG.entries.values()
+            if CATALOG.group(entry.name).order <= 5000
+            and is_solvable(CATALOG.group(entry.name))]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("name", SOLVABLE)
+def test_class_step_normalizers_match_full_walks_on_chains(name, seed):
+    G = relabeled(name, seed)
+    A, classes = PermGroup([], G.degree), [trivial_subgroup(G)]
+    for S in composition_steps(G):
+        step, handed = spied_step(A, S, classes)
+        check_against_full_walks(A, S, classes, step, handed)
+        A, classes = S, sort_class_reps(step.reps)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("a_name,s_name",
+                         [("A4", "S4"), ("A5", "S5"), ("A6", "S6")])
+def test_class_step_normalizers_match_full_walks(a_name, s_name, seed):
+    A, S = relabeled(a_name, seed), relabeled(s_name, seed)
+    a_classes = all_subgroup_classes_brute(A)
+    check_against_full_walks(A, S, a_classes, *spied_step(A, S, a_classes))
+
+
+@pytest.fixture(scope="module")
+def l2_32_step():
+    """The L2(32) class search, then the step to L2(32):5, with the class
+    counts of both groups right after the step."""
+    A, S = relabeled("L2(32)", 0), relabeled("L2(32):5", 0)
+    a_classes = sort_class_reps(subgroup_classes_search(A))
+    searched = len(A._sub_classes)
+    step, handed = spied_step(A, S, a_classes)
+    counts = (searched, len(A._sub_classes), len(S._sub_classes))
+    return A, S, a_classes, step, handed, counts
+
+
+def test_l2_32_5_step_walks_no_class_of_s(l2_32_step):
+    *_, step, _, (searched, after, s_classes) = l2_32_step
+    assert len(step.reps) == 30
+    assert (len(step.inner.classes), len(step.inner.stable_classes),
+            step.inner.raw_fused_count) == (16, 14, 10)
+    assert s_classes == 0 and after == searched == 24
+
+
+def test_l2_32_5_step_normalizers_match_full_walks(l2_32_step):
+    A, S, a_classes, step, handed, _ = l2_32_step
+    check_against_full_walks(A, S, a_classes, step, handed)

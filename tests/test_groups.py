@@ -35,7 +35,7 @@ from burnside.groups import (
     trivial_subgroup,
 )
 from burnside.lattice import all_subgroup_classes_brute, zuppos
-from burnside.perms import conj, mul, order_of, parse_cycles
+from burnside.perms import conj, mul, order_of, parse_cycles, power
 
 
 def naive_closure(gens, degree):
@@ -344,6 +344,61 @@ def test_orbit_is_a_breadth_first_schreier_tree(s5):
     reps = transversal(points, s5.gens, s5.identity)
     assert list(reps) == list(points)
     assert all(u[2] == pt for pt, u in reps.items())
+
+
+def test_orbit_walk_stopped_early_is_a_prefix_of_the_orbit(s5):
+    """Each point comes once its images are in the tree, so a walk
+    stopped after k points holds the first points and edges of the whole
+    orbit, in the same order."""
+    x = parse_cycles("(1,2)(3,4)", 5)
+    whole = list(orbit([x], s5.gens, conj).items())
+    for k in range(1, len(whole) + 1):
+        tree = {x: None}
+        walk = groups.orbit_walk(tree, s5.gens, conj)
+        got = [next(walk) for _ in range(k)]
+        assert got == [y for y, _ in whole[:k]]
+        assert all(conj(y, g) in tree for y in got for g in s5.gens)
+        assert list(tree.items()) == whole[:len(tree)]
+
+
+def scanned_rational_classes(W, q, skip=None):
+    """Representatives as before the sizes were returned: the order of
+    every element scanned on each call, each class closed from its
+    first element."""
+    seen = set()
+    out = []
+    for w in W.sorted_elements():
+        if w in seen or order_of(w) != q:
+            continue
+        if skip is not None and skip(w):
+            continue
+        seen.update(orbit([power(w, k) for k in range(1, q)], W.gen_conj(),
+                          lambda y, c: c(y)))
+        out.append(w)
+    return out
+
+
+@pytest.mark.parametrize("name", ["S5", "GL2(3)", "A6"])
+def test_rational_classes_pairs(name, monkeypatch):
+    """The representatives of the element scan, in its order, each with
+    the size of its rational class counted by conjugating its powers
+    with every element; one order scan serves every prime."""
+    G = relabeled(name, 3)
+    D = groups.derived_subgroup(G)
+    calls = []
+    monkeypatch.setattr(groups, "order_of",
+                        lambda x: calls.append(x) or order_of(x))
+    for q in sorted(set(prime_factors(G.order))):
+        for skip in (None, D.contains):
+            got = groups.rational_classes(G, q, skip)
+            assert [w for w, _ in got] == scanned_rational_classes(G, q, skip)
+            for w, size in got:
+                members = {conj(power(w, k), g) for g in G.elements()
+                           for k in range(1, q)}
+                assert size == len(members)
+        assert sum(size for _, size in groups.rational_classes(G, q)) \
+            == sum(order_of(x) == q for x in G.elements())
+    assert len(calls) == G.order
 
 
 @pytest.mark.parametrize("name", ["S5", "GL2(3)"])

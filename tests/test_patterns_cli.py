@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import burnside
+from burnside import cli
 from burnside.catalog import CATALOG
+from burnside.extension import InconsistentTableError
 from burnside.cli import main
 from burnside.lattice import table_of_marks_brute
 from burnside.marks import extend_table_of_marks
@@ -168,6 +170,26 @@ def test_cli_tom_text_matches_golden(tmp_path):
     code, out = _capture(["tom", "A5", "--via", "oracle"])
     assert code == 0
     assert out == (GOLDEN / "a5.txt").read_text()
+
+
+def test_cli_subgroups_l2_32_5_matches_golden():
+    """The class search of L2(32), then one class step whose normalizer
+    orders are derived from the classes of L2(32): 30 classes with their
+    orders, lengths and normalizer orders."""
+    code, out = _capture(["subgroups", "L2(32):5"])
+    assert code == 0
+    assert out == (GOLDEN / "l2_32_5_subgroups.txt").read_text()
+
+
+def test_cli_inconsistent_step_exits_4(monkeypatch, capsys):
+    """A class step that finds its input inconsistent ends the command
+    with exit 4 and an error line, not a traceback."""
+    def inconsistent(*args):
+        raise InconsistentTableError("inconsistent class fusion")
+
+    monkeypatch.setattr(cli, "extend_classes", inconsistent)
+    assert main(["subgroups", "S4"]) == 4
+    assert capsys.readouterr().err == "error: inconsistent class fusion\n"
 
 
 def test_cli_tom_json_round_trip(tmp_path, s5):
