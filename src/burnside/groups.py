@@ -42,8 +42,17 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import methodcaller
 
-from .perms import conj, conj_by, identity_tuple, inv, mul, order_of
+from .perms import (
+    conj,
+    conj_by,
+    identity_tuple,
+    inv,
+    left_mul_by,
+    mul,
+    order_of,
+)
 from .perms import power as perm_power
 
 # subgroups up to this order keep an explicit element set (used for
@@ -520,15 +529,17 @@ def rewrap(G: PermGroup, H: Subgroup | PermGroup) -> Subgroup:
 
 def close_elements(gens, degree, *, cap=None, seed=None):
     """The element set of the group the generators span, closed by
-    cosets (Dimino's algorithm).
+    cosets (Dimino's algorithm, on left cosets).
 
-    A known subgroup H grows to <H, gens> as a union of right cosets
-    H r: each coset representative r is multiplied by every generator,
-    and a product y outside the set brings its whole coset H y in.
-    Without ``seed``, H starts trivial and the generators are added one
-    at a time; ``seed`` must be the element set of a subgroup of the
-    group the generators span, and is closed in one step.  Returns a set
-    of tuples, or None exactly when the group order exceeds ``cap``.
+    A known subgroup H grows to <H, gens> as a union of left cosets
+    r H: each coset representative r is multiplied on the left by every
+    generator s, and a product y = s r outside the set brings its whole
+    coset y H in; both products are gathers (``left_mul_by``), the one
+    by y over all of H.  Without ``seed``, H starts trivial and the
+    generators are added one at a time; ``seed`` must be the element set
+    of a subgroup of the group the generators span, and is closed in one
+    step.  Returns a set of tuples, or None exactly when the group order
+    exceeds ``cap``.
     """
     idn = identity_tuple(degree)
     elems = {idn}
@@ -541,12 +552,13 @@ def close_elements(gens, degree, *, cap=None, seed=None):
         if all(s in elems for s in step):
             continue
         subgroup = list(elems)
+        lefts = [left_mul_by(s) for s in step]
         reps = [idn]
         for r in reps:
-            for s in step:
-                y = mul(r, s)
+            for left in lefts:
+                y = left(r)
                 if y not in elems:
-                    elems.update([mul(h, y) for h in subgroup])
+                    elems.update(map(left_mul_by(y), subgroup))
                     reps.append(y)
                     if cap is not None and len(elems) > cap:
                         return None
@@ -556,17 +568,19 @@ def close_elements(gens, degree, *, cap=None, seed=None):
 def join_normalizing(h_elems: frozenset, h_gens, z: tuple[int, ...]):
     """Element set of <H, z> when z normalizes H, else None.
 
-    With z normalizing H the join is the plain union of cosets H z^i,
-    which is much cheaper than a closure BFS.
+    With z normalizing H the join is the plain union of the cosets
+    H z^i = z^i H, which is much cheaper than a closure BFS: each coset
+    is the gather by z (``left_mul_by``) of the one before.
     """
     if any(conj(g, z) not in h_elems for g in h_gens):
         return None
     out = set(h_elems)
-    coset = [mul(x, z) for x in h_elems]
+    lz = left_mul_by(z)
+    coset = list(map(lz, h_elems))
     w = z
     while w not in h_elems:
         out.update(coset)
-        coset = [mul(x, z) for x in coset]
+        coset = list(map(lz, coset))
         w = mul(w, z)
     return frozenset(out)
 
@@ -776,11 +790,12 @@ def _normalizer_from_walk(G: PermGroup, H: Subgroup, nodes, rep_of,
 
 def _coset_key(H: Subgroup, known: list):
     """The key of the right coset Hg, an element of it: its least element
-    when H has an element set; above SET_CAP, the first of ``known`` in
-    Hg, or g itself, appended to ``known``, when Hg is new."""
+    when H has an element set, the least of the gathers mul(h, g), h in
+    H, through maps built once per key; above SET_CAP, the first of
+    ``known`` in Hg, or g itself, appended to ``known``, when Hg is new."""
     if H.order <= SET_CAP:
-        helems = sorted(H.elements())
-        return lambda g: min(mul(h, g) for h in helems)
+        getters = [left_mul_by(h) for h in H.elements()]
+        return lambda g: min(map(methodcaller("__call__", g), getters))
 
     def key(g):
         for r in known:

@@ -5,11 +5,13 @@ Enumeration is bottom-up join closure: class representatives are
 extended by cyclic subgroups of prime-power order (zuppos) and
 deduplicated up to conjugacy.  A representative H is joined with one
 zuppo per orbit of its normalizer N on the zuppos outside H, since
-conjugate zuppos give conjugate joins.  N comes from the kernel, so it
-is checked here to normalize H; when it does not, H is joined with
-every zuppo, which costs time but never a class.  Every mark is
-computed straight from the definition (fixed cosets), independent of
-the extension engine.
+conjugate zuppos give conjugate joins.  The orbits are walked on zuppo
+numbers: a step conjugates the zuppo's generator and looks the image
+up among the generators of all zuppos, one conjugation per step rather
+than one per element.  N comes from the kernel, so it is checked here
+to normalize H; when it does not, H is joined with every zuppo, which
+costs time but never a class.  Every mark is computed straight from the
+definition (fixed cosets), independent of the extension engine.
 
 `subgroup_classes_search` extends the same idea to groups beyond the
 brute cap whose proper subgroups are all solvable (e.g. L2(32)): every
@@ -64,9 +66,15 @@ def zuppos(G: PermGroup) -> list[tuple[tuple[int, ...], frozenset]]:
     return out
 
 
-def _conj_set(elems: frozenset, c) -> frozenset:
-    """The element set conjugated through c, a map x -> x^g."""
-    return frozenset(map(c, elems))
+def _zuppo_action(zups):
+    """Conjugation on zuppo numbers: act(i, c) is the number of the
+    image of zups[i] under c, a map x -> x^g.  A conjugation maps a
+    zuppo's generator to a generator of the conjugate zuppo, so every
+    generator of every zuppo (its elements of full order) is looked up
+    to its zuppo's number."""
+    zid = {y: i for i, (_, zel) in enumerate(zups)
+           for y in zel if order_of(y) == len(zel)}
+    return lambda i, c: zid[c(zups[i][0])]
 
 
 def all_subgroup_classes_brute(G: PermGroup,
@@ -88,11 +96,12 @@ def all_subgroup_classes_brute(G: PermGroup,
     reps = [triv]
     known = {subgroup_class_id(G, triv)}
     zups = zuppos(G)
-    # zuppo -> its class in G: the orbits for every H normal in G
+    act = _zuppo_action(zups)
+    # zuppo number -> its class in G: the orbits for every H normal in G
     zclass: dict = {}
-    for _, zel in zups:
-        if zel not in zclass:
-            cls = tuple(orbit([zel], G.gen_conj(), _conj_set))
+    for i in range(len(zups)):
+        if i not in zclass:
+            cls = tuple(orbit([i], G.gen_conj(), act))
             zclass.update(dict.fromkeys(cls, cls))
     qi = 0
     while qi < len(reps):
@@ -105,11 +114,10 @@ def all_subgroup_classes_brute(G: PermGroup,
             nconj = ([conj_by(g) for g in N.gens] if H.is_normal_in(N)
                      else ())
         seen: set = set()
-        for x, zel in zups:
-            if x in helems or zel in seen:
+        for i, (x, _) in enumerate(zups):
+            if x in helems or i in seen:
                 continue
-            seen.update(zclass[zel] if normal
-                        else orbit([zel], nconj, _conj_set))
+            seen.update(zclass[i] if normal else orbit([i], nconj, act))
             elems = join_normalizing(helems, H.gens, x)
             if elems is None:
                 elems = close_elements(H.gens + (x,), G.degree, seed=helems)

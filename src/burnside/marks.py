@@ -50,7 +50,7 @@ from .groups import (
     trivial_subgroup,
     SET_CAP,
 )
-from .perms import conj, inv
+from .perms import conj_by_inverse
 
 # ---------------------------------------------------------------------------
 # pattern containers
@@ -131,16 +131,17 @@ def mark_row(G: PermGroup, K: Subgroup, Hs, *,
     by H in the action of G on G/K.
 
     Counted over an explicit coset transversal, built once for the row
-    and only if some order divides |K|; a coset Kg is fixed exactly when
-    g H g^-1 lies inside K.  For normal K every conjugate condition
-    degenerates to plain containment, so a mark is either the full index
-    or zero.  ``k_normal`` may be passed by callers that already know it
-    (e.g. from the class length).
+    and only if some order divides |K|, as the maps x -> g x g^-1 of its
+    elements g, shared by every H of the row; a coset Kg is fixed
+    exactly when g H g^-1 lies inside K.  For normal K every conjugate
+    condition degenerates to plain containment, so a mark is either the
+    full index or zero.  ``k_normal`` may be passed by callers that
+    already know it (e.g. from the class length).
     """
     if k_normal is None:
         k_normal = K.is_normal_in(G)
     index = G.order // K.order
-    inverses = None
+    conjugators = None
     row = []
     for H in Hs:
         if K.order % H.order:
@@ -148,10 +149,11 @@ def mark_row(G: PermGroup, K: Subgroup, Hs, *,
         elif k_normal:
             row.append(index if H.is_subset_of(K) else 0)
         else:
-            if inverses is None:
-                inverses = [inv(g) for g in coset_transversal(G, K)]
-            row.append(sum(all(conj(h, gi) in K for h in H.gens)
-                           for gi in inverses))
+            if conjugators is None:
+                conjugators = [conj_by_inverse(g)
+                               for g in coset_transversal(G, K)]
+            row.append(sum(all(c(h) in K for h in H.gens)
+                           for c in conjugators))
     return row
 
 

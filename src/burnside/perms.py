@@ -12,9 +12,12 @@ Conventions used throughout the package:
 
 The hot primitives are gathers, so that their loop over the points runs
 in C (``operator.itemgetter``): a product ``mul(a, b)`` gathers b at
-the points of a, and ``conj_by(g)`` is the map x -> x^g for conjugating
-many elements by one g, two gathers per element through g's inverse,
-which it computes once.  ``inv`` keeps its Python loop: an inverse is a
+the points of a; ``left_mul_by(y)`` is the map h -> mul(y, h), one
+prebuilt gather per element, for a left coset y H or for many products
+with one left factor; ``conj_by(g)`` is the map x -> x^g for
+conjugating many elements by one g, and ``conj_by_inverse(g)`` the map
+x -> x^(g^-1), each two gathers per element through one inverse of g,
+computed once.  ``inv`` keeps its Python loop: an inverse is a
 scatter, not a gather, and its C-level forms (a sort, a dict) measure
 slower than the loop.  The one-shot ``conj(a, g)`` keeps its loop too:
 by gathers it would first have to invert g, which costs most of what
@@ -44,6 +47,15 @@ def mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(b.__getitem__, a))
 
 
+def left_mul_by(y: tuple[int, ...]):
+    """The map h -> mul(y, h): a gather of h at the points of y."""
+    if len(y) > 1:
+        return itemgetter(*y)
+    # a one-index itemgetter returns the item, not a 1-tuple; below
+    # degree 2 the identity is the only permutation
+    return tuple
+
+
 def inv(a: tuple[int, ...]) -> tuple[int, ...]:
     out = [0] * len(a)
     for i, x in enumerate(a):
@@ -67,8 +79,21 @@ def conj_by(g: tuple[int, ...]):
     """
     if len(g) < 2:
         return tuple  # the identity is the only permutation
-    gi = itemgetter(*inv(g))
-    return lambda x: itemgetter(*gi(x))(g)
+    return _conj_through(inv(g), g)
+
+
+def conj_by_inverse(g: tuple[int, ...]):
+    """The map x -> g * x * g^-1, that is ``conj_by(inv(g))`` with one
+    inversion: x^(g^-1) == g^-1[x[g]]."""
+    if len(g) < 2:
+        return tuple
+    return _conj_through(g, inv(g))
+
+
+def _conj_through(a: tuple[int, ...], b: tuple[int, ...]):
+    """x -> b[x[a]] for a == inv(b): conjugation by b."""
+    ga = itemgetter(*a)
+    return lambda x: itemgetter(*ga(x))(b)
 
 
 def power(a: tuple[int, ...], n: int) -> tuple[int, ...]:

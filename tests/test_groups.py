@@ -277,13 +277,15 @@ def test_class_members_conjugators_and_normalizers(name, seed):
 
 
 def test_subgroups_output_ignores_the_hash_seed():
-    """Class listings, and tables from the marks engine (S6 from A6, the
-    C2^5 chain), are the same under two hash seeds, timings aside."""
+    """Class listings, tables from the marks engine (S6 from A6, the
+    C2^5 chain) and the oracle table of S6 are the same under two hash
+    seeds, timings aside."""
     src = str(Path(burnside.__file__).resolve().parents[1])
     c2x5 = [a for k in range(5) for a in ("--gens", f"({2*k+1},{2*k+2})")]
     cases = [(["subgroups", "S5"], 19), (["subgroups", "A6"], 22),
              (["subgroups", "S6"], 56),
              (["tom", "S6", "--via", "extension", "--format", "json"], 56),
+             (["tom", "S6", "--via", "oracle", "--format", "json"], 56),
              (["tom", "10", *c2x5, "--format", "json"], 374)]
     for argv, classes in cases:
         outs = []
@@ -480,6 +482,87 @@ def test_close_elements_cap_is_the_largest_order_returned(name):
             for cap, result in ((H.order - 1, None), (H.order, want)):
                 assert groups.close_elements(
                     H.gens, G.degree, cap=cap, seed=seed) == result
+
+
+def _right_coset_close(gens, degree, *, cap=None, seed=None):
+    # the former body of close_elements: Dimino on right cosets H r,
+    # each new coset H y made by one mul per element of H
+    idn = tuple(range(degree))
+    elems = {idn}
+    if seed is not None:
+        elems.update(seed)
+    gens = list(dict.fromkeys(g for g in gens if g != idn))
+    steps = [gens] if seed is not None else [
+        gens[:i + 1] for i in range(len(gens))]
+    for step in steps:
+        if all(s in elems for s in step):
+            continue
+        subgroup = list(elems)
+        reps = [idn]
+        for r in reps:
+            for s in step:
+                y = mul(r, s)
+                if y not in elems:
+                    elems.update([mul(h, y) for h in subgroup])
+                    reps.append(y)
+                    if cap is not None and len(elems) > cap:
+                        return None
+    return elems if cap is None or len(elems) <= cap else None
+
+
+REFERENCE_GROUPS = [CATALOG.group("S5"), CATALOG.group("GL2(3)"),
+                    relabeled("A6", 3)]
+REFERENCE_IDS = ["S5", "GL2(3)", "A6 relabeled"]
+
+
+@pytest.mark.parametrize("G", REFERENCE_GROUPS, ids=REFERENCE_IDS)
+def test_left_coset_closure_matches_the_right_coset_closure(G):
+    """Dimino on left cosets gives the element set of the former
+    right-coset body, for <H, z> with every class representative H and
+    seeded random z, closed from scratch and from H's element set, and
+    gives None at exactly the same caps."""
+    rng = random.Random(13)
+    elems = G.sorted_elements()
+    for H in all_subgroup_classes_brute(G):
+        for z in rng.sample(elems, 3):
+            gens = H.gens + (z,)
+            want = _right_coset_close(gens, G.degree)
+            order = len(want)
+            caps = sorted({1, H.order - 1, H.order, order - 1, order,
+                           rng.randrange(1, order + 1)})
+            for seed in (None, H.elements()):
+                got = groups.close_elements(gens, G.degree, seed=seed)
+                assert got == want
+                for cap in caps:
+                    old = _right_coset_close(gens, G.degree, cap=cap,
+                                             seed=seed)
+                    new = groups.close_elements(gens, G.degree, cap=cap,
+                                                seed=seed)
+                    assert (new is None) == (old is None), cap
+                    assert new == old
+
+
+@pytest.mark.parametrize("G", [CATALOG.group("S5"), CATALOG.group("GL2(3)"),
+                               CATALOG.group("A6")],
+                         ids=["S5", "GL2(3)", "A6"])
+def test_coset_keys_match_the_product_loop(G):
+    """The gathered coset key is the former min(mul(h, g) for h in H)
+    at random g, and coset_transversal is the one that key gives, for
+    every class representative H."""
+    rng = random.Random(17)
+    elems = G.sorted_elements()
+    for H in all_subgroup_classes_brute(G):
+        helems = sorted(H.elements())
+
+        def old_key(g):
+            return min(mul(h, g) for h in helems)
+
+        key = groups._coset_key(H, [])
+        for g in rng.sample(elems, 20):
+            assert key(g) == old_key(g)
+        tree = orbit([G.identity], G.gens, lambda c, s: old_key(mul(c, s)))
+        want = list(transversal(tree, G.gens, G.identity).values())
+        assert groups.coset_transversal(G, H) == want
 
 
 @pytest.mark.parametrize("G", [CATALOG.group("S5"), CATALOG.group("GL2(3)"),

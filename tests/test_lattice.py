@@ -13,6 +13,8 @@ from burnside.groups import (
     PermGroup,
     Subgroup,
     close_elements,
+    normalizer,
+    orbit,
     rewrap,
     subgroup_class_id,
     trivial_subgroup,
@@ -26,7 +28,7 @@ from burnside.lattice import (
     zuppos,
 )
 from burnside.marks import validate_pattern
-from burnside.perms import conj
+from burnside.perms import conj, conj_by
 
 
 @dataclass
@@ -164,6 +166,37 @@ def test_zuppos_prime_power_only(s4):
     for x, elems in zuppos(s4):
         n = len(elems)
         assert n in (2, 3, 4)
+
+
+def _conj_set(elems, c):
+    # the former orbit action: a zuppo's whole element set through c
+    return frozenset(map(c, elems))
+
+
+def _partition(points, act, gens):
+    out = set()
+    for p in points:
+        out.add(frozenset(orbit([p], gens, act)))
+    return out
+
+
+@pytest.mark.parametrize("G", [CATALOG.group("S5"), CATALOG.group("GL2(3)"),
+                               relabeled("A6", 3)],
+                         ids=["S5", "GL2(3)", "A6 relabeled"])
+def test_zuppo_orbits_on_numbers_match_element_set_orbits(G):
+    """The orbits walked on zuppo numbers are the orbits of the zuppo
+    element sets under conjugation, for G and for the normalizer of
+    every class representative."""
+    zups = zuppos(G)
+    act = lattice._zuppo_action(zups)
+    actions = [G.gen_conj()] + [
+        [conj_by(g) for g in normalizer(G, H).gens]
+        for H in all_subgroup_classes_brute(G)]
+    for gens in actions:
+        want = _partition([zel for _, zel in zups], _conj_set, gens)
+        got = {frozenset(zups[i][1] for i in numbered)
+               for numbered in _partition(range(len(zups)), act, gens)}
+        assert got == want
 
 
 def test_trivial_group_table():
