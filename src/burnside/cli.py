@@ -272,8 +272,11 @@ def cmd_tom(args) -> int:
     else:
         text = render_text(chain[-1], name)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(INPUT_ERROR, f"cannot write {args.out}: {exc}")
     else:
         sys.stdout.write(text)
     return OK

@@ -16,9 +16,10 @@ Every S-normalizer of the step is derived from what A has cached
 
 * |N_S(H)| is p |N_A(H)| for a stable H and |N_A(H)| otherwise, read
   off H's A-class; an unstable H has no extensions.
-* For a stable H the group N_S(H) is needed for W.  Its Schreier
-  generators come from a breadth-first walk of H's S-class rooted at
-  H, stopped once they span the known order; the walk is not cached.
+* For a stable H the group N_S(H) is needed for W.  It is
+  ``normalizer(S, H, order)`` with that known order: H grows by its
+  Schreier generators over a breadth-first walk of H's S-class from H,
+  stopped once it reaches the order; the walk is not cached.
 * |N_S(<H, t>)| is (p - 1) |N_S(H)| / R, with R the size of the
   rational class of t's image in W.  For a trivial H with p not
   dividing |A|, <t> is a Sylow subgroup whose normalizer is C_S(t).
@@ -32,10 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import (
-    SET_CAP,
     PermGroup,
     Subgroup,
-    _normalizer_of_order,
     normalizer,
     orbit,
     prime_factors,
@@ -205,11 +204,7 @@ def extension_elements(ctx: ExtensionContext, H: Subgroup) -> list:
         t = power(ctx.t, order_of(ctx.t) // p)
         return [(t, S.order // len(orbit([t], S.gen_conj(),
                                          lambda x, c: c(x))))]
-    if order == S.order or hs.order > SET_CAP:
-        # S itself, or the kernel's refusal of a big non-normal H
-        N = normalizer(S, hs)
-    else:
-        N = _normalizer_of_order(S, hs, order)
+    N = normalizer(S, hs, order)
     W, lift = quotient_group(N.as_group(), hs)
 
     # A is normal, so lying in A is constant on rational classes.  The

@@ -17,8 +17,9 @@ part way.
 Subgroups of a common ambient group carry their element sets whenever
 the order is at most SET_CAP; conjugacy of subgroups is resolved by
 orbit enumeration with per-class caches stored on the ambient group.
-A normalizer whose order a caller already knows walks H's class only
-until its Schreier generators span that order, and caches no class.
+A normalizer walks H's class from H only until its Schreier
+generators, joined to H one at a time, span its order; a caller that
+knows the order passes it, and no class is cached then.
 
 Cyclic extensions are built here only: ``Subgroup.join(t)`` is <H, t>,
 and ``quotient_group(N, H)`` is N(H)/H with a lift map, under the one
@@ -396,7 +397,8 @@ class Subgroup:
     __slots__ = ("ambient", "gens", "order", "_elems", "_group", "_fp",
                  "_profile")
 
-    def __init__(self, ambient: PermGroup, gens, *, elems=None, check=False):
+    def __init__(self, ambient: PermGroup, gens, *, elems=None, check=False,
+                 seed=None):
         self.ambient = ambient
         self.gens = _clean_gens(gens, ambient.degree)
         if check:
@@ -407,7 +409,8 @@ class Subgroup:
         self._fp = None
         self._profile = None
         if elems is None:
-            elems = close_elements(self.gens, ambient.degree, cap=SET_CAP)
+            elems = close_elements(self.gens, ambient.degree, cap=SET_CAP,
+                                   seed=seed)
         if elems is not None:
             self._elems = frozenset(elems)
             self.order = len(self._elems)
@@ -476,7 +479,8 @@ class Subgroup:
         """<H, t>, generated by H.gens + (t,).  When t normalizes H, and
         |H| m <= SET_CAP for the least m with t^m in H (m divides the
         order of t), the elements are the cosets H t^i (join_normalizing);
-        otherwise they are closed from the generators."""
+        otherwise they are closed by cosets from H's element set (from
+        the generators when H is above SET_CAP)."""
         gens = self.gens + (t,)
         w, m, n = t, 1, order_of(t)
         while self.order * n > SET_CAP >= self.order * m and w not in self:
@@ -485,7 +489,8 @@ class Subgroup:
             elems = join_normalizing(self.elements(), self.gens, t)
             if elems is not None:
                 return Subgroup(self.ambient, gens, elems=elems)
-        return Subgroup(self.ambient, gens)
+        seed = self.elements() if self.order <= SET_CAP else None
+        return Subgroup(self.ambient, gens, seed=seed)
 
     def is_normal_in(self, other) -> bool:
         """True iff this subgroup is normalized by all generators of other."""
@@ -589,31 +594,28 @@ def join_normalizing(h_elems: frozenset, h_gens, z: tuple[int, ...]):
 # orbit-stabilizer machinery
 
 
-def _stabilizer_from_orbit(G: PermGroup, nodes, rep_of, act,
-                           target_order: int, seed_gens) -> list:
-    """Schreier generators of a point stabilizer, sifted until complete.
+def _stabilizer_from_orbit(G: PermGroup, sub: Subgroup, nodes, rep_of, act,
+                           order: int) -> Subgroup:
+    """The stabilizer of a point, of the given order, grown from ``sub``
+    (a subgroup of it) by one join per Schreier generator outside it.
 
     nodes: the orbit, starting at the point; rep_of(node) -> an element
     taking the point to node (identity at the point); act(node, k) -> the
-    image of node under G.gens[k].  Returns generators.
+    image of node under G.gens[k].  Each join is ``Subgroup.join``, so a
+    stabilizer of order at most SET_CAP grows by cosets of its element
+    set and no stabilizer chain is built.
     """
-    gens = list(dict.fromkeys(g for g in seed_gens))
-    sub = PermGroup(gens, G.degree)
-    if sub.order == target_order:
-        return gens
+    if sub.order == order:
+        return sub
     for node in nodes:
         u = rep_of(node)
         for k, s in enumerate(G.gens):
-            v = rep_of(act(node, k))
-            sg = mul(mul(u, s), inv(v))
-            if not sub.contains(sg):
-                gens.append(sg)
-                sub = PermGroup(gens, G.degree)
-                if sub.order == target_order:
-                    return gens
-    if sub.order != target_order:  # pragma: no cover - orbit-stabilizer theorem
-        raise RuntimeError("stabilizer reconstruction failed")
-    return gens
+            sg = mul(mul(u, s), inv(rep_of(act(node, k))))
+            if sg not in sub:
+                sub = sub.join(sg)
+                if sub.order == order:
+                    return sub
+    raise RuntimeError(f"stabilizer of order {sub.order}, expected {order}")
 
 
 def centralizer(G: PermGroup, x) -> Subgroup:
@@ -626,13 +628,9 @@ def centralizer(G: PermGroup, x) -> Subgroup:
         return cached
     cg = G.gen_conj()
     reps = transversal(orbit([t], cg, _apply), G.gens, G.identity)
-    target = G.order // len(reps)
-    gens = _stabilizer_from_orbit(
-        G, reps, reps.__getitem__, lambda y, k: cg[k](y), target, [t])
-    result = Subgroup(G, gens)
-    if result.order != target:
-        raise RuntimeError(
-            f"centralizer of order {result.order}, expected {target}")
+    result = _stabilizer_from_orbit(
+        G, Subgroup(G, [t]), reps, reps.__getitem__, lambda y, k: cg[k](y),
+        G.order // len(reps))
     G._centralizers[t] = result
     return result
 
@@ -725,13 +723,17 @@ def are_conjugate_subgroups(G: PermGroup, H: Subgroup, K: Subgroup):
     return mul(inv(gh), gk)
 
 
-def normalizer(G: PermGroup, H: Subgroup) -> Subgroup:
-    """Normalizer of H in G via orbit-stabilizer on the conjugation orbit.
+def normalizer(G: PermGroup, H: Subgroup,
+               order: int | None = None) -> Subgroup:
+    """Normalizer of H in G via orbit-stabilizer on H's class.
 
-    The orbit is H's class, walked on index sets through the conjugation
-    tables; transversal elements are multiplied out only for the members
-    the Schreier-generator search visits.  A non-normal subgroup above
-    SET_CAP is refused by the class walk.
+    The class is walked lazily from H, on index sets through the
+    conjugation tables, and the Schreier generators over the walk grow H
+    (``_stabilizer_from_orbit``) until the normalizer has ``order``; an
+    element is multiplied out only for the members the walk visits.
+    Without ``order`` it is |G| over H's class length, from G's class
+    cache; a caller that passes it leaves that cache alone.  A
+    non-normal subgroup above SET_CAP is refused by the class walk.
     """
     H = rewrap(G, H)
     fp = H.fingerprint()
@@ -742,45 +744,17 @@ def normalizer(G: PermGroup, H: Subgroup) -> Subgroup:
         raise ValueError("subgroup not inside the group")
     if H.is_normal_in(G):
         result = rewrap(G, G)
-        G._normalizers[fp] = result
-        return result
-    cls = G._sub_classes[subgroup_class_id(G, H)]
-    # re-root the class transversal at H
-    g0inv = inv(cls.conjugator(fp, G.gens))
-
-    def rep_of(key):
-        return mul(g0inv, cls.conjugator(key, G.gens))
-
-    return _normalizer_from_walk(G, H, cls.tree, rep_of, G.order // cls.size)
-
-
-def _normalizer_of_order(G: PermGroup, H: Subgroup, order: int) -> Subgroup:
-    """N_G(H) for a non-normal H of G with an element set, when its
-    order is known: the Schreier generators over a breadth-first walk of
-    H's class rooted at H, stopped as soon as they span ``order``.  The
-    walk is not kept, so G's class cache does not change."""
-    H = rewrap(G, H)
-    fp = H.fingerprint()
-    cached = G._normalizers.get(fp)
-    if cached is not None:
-        return cached
-    tree, known = {fp: None}, {fp: G.identity}
-    walk = orbit_walk(tree, range(len(G.gens)), G.conj_index_set)
-    return _normalizer_from_walk(
-        G, H, walk, lambda key: path_product(tree, key, G.gens, known), order)
-
-
-def _normalizer_from_walk(G: PermGroup, H: Subgroup, nodes, rep_of,
-                          order: int) -> Subgroup:
-    """The stabilizer of H's key over a walk of its class (see
-    ``_stabilizer_from_orbit``), checked against ``order`` and cached."""
-    gens = _stabilizer_from_orbit(
-        G, nodes, rep_of, G.conj_index_set, order, list(H.gens))
-    result = Subgroup(G, gens)
-    if result.order != order:
-        raise RuntimeError(
-            f"normalizer of order {result.order}, expected {order}")
-    G._normalizers[H.fingerprint()] = result
+    else:
+        if order is None or H.order > SET_CAP:
+            # H's class length; the class walk refuses a big H (not
+            # normal here) with CapExceededError
+            order = G.order // G._sub_classes[subgroup_class_id(G, H)].size
+        tree, known = {fp: None}, {fp: G.identity}
+        result = _stabilizer_from_orbit(
+            G, H, orbit_walk(tree, range(len(G.gens)), G.conj_index_set),
+            lambda key: path_product(tree, key, G.gens, known),
+            G.conj_index_set, order)
+    G._normalizers[fp] = result
     return result
 
 

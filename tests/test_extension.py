@@ -32,7 +32,7 @@ from burnside.lattice import (
     all_subgroup_classes_brute,
     subgroup_classes_search,
 )
-from burnside.perms import conj, order_of, parse_cycles
+from burnside.perms import conj, inv, mul, order_of, parse_cycles
 
 
 @pytest.fixture(scope="module")
@@ -320,9 +320,22 @@ def full_walk_normalizer(S, H):
     fp = H.fingerprint()
     tree = groups.orbit([fp], range(len(S.gens)), S.conj_index_set)
     known = {fp: S.identity}
-    gens = groups._stabilizer_from_orbit(
-        S, tree, lambda key: groups.path_product(tree, key, S.gens, known),
-        S.conj_index_set, S.order // len(tree), list(H.gens))
+    target = S.order // len(tree)
+    gens = list(H.gens)
+    sub = PermGroup(gens, S.degree)
+    for key in tree:
+        if sub.order == target:
+            break
+        u = groups.path_product(tree, key, S.gens, known)
+        for k, s in enumerate(S.gens):
+            v = groups.path_product(
+                tree, S.conj_index_set(key, k), S.gens, known)
+            sg = mul(mul(u, s), inv(v))
+            if not sub.contains(sg):
+                gens.append(sg)
+                sub = PermGroup(gens, S.degree)
+                if sub.order == target:
+                    break
     return Subgroup(S, gens)
 
 

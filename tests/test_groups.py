@@ -31,11 +31,13 @@ from burnside.groups import (
     orbit,
     prime_factors,
     quotient_group,
+    rewrap,
+    subgroup_class_id,
     transversal,
     trivial_subgroup,
 )
 from burnside.lattice import all_subgroup_classes_brute, zuppos
-from burnside.perms import conj, mul, order_of, parse_cycles, power
+from burnside.perms import conj, inv, mul, order_of, parse_cycles, power
 
 
 def naive_closure(gens, degree):
@@ -580,3 +582,97 @@ def test_conjugation_tables_match_tuple_conj(G):
         assert len(elts) == G.order
         for i in range(G.order):
             assert elts[tab[i]] == conj(elts[i], s)
+
+
+# ---------------------------------------------------------------------------
+# the one normalizer routine against the two former walks
+
+
+def _chain_rebuild_stabilizer_gens(G, nodes, rep_of, act, target, seed_gens):
+    """The former stabilizer body: Schreier generators over the walk, each
+    new one tested against and added to a fresh stabilizer chain."""
+    gens = list(dict.fromkeys(seed_gens))
+    sub = PermGroup(gens, G.degree)
+    if sub.order == target:
+        return gens
+    for node in nodes:
+        u = rep_of(node)
+        for k, s in enumerate(G.gens):
+            sg = mul(mul(u, s), inv(rep_of(act(node, k))))
+            if not sub.contains(sg):
+                gens.append(sg)
+                sub = PermGroup(gens, G.degree)
+                if sub.order == target:
+                    return gens
+    raise RuntimeError("stabilizer reconstruction failed")
+
+
+def _full_walk_normalizer(G, H):
+    """The former normalizer: H's whole class walked into G's cache, its
+    Schreier tree re-rooted at H."""
+    H = rewrap(G, H)
+    if H.is_normal_in(G):
+        return rewrap(G, G)
+    cls = G._sub_classes[subgroup_class_id(G, H)]
+    g0inv = inv(cls.conjugator(H.fingerprint(), G.gens))
+    gens = _chain_rebuild_stabilizer_gens(
+        G, cls.tree, lambda key: mul(g0inv, cls.conjugator(key, G.gens)),
+        G.conj_index_set, G.order // cls.size, H.gens)
+    return Subgroup(G, gens)
+
+
+def _stopped_walk_normalizer(G, H, order):
+    """The former normalizer of known order: a walk of H's class from H,
+    stopped once its Schreier generators span ``order``."""
+    H = rewrap(G, H)
+    fp = H.fingerprint()
+    tree, known = {fp: None}, {fp: G.identity}
+    gens = _chain_rebuild_stabilizer_gens(
+        G, groups.orbit_walk(tree, range(len(G.gens)), G.conj_index_set),
+        lambda key: groups.path_product(tree, key, G.gens, known),
+        G.conj_index_set, order, H.gens)
+    return Subgroup(G, gens)
+
+
+@pytest.mark.parametrize("G", REFERENCE_GROUPS, ids=REFERENCE_IDS)
+def test_normalizer_matches_the_full_and_the_stopped_walk(G):
+    """For every class representative H, normalizer(G, H) and
+    normalizer(G, H, |N|) have the order and element set of the former
+    full-walk normalizer, and the second has the generators of the former
+    stopped walk when H is not normal; with the order given, no class of
+    G is cached."""
+    reference = PermGroup(G.gens, G.degree)
+    plain = PermGroup(G.gens, G.degree)
+    ordered = PermGroup(G.gens, G.degree)
+    for H in all_subgroup_classes_brute(G):
+        want = _full_walk_normalizer(reference, H)
+        stopped = _stopped_walk_normalizer(reference, H, want.order)
+        got = normalizer(plain, H)
+        got_ordered = normalizer(ordered, H, want.order)
+        for N in (stopped, got, got_ordered):
+            assert N.order == want.order
+            assert N.elements() == want.elements()
+        if want.order < G.order:
+            assert got_ordered.gens == stopped.gens
+    assert ordered._sub_classes == []
+
+
+@pytest.mark.parametrize("G", [CATALOG.group("S5"), relabeled("A6", 3)],
+                         ids=["S5", "A6 relabeled"])
+def test_normalizers_build_no_chain_once_the_classes_are_walked(
+        G, monkeypatch):
+    """Stabilizers grow by joins of element sets, so once the classes of
+    a fresh copy of G are walked, none of its normalizers runs
+    Schreier-Sims."""
+    fresh = PermGroup(G.gens, G.degree)
+    reps = [rewrap(fresh, H) for H in all_subgroup_classes_brute(G)]
+    for H in reps:
+        subgroup_class_id(fresh, H)
+    builds = []
+    real = groups.build_chain
+    monkeypatch.setattr(groups, "build_chain",
+                        lambda *args: builds.append(args) or real(*args))
+    orders = [normalizer(fresh, H).order for H in reps]
+    assert builds == []
+    assert [fresh.order // o for o in orders] == [
+        fresh._sub_classes[subgroup_class_id(fresh, H)].size for H in reps]

@@ -1,7 +1,7 @@
 """Source lint: checks on inputs and invariants must survive
-``python -O``, so the package holds no ``assert`` statement; and the
-package exports only names it defines, and references every private
-helper it defines."""
+``python -O``, so the package holds no ``assert`` statement; the
+package exports only names it defines, references every private helper
+it defines, and keeps each private name inside its own module."""
 
 import ast
 from pathlib import Path
@@ -16,6 +16,17 @@ def test_no_assert_in_the_package():
              for path in SOURCES
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
+    assert SOURCES and not found, found
+
+
+def test_no_module_imports_a_private_name():
+    """A module reaches another module's helper only by a public name:
+    no relative ``from .x import _name``."""
+    found = [f"{path.name}:{node.lineno} {alias.name}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.ImportFrom) and node.level
+             for alias in node.names if alias.name.startswith("_")]
     assert SOURCES and not found, found
 
 

@@ -234,6 +234,17 @@ def test_cli_verify_parse_failure(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("where", ["missing directory", "a directory"])
+def test_cli_tom_unwritable_out_exits_2(where, tmp_path, capsys):
+    out = (tmp_path / "missing" / "x.json" if where == "missing directory"
+           else tmp_path)
+    capsys.readouterr()
+    assert main(["tom", "S4", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.out == ""
+
+
 def test_cli_verify_trivial(tmp_path):
     code, _ = _capture(["tom", "trivial", "--format", "json", "--out",
                         str(tmp_path / "t.json")])
