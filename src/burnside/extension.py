@@ -24,6 +24,10 @@ Every S-normalizer of the step is derived from what A has cached
   rational class of t's image in W.  For a trivial H with p not
   dividing |A|, <t> is a Sylow subgroup whose normalizer is C_S(t).
 
+An A-class representative serves on the S side as it is: a subgroup
+handle belongs to no ambient group, and A and S each key it in their
+own element numbering.
+
 Iterating the step along a composition series enumerates the classes
 of any solvable group starting from the trivial one.
 """
@@ -40,7 +44,6 @@ from .groups import (
     prime_factors,
     quotient_group,
     rational_classes,
-    rewrap,
     subgroup_class_id,
 )
 from .perms import mul, order_of, power
@@ -72,7 +75,7 @@ class ExtensionContext:
         for a in A.gens:
             if not S.contains(a):
                 raise ValueError("normal subgroup not inside the group")
-        if not rewrap(S, A).is_normal_in(S):
+        if not A.as_subgroup().is_normal_in(S):
             raise ValueError("subgroup is not normal")
         t = next((g for g in S.gens if not A.contains(g)), None)
         if t is None:
@@ -84,7 +87,7 @@ class ExtensionContext:
 class InnerClass:
     """One S-class of subgroups of A."""
 
-    rep: Subgroup                 # ambient S
+    rep: Subgroup
     a_indices: tuple[int, ...]    # merged A-class indices (1 or p of them)
     normalizer_order: int         # |N_S(rep)|
 
@@ -96,7 +99,11 @@ class InnerClass:
 @dataclass
 class InnerSplit:
     classes: list[InnerClass]
-    raw_fused_count: int          # number of A-classes sitting in merged classes
+
+    @property
+    def raw_fused_count(self) -> int:
+        """The number of A-classes sitting in merged classes."""
+        return sum(len(c.a_indices) for c in self.merged_classes)
 
     @property
     def stable_classes(self) -> list[InnerClass]:
@@ -130,13 +137,10 @@ def split_inner_classes(a_classes: list[Subgroup],
     S-class, conjugate under powers of t.  A transversal that misses
     one of them raises InconsistentTableError.
     """
-    S, A, p = ctx.S, ctx.A, ctx.p
-    handles = []
+    A, p = ctx.A, ctx.p
     for H in a_classes:
-        hs = rewrap(S, H)
-        if not all(A.contains(g) for g in hs.gens):
+        if not all(A.contains(g) for g in H.gens):
             raise ValueError("input class representative not inside A")
-        handles.append(hs)
     norms = [_inner_normalizer_order(ctx, H) for H in a_classes]
 
     # resolve merged classes by conjugating with powers of t
@@ -144,38 +148,34 @@ def split_inner_classes(a_classes: list[Subgroup],
     a_cid_of = {subgroup_class_id(A, a_classes[i]): i for i in unstable_idx}
     assigned: set[int] = set()
     classes: list[InnerClass] = []
-    raw_fused = 0
-    for i, hs in enumerate(handles):
+    for i, H in enumerate(a_classes):
         stable, order = norms[i]
         if stable:
             classes.append(InnerClass(
-                rep=hs, a_indices=(i,), normalizer_order=order))
+                rep=H, a_indices=(i,), normalizer_order=order))
             continue
         if i in assigned:
             continue
         partners = [i]
         g = ctx.t
         for _ in range(p - 1):
-            cid = subgroup_class_id(A, a_classes[i].conjugated(g))
+            cid = subgroup_class_id(A, H.conjugated(g))
             j = a_cid_of.get(cid)
             if j is None or j in assigned or j in partners:
                 raise InconsistentTableError("inconsistent class fusion")
             partners.append(j)
             g = mul(g, ctx.t)
         assigned.update(partners)
-        raw_fused += p
         classes.append(InnerClass(
-            rep=hs, a_indices=tuple(partners), normalizer_order=order))
-    if raw_fused != p * sum(not c.stable for c in classes):
-        raise RuntimeError("merged classes are not p A-classes each")
-    return InnerSplit(classes=classes, raw_fused_count=raw_fused)
+            rep=H, a_indices=tuple(partners), normalizer_order=order))
+    return InnerSplit(classes=classes)
 
 
 @dataclass
 class OuterClass:
     """One S-class of subgroups not contained in A."""
 
-    rep: Subgroup               # ambient S, of order p * |base|
+    rep: Subgroup               # of order p * |base|
     base_index: int             # A-class index of rep's intersection with A
     gen_element: tuple[int, ...]  # coset element of p-power order
     normalizer_order: int
@@ -191,21 +191,20 @@ def extension_elements(ctx: ExtensionContext, H: Subgroup) -> list:
     Empty when N_S(H) is contained in A.
     """
     S, A, p = ctx.S, ctx.A, ctx.p
-    hs = rewrap(S, H)
-    if not all(A.contains(g) for g in hs.gens):
+    if not all(A.contains(g) for g in H.gens):
         raise ValueError("subgroup not inside A")
-    stable, order = _inner_normalizer_order(ctx, hs)
+    stable, order = _inner_normalizer_order(ctx, H)
     if not stable:
         return []
-    if hs.order == 1 and A.order % p:
+    if H.order == 1 and A.order % p:
         # Sylow case: the only order-p class; any p-element works, and
         # t has order divisible by p as it lies outside A.  A normalizer
         # of <t> meets A in C_A(t), so it is C_S(t).
         t = power(ctx.t, order_of(ctx.t) // p)
         return [(t, S.order // len(orbit([t], S.gen_conj(),
                                          lambda x, c: c(x))))]
-    N = normalizer(S, hs, order)
-    W, lift = quotient_group(N.as_group(), hs)
+    N = normalizer(S, H, order)
+    W, lift = quotient_group(N.as_group(), H)
 
     # A is normal, so lying in A is constant on rational classes.  The
     # rational class of w holds the p - 1 generators of each conjugate
@@ -229,14 +228,13 @@ def outer_classes(a_classes: list[Subgroup],
     """One representative per S-class of subgroups not contained in A."""
     out: list[OuterClass] = []
     for i, H in enumerate(a_classes):
-        hs = rewrap(ctx.S, H)
-        for t, normalizer_order in extension_elements(ctx, hs):
-            K = hs.join(t)
+        for t, normalizer_order in extension_elements(ctx, H):
+            K = H.join(t)
             # |K| = p|H| and t outside A force K meet A = H, normal in K
-            if K.order != ctx.p * hs.order:
+            if K.order != ctx.p * H.order:
                 raise RuntimeError(
                     f"extension of order {K.order}, expected "
-                    f"{ctx.p * hs.order}")
+                    f"{ctx.p * H.order}")
             out.append(OuterClass(
                 rep=K, base_index=i, gen_element=t,
                 normalizer_order=normalizer_order))

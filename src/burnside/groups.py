@@ -14,9 +14,12 @@ classes, cosets and rational classes all use it; ``transversal`` and
 walk, ``orbit_walk``, also runs lazily, for a caller that may stop
 part way.
 
-Subgroups of a common ambient group carry their element sets whenever
-the order is at most SET_CAP; conjugacy of subgroups is resolved by
-orbit enumeration with per-class caches stored on the ambient group.
+A subgroup handle carries its generators, its degree and, whenever
+the order is at most SET_CAP, its element set; it belongs to no
+ambient group.  The group that classifies a handle keys it in its own
+numbering (``PermGroup.subgroup_key``), so one handle can be classified
+in A and in an overgroup S alike.  Conjugacy of subgroups is resolved
+by orbit enumeration with per-class caches stored on that group.
 A normalizer walks H's class from H only until its Schreier
 generators, joined to H one at a time, span its order; a caller that
 knows the order passes it, and no class is cached then.
@@ -30,13 +33,11 @@ tuple) and keeps one conjugation table per generator, index to index,
 filled on demand by two gathers per entry through the generator's
 inverse, which is computed once (``perms.conj_by``).  The class key of
 a subgroup of order at most SET_CAP is the frozenset of its element
-indices in the ambient group's numbering, so a step of a class orbit
-walk is one table gather per element instead of a permutation
+indices in the classifying group's numbering, so a step of a class
+orbit walk is one table gather per element instead of a permutation
 conjugation.  A class stores its orbit as a Schreier tree (member key
 -> parent key and generator index), and conjugating elements are
 multiplied out only for the members asked for.
-Class ids, conjugacy tests and normalizers rewrap a subgroup handle of
-another ambient group before reading its key.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .perms import (
 from .perms import power as perm_power
 
 # subgroups up to this order keep an explicit element set (used for
-# fingerprints, fast membership and coset canonicalisation)
+# class keys, fast membership and coset canonicalisation)
 SET_CAP = 5000
 
 # elements() refuses beyond this, to keep accidental blowups loud
@@ -353,6 +354,24 @@ class PermGroup:
                 tab[i] = num.number(c(elts[i]))
         return frozenset(map(tab.__getitem__, idxs))
 
+    def subgroup_key(self, H: "Subgroup"):
+        """Hashable class key of a subgroup handle in this group: the
+        index set of its elements in this group's numbering when the
+        order is at most SET_CAP.
+
+        Bigger subgroups get a key from their order and generators,
+        which is only unique per handle; class identification treats
+        them separately.
+        """
+        if H.order <= SET_CAP:
+            return self.index_set(H.elements())
+        return ("big", H.order, tuple(sorted(H.gens)))
+
+    def as_subgroup(self) -> "Subgroup":
+        """The whole group as a subgroup handle, on this group's chain
+        and element list."""
+        return Subgroup(self, self.gens, group=self)
+
     def __repr__(self) -> str:
         return f"PermGroup(order={self.order}, degree={self.degree})"
 
@@ -388,39 +407,41 @@ class PermGroup:
 
 
 class Subgroup:
-    """A subgroup of an ambient PermGroup, given by generators.
+    """A subgroup of a permutation group, given by generators.
 
     Carries the exact element set when the order is at most SET_CAP;
-    otherwise membership falls back to a stabilizer chain.
+    otherwise membership falls back to a stabilizer chain.  G supplies
+    the degree and, with ``check``, the membership test of the
+    generators; the handle keeps no reference to it, and a group that
+    classifies the handle keys it in its own numbering
+    (``PermGroup.subgroup_key``).  ``group``, a PermGroup on the same
+    generators, supplies the chain and the order instead of a closure.
     """
 
-    __slots__ = ("ambient", "gens", "order", "_elems", "_group", "_fp",
-                 "_profile")
+    __slots__ = ("degree", "gens", "order", "_elems", "_group", "_profile")
 
-    def __init__(self, ambient: PermGroup, gens, *, elems=None, check=False,
-                 seed=None):
-        self.ambient = ambient
-        self.gens = _clean_gens(gens, ambient.degree)
+    def __init__(self, G, gens, *, elems=None, check=False, seed=None,
+                 group: PermGroup | None = None):
+        self.degree = G.degree
+        self.gens = _clean_gens(gens, G.degree)
         if check:
             for t in self.gens:
-                if not ambient.contains(t):
+                if not G.contains(t):
                     raise ValueError("generator outside the ambient group")
-        self._group = None
-        self._fp = None
+        self._group = group
         self._profile = None
-        if elems is None:
-            elems = close_elements(self.gens, ambient.degree, cap=SET_CAP,
+        if elems is None and group is None:
+            elems = close_elements(self.gens, G.degree, cap=SET_CAP,
                                    seed=seed)
-        if elems is not None:
-            self._elems = frozenset(elems)
-            self.order = len(self._elems)
-        else:
-            self._elems = None
-            self.order = self.as_group().order
+        elif elems is None and group.order <= SET_CAP:
+            elems = group.elements()
+        self._elems = None if elems is None else frozenset(elems)
+        self.order = (self.as_group().order if self._elems is None
+                      else len(self._elems))
 
     def as_group(self) -> PermGroup:
         if self._group is None:
-            self._group = PermGroup(self.gens, self.ambient.degree)
+            self._group = PermGroup(self.gens, self.degree)
         return self._group
 
     def elements(self) -> frozenset:
@@ -435,21 +456,6 @@ class Subgroup:
         return self.as_group().contains(t)
 
     __contains__ = contains
-
-    def fingerprint(self):
-        """Hashable class key: for small subgroups the frozenset of the
-        element indices in the ambient group's numbering.
-
-        Big subgroups fall back to a generator-based key, which is only
-        unique per handle; class identification treats them separately.
-        The key is only meaningful within the ambient group.
-        """
-        if self._fp is None:
-            if self.order <= SET_CAP:
-                self._fp = self.ambient.index_set(self.elements())
-            else:
-                self._fp = ("big", self.order, tuple(sorted(self.gens)))
-        return self._fp
 
     def order_profile(self):
         """Sorted multiset of element orders (small subgroups only)."""
@@ -471,65 +477,38 @@ class Subgroup:
     def conjugated(self, g: tuple[int, ...]) -> "Subgroup":
         c = conj_by(g)
         gens = [c(x) for x in self.gens]
-        if self._elems is not None and self.order <= SET_CAP:
-            return Subgroup(self.ambient, gens, elems=map(c, self._elems))
-        return Subgroup(self.ambient, gens)
+        if self.order <= SET_CAP:
+            return Subgroup(self, gens, elems=map(c, self.elements()))
+        return PermGroup(gens, self.degree).as_subgroup()
 
     def join(self, t: tuple[int, ...]) -> "Subgroup":
         """<H, t>, generated by H.gens + (t,).  When t normalizes H, and
         |H| m <= SET_CAP for the least m with t^m in H (m divides the
         order of t), the elements are the cosets H t^i (join_normalizing);
-        otherwise they are closed by cosets from H's element set (from
-        the generators when H is above SET_CAP)."""
+        otherwise they are closed by cosets from H's element set.  An H
+        above SET_CAP gets the stabilizer chain of the join directly."""
         gens = self.gens + (t,)
+        if self.order > SET_CAP:
+            return PermGroup(gens, self.degree).as_subgroup()
         w, m, n = t, 1, order_of(t)
         while self.order * n > SET_CAP >= self.order * m and w not in self:
             w, m = mul(w, t), m + 1
         if self.order * m <= SET_CAP:
             elems = join_normalizing(self.elements(), self.gens, t)
             if elems is not None:
-                return Subgroup(self.ambient, gens, elems=elems)
-        seed = self.elements() if self.order <= SET_CAP else None
-        return Subgroup(self.ambient, gens, seed=seed)
+                return Subgroup(self, gens, elems=elems)
+        return Subgroup(self, gens, seed=self.elements())
 
     def is_normal_in(self, other) -> bool:
         """True iff this subgroup is normalized by all generators of other."""
         return all(conj(x, g) in self for g in other.gens for x in self.gens)
 
     def __repr__(self) -> str:
-        return f"Subgroup(order={self.order}, degree={self.ambient.degree})"
+        return f"Subgroup(order={self.order}, degree={self.degree})"
 
 
 def trivial_subgroup(G: PermGroup) -> Subgroup:
     return Subgroup(G, [], elems=[G.identity])
-
-
-def rewrap(G: PermGroup, H: Subgroup | PermGroup) -> Subgroup:
-    """The same group as a subgroup handle of G, re-deriving nothing: H
-    is a subgroup handle of another ambient group, or a PermGroup inside
-    G (``rewrap(G, G)`` is the whole group).
-
-    The element set is kept (and made when the order is at most
-    SET_CAP); the class key is relative to the ambient group's
-    numbering, so the new handle computes its own.
-    """
-    if isinstance(H, PermGroup):
-        group, elems = H, None
-    elif H.ambient is G:
-        return H
-    else:
-        group, elems = H._group, H._elems
-    if elems is None and H.order <= SET_CAP:
-        elems = frozenset(H.elements())
-    sub = Subgroup.__new__(Subgroup)
-    sub.ambient = G
-    sub.gens = H.gens
-    sub.order = H.order
-    sub._elems = elems
-    sub._group = group
-    sub._fp = None
-    sub._profile = None
-    return sub
 
 
 def close_elements(gens, degree, *, cap=None, seed=None):
@@ -651,20 +630,20 @@ class _SubClass:
         return path_product(self.tree, key, gens, self.known)
 
 
-def subgroup_class_id(G: PermGroup, H: Subgroup) -> int:
+def subgroup_class_id(G: PermGroup, H: Subgroup, key=None) -> int:
     """Conjugacy-class id of H in G, enumerating the class on first sight.
 
     The whole class orbit is cached on G, so later identifications of
     any member are dictionary lookups.  Each orbit step conjugates a
     member's index set by one generator through its conjugation table.
+    ``key`` is H's ``G.subgroup_key``, for a caller that already has it.
     """
-    H = rewrap(G, H)
-    fp = H.fingerprint()
+    fp = G.subgroup_key(H) if key is None else key
     cid = G._sub_class_of.get(fp)
     if cid is not None:
         return cid
     if H.order > SET_CAP:
-        return _class_id_big(G, H)
+        return _class_id_big(G, H, fp)
     cid = len(G._sub_classes)
     tree = orbit([fp], range(len(G.gens)), G.conj_index_set)
     G._sub_classes.append(
@@ -673,14 +652,13 @@ def subgroup_class_id(G: PermGroup, H: Subgroup) -> int:
     return cid
 
 
-def _class_id_big(G: PermGroup, H: Subgroup) -> int:
+def _class_id_big(G: PermGroup, H: Subgroup, fp) -> int:
     """Class id for subgroups above SET_CAP (generator keys per handle).
 
     These are almost always normal at the scales this package targets;
     a non-normal big subgroup would need a guarded orbit walk, which is
     refused beyond a small bound.
     """
-    fp = H.fingerprint()
     for cid, cls in enumerate(G._sub_classes):
         if cls.rep.order == H.order and cls.rep.order > SET_CAP:
             if H.same_subgroup(cls.rep):
@@ -711,14 +689,13 @@ def are_conjugate_subgroups(G: PermGroup, H: Subgroup, K: Subgroup):
         return G.identity
     if H.order <= SET_CAP and H.order_profile() != K.order_profile():
         return None
-    H, K = rewrap(G, H), rewrap(G, K)
-    ch = subgroup_class_id(G, H)
-    ck = subgroup_class_id(G, K)
-    if ch != ck:
+    kh, kk = G.subgroup_key(H), G.subgroup_key(K)
+    ch = subgroup_class_id(G, H, kh)
+    if ch != subgroup_class_id(G, K, kk):
         return None
     cls = G._sub_classes[ch]
-    gh = cls.conjugator(H.fingerprint(), G.gens)
-    gk = cls.conjugator(K.fingerprint(), G.gens)
+    gh = cls.conjugator(kh, G.gens)
+    gk = cls.conjugator(kk, G.gens)
     # rep^gh = H, rep^gk = K  =>  H^(gh^-1 gk) = K
     return mul(inv(gh), gk)
 
@@ -735,20 +712,20 @@ def normalizer(G: PermGroup, H: Subgroup,
     cache; a caller that passes it leaves that cache alone.  A
     non-normal subgroup above SET_CAP is refused by the class walk.
     """
-    H = rewrap(G, H)
-    fp = H.fingerprint()
+    fp = G.subgroup_key(H)
     cached = G._normalizers.get(fp)
     if cached is not None:
         return cached
     if not all(g in G for g in H.gens):
         raise ValueError("subgroup not inside the group")
     if H.is_normal_in(G):
-        result = rewrap(G, G)
+        result = G.as_subgroup()
     else:
         if order is None or H.order > SET_CAP:
             # H's class length; the class walk refuses a big H (not
             # normal here) with CapExceededError
-            order = G.order // G._sub_classes[subgroup_class_id(G, H)].size
+            cid = subgroup_class_id(G, H, fp)
+            order = G.order // G._sub_classes[cid].size
         tree, known = {fp: None}, {fp: G.identity}
         result = _stabilizer_from_orbit(
             G, H, orbit_walk(tree, range(len(G.gens)), G.conj_index_set),

@@ -35,7 +35,6 @@ from .groups import (
     prime_factors,
     quotient_group,
     rational_classes,
-    rewrap,
     subgroup_class_id,
     trivial_subgroup,
 )
@@ -192,7 +191,7 @@ def subgroup_classes_search(G: PermGroup) -> list[Subgroup]:
                     known.add(cid)
                     reps.append(K)
     if all(h.order != G.order for h in reps):
-        whole = rewrap(G, G)
+        whole = G.as_subgroup()
         known.add(subgroup_class_id(G, whole))
         reps.append(whole)
     reps.sort(key=lambda h: h.order)

@@ -45,7 +45,6 @@ from .groups import (
     composition_steps,
     coset_transversal,
     normalizer,
-    rewrap,
     subgroup_class_id,
     trivial_subgroup,
     SET_CAP,
@@ -219,7 +218,7 @@ def dress_row(S: PermGroup, ident: ClassIdentifier, u_index: int,
     N = normalizer(S, U)
     modulus = N.order // U.order
     coeffs: dict[int, int] = {}
-    for a in coset_transversal(N.as_group(), rewrap(N.as_group(), U)):
+    for a in coset_transversal(N.as_group(), U):
         idx = ident.index_of(U.join(a))
         coeffs[idx] = coeffs.get(idx, 0) + 1
     if sum(coeffs.values()) != modulus:
@@ -729,7 +728,7 @@ def dress_rows_full(pattern: SubgroupPattern) -> list[DressRow]:
     ident = ClassIdentifier(S, [c.rep for c in pattern.classes])
     out = []
     for u, c in enumerate(pattern.classes):
-        out.append(dress_row(S, ident, u, rewrap(S, c.rep)))
+        out.append(dress_row(S, ident, u, c.rep))
     return out
 
 

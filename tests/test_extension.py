@@ -14,7 +14,6 @@ from burnside.extension import (
     extend_classes,
     extension_elements,
     outer_classes,
-    rewrap,
     sort_class_reps,
     split_inner_classes,
 )
@@ -69,6 +68,29 @@ def test_split_inner_a5(s5_ctx, a5_classes):
     assert split.raw_fused_count == 0
 
 
+def test_a4_s4_step_above_a_small_cap_gets_every_closure_back(
+        s4, a4, monkeypatch):
+    """With SET_CAP 8, A4 itself is above the cap: the step conjugates
+    it and joins it to S4 by a chain, so no closure of the step comes
+    back empty, and the 11 classes of S4 come out."""
+    a_classes = all_subgroup_classes_brute(PermGroup(a4.gens, a4.degree))
+    results = []
+    real = groups.close_elements
+
+    def spied(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(groups, "close_elements", spied)
+    monkeypatch.setattr(groups, "SET_CAP", 8)
+    ctx = ExtensionContext.create(PermGroup(s4.gens, s4.degree),
+                                  PermGroup(a4.gens, a4.degree))
+    step = extend_classes(a_classes, ctx)
+    assert sorted(r.order for r in step.reps) == [
+        1, 2, 2, 3, 4, 4, 4, 6, 8, 12, 24]
+    assert None not in results
+
+
 def test_split_inner_c3_in_s3():
     s3 = CATALOG.group("S3")
     c3 = PermGroup([parse_cycles("(1,2,3)", 3)], 3)
@@ -100,10 +122,9 @@ def test_split_inner_fusion_q8():
     for i in range(3):
         for j in range(i + 1, 3):
             assert are_conjugate_subgroups(
-                q8_group, rewrap(q8_group, fused[i]),
-                rewrap(q8_group, fused[j])) is None
+                q8_group, fused[i], fused[j]) is None
             assert are_conjugate_subgroups(
-                sl, rewrap(sl, fused[i]), rewrap(sl, fused[j])) is not None
+                sl, fused[i], fused[j]) is not None
 
 
 def test_dichotomy(s4, a4, s5, a5):
@@ -111,10 +132,8 @@ def test_dichotomy(s4, a4, s5, a5):
     for S, A in ((s4, a4), (s5, a5)):
         ctx = ExtensionContext.create(S, A)
         for H in all_subgroup_classes_brute(A):
-            hs = rewrap(S, H)
-            ha = rewrap(A, H)
-            ns = normalizer(S, hs).order
-            na = normalizer(A, ha).order
+            ns = normalizer(S, H).order
+            na = normalizer(A, H).order
             len_s = S.order // ns
             len_a = A.order // na
             first = ns == ctx.p * na and len_s == len_a
@@ -124,18 +143,17 @@ def test_dichotomy(s4, a4, s5, a5):
 
 def test_extension_elements_s5(s5_ctx, a5_classes, s5):
     triv = a5_classes[0]
-    ts = extension_elements(s5_ctx, rewrap(s5, triv))
+    ts = extension_elements(s5_ctx, triv)
     assert len(ts) == 1
     assert order_of(ts[0][0]) == 2 and not s5_ctx.A.contains(ts[0][0])
     top = a5_classes[-1]
     assert top.order == 60
-    ts_top = extension_elements(s5_ctx, rewrap(s5, top))
+    ts_top = extension_elements(s5_ctx, top)
     assert len(ts_top) == 1 and ts_top[0][1] == 120
 
 
 def test_extension_elements_postconditions(s5_ctx, a5_classes, s5):
-    for H in a5_classes:
-        hs = rewrap(s5, H)
+    for hs in a5_classes:
         for t, normalizer_order in extension_elements(s5_ctx, hs):
             assert not s5_ctx.A.contains(t)
             n = order_of(t)
@@ -172,7 +190,7 @@ def test_outer_classes_s5(s5_ctx, a5_classes):
         base = a5_classes[o.base_index]
         assert o.rep.order == 2 * base.order
         inter = {x for x in o.rep.elements() if s5_ctx.A.contains(x)}
-        assert inter == set(rewrap(s5_ctx.S, base).elements()) \
+        assert inter == set(base.elements()) \
             or len(inter) == base.order
 
 
@@ -184,7 +202,7 @@ def test_outer_class_intersections_conjugate(s5_ctx, a5_classes, s5):
             x for x in o.rep.elements() if s5_ctx.A.contains(x))
         gens = sorted(inter)
         isub = Subgroup(s5_ctx.A, gens, elems=inter)
-        base = rewrap(s5_ctx.A, a5_classes[o.base_index])
+        base = a5_classes[o.base_index]
         assert are_conjugate_subgroups(s5_ctx.A, isub, base) is not None
 
 
@@ -314,10 +332,9 @@ def full_walk_normalizer(S, H):
     S itself for a normal H, else the whole class of H walked from H and
     the Schreier generators over that walk up to |S| / (class length).
     The class cache of S is not touched."""
-    H = rewrap(S, H)
     if H.is_normal_in(S):
-        return rewrap(S, S)
-    fp = H.fingerprint()
+        return S.as_subgroup()
+    fp = S.subgroup_key(H)
     tree = groups.orbit([fp], range(len(S.gens)), S.conj_index_set)
     known = {fp: S.identity}
     target = S.order // len(tree)

@@ -31,7 +31,6 @@ from burnside.groups import (
     orbit,
     prime_factors,
     quotient_group,
-    rewrap,
     subgroup_class_id,
     transversal,
     trivial_subgroup,
@@ -419,7 +418,7 @@ def test_join_matches_a_fresh_subgroup(name):
             fresh = Subgroup(G, H.gens + (t,))
             if t != G.identity and t not in H.gens:
                 assert K.gens == H.gens + (t,)
-            assert K.gens == fresh.gens and K.ambient is G
+            assert K.gens == fresh.gens and K.degree == G.degree
             assert K.order == fresh.order
             assert K.elements() == fresh.elements()
             kinds.add(all(conj(g, t) in H for g in H.gens))
@@ -445,6 +444,50 @@ def test_join_takes_the_coset_union_exactly_when_it_fits(monkeypatch):
     assert H.join(c4).order == 4 and not closures
     monkeypatch.setattr(groups, "SET_CAP", 3)
     assert H.join(c4).order == 4 and closures
+
+
+def test_big_joins_and_conjugates_run_no_closure(monkeypatch):
+    """With SET_CAP 3, a C4 of S4 is above the cap: its conjugate and
+    its join with a reflection get a stabilizer chain, and no element
+    closure runs for them."""
+    G = CATALOG.group("S4")
+    c4 = Subgroup(G, [parse_cycles("(1,2,3,4)", 4)])
+    t, r = parse_cycles("(1,2)", 4), parse_cycles("(1,3)", 4)
+    closures = []
+    real = groups.close_elements
+
+    def counted(*args, **kwargs):
+        closures.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "close_elements", counted)
+    monkeypatch.setattr(groups, "SET_CAP", 3)
+    conjugate, joined = c4.conjugated(t), c4.join(r)
+    assert not closures
+    assert conjugate.order == 4 and joined.order == 8
+    assert conjugate.elements() == {conj(x, t) for x in c4.elements()}
+    assert joined.elements() == frozenset(
+        naive_closure(c4.gens + (r,), 4))
+
+
+def test_class_keys_belong_to_the_classifying_group():
+    """One subgroup as three handles: built in A5, in S5, and in a cold
+    copy of S5.  S5 gives all three the same class id and normalizer
+    order, and finds a conjugator from each of them to each handle of
+    its conjugate by a transposition."""
+    A, S = CATALOG.group("A5"), CATALOG.group("S5")
+    t = parse_cycles("(1,2)", 5)
+    for H in all_subgroup_classes_brute(A):
+        cold = PermGroup(S.gens, S.degree)
+        handles = [Subgroup(G, H.gens) for G in (A, S, cold)]
+        conjugates = [h.conjugated(t) for h in handles]
+        ids = {subgroup_class_id(S, h) for h in handles + conjugates}
+        assert len(ids) == 1
+        assert len({normalizer(S, h).order for h in handles}) == 1
+        for h in handles:
+            for k in conjugates:
+                g = are_conjugate_subgroups(S, h, k)
+                assert {conj(x, g) for x in h.elements()} == k.elements()
 
 
 def test_quotient_by_the_trivial_group_is_the_group_itself(s4):
@@ -610,11 +653,10 @@ def _chain_rebuild_stabilizer_gens(G, nodes, rep_of, act, target, seed_gens):
 def _full_walk_normalizer(G, H):
     """The former normalizer: H's whole class walked into G's cache, its
     Schreier tree re-rooted at H."""
-    H = rewrap(G, H)
     if H.is_normal_in(G):
-        return rewrap(G, G)
+        return G.as_subgroup()
     cls = G._sub_classes[subgroup_class_id(G, H)]
-    g0inv = inv(cls.conjugator(H.fingerprint(), G.gens))
+    g0inv = inv(cls.conjugator(G.subgroup_key(H), G.gens))
     gens = _chain_rebuild_stabilizer_gens(
         G, cls.tree, lambda key: mul(g0inv, cls.conjugator(key, G.gens)),
         G.conj_index_set, G.order // cls.size, H.gens)
@@ -624,8 +666,7 @@ def _full_walk_normalizer(G, H):
 def _stopped_walk_normalizer(G, H, order):
     """The former normalizer of known order: a walk of H's class from H,
     stopped once its Schreier generators span ``order``."""
-    H = rewrap(G, H)
-    fp = H.fingerprint()
+    fp = G.subgroup_key(H)
     tree, known = {fp: None}, {fp: G.identity}
     gens = _chain_rebuild_stabilizer_gens(
         G, groups.orbit_walk(tree, range(len(G.gens)), G.conj_index_set),
@@ -665,7 +706,7 @@ def test_normalizers_build_no_chain_once_the_classes_are_walked(
     a fresh copy of G are walked, none of its normalizers runs
     Schreier-Sims."""
     fresh = PermGroup(G.gens, G.degree)
-    reps = [rewrap(fresh, H) for H in all_subgroup_classes_brute(G)]
+    reps = all_subgroup_classes_brute(G)
     for H in reps:
         subgroup_class_id(fresh, H)
     builds = []

@@ -15,7 +15,6 @@ from burnside.groups import (
     close_elements,
     normalizer,
     orbit,
-    rewrap,
     subgroup_class_id,
     trivial_subgroup,
 )
@@ -247,7 +246,7 @@ def test_a_normalizer_that_does_not_normalize_falls_back(monkeypatch):
 
     def whole_group(G, H):
         asked.append(H)
-        return rewrap(G, G)
+        return G.as_subgroup()
 
     monkeypatch.setattr(lattice, "normalizer", whole_group)
     G = relabeled("S5", 0)

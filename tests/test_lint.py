@@ -1,7 +1,8 @@
 """Source lint: checks on inputs and invariants must survive
 ``python -O``, so the package holds no ``assert`` statement; the
 package exports only names it defines, references every private helper
-it defines, and keeps each private name inside its own module."""
+it defines, keeps each private name inside its own module, and builds
+every object through its ``__init__``."""
 
 import ast
 from pathlib import Path
@@ -16,6 +17,16 @@ def test_no_assert_in_the_package():
              for path in SOURCES
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
+    assert SOURCES and not found, found
+
+
+def test_no_constructor_is_hand_rolled():
+    """No ``__new__`` call: an object whose attributes are set one by one
+    outside ``__init__`` misses every attribute ``__init__`` gains."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "__new__"]
     assert SOURCES and not found, found
 
 
