@@ -485,18 +485,19 @@ class Subgroup:
         """<H, t>, generated by H.gens + (t,).  When t normalizes H, and
         |H| m <= SET_CAP for the least m with t^m in H (m divides the
         order of t), the elements are the cosets H t^i (join_normalizing);
-        otherwise they are closed by cosets from H's element set.  An H
-        above SET_CAP gets the stabilizer chain of the join directly."""
+        otherwise they are closed by cosets from H's element set.  When
+        |H| m > SET_CAP the join, which holds the |H| m elements of
+        H<t>, is above the cap whether t normalizes H or not, and gets
+        its stabilizer chain directly, with no closure."""
         gens = self.gens + (t,)
-        if self.order > SET_CAP:
-            return PermGroup(gens, self.degree).as_subgroup()
         w, m, n = t, 1, order_of(t)
         while self.order * n > SET_CAP >= self.order * m and w not in self:
             w, m = mul(w, t), m + 1
-        if self.order * m <= SET_CAP:
-            elems = join_normalizing(self.elements(), self.gens, t)
-            if elems is not None:
-                return Subgroup(self, gens, elems=elems)
+        if self.order * m > SET_CAP:
+            return PermGroup(gens, self.degree).as_subgroup()
+        elems = join_normalizing(self.elements(), self.gens, t)
+        if elems is not None:
+            return Subgroup(self, gens, elems=elems)
         return Subgroup(self, gens, seed=self.elements())
 
     def is_normal_in(self, other) -> bool:

@@ -14,7 +14,10 @@ block (classes of subgroups inside A) and the outer block:
 * outer rows restricted to inner columns copy the A-row of the
   intersection with A;
 * inner columns of outer subgroups are zero;
-* outer-by-outer marks are decided on candidate sets: upper bounds
+* an outer row whose class is normal in S (class length 1) is decided
+  by containment, as ``mark_row`` does for normal K: |S:K| on each
+  V <= K and 0 elsewhere, each value checked against the inner bound;
+* the other outer-by-outer marks are decided on candidate sets: upper bounds
   from the inner part, congruences modulo p down each column pair,
   divisibility by the diagonal, transitivity bounds, the congruences
   from the rows of the Dress matrix, and, as a last resort, explicit
@@ -358,11 +361,16 @@ class MarksExtender:
     def init_row(self, ri: int) -> "RowState":
         """Bounds pass: bottom-left copy, diagonal, Lagrange zeros, and the
         candidate ranges (congruent to the inner bound mod p, divisible by
-        the decided diagonal)."""
+        the decided diagonal).
+
+        A normal K gets no candidates: each cell is |S:K| (the diagonal)
+        when V <= K and 0 otherwise, and must still lie on the inner
+        bound's progression (at most the bound, congruent to it mod p)."""
         oc = self.outer[ri]
         i = self.b + ri
         K = oc.rep
         diag = oc.normalizer_order // K.order
+        normal = oc.normalizer_order == self.S.order
         values: list = self.bottom_left_row(ri) + [None] * (ri + 1)
         values[i] = diag
         cand: dict[int, tuple] = {}
@@ -377,6 +385,15 @@ class MarksExtender:
                 decided_by[j] = "lagrange"
                 continue
             ub = values[self.col_of_a_index[V.base_index]]
+            if normal:
+                m = diag if V.rep.is_subset_of(K) else 0
+                if m > ub or (ub - m) % self.p:
+                    raise InconsistentTableError(
+                        f"normal mark {m} off the inner bound {ub} at "
+                        f"({i},{j})")
+                values[j] = m
+                decided_by[j] = "bounds"
+                continue
             opts = tuple(m for m in range(ub % self.p, ub + 1, self.p)
                          if m % diag == 0)
             if not opts:

@@ -91,6 +91,29 @@ def test_a4_s4_step_above_a_small_cap_gets_every_closure_back(
     assert None not in results
 
 
+def test_a4_s4_step_at_set_cap_3_runs_no_closure(s4, a4, monkeypatch):
+    """With SET_CAP 3 every join of the A4 -> S4 step is either a coset
+    union of at most 3 elements or has |H| m > 3, so it is known to be
+    above the cap and takes a stabilizer chain: the step runs no closure
+    at all."""
+    a_classes = all_subgroup_classes_brute(PermGroup(a4.gens, a4.degree))
+    closures = []
+    real = groups.close_elements
+
+    def counted(*args, **kwargs):
+        closures.append(real(*args, **kwargs))
+        return closures[-1]
+
+    monkeypatch.setattr(groups, "close_elements", counted)
+    monkeypatch.setattr(groups, "SET_CAP", 3)
+    ctx = ExtensionContext.create(PermGroup(s4.gens, s4.degree),
+                                  PermGroup(a4.gens, a4.degree))
+    step = extend_classes(a_classes, ctx)
+    assert sorted(r.order for r in step.reps) == [
+        1, 2, 2, 3, 4, 4, 4, 6, 8, 12, 24]
+    assert not closures
+
+
 def test_split_inner_c3_in_s3():
     s3 = CATALOG.group("S3")
     c3 = PermGroup([parse_cycles("(1,2,3)", 3)], 3)

@@ -427,8 +427,9 @@ def test_join_matches_a_fresh_subgroup(name):
 
 def test_join_takes_the_coset_union_exactly_when_it_fits(monkeypatch):
     """The join of C2 with a 4-cycle squaring into it has order 4: with
-    SET_CAP 5 it is the union of two cosets (no closure), with SET_CAP 3
-    it is closed from the generators."""
+    SET_CAP 5 it is the union of two cosets, with SET_CAP 3 it is known
+    to be above the cap (|H| m = 4) and gets a stabilizer chain; neither
+    runs a closure."""
     G = CATALOG.group("D8")
     c4 = next(x for x in G.sorted_elements() if order_of(x) == 4)
     H = Subgroup(G, [mul(c4, c4)])
@@ -443,7 +444,11 @@ def test_join_takes_the_coset_union_exactly_when_it_fits(monkeypatch):
     monkeypatch.setattr(groups, "SET_CAP", 5)
     assert H.join(c4).order == 4 and not closures
     monkeypatch.setattr(groups, "SET_CAP", 3)
-    assert H.join(c4).order == 4 and closures
+    joined = H.join(c4)
+    assert joined.order == 4 and not closures
+    assert joined.elements() == H.elements() | {mul(c4, x)
+                                                for x in H.elements()}
+    assert not closures
 
 
 def test_big_joins_and_conjugates_run_no_closure(monkeypatch):

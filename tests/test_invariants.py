@@ -51,7 +51,7 @@ def test_column_congruence_pairs(a5_pattern, s5):
             assert (pat.cell(i, j) - pat.cell(i, c.gamma_index)) % p == 0
 
 
-@pytest.mark.parametrize("name", ["S4", "GL2(3)", "D12"])
+@pytest.mark.parametrize("name", ["S4", "GL2(3)", "D12", "Q8", "D8"])
 def test_propagation_soundness_debug(name):
     """Slow debug mode: at every intermediate state of every outer row,
     the true (oracle) value of each undecided cell is in its candidate

@@ -562,6 +562,93 @@ def test_inconsistent_input_detected(a5_pattern, s5):
         extend_table_of_marks(bad, s5)
 
 
+def _extension_steps(name):
+    """(base pattern, S) of every extension step that builds the named
+    group: one step from the A5 oracle for S5, else its solvable chain."""
+    if name == "S5":
+        return [(table_of_marks_brute(CATALOG.group("A5")),
+                 CATALOG.group("S5"))]
+    G = (abelian_group((2,) * 4) if name == "C2^4"
+         else abelian_group((4, 2, 2)) if name == "C4xC2xC2"
+         else CATALOG.group(name))
+    chain = solvable_pattern_chain(G)
+    return [(chain[k - 1], chain[k].group) for k in range(1, len(chain))]
+
+
+@pytest.mark.parametrize(
+    "name", ["C2^4", "C4xC2xC2", "Q8", "D8", "GL2(3)", "S4", "S5"])
+def test_normal_rows_are_decided_by_containment(name):
+    """Every outer row of a normal K equals mark_row's normal-K count cell
+    by cell, and its outer cells are all decided by Lagrange or by the
+    bounds pass, so no transitivity, Dress or probe touched them."""
+    seen = 0
+    for base, S in _extension_steps(name):
+        ext = MarksExtender(base, S)
+        ext.assemble_inner()
+        for ri, oc in enumerate(ext.outer):
+            st = ext.solve_row(ri)
+            if oc.normalizer_order == S.order:
+                seen += 1
+                assert oc.rep.is_normal_in(S)
+                reps = ext.class_reps[:st.index + 1]
+                assert st.values == mark_row(S, oc.rep, reps, k_normal=True)
+                assert set(st.decided_by.values()) <= {"bounds", "lagrange"}
+            ext.rows.append([int(v) for v in st.values])
+            ext._register_completed(st.index)
+    assert seen
+
+
+def test_all_normal_chain_runs_no_transitivity_and_no_identifier(
+        monkeypatch):
+    """In C2^4 every class is normal: the chain's extension steps make no
+    transitivity pass, build no Dress rows and no ClassIdentifier."""
+    calls = []
+    real_pass, real_rows = (MarksExtender.transitivity_pass,
+                            MarksExtender.dress_rows)
+
+    def spied_pass(self, st):
+        calls.append("transitivity_pass")
+        return real_pass(self, st)
+
+    def spied_rows(self):
+        calls.append("dress_rows")
+        return real_rows(self)
+
+    class SpiedIdentifier(marks.ClassIdentifier):
+        def __init__(self, *args):
+            calls.append("ClassIdentifier")
+            super().__init__(*args)
+
+    monkeypatch.setattr(MarksExtender, "transitivity_pass", spied_pass)
+    monkeypatch.setattr(MarksExtender, "dress_rows", spied_rows)
+    monkeypatch.setattr(marks, "ClassIdentifier", SpiedIdentifier)
+    chain = solvable_pattern_chain(abelian_group((2,) * 4))
+    assert chain[-1].n == 67 and not calls
+    assert chain[-1].stats.probes == 0
+
+
+@pytest.mark.parametrize("name", ["C2^4", "Q8"])
+def test_inconsistent_normal_row_detected(name):
+    """Bumping the inner-bound cell of a normal outer row in the base
+    table puts the row's containment mark off the bound's progression
+    mod p: the step raises instead of writing the row."""
+    base, S = _extension_steps(name)[-1]
+    base = base.sorted_ascending()
+    ext = MarksExtender(base, S)
+    cell = next(
+        (oc.base_index, V.base_index)
+        for ri, oc in enumerate(ext.outer)
+        if oc.normalizer_order == S.order
+        for V in ext.outer[:ri]
+        if V.rep.is_subset_of(oc.rep))
+    rows = [list(r) for r in base.rows]
+    rows[cell[0]][cell[1]] += 1
+    bad = SubgroupPattern(group=base.group, classes=base.classes, rows=rows,
+                          stats=base.stats)
+    with pytest.raises(InconsistentTableError, match="normal mark"):
+        extend_table_of_marks(bad, S)
+
+
 def _dress_violations_by_ints(pattern):
     """verify_dress's violation list, recomputed with Python integers."""
     out = []
