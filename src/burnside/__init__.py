@@ -12,7 +12,6 @@ from .groups import (
     Subgroup,
     SeriesChain,
     are_conjugate_subgroups,
-    centralizer,
     composition_series,
     is_solvable,
     normalizer,
@@ -28,7 +27,6 @@ from .extension import (
 from .marks import (
     SubgroupPattern,
     extend_table_of_marks,
-    mark_fixed_cosets,
     solvable_pattern_chain,
     validate_pattern,
     verify_dress,
@@ -42,11 +40,11 @@ from .catalog import CATALOG
 
 __all__ = [
     "PermGroup", "Subgroup", "SeriesChain",
-    "are_conjugate_subgroups", "centralizer", "composition_series",
+    "are_conjugate_subgroups", "composition_series",
     "is_solvable", "normalizer", "quotient_group",
     "ExtensionContext", "extend_classes", "extension_elements",
     "outer_classes", "split_inner_classes",
-    "SubgroupPattern", "extend_table_of_marks", "mark_fixed_cosets",
+    "SubgroupPattern", "extend_table_of_marks",
     "solvable_pattern_chain",
     "validate_pattern", "verify_dress",
     "compare_patterns", "subgroup_classes_search",

@@ -367,6 +367,12 @@ class PermGroup:
             return self.index_set(H.elements())
         return ("big", H.order, tuple(sorted(H.gens)))
 
+    def key_generators(self, key):
+        """Elements that generate the subgroup with this class key: its
+        elements for an index set, its generators for a key above
+        SET_CAP."""
+        return key[2] if isinstance(key, tuple) else self.elements_of(key)
+
     def as_subgroup(self) -> "Subgroup":
         """The whole group as a subgroup handle, on this group's chain
         and element list."""

@@ -10,8 +10,10 @@ numbers: a step conjugates the zuppo's generator and looks the image
 up among the generators of all zuppos, one conjugation per step rather
 than one per element.  N comes from the kernel, so it is checked here
 to normalize H; when it does not, H is joined with every zuppo, which
-costs time but never a class.  Every mark is computed straight from the
-definition (fixed cosets), independent of the extension engine.
+costs time but never a class.  Every mark is counted from its
+definition, independent of the extension engine: the cosets of K fixed
+by H are |N(K):K| for each conjugate of K that contains H, and the
+conjugates are the members of K's class orbit that the kernel keeps.
 
 `subgroup_classes_search` extends the same idea to groups beyond the
 brute cap whose proper subgroups are all solvable (e.g. L2(32)): every
@@ -131,8 +133,8 @@ def all_subgroup_classes_brute(G: PermGroup,
 
 def table_of_marks_brute(G: PermGroup,
                          cap: int = DEFAULT_CAP) -> SubgroupPattern:
-    """Pattern of G with every entry counted over an explicit coset
-    transversal (the package's independent oracle)."""
+    """Pattern of G with every entry counted by ``mark_row`` on the
+    class orbit of its K (the package's independent oracle)."""
     reps = all_subgroup_classes_brute(G, cap)
     classes = []
     for rep in reps:
@@ -141,8 +143,7 @@ def table_of_marks_brute(G: PermGroup,
         classes.append(PatternClass(
             rep=rep, order=rep.order, length=length,
             normalizer_order=G.order // length))
-    rows = [mark_row(G, ki.rep, [hj.rep for hj in classes[:i + 1]],
-                     k_normal=ki.length == 1)
+    rows = [mark_row(G, ki.rep, [hj.rep for hj in classes[:i + 1]])
             for i, ki in enumerate(classes)]
     return SubgroupPattern(group=G, classes=classes, rows=rows,
                            stats=PatternStats())

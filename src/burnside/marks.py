@@ -15,8 +15,8 @@ block (classes of subgroups inside A) and the outer block:
   intersection with A;
 * inner columns of outer subgroups are zero;
 * an outer row whose class is normal in S (class length 1) is decided
-  by containment, as ``mark_row`` does for normal K: |S:K| on each
-  V <= K and 0 elsewhere, each value checked against the inner bound;
+  by containment: |S:K| on each V <= K and 0 elsewhere, each value
+  checked against the inner bound;
 * the other outer-by-outer marks are decided on candidate sets: upper bounds
   from the inner part, congruences modulo p down each column pair,
   divisibility by the diagonal, transitivity bounds, the congruences
@@ -52,7 +52,6 @@ from .groups import (
     trivial_subgroup,
     SET_CAP,
 )
-from .perms import conj_by_inverse
 
 # ---------------------------------------------------------------------------
 # pattern containers
@@ -124,45 +123,45 @@ def trivial_pattern(degree: int = 1) -> SubgroupPattern:
 
 
 # ---------------------------------------------------------------------------
-# the defining mark computation (the oracle side uses only this)
+# the defining mark, counted on the class orbit of K (the oracle side
+# and the probes use only this)
 
 
-def mark_row(G: PermGroup, K: Subgroup, Hs, *,
-             k_normal: bool | None = None) -> list[int]:
+def conjugates_containing(G: PermGroup, K: Subgroup, key) -> list:
+    """Member keys of K's class tree in G that contain ``key``, the
+    class key ``G.subgroup_key(H)`` of a subgroup H, or the index set of
+    some elements: the conjugates of K holding them.
+
+    A K above SET_CAP is classified only when it is normal, and its tree
+    may hold several alias keys of it; it is decided by containment,
+    as its own key or none.
+    """
+    cls = G._sub_classes[subgroup_class_id(G, K)]
+    if K.order <= SET_CAP:
+        return [m for m in cls.tree if key <= m]
+    inside = all(g in K for g in G.key_generators(key))
+    return [G.subgroup_key(K)] if inside else []
+
+
+def mark_row(G: PermGroup, K: Subgroup, Hs) -> list[int]:
     """Marks of each H in ``Hs`` on G/K: the number of cosets of K fixed
     by H in the action of G on G/K.
 
-    Counted over an explicit coset transversal, built once for the row
-    and only if some order divides |K|, as the maps x -> g x g^-1 of its
-    elements g, shared by every H of the row; a coset Kg is fixed
-    exactly when g H g^-1 lies inside K.  For normal K every conjugate
-    condition degenerates to plain containment, so a mark is either the
-    full index or zero.  ``k_normal`` may be passed by callers that
-    already know it (e.g. from the class length).
+    A coset Kg is fixed by H exactly when H lies in K^g, and the
+    |N(K):K| cosets of K in N(K)g give the same conjugate, so a mark is
+    |N(K):K| times the number of conjugates of K that contain H, or 0
+    by Lagrange when |H| does not divide |K|.
     """
-    if k_normal is None:
-        k_normal = K.is_normal_in(G)
-    index = G.order // K.order
-    conjugators = None
-    row = []
-    for H in Hs:
-        if K.order % H.order:
-            row.append(0)
-        elif k_normal:
-            row.append(index if H.is_subset_of(K) else 0)
-        else:
-            if conjugators is None:
-                conjugators = [conj_by_inverse(g)
-                               for g in coset_transversal(G, K)]
-            row.append(sum(all(c(h) in K for h in H.gens)
-                           for c in conjugators))
-    return row
+    size = G._sub_classes[subgroup_class_id(G, K)].size
+    diag = G.order // (size * K.order)
+    return [0 if K.order % H.order
+            else diag * len(conjugates_containing(G, K, G.subgroup_key(H)))
+            for H in Hs]
 
 
-def mark_fixed_cosets(G: PermGroup, K: Subgroup, H: Subgroup, *,
-                      k_normal: bool | None = None) -> int:
+def mark_fixed_cosets(G: PermGroup, K: Subgroup, H: Subgroup) -> int:
     """The mark of H on G/K: ``mark_row`` of a one-cell row."""
-    return mark_row(G, K, [H], k_normal=k_normal)[0]
+    return mark_row(G, K, [H])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -235,17 +234,13 @@ def dress_row(S: PermGroup, ident: ClassIdentifier, u_index: int,
 
 
 def incidence_probe(S: PermGroup, K: Subgroup, t: tuple[int, ...]):
-    """Conjugates of K containing t, as a list of element sets.
-
-    Read off the class orbit of K that the kernel keeps for class
-    identification: every member key (an element index set) that holds
-    the index of t is one such conjugate.
+    """Conjugates of K containing t, as a list of element sets: the
+    members of the class orbit of K that the kernel keeps for class
+    identification whose keys hold the index of t
+    (``conjugates_containing``).
     """
-    if K.is_normal_in(S):
-        return [K.elements()] if t in K else []
-    cls = S._sub_classes[subgroup_class_id(S, K)]
-    (ti,) = S.index_set([t])
-    return [S.elements_of(key) for key in cls.tree if ti in key]
+    return [S.elements_of(m) if K.order <= SET_CAP else K.elements()
+            for m in conjugates_containing(S, K, S.index_set([t]))]
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +370,6 @@ class MarksExtender:
         values[i] = diag
         cand: dict[int, tuple] = {}
         decided_by = {}
-        kelems = K.elements() if K.order <= SET_CAP else None
         contained: set[int] = set()
         for rj in range(ri):
             j = self.b + rj
@@ -385,8 +379,9 @@ class MarksExtender:
                 decided_by[j] = "lagrange"
                 continue
             ub = values[self.col_of_a_index[V.base_index]]
+            inside = V.rep.is_subset_of(K)
             if normal:
-                m = diag if V.rep.is_subset_of(K) else 0
+                m = diag if inside else 0
                 if m > ub or (ub - m) % self.p:
                     raise InconsistentTableError(
                         f"normal mark {m} off the inner bound {ub} at "
@@ -399,7 +394,7 @@ class MarksExtender:
             if not opts:
                 raise InconsistentTableError(
                     f"no candidate for cell ({i},{j})")
-            if kelems is not None and all(g in kelems for g in V.rep.gens):
+            if inside:
                 contained.add(j)
                 opts = tuple(m for m in opts if m >= diag)
                 if not opts:

@@ -15,13 +15,12 @@ in C (``operator.itemgetter``): a product ``mul(a, b)`` gathers b at
 the points of a; ``left_mul_by(y)`` is the map h -> mul(y, h), one
 prebuilt gather per element, for a left coset y H or for many products
 with one left factor; ``conj_by(g)`` is the map x -> x^g for
-conjugating many elements by one g, and ``conj_by_inverse(g)`` the map
-x -> x^(g^-1), each two gathers per element through one inverse of g,
-computed once.  ``inv`` keeps its Python loop: an inverse is a
-scatter, not a gather, and its C-level forms (a sort, a dict) measure
-slower than the loop.  The one-shot ``conj(a, g)`` keeps its loop too:
-by gathers it would first have to invert g, which costs most of what
-the whole ``conj`` loop does.
+conjugating many elements by one g, two gathers per element through
+one inverse of g, computed once.  ``inv`` keeps its Python loop: an
+inverse is a scatter, not a gather, and its C-level forms (a sort, a
+dict) measure slower than the loop.  The one-shot ``conj(a, g)`` keeps
+its loop too: by gathers it would first have to invert g, which costs
+most of what the whole ``conj`` loop does.
 """
 
 from __future__ import annotations
@@ -79,21 +78,8 @@ def conj_by(g: tuple[int, ...]):
     """
     if len(g) < 2:
         return tuple  # the identity is the only permutation
-    return _conj_through(inv(g), g)
-
-
-def conj_by_inverse(g: tuple[int, ...]):
-    """The map x -> g * x * g^-1, that is ``conj_by(inv(g))`` with one
-    inversion: x^(g^-1) == g^-1[x[g]]."""
-    if len(g) < 2:
-        return tuple
-    return _conj_through(g, inv(g))
-
-
-def _conj_through(a: tuple[int, ...], b: tuple[int, ...]):
-    """x -> b[x[a]] for a == inv(b): conjugation by b."""
-    ga = itemgetter(*a)
-    return lambda x: itemgetter(*ga(x))(b)
+    at_inverse = itemgetter(*inv(g))
+    return lambda x: itemgetter(*at_inverse(x))(g)
 
 
 def power(a: tuple[int, ...], n: int) -> tuple[int, ...]:

@@ -70,3 +70,28 @@ def test_every_private_helper_is_referenced():
                 used.add(node.attr)
     orphans = sorted(set(defined) - used)
     assert defined and not orphans, orphans
+
+
+def test_every_imported_name_is_used():
+    """A name a module imports and never uses is a leftover of deleted
+    code.  ``__init__.py`` imports to re-export, so it is left out."""
+    found = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line} {name}"
+                  for name, line in imported.items() if name not in used]
+    assert SOURCES and not found, found

@@ -9,17 +9,26 @@ import pytest
 
 from fixtures import FIG_A5, FIG_S5, GL23_PANELS, relabeled
 
-from burnside import marks
-from burnside.catalog import CATALOG, abelian_group, cyclic_group
+from burnside import groups, marks
+from burnside.catalog import (
+    CATALOG,
+    abelian_group,
+    alternating_group,
+    cyclic_group,
+    symmetric_group,
+)
 from burnside.groups import (
+    CapExceededError,
     Subgroup,
     centralizer,
+    coset_transversal,
     normalizer,
     orbit,
     path_product,
     trivial_subgroup,
 )
 from burnside.lattice import (
+    DEFAULT_CAP,
     all_subgroup_classes_brute,
     compare_patterns,
     table_of_marks_brute,
@@ -40,7 +49,7 @@ from burnside.marks import (
     validate_pattern,
     verify_dress,
 )
-from burnside.perms import conj, parse_cycles
+from burnside.perms import conj, conj_by, inv, parse_cycles
 
 
 def _sub(G, *cycles):
@@ -83,33 +92,88 @@ def test_mark_against_incidence_formula(s4):
             assert mark_fixed_cosets(s4, K, H) == nk * cnt
 
 
-@pytest.mark.parametrize("name", ["S4", "A5", "S5", "GL2(3)"])
+def _coset_count_row(G, K, Hs):
+    """Reference marks of ``Hs`` on G/K, counted over an explicit coset
+    transversal: a coset Kg is fixed by H exactly when g H g^-1 lies in
+    K, tested on H's generators through one map x -> g x g^-1 per
+    transversal element."""
+    conjugators = [conj_by(inv(g)) for g in coset_transversal(G, K)]
+    return [0 if K.order % H.order
+            else sum(all(c(h) in K for h in H.gens) for c in conjugators)
+            for H in Hs]
+
+
+ORACLE_GROUPS = [name for name in (e.name for e in CATALOG.entries.values())
+                 if CATALOG.group(name).order <= DEFAULT_CAP]
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
 def test_mark_row_matches_each_cell(name, monkeypatch):
-    """Every row of the oracle's triangle, one mark_row call with the
-    normality read from the class length, equals the cells counted one
-    at a time; a row builds at most one coset transversal, and none when
-    K is normal or no H has an order dividing |K|."""
-    G = CATALOG.group(name)
-    pat = table_of_marks_brute(G)
+    """The oracle builds no coset transversal, and every cell of its
+    table equals the coset count.  So do the full rows of a conjugate
+    K^g against conjugates H^h, which are no class representatives
+    wherever the class has other members."""
+    G = CATALOG.get(name).build()
     built = []
-    real = marks.coset_transversal
 
     def counted(*args):
         built.append(args)
-        return real(*args)
+        return coset_transversal(*args)
 
+    monkeypatch.setattr(groups, "coset_transversal", counted)
     monkeypatch.setattr(marks, "coset_transversal", counted)
+    pat = table_of_marks_brute(G)
+    assert not built
+    monkeypatch.undo()
+    rng = random.Random(f"conjugates of {name}")
+    elems = G.sorted_elements()
+
+    def moved(H, length):
+        Hg = H.conjugated(rng.choice(elems))
+        while length > 1 and Hg.same_subgroup(H):
+            Hg = H.conjugated(rng.choice(elems))
+        return Hg
+
+    Hs = [c.rep for c in pat.classes]
+    Hh = [moved(c.rep, c.length) for c in pat.classes]
     for i, ki in enumerate(pat.classes):
-        Hs = [hj.rep for hj in pat.classes[:i + 1]]
-        cells = [mark_fixed_cosets(G, ki.rep, H) for H in Hs]
-        built.clear()
-        assert mark_row(G, ki.rep, Hs, k_normal=ki.length == 1) == cells
-        assert cells == pat.rows[i]
-        assert len(built) == (ki.length > 1)  # the row's own H = K divides
-        built.clear()
-        whole = pat.classes[-1].rep
-        assert mark_row(G, ki.rep, [whole]) == [int(ki.rep.order == G.order)]
-        assert not built
+        assert pat.rows[i] == _coset_count_row(G, ki.rep, Hs[:i + 1])
+        Kg = moved(ki.rep, ki.length)
+        assert mark_row(G, Kg, Hh) == _coset_count_row(G, Kg, Hh)
+
+
+def test_mark_row_above_set_cap_in_l2_32_5():
+    """L2(32) is above SET_CAP and normal in L2(32):5: its row is
+    decided by containment, and its probes return it or nothing."""
+    G = CATALOG.get("L2(32):5").build()
+    K = Subgroup(G, CATALOG.group("L2(32)").gens)
+    assert K.order == 32736
+    assert mark_row(G, K, [trivial_subgroup(G), K]) == [5, 5]
+    inside = K.gens[0]
+    outside = next(g for g in G.gens if g not in K)
+    assert incidence_probe(G, K, inside) == [K.elements()]
+    assert incidence_probe(G, K, outside) == []
+
+
+def test_mark_row_above_a_small_set_cap(monkeypatch):
+    """With SET_CAP 5 in S4, A4 is a normal K above the cap: its row is
+    decided by containment against keys on both sides of the cap and
+    equals the coset count.  A non-normal K above the cap (D8) has no
+    class orbit to count on and is refused."""
+    monkeypatch.setattr(groups, "SET_CAP", 5)
+    monkeypatch.setattr(marks, "SET_CAP", 5)
+    G = symmetric_group(4)
+    a4 = Subgroup(G, alternating_group(4).gens)
+    Hs = [trivial_subgroup(G), _sub(G, "(1,2,3)"), _sub(G, "(1,2)"),
+          _sub(G, "(1,2)(3,4)", "(1,3)(2,4)"), a4]
+    assert mark_row(G, a4, Hs) == [2, 2, 0, 2, 2] == _coset_count_row(
+        G, a4, Hs)
+    assert incidence_probe(G, a4, parse_cycles("(1,2,3)", 4)) == [
+        a4.elements()]
+    assert incidence_probe(G, a4, parse_cycles("(1,2)", 4)) == []
+    d8 = _sub(G, "(1,2,3,4)", "(1,3)")
+    with pytest.raises(CapExceededError):
+        mark_row(G, d8, Hs[:1])
 
 
 # ---------------------------------------------------------------------------
@@ -578,9 +642,9 @@ def _extension_steps(name):
 @pytest.mark.parametrize(
     "name", ["C2^4", "C4xC2xC2", "Q8", "D8", "GL2(3)", "S4", "S5"])
 def test_normal_rows_are_decided_by_containment(name):
-    """Every outer row of a normal K equals mark_row's normal-K count cell
-    by cell, and its outer cells are all decided by Lagrange or by the
-    bounds pass, so no transitivity, Dress or probe touched them."""
+    """Every outer row of a normal K equals mark_row cell by cell, and
+    its outer cells are all decided by Lagrange or by the bounds pass,
+    so no transitivity, Dress or probe touched them."""
     seen = 0
     for base, S in _extension_steps(name):
         ext = MarksExtender(base, S)
@@ -591,7 +655,7 @@ def test_normal_rows_are_decided_by_containment(name):
                 seen += 1
                 assert oc.rep.is_normal_in(S)
                 reps = ext.class_reps[:st.index + 1]
-                assert st.values == mark_row(S, oc.rep, reps, k_normal=True)
+                assert st.values == mark_row(S, oc.rep, reps)
                 assert set(st.decided_by.values()) <= {"bounds", "lagrange"}
             ext.rows.append([int(v) for v in st.values])
             ext._register_completed(st.index)
