@@ -216,12 +216,13 @@ def _chain_elements(levels: list[dict], degree: int) -> list[tuple[int, ...]]:
 def _clean_gens(gens, degree: int) -> tuple[tuple[int, ...], ...]:
     """The generators as tuples of the given degree, identities and
     repeats dropped, first occurrences in order."""
+    idn = identity_tuple(degree)
     raw = []
     for g in gens:
         t = tuple(g)
         if len(t) != degree:
             raise ValueError("generator degree mismatch")
-        if any(x != i for i, x in enumerate(t)):
+        if t != idn:
             raw.append(t)
     return tuple(dict.fromkeys(raw))
 

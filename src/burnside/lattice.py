@@ -10,7 +10,11 @@ numbers: a step conjugates the zuppo's generator and looks the image
 up among the generators of all zuppos, one conjugation per step rather
 than one per element.  N comes from the kernel, so it is checked here
 to normalize H; when it does not, H is joined with every zuppo, which
-costs time but never a class.  Every mark is counted from its
+costs time but never a class.  A join <H, z> with z outside the
+normalizer of H is closed only up to |G|/2 elements: past that it is G
+by Lagrange, so no closure runs to the end to find G.
+Each join is looked up by its key before a handle is made, and only a
+join that opens a class gets one.  Every mark is counted from its
 definition, independent of the extension engine: the cosets of K fixed
 by H are |N(K):K| for each conjugate of K that contains H, and the
 conjugates are the members of K's class orbit that the kernel keeps.
@@ -39,6 +43,7 @@ from .groups import (
     rational_classes,
     subgroup_class_id,
     trivial_subgroup,
+    SET_CAP,
 )
 from .marks import (
     PatternClass,
@@ -87,6 +92,13 @@ def all_subgroup_classes_brute(G: PermGroup,
     so the rest of the orbit adds no class, and every class is found by
     the same (H, z) pair as with the full loop over the zuppos.
 
+    A join <H, z> with z outside N_G(H) is closed with the cap |G|/2:
+    a subgroup past it is all of G by Lagrange.  The first such
+    join, while G's class is not yet found, stands for G with all of G's
+    elements; every later one is dropped before it is keyed.  Any other
+    join is keyed by its element indices, and a handle is made only for
+    a join whose class is new, so the transversal is the full loop's.
+
     Deterministic; the result is sorted by subgroup order with
     first-construction tie-breaks.
     """
@@ -96,6 +108,7 @@ def all_subgroup_classes_brute(G: PermGroup,
     triv = trivial_subgroup(G)
     reps = [triv]
     known = {subgroup_class_id(G, triv)}
+    whole_known = False  # G's class is among the representatives
     zups = zuppos(G)
     act = _zuppo_action(zups)
     # zuppo number -> its class in G: the orbits for every H normal in G
@@ -119,14 +132,28 @@ def all_subgroup_classes_brute(G: PermGroup,
             if x in helems or i in seen:
                 continue
             seen.update(zclass[i] if normal else orbit([i], nconj, act))
+            gens = H.gens + (x,)
             elems = join_normalizing(helems, H.gens, x)
             if elems is None:
-                elems = close_elements(H.gens + (x,), G.degree, seed=helems)
-            K = Subgroup(G, H.gens + (x,), elems=elems)
-            cid = subgroup_class_id(G, K)
+                elems = close_elements(gens, G.degree, seed=helems,
+                                       cap=G.order // 2)
+                if elems is None:
+                    # more than |G|/2 elements: the join is G (Lagrange)
+                    if whole_known:
+                        continue
+                    whole_known = True
+                    elems = G.elements()
+            # the class key G.subgroup_key(K) up to SET_CAP; above it the
+            # key comes from the handle
+            key = G.index_set(elems) if len(elems) <= SET_CAP else None
+            if G._sub_class_of.get(key) in known:
+                continue
+            K = Subgroup(G, gens, elems=elems)
+            cid = subgroup_class_id(G, K, key)
             if cid not in known:
                 known.add(cid)
                 reps.append(K)
+                whole_known = whole_known or K.order == G.order
     reps.sort(key=lambda h: h.order)
     return reps
 
@@ -134,17 +161,17 @@ def all_subgroup_classes_brute(G: PermGroup,
 def table_of_marks_brute(G: PermGroup,
                          cap: int = DEFAULT_CAP) -> SubgroupPattern:
     """Pattern of G with every entry counted by ``mark_row`` on the
-    class orbit of its K (the package's independent oracle)."""
+    class orbit of its K (the package's independent oracle).  Each
+    representative is keyed once for the whole table."""
     reps = all_subgroup_classes_brute(G, cap)
+    keys = [G.subgroup_key(rep) for rep in reps]
     classes = []
-    for rep in reps:
-        cid = subgroup_class_id(G, rep)
-        length = G._sub_classes[cid].size
+    for rep, key in zip(reps, keys):
+        length = G._sub_classes[subgroup_class_id(G, rep, key)].size
         classes.append(PatternClass(
             rep=rep, order=rep.order, length=length,
             normalizer_order=G.order // length))
-    rows = [mark_row(G, ki.rep, [hj.rep for hj in classes[:i + 1]])
-            for i, ki in enumerate(classes)]
+    rows = [mark_row(G, rep, keys[:i + 1]) for i, rep in enumerate(reps)]
     return SubgroupPattern(group=G, classes=classes, rows=rows,
                            stats=PatternStats())
 

@@ -127,41 +127,46 @@ def trivial_pattern(degree: int = 1) -> SubgroupPattern:
 # and the probes use only this)
 
 
-def conjugates_containing(G: PermGroup, K: Subgroup, key) -> list:
-    """Member keys of K's class tree in G that contain ``key``, the
-    class key ``G.subgroup_key(H)`` of a subgroup H, or the index set of
-    some elements: the conjugates of K holding them.
+def conjugates_containing(G: PermGroup, K: Subgroup, keys) -> list:
+    """For each of ``keys``, the member keys of K's class tree in G that
+    contain it: the conjugates of K holding it.  A key is the class key
+    ``G.subgroup_key(H)`` of a subgroup H, or the index set of some
+    elements; K's class is looked up once for all of them.
 
     A K above SET_CAP is classified only when it is normal, and its tree
     may hold several alias keys of it; it is decided by containment,
     as its own key or none.
     """
-    cls = G._sub_classes[subgroup_class_id(G, K)]
+    tree = G._sub_classes[subgroup_class_id(G, K)].tree
     if K.order <= SET_CAP:
-        return [m for m in cls.tree if key <= m]
-    inside = all(g in K for g in G.key_generators(key))
-    return [G.subgroup_key(K)] if inside else []
+        # a key above SET_CAP is no index set and fits in no conjugate
+        return [[m for m in tree if key <= m]
+                if isinstance(key, frozenset) else [] for key in keys]
+    own = [G.subgroup_key(K)]
+    return [own if all(g in K for g in G.key_generators(key)) else []
+            for key in keys]
 
 
-def mark_row(G: PermGroup, K: Subgroup, Hs) -> list[int]:
-    """Marks of each H in ``Hs`` on G/K: the number of cosets of K fixed
-    by H in the action of G on G/K.
+def mark_row(G: PermGroup, K: Subgroup, keys) -> list[int]:
+    """Marks on G/K of the subgroups H with the given class keys
+    ``G.subgroup_key(H)``: the number of cosets of K fixed by H in the
+    action of G on G/K.
 
     A coset Kg is fixed by H exactly when H lies in K^g, and the
     |N(K):K| cosets of K in N(K)g give the same conjugate, so a mark is
-    |N(K):K| times the number of conjugates of K that contain H, or 0
-    by Lagrange when |H| does not divide |K|.
+    |N(K):K| times the number of conjugates of K that contain H (none
+    when |H| does not divide |K|).  K's class is looked up per row, not
+    per cell, and no H is keyed here: a caller that asks for many rows
+    keys each H once.
     """
     size = G._sub_classes[subgroup_class_id(G, K)].size
     diag = G.order // (size * K.order)
-    return [0 if K.order % H.order
-            else diag * len(conjugates_containing(G, K, G.subgroup_key(H)))
-            for H in Hs]
+    return [diag * len(ms) for ms in conjugates_containing(G, K, keys)]
 
 
 def mark_fixed_cosets(G: PermGroup, K: Subgroup, H: Subgroup) -> int:
     """The mark of H on G/K: ``mark_row`` of a one-cell row."""
-    return mark_row(G, K, [H])[0]
+    return mark_row(G, K, [G.subgroup_key(H)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +244,9 @@ def incidence_probe(S: PermGroup, K: Subgroup, t: tuple[int, ...]):
     identification whose keys hold the index of t
     (``conjugates_containing``).
     """
+    [members] = conjugates_containing(S, K, [S.index_set([t])])
     return [S.elements_of(m) if K.order <= SET_CAP else K.elements()
-            for m in conjugates_containing(S, K, S.index_set([t]))]
+            for m in members]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from burnside.groups import (
     PermGroup,
     Subgroup,
     close_elements,
+    join_normalizing,
     normalizer,
     orbit,
     subgroup_class_id,
@@ -27,7 +28,7 @@ from burnside.lattice import (
     zuppos,
 )
 from burnside.marks import validate_pattern
-from burnside.perms import conj, conj_by
+from burnside.perms import conj, conj_by, parse_cycles
 
 
 @dataclass
@@ -254,3 +255,88 @@ def test_a_normalizer_that_does_not_normalize_falls_back(monkeypatch):
     assert [h.gens for h in got] == want and len(got) == 19
     # S5 has three normal subgroups: 1, A5 and S5
     assert len(asked) == 16 and not any(H.is_normal_in(G) for H in asked)
+
+
+def uncapped_loop(G):
+    """The oracle's loop before the Lagrange cutoff: every join closed
+    to the end and classified through a handle.  Returns the generators
+    of the representatives and the number of joins tried."""
+    triv = trivial_subgroup(G)
+    reps = [triv]
+    known = {subgroup_class_id(G, triv)}
+    zups = zuppos(G)
+    act = lattice._zuppo_action(zups)
+    zclass: dict = {}
+    for i in range(len(zups)):
+        if i not in zclass:
+            cls = tuple(orbit([i], G.gen_conj(), act))
+            zclass.update(dict.fromkeys(cls, cls))
+    joins = 0
+    for H in reps:
+        helems = H.elements()
+        normal = H.is_normal_in(G)
+        if not normal:
+            N = normalizer(G, H)
+            nconj = ([conj_by(g) for g in N.gens] if H.is_normal_in(N)
+                     else ())
+        seen: set = set()
+        for i, (x, _) in enumerate(zups):
+            if x in helems or i in seen:
+                continue
+            seen.update(zclass[i] if normal else orbit([i], nconj, act))
+            joins += 1
+            elems = join_normalizing(helems, H.gens, x)
+            if elems is None:
+                elems = close_elements(H.gens + (x,), G.degree, seed=helems)
+            K = Subgroup(G, H.gens + (x,), elems=elems)
+            cid = subgroup_class_id(G, K)
+            if cid not in known:
+                known.add(cid)
+                reps.append(K)
+    reps.sort(key=lambda h: h.order)
+    return [h.gens for h in reps], joins
+
+
+ORACLE_GROUPS = [e.name for e in CATALOG.entries.values()
+                 if CATALOG.group(e.name).order <= DEFAULT_CAP]
+
+
+@pytest.mark.parametrize(
+    "name, conjugator",
+    [(name, None) for name in ORACLE_GROUPS]
+    + [("S6", "(1,4,2,6)"), ("S6", "(2,5)(3,6,4)")])
+def test_lagrange_cutoff_keeps_the_uncapped_transversal(name, conjugator,
+                                                         monkeypatch):
+    """Closing joins only up to |G|/2 gives the uncapped loop's
+    representatives, in the same order with the same generators, from
+    the same joins: no closure the oracle keeps holds more than |G|/2
+    elements, and every join is still tried once."""
+    def build():
+        G = CATALOG.get(name).build()
+        if conjugator is None:
+            return G
+        p = parse_cycles(conjugator, G.degree)
+        return PermGroup([conj(g, p) for g in G.gens], G.degree)
+
+    want, want_joins = uncapped_loop(build())
+    G = build()
+    closed, joins = [], []
+
+    def spy_close(*args, **kwargs):
+        elems = close_elements(*args, **kwargs)
+        closed.append(elems)
+        return elems
+
+    def spy_join(*args):
+        joins.append(args)
+        return join_normalizing(*args)
+
+    monkeypatch.setattr(lattice, "close_elements", spy_close)
+    monkeypatch.setattr(lattice, "join_normalizing", spy_join)
+    got = all_subgroup_classes_brute(G)
+    assert [h.gens for h in got] == want
+    assert len(joins) == want_joins
+    assert all(len(e) <= G.order // 2 for e in closed if e is not None)
+    if G.order == 720:
+        # S6 reaches its whole group by many closures, all cut short
+        assert sum(e is None for e in closed) > 1

@@ -9,7 +9,7 @@ import pytest
 
 from fixtures import FIG_A5, FIG_S5, GL23_PANELS, relabeled
 
-from burnside import groups, marks
+from burnside import groups, lattice, marks
 from burnside.catalog import (
     CATALOG,
     abelian_group,
@@ -92,6 +92,11 @@ def test_mark_against_incidence_formula(s4):
             assert mark_fixed_cosets(s4, K, H) == nk * cnt
 
 
+def _keys(G, Hs):
+    """The class keys ``mark_row`` takes for the subgroups ``Hs``."""
+    return [G.subgroup_key(H) for H in Hs]
+
+
 def _coset_count_row(G, K, Hs):
     """Reference marks of ``Hs`` on G/K, counted over an explicit coset
     transversal: a coset Kg is fixed by H exactly when g H g^-1 lies in
@@ -139,7 +144,34 @@ def test_mark_row_matches_each_cell(name, monkeypatch):
     for i, ki in enumerate(pat.classes):
         assert pat.rows[i] == _coset_count_row(G, ki.rep, Hs[:i + 1])
         Kg = moved(ki.rep, ki.length)
-        assert mark_row(G, Kg, Hh) == _coset_count_row(G, Kg, Hh)
+        assert mark_row(G, Kg, _keys(G, Hh)) == _coset_count_row(G, Kg, Hh)
+
+
+def test_oracle_rows_key_each_class_a_bounded_number_of_times(monkeypatch):
+    """The rows of the S6 oracle key each representative once for the
+    table and look up the class of each K per row, not per cell: the
+    keys made grow linearly with the class count, and every cell is the
+    coset count."""
+    G = CATALOG.get("S6").build()
+    reps = all_subgroup_classes_brute(G)
+    monkeypatch.setattr(lattice, "all_subgroup_classes_brute",
+                        lambda G, cap: reps)
+    keyed = []
+    key = groups.PermGroup.subgroup_key
+
+    def spy(self, H):
+        keyed.append(H)
+        return key(self, H)
+
+    monkeypatch.setattr(groups.PermGroup, "subgroup_key", spy)
+    pat = table_of_marks_brute(G)
+    monkeypatch.undo()
+    n = len(reps)
+    assert n == pat.n == 56
+    assert len(keyed) <= 3 * n
+    for i, ki in enumerate(pat.classes):
+        assert pat.rows[i] == _coset_count_row(
+            G, ki.rep, [c.rep for c in pat.classes[:i + 1]])
 
 
 def test_mark_row_above_set_cap_in_l2_32_5():
@@ -148,7 +180,7 @@ def test_mark_row_above_set_cap_in_l2_32_5():
     G = CATALOG.get("L2(32):5").build()
     K = Subgroup(G, CATALOG.group("L2(32)").gens)
     assert K.order == 32736
-    assert mark_row(G, K, [trivial_subgroup(G), K]) == [5, 5]
+    assert mark_row(G, K, _keys(G, [trivial_subgroup(G), K])) == [5, 5]
     inside = K.gens[0]
     outside = next(g for g in G.gens if g not in K)
     assert incidence_probe(G, K, inside) == [K.elements()]
@@ -158,22 +190,27 @@ def test_mark_row_above_set_cap_in_l2_32_5():
 def test_mark_row_above_a_small_set_cap(monkeypatch):
     """With SET_CAP 5 in S4, A4 is a normal K above the cap: its row is
     decided by containment against keys on both sides of the cap and
-    equals the coset count.  A non-normal K above the cap (D8) has no
-    class orbit to count on and is refused."""
+    equals the coset count, as does the row of a C3 below the cap.  A
+    non-normal K above the cap (D8) has no class orbit to count on and
+    is refused."""
     monkeypatch.setattr(groups, "SET_CAP", 5)
     monkeypatch.setattr(marks, "SET_CAP", 5)
     G = symmetric_group(4)
     a4 = Subgroup(G, alternating_group(4).gens)
     Hs = [trivial_subgroup(G), _sub(G, "(1,2,3)"), _sub(G, "(1,2)"),
           _sub(G, "(1,2)(3,4)", "(1,3)(2,4)"), a4]
-    assert mark_row(G, a4, Hs) == [2, 2, 0, 2, 2] == _coset_count_row(
-        G, a4, Hs)
+    assert mark_row(G, a4, _keys(G, Hs)) == [2, 2, 0, 2, 2] == (
+        _coset_count_row(G, a4, Hs))
+    # a K below the cap takes the key of A4 above it as a zero cell
+    c3 = Hs[1]
+    assert mark_row(G, c3, _keys(G, Hs)) == [8, 2, 0, 0, 0] == (
+        _coset_count_row(G, c3, Hs))
     assert incidence_probe(G, a4, parse_cycles("(1,2,3)", 4)) == [
         a4.elements()]
     assert incidence_probe(G, a4, parse_cycles("(1,2)", 4)) == []
     d8 = _sub(G, "(1,2,3,4)", "(1,3)")
     with pytest.raises(CapExceededError):
-        mark_row(G, d8, Hs[:1])
+        mark_row(G, d8, _keys(G, Hs[:1]))
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +692,7 @@ def test_normal_rows_are_decided_by_containment(name):
                 seen += 1
                 assert oc.rep.is_normal_in(S)
                 reps = ext.class_reps[:st.index + 1]
-                assert st.values == mark_row(S, oc.rep, reps)
+                assert st.values == mark_row(S, oc.rep, _keys(S, reps))
                 assert set(st.decided_by.values()) <= {"bounds", "lagrange"}
             ext.rows.append([int(v) for v in st.values])
             ext._register_completed(st.index)
