@@ -11,7 +11,6 @@ from .groups import (
     PermGroup,
     Subgroup,
     SeriesChain,
-    are_conjugate_subgroups,
     composition_series,
     is_solvable,
     normalizer,
@@ -40,8 +39,7 @@ from .catalog import CATALOG
 
 __all__ = [
     "PermGroup", "Subgroup", "SeriesChain",
-    "are_conjugate_subgroups", "composition_series",
-    "is_solvable", "normalizer", "quotient_group",
+    "composition_series", "is_solvable", "normalizer", "quotient_group",
     "ExtensionContext", "extend_classes", "extension_elements",
     "outer_classes", "split_inner_classes",
     "SubgroupPattern", "extend_table_of_marks",

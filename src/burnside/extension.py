@@ -11,11 +11,15 @@ class of order-p elements outside the A-part.  The quotient comes from
 ``groups.quotient_group`` and each outer representative is
 ``H.join(t)``, the kernel's one construction of <H, t>.
 
+Stability is decided once per class, by A-class ids, in
+``split_inner_classes``; ``outer_classes`` and ``extension_elements``
+take the stable classes of that split and decide nothing again.
+
 Every S-normalizer of the step is derived from what A has cached
 (Pfeiffer, Exp. Math. 6, 1997), so no class orbit of S is walked:
 
 * |N_S(H)| is p |N_A(H)| for a stable H and |N_A(H)| otherwise, read
-  off H's A-class; an unstable H has no extensions.
+  off H's A-class; a merged H has no extensions.
 * For a stable H the group N_S(H) is needed for W.  It is
   ``normalizer(S, H, order)`` with that known order: H grows by its
   Schreier generators over a breadth-first walk of H's S-class from H,
@@ -51,7 +55,8 @@ from .perms import mul, order_of, power
 
 class InconsistentTableError(RuntimeError):
     """The input is corrupt: a candidate set of the marks engine became
-    empty, or the A-classes of a step do not fuse into S-classes."""
+    empty, or two A-class representatives of a step are conjugate, or
+    the A-classes do not fuse into S-classes."""
 
 
 @dataclass
@@ -114,60 +119,49 @@ class InnerSplit:
         return [c for c in self.classes if not c.stable]
 
 
-def _inner_normalizer_order(ctx: ExtensionContext,
-                            H: Subgroup) -> tuple[bool, int]:
-    """Whether H (inside A) is stable, and |N_S(H)|, from A's classes:
-    H is stable when H^t lies in H's A-class, and N_S(H) then leaves A,
-    of order p |N_A(H)|; otherwise N_S(H) is N_A(H)."""
-    A = ctx.A
-    cid = subgroup_class_id(A, H)
-    order = A.order // A._sub_classes[cid].size
-    if subgroup_class_id(A, H.conjugated(ctx.t)) == cid:
-        return True, ctx.p * order
-    return False, order
-
-
 def split_inner_classes(a_classes: list[Subgroup],
                         ctx: ExtensionContext) -> InnerSplit:
-    """Fuse the A-classes into S-classes.
+    """Fuse the A-classes into S-classes, deciding each class once.
 
-    A class is stable (kept as-is) when t maps it to itself up to
-    A-conjugacy, i.e. when the S-normalizer of its representative is not
-    contained in A; otherwise exactly p A-classes merge into one
-    S-class, conjugate under powers of t.  A transversal that misses
-    one of them raises InconsistentTableError.
+    Each representative is keyed to its A-class id once.  A class is
+    stable (kept as-is, |N_S(H)| = p |N_A(H)|) when H^t lies in H's
+    A-class: one conjugation by t.  Otherwise the A-classes of H^(t^k),
+    0 <= k < p, merge into one S-class with |N_S(H)| = |N_A(H)|, found
+    by p - 1 conjugations of its first member.  Two conjugate
+    representatives, or a transversal that misses a merged partner,
+    raise InconsistentTableError.
     """
     A, p = ctx.A, ctx.p
     for H in a_classes:
         if not all(A.contains(g) for g in H.gens):
             raise ValueError("input class representative not inside A")
-    norms = [_inner_normalizer_order(ctx, H) for H in a_classes]
+    cids = [subgroup_class_id(A, H) for H in a_classes]
+    index_of: dict[int, int] = {}
+    for i, cid in enumerate(cids):
+        j = index_of.setdefault(cid, i)
+        if j != i:
+            raise InconsistentTableError(
+                f"input classes {j} and {i} are conjugate in A")
 
-    # resolve merged classes by conjugating with powers of t
-    unstable_idx = [i for i, (stable, _) in enumerate(norms) if not stable]
-    a_cid_of = {subgroup_class_id(A, a_classes[i]): i for i in unstable_idx}
     assigned: set[int] = set()
     classes: list[InnerClass] = []
     for i, H in enumerate(a_classes):
-        stable, order = norms[i]
-        if stable:
-            classes.append(InnerClass(
-                rep=H, a_indices=(i,), normalizer_order=order))
-            continue
         if i in assigned:
             continue
-        partners = [i]
-        g = ctx.t
+        partners, g = [i], ctx.t
         for _ in range(p - 1):
-            cid = subgroup_class_id(A, H.conjugated(g))
-            j = a_cid_of.get(cid)
-            if j is None or j in assigned or j in partners:
+            j = index_of.get(subgroup_class_id(A, H.conjugated(g)))
+            if j == i:   # at g = t only: t fixes H's A-class
+                break
+            if j is None:
                 raise InconsistentTableError("inconsistent class fusion")
             partners.append(j)
             g = mul(g, ctx.t)
         assigned.update(partners)
+        order = A.order // A._sub_classes[cids[i]].size   # |N_A(H)|
         classes.append(InnerClass(
-            rep=H, a_indices=tuple(partners), normalizer_order=order))
+            rep=H, a_indices=tuple(partners),
+            normalizer_order=p * order if len(partners) == 1 else order))
     return InnerSplit(classes=classes)
 
 
@@ -181,20 +175,22 @@ class OuterClass:
     normalizer_order: int
 
 
-def extension_elements(ctx: ExtensionContext, H: Subgroup) -> list:
-    """Coset elements t generating the index-p extensions of H, each with
-    the order of the S-normalizer of <H, t>.
+def extension_elements(ctx: ExtensionContext, c: InnerClass) -> list:
+    """Coset elements t generating the index-p extensions of the
+    representative H of an inner class c, each with the order of the
+    S-normalizer of <H, t>.
 
     Each returned t normalizes H, has p-power order, lies outside A,
     and the subgroups <H, t> form a transversal of the S-classes of
     subgroups K with K intersect A equal to H (pairwise non-conjugate).
-    Empty when N_S(H) is contained in A.
+    Empty for a merged class, whose N_S(H) is contained in A; stability
+    and |N_S(H)| are read off c, as ``split_inner_classes`` decided them.
     """
     S, A, p = ctx.S, ctx.A, ctx.p
+    H, order = c.rep, c.normalizer_order
     if not all(A.contains(g) for g in H.gens):
         raise ValueError("subgroup not inside A")
-    stable, order = _inner_normalizer_order(ctx, H)
-    if not stable:
+    if not c.stable:
         return []
     if H.order == 1 and A.order % p:
         # Sylow case: the only order-p class; any p-element works, and
@@ -223,12 +219,14 @@ def extension_elements(ctx: ExtensionContext, H: Subgroup) -> list:
     return out
 
 
-def outer_classes(a_classes: list[Subgroup],
+def outer_classes(inner: InnerSplit,
                   ctx: ExtensionContext) -> list[OuterClass]:
-    """One representative per S-class of subgroups not contained in A."""
+    """One representative per S-class of subgroups not contained in A,
+    from the stable classes of the inner split."""
     out: list[OuterClass] = []
-    for i, H in enumerate(a_classes):
-        for t, normalizer_order in extension_elements(ctx, H):
+    for c in inner.stable_classes:
+        H = c.rep
+        for t, normalizer_order in extension_elements(ctx, c):
             K = H.join(t)
             # |K| = p|H| and t outside A force K meet A = H, normal in K
             if K.order != ctx.p * H.order:
@@ -236,9 +234,9 @@ def outer_classes(a_classes: list[Subgroup],
                     f"extension of order {K.order}, expected "
                     f"{ctx.p * H.order}")
             out.append(OuterClass(
-                rep=K, base_index=i, gen_element=t,
+                rep=K, base_index=c.a_indices[0], gen_element=t,
                 normalizer_order=normalizer_order))
-    out.sort(key=lambda c: c.rep.order)  # stable: keeps construction order
+    out.sort(key=lambda o: o.rep.order)  # stable: keeps construction order
     return out
 
 
@@ -269,11 +267,8 @@ def extend_classes(a_classes: list[Subgroup],
     the outer block sorted by subgroup order with first-construction
     ties.
     """
-    step = StepClasses(inner=split_inner_classes(a_classes, ctx),
-                       outer=outer_classes(a_classes, ctx))
-    if len({id(r) for r in step.reps}) != len(step.reps):
-        raise RuntimeError("one representative stands for two classes")
-    return step
+    inner = split_inner_classes(a_classes, ctx)
+    return StepClasses(inner=inner, outer=outer_classes(inner, ctx))
 
 
 def sort_class_reps(reps: list[Subgroup]) -> list[Subgroup]:

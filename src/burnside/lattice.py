@@ -33,7 +33,6 @@ from .groups import (
     CapExceededError,
     PermGroup,
     Subgroup,
-    are_conjugate_subgroups,
     close_elements,
     join_normalizing,
     normalizer,
@@ -46,6 +45,8 @@ from .groups import (
     SET_CAP,
 )
 from .marks import (
+    ClassIdentifier,
+    ConjugateDuplicatesError,
     PatternClass,
     PatternStats,
     SubgroupPattern,
@@ -245,8 +246,11 @@ def compare_patterns(a: SubgroupPattern, b: SubgroupPattern) -> MatchReport:
 
     Succeeds when some permutation of b's classes makes the tables
     equal cell by cell with matched representatives conjugate in the
-    common ambient group.  Candidates are pruned by (order, class
-    length, diagonal, first column); conjugacy then pins the match.
+    common ambient group.  Each class of a is paired with the class of
+    b that has its class id, from one ``ClassIdentifier`` over b's
+    representatives; b with two conjugate representatives, a class of
+    a with no partner or with the partner of another class, or a pair
+    whose lengths or normalizer orders differ, is unmatched.
     """
     G = a.group
     if a.n != b.n:
@@ -255,30 +259,20 @@ def compare_patterns(a: SubgroupPattern, b: SubgroupPattern) -> MatchReport:
         return MatchReport(False, None, "ambient groups differ")
     if not all(G.contains(g) for g in b.group.gens):
         return MatchReport(False, None, "ambient groups differ as sets")
-
-    def key(p: SubgroupPattern, i: int):
-        c = p.classes[i]
-        return (c.order, c.length, p.rows[i][i], p.rows[i][0])
-
-    buckets: dict = {}
-    for j in range(b.n):
-        buckets.setdefault(key(b, j), []).append(j)
-    perm: list[int | None] = [None] * a.n
-    used: set[int] = set()
-    for i in range(a.n):
-        found = None
-        for j in buckets.get(key(a, i), []):
-            if j in used:
-                continue
-            if are_conjugate_subgroups(
-                    G, a.classes[i].rep, b.classes[j].rep) is not None:
-                found = j
-                break
-        if found is None:
+    try:
+        index_of_cid = ClassIdentifier(
+            G, [c.rep for c in b.classes]).index_of_cid
+    except ConjugateDuplicatesError as exc:
+        return MatchReport(False, None, str(exc))
+    perm: list[int] = []
+    for i, c in enumerate(a.classes):
+        j = index_of_cid.get(subgroup_class_id(G, c.rep))
+        if (j is None or j in perm
+                or (c.length, c.normalizer_order)
+                != (b.classes[j].length, b.classes[j].normalizer_order)):
             return MatchReport(False, None,
                                f"no conjugate partner for class {i}")
-        perm[i] = found
-        used.add(found)
+        perm.append(j)
     for i in range(a.n):
         for j in range(i + 1):
             if a.rows[i][j] != b.cell(perm[i], perm[j]):
@@ -286,4 +280,4 @@ def compare_patterns(a: SubgroupPattern, b: SubgroupPattern) -> MatchReport:
                     False, None,
                     f"cell ({i},{j}): {a.rows[i][j]} != "
                     f"{b.cell(perm[i], perm[j])}")
-    return MatchReport(True, [int(x) for x in perm], "match")
+    return MatchReport(True, perm, "match")

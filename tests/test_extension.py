@@ -1,6 +1,8 @@
 """Class-level extension machinery: inner/outer splits, coset elements,
 and the solvable driver, cross-checked against the brute oracle."""
 
+import dataclasses
+
 import pytest
 
 from fixtures import relabeled
@@ -11,6 +13,7 @@ from burnside.cli import main
 from burnside.extension import (
     ExtensionContext,
     InconsistentTableError,
+    InnerClass,
     extend_classes,
     extension_elements,
     outer_classes,
@@ -31,7 +34,12 @@ from burnside.lattice import (
     all_subgroup_classes_brute,
     subgroup_classes_search,
 )
-from burnside.perms import conj, inv, mul, order_of, parse_cycles
+from burnside.marks import (
+    SubgroupPattern,
+    extend_table_of_marks,
+    solvable_pattern_chain,
+)
+from burnside.perms import conj, inv, mul, order_of, parse_cycles, power
 
 
 @pytest.fixture(scope="module")
@@ -165,19 +173,21 @@ def test_dichotomy(s4, a4, s5, a5):
 
 
 def test_extension_elements_s5(s5_ctx, a5_classes, s5):
-    triv = a5_classes[0]
+    split = split_inner_classes(a5_classes, s5_ctx)
+    triv = split.classes[0]
     ts = extension_elements(s5_ctx, triv)
     assert len(ts) == 1
     assert order_of(ts[0][0]) == 2 and not s5_ctx.A.contains(ts[0][0])
-    top = a5_classes[-1]
-    assert top.order == 60
+    top = split.classes[-1]
+    assert top.rep.order == 60
     ts_top = extension_elements(s5_ctx, top)
     assert len(ts_top) == 1 and ts_top[0][1] == 120
 
 
 def test_extension_elements_postconditions(s5_ctx, a5_classes, s5):
-    for hs in a5_classes:
-        for t, normalizer_order in extension_elements(s5_ctx, hs):
+    for c in split_inner_classes(a5_classes, s5_ctx).classes:
+        hs = c.rep
+        for t, normalizer_order in extension_elements(s5_ctx, c):
             assert not s5_ctx.A.contains(t)
             n = order_of(t)
             while n % 2 == 0:
@@ -190,7 +200,8 @@ def test_extension_elements_postconditions(s5_ctx, a5_classes, s5):
 def test_extension_elements_s4_klein(s4, a4):
     ctx = ExtensionContext.create(s4, a4)
     h = Subgroup(s4, [parse_cycles("(1,2)(3,4)", 4)])
-    ts = extension_elements(ctx, h)
+    (c,) = split_inner_classes([h], ctx).classes
+    ts = extension_elements(ctx, c)
     assert len(ts) == 2
     orders = sorted(
         Subgroup(s4, h.gens + (t,)).order for t, _ in ts)
@@ -202,11 +213,12 @@ def test_extension_elements_s4_klein(s4, a4):
 def test_extension_elements_requires_inner(s5_ctx, s5):
     outside = Subgroup(s5, [parse_cycles("(1,2)", 5)])
     with pytest.raises(ValueError):
-        extension_elements(s5_ctx, outside)
+        extension_elements(s5_ctx, InnerClass(
+            rep=outside, a_indices=(0,), normalizer_order=12))
 
 
 def test_outer_classes_s5(s5_ctx, a5_classes):
-    outs = outer_classes(a5_classes, s5_ctx)
+    outs = outer_classes(split_inner_classes(a5_classes, s5_ctx), s5_ctx)
     assert [o.rep.order for o in outs] == [2, 4, 4, 6, 6, 8, 12, 20, 24, 120]
     # intersection with A is the recorded base class
     for o in outs:
@@ -220,7 +232,8 @@ def test_outer_classes_s5(s5_ctx, a5_classes):
 def test_outer_class_intersections_conjugate(s5_ctx, a5_classes, s5):
     # K cap A must be A-conjugate to the recorded base representative
     from burnside.groups import are_conjugate_subgroups
-    for o in outer_classes(a5_classes, s5_ctx):
+    for o in outer_classes(split_inner_classes(a5_classes, s5_ctx),
+                           s5_ctx):
         inter = frozenset(
             x for x in o.rep.elements() if s5_ctx.A.contains(x))
         gens = sorted(inter)
@@ -346,6 +359,27 @@ def test_a_transversal_missing_a_fused_partner_is_inconsistent():
         split_inner_classes(broken, ctx)
 
 
+@pytest.mark.parametrize("same_handle", [True, False])
+def test_conjugate_representatives_are_inconsistent(same_handle):
+    """C2^2 -> C2^3 is all-normal, so only the split keys the A-classes:
+    class 1 of the C2^2 pattern listed twice, as one handle or as two
+    handles on one subgroup, is refused, not extended to 19 classes."""
+    G = abelian_group((2, 2, 2))
+    pa = solvable_pattern_chain(G)[-2]
+    assert [c.order for c in pa.classes] == [1, 2, 2, 2, 4]
+    c = pa.classes[1]
+    twin = c if same_handle else dataclasses.replace(
+        c, rep=Subgroup(pa.group, c.rep.gens))
+    idx = [0, 1, 1, 2, 3, 4]
+    doubled = SubgroupPattern(
+        group=pa.group, classes=pa.classes[:2] + [twin] + pa.classes[2:],
+        rows=[[pa.cell(idx[i], idx[j]) for j in range(i + 1)]
+              for i in range(len(idx))])
+    with pytest.raises(InconsistentTableError,
+                       match="input classes 1 and 2 are conjugate in A"):
+        extend_table_of_marks(doubled, G)
+
+
 # ---------------------------------------------------------------------------
 # S-normalizers of the class step against full walks of the classes of S
 
@@ -464,3 +498,146 @@ def test_l2_32_5_step_walks_no_class_of_s(l2_32_step):
 def test_l2_32_5_step_normalizers_match_full_walks(l2_32_step):
     A, S, a_classes, step, handed, _ = l2_32_step
     check_against_full_walks(A, S, a_classes, step, handed)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass class step against the two-pass step it replaced, which
+# decided the stability of each A-class in the split and again in
+# extension_elements
+
+
+def two_pass_inner_normalizer_order(ctx, H):
+    """Whether H (inside A) is stable, and |N_S(H)|, from A's classes:
+    H is stable when H^t lies in H's A-class, and N_S(H) then leaves A,
+    of order p |N_A(H)|; otherwise N_S(H) is N_A(H)."""
+    A = ctx.A
+    cid = subgroup_class_id(A, H)
+    order = A.order // A._sub_classes[cid].size
+    if subgroup_class_id(A, H.conjugated(ctx.t)) == cid:
+        return True, ctx.p * order
+    return False, order
+
+
+def two_pass_split(a_classes, ctx):
+    A, p = ctx.A, ctx.p
+    norms = [two_pass_inner_normalizer_order(ctx, H) for H in a_classes]
+    unstable_idx = [i for i, (stable, _) in enumerate(norms) if not stable]
+    a_cid_of = {subgroup_class_id(A, a_classes[i]): i for i in unstable_idx}
+    assigned = set()
+    classes = []
+    for i, H in enumerate(a_classes):
+        stable, order = norms[i]
+        if stable:
+            classes.append(InnerClass(
+                rep=H, a_indices=(i,), normalizer_order=order))
+            continue
+        if i in assigned:
+            continue
+        partners = [i]
+        g = ctx.t
+        for _ in range(p - 1):
+            cid = subgroup_class_id(A, H.conjugated(g))
+            j = a_cid_of.get(cid)
+            if j is None or j in assigned or j in partners:
+                raise InconsistentTableError("inconsistent class fusion")
+            partners.append(j)
+            g = mul(g, ctx.t)
+        assigned.update(partners)
+        classes.append(InnerClass(
+            rep=H, a_indices=tuple(partners), normalizer_order=order))
+    return extension.InnerSplit(classes=classes)
+
+
+def two_pass_extension_elements(ctx, H):
+    S, A, p = ctx.S, ctx.A, ctx.p
+    stable, order = two_pass_inner_normalizer_order(ctx, H)
+    if not stable:
+        return []
+    if H.order == 1 and A.order % p:
+        t = power(ctx.t, order_of(ctx.t) // p)
+        return [(t, S.order // len(groups.orbit(
+            [t], S.gen_conj(), lambda x, c: c(x))))]
+    N = normalizer(S, H, order)
+    W, lift = groups.quotient_group(N.as_group(), H)
+    out = []
+    for w, size in groups.rational_classes(
+            W, p, lambda x: A.contains(lift(x))):
+        t0 = lift(w)
+        q = order_of(t0)
+        while q % p == 0:
+            q //= p
+        out.append((power(t0, q), (p - 1) * order // size))
+    out.sort(key=lambda pair: order_of(pair[0]))
+    return out
+
+
+def two_pass_step(a_classes, ctx):
+    outer = [extension.OuterClass(rep=H.join(t), base_index=i,
+                                  gen_element=t, normalizer_order=n)
+             for i, H in enumerate(a_classes)
+             for t, n in two_pass_extension_elements(ctx, H)]
+    outer.sort(key=lambda o: o.rep.order)
+    return extension.StepClasses(inner=two_pass_split(a_classes, ctx),
+                                 outer=outer)
+
+
+def step_fields(step):
+    return ([(c.rep, c.a_indices, c.normalizer_order)
+             for c in step.inner.classes],
+            [(o.rep.gens, o.rep.order, o.base_index, o.gen_element,
+              o.normalizer_order) for o in step.outer])
+
+
+def counted_step(A, S, a_classes):
+    """The class step, and the number of Subgroup.conjugated calls it
+    makes."""
+    calls = []
+    real = Subgroup.conjugated
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(Subgroup, "conjugated",
+                  lambda H, g: calls.append(g) or real(H, g))
+        step = extend_classes(a_classes, ExtensionContext.create(S, A))
+    return step, len(calls)
+
+
+def check_one_pass_step(A, S, a_classes):
+    """The step equals the two-pass step field by field, in order, and
+    conjugates once per stable class and p - 1 times per merged one."""
+    step, conjugations = counted_step(A, S, a_classes)
+    ctx = ExtensionContext.create(S, A)
+    assert step_fields(step) == step_fields(two_pass_step(a_classes, ctx))
+    inner = step.inner
+    assert conjugations == (len(inner.stable_classes)
+                            + (ctx.p - 1) * len(inner.merged_classes))
+    return step
+
+
+@pytest.mark.parametrize("G,shapes", [
+    (relabeled("S4", 0), [(2, 0), (2, 0), (3, 1), (2, 0)]),
+    (relabeled("GL2(3)", 0), [(2, 0), (2, 0), (2, 0), (3, 1), (2, 0)]),
+    (relabeled("D12", 0), [(3, 0), (2, 0), (2, 0)]),
+    (abelian_group((2, 2, 2, 2)), [(2, 0)] * 4),
+    (relabeled("SL2(3)", 0), [(2, 0), (2, 0), (2, 0), (3, 1)])],
+    ids=["S4", "GL2(3)", "D12", "C2^4", "SL2(3)"])
+def test_one_pass_class_step_matches_two_pass_on_chains(G, shapes):
+    """Every step of the chain; ``shapes`` lists (p, merged classes) per
+    step, so V4 -> A4 and Q8 -> SL2(3) are steps with p = 3 and fusion."""
+    A, classes = PermGroup([], G.degree), [trivial_subgroup(G)]
+    seen = []
+    for S in composition_steps(G):
+        step = check_one_pass_step(A, S, classes)
+        seen.append((S.order // A.order, len(step.inner.merged_classes)))
+        A, classes = S, sort_class_reps(step.reps)
+    assert seen == shapes
+
+
+@pytest.mark.parametrize("a_name,s_name", [("A5", "S5"), ("A6", "S6")])
+def test_one_pass_class_step_matches_two_pass(a_name, s_name):
+    A, S = relabeled(a_name, 0), relabeled(s_name, 0)
+    check_one_pass_step(A, S, all_subgroup_classes_brute(A))
+
+
+def test_one_pass_class_step_matches_two_pass_l2_32_5(l2_32_step):
+    A, S, a_classes, *_ = l2_32_step
+    step = check_one_pass_step(A, S, a_classes)
+    assert len(step.inner.merged_classes) == 2

@@ -279,12 +279,14 @@ def test_class_members_conjugators_and_normalizers(name, seed):
 
 def test_subgroups_output_ignores_the_hash_seed():
     """Class listings, tables from the marks engine (S6 from A6, the
-    C2^5 chain) and the oracle table of S6 are the same under two hash
-    seeds, timings aside."""
+    C2^5 chain, SL2(3) with its p = 3 fusion step) and the oracle table
+    of S6 are the same under two hash seeds, timings aside.  L2(32):5 is
+    the p = 5 class step with A above SET_CAP."""
     src = str(Path(burnside.__file__).resolve().parents[1])
     c2x5 = [a for k in range(5) for a in ("--gens", f"({2*k+1},{2*k+2})")]
     cases = [(["subgroups", "S5"], 19), (["subgroups", "A6"], 22),
-             (["subgroups", "S6"], 56),
+             (["subgroups", "S6"], 56), (["subgroups", "L2(32):5"], 30),
+             (["tom", "SL2(3)", "--format", "json"], 7),
              (["tom", "S6", "--via", "extension", "--format", "json"], 56),
              (["tom", "S6", "--via", "oracle", "--format", "json"], 56),
              (["tom", "10", *c2x5, "--format", "json"], 374)]

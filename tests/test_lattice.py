@@ -1,18 +1,20 @@
 """Brute-force oracle: enumeration, class structure, and comparisons."""
 
+import dataclasses
 from dataclasses import dataclass
 
 import pytest
 
 from fixtures import A5_CLASS_ORDERS, FIG_A5, relabeled
 
-from burnside import lattice
+from burnside import groups, lattice
 from burnside.catalog import CATALOG, abelian_group, cyclic_group
 from burnside.groups import (
     CapExceededError,
     PermGroup,
     Subgroup,
     close_elements,
+    is_solvable,
     join_normalizing,
     normalizer,
     orbit,
@@ -27,7 +29,12 @@ from burnside.lattice import (
     table_of_marks_brute,
     zuppos,
 )
-from burnside.marks import validate_pattern
+from burnside.marks import (
+    SubgroupPattern,
+    extend_table_of_marks,
+    solvable_pattern_chain,
+    validate_pattern,
+)
 from burnside.perms import conj, conj_by, parse_cycles
 
 
@@ -340,3 +347,135 @@ def test_lagrange_cutoff_keeps_the_uncapped_transversal(name, conjugator,
     if G.order == 720:
         # S6 reaches its whole group by many closures, all cut short
         assert sum(e is None for e in closed) > 1
+
+
+# ---------------------------------------------------------------------------
+# compare_patterns by class-id lookup against the bucketed pairing it
+# replaced
+
+
+def bucketed_compare_patterns(a, b):
+    """compare_patterns as it paired classes before: candidates of b
+    bucketed by (order, class length, diagonal, first column), and each
+    class of a paired with the first unused one that
+    ``are_conjugate_subgroups`` finds conjugate."""
+    G = a.group
+    if a.n != b.n:
+        return lattice.MatchReport(False, None, "class counts differ")
+    if a.group.order != b.group.order or a.group.degree != b.group.degree:
+        return lattice.MatchReport(False, None, "ambient groups differ")
+    if not all(G.contains(g) for g in b.group.gens):
+        return lattice.MatchReport(False, None, "ambient groups differ")
+
+    def key(p, i):
+        c = p.classes[i]
+        return (c.order, c.length, p.rows[i][i], p.rows[i][0])
+
+    buckets = {}
+    for j in range(b.n):
+        buckets.setdefault(key(b, j), []).append(j)
+    perm = [None] * a.n
+    used = set()
+    for i in range(a.n):
+        found = next((j for j in buckets.get(key(a, i), [])
+                      if j not in used
+                      and groups.are_conjugate_subgroups(
+                          G, a.classes[i].rep, b.classes[j].rep)
+                      is not None), None)
+        if found is None:
+            return lattice.MatchReport(False, None, "no partner")
+        perm[i] = found
+        used.add(found)
+    for i in range(a.n):
+        for j in range(i + 1):
+            if a.rows[i][j] != b.cell(perm[i], perm[j]):
+                return lattice.MatchReport(False, None, "cell")
+    return lattice.MatchReport(True, perm, "match")
+
+
+def permuted(p, idx, classes=None):
+    """p with its classes in the order idx, marks carried along."""
+    return SubgroupPattern(
+        group=p.group, classes=classes or [p.classes[k] for k in idx],
+        rows=[[p.cell(idx[r], idx[c]) for c in range(r + 1)]
+              for r in range(len(idx))])
+
+
+def corrupted(p):
+    """Four edits of p: two classes of one order swapped (with their
+    marks, so the table still matches), a changed class length, a
+    bumped cell, and a class replaced by a conjugate of another.  The
+    swap and the duplicate need two classes of one order."""
+    same = next((i for i in range(p.n - 1)
+                 if p.classes[i].order == p.classes[i + 1].order), None)
+    ident = list(range(p.n))
+    out = {}
+    if same is not None:
+        swap = ident[:same] + [same + 1, same] + ident[same + 2:]
+        out["swapped classes"] = permuted(p, swap)
+        twin = dataclasses.replace(
+            p.classes[same + 1],
+            rep=p.classes[same].rep.conjugated(p.group.gens[0]))
+        out["conjugate duplicate"] = permuted(
+            p, ident, p.classes[:same + 1] + [twin] + p.classes[same + 2:])
+    k = p.n - 1
+    out["changed length"] = permuted(
+        p, ident, p.classes[:k] + [dataclasses.replace(
+            p.classes[k], length=p.classes[k].length + 1)])
+    bumped = permuted(p, ident)
+    bumped.rows[k][min(1, k)] += 1
+    out["bumped cell"] = bumped
+    return out
+
+
+EXTENSION_VS_ORACLE = [
+    entry.name for entry in CATALOG.entries.values()
+    if CATALOG.group(entry.name).order <= DEFAULT_CAP
+    and (entry.extension_base or is_solvable(CATALOG.group(entry.name)))]
+
+
+@pytest.mark.parametrize("name", EXTENSION_VS_ORACLE)
+def test_compare_patterns_by_lookup_matches_bucketed(name, monkeypatch):
+    """Extension against oracle, and against four corruptions of the
+    oracle, each way round: the same verdict and permutation as the
+    bucketed pairing, with no are_conjugate_subgroups call inside
+    compare_patterns."""
+    G = CATALOG.group(name)
+    entry = CATALOG.get(name)
+    if is_solvable(G):
+        ext = solvable_pattern_chain(G)[-1]
+    else:
+        ext = extend_table_of_marks(
+            table_of_marks_brute(CATALOG.group(entry.extension_base)), G)
+    oracle = table_of_marks_brute(G)
+    cases = {"oracle": oracle, **corrupted(oracle)}
+    verdicts = {}
+    real = groups.are_conjugate_subgroups
+    for what, case in cases.items():
+        for a, b in ((ext, case), (case, ext)):
+            calls = []
+            with monkeypatch.context() as m:
+                m.setattr(groups, "are_conjugate_subgroups",
+                          lambda *args: calls.append(args) or real(*args))
+                got = compare_patterns(a, b)
+            assert not calls, what
+            want = bucketed_compare_patterns(a, b)
+            assert (got.matched, got.permutation) == \
+                (want.matched, want.permutation), what
+            verdicts.setdefault(what, set()).add(got.matched)
+    assert verdicts.pop("oracle") == {True}
+    assert verdicts.pop("swapped classes", {True}) == {True}
+    assert all(v == {False} for v in verdicts.values())
+
+
+def test_compare_refuses_two_classes_on_one_partner():
+    """S3's table without C3 against the same table with C2 in C3's
+    place: the marks agree cell by cell if both C2 classes of the first
+    may share the one C2 of the second, and a pairing must not allow
+    that."""
+    oracle = table_of_marks_brute(CATALOG.group("S3"))
+    assert [c.order for c in oracle.classes] == [1, 2, 3, 6]
+    no_c3, c2_twice = permuted(oracle, [0, 1, 3]), permuted(oracle, [0, 1, 1])
+    for a, b in ((c2_twice, no_c3), (no_c3, c2_twice)):
+        assert not compare_patterns(a, b).matched
+        assert not bucketed_compare_patterns(a, b).matched
