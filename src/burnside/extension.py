@@ -56,7 +56,8 @@ from .perms import mul, order_of, power
 class InconsistentTableError(RuntimeError):
     """The input is corrupt: a candidate set of the marks engine became
     empty, or two A-class representatives of a step are conjugate, or
-    the A-classes do not fuse into S-classes."""
+    the A-classes do not fuse into S-classes, or the cyclic classes do
+    not account for every element of A."""
 
 
 @dataclass

@@ -25,8 +25,9 @@ generators, joined to H one at a time, span its order; a caller that
 knows the order passes it, and no class is cached then.
 
 Cyclic extensions are built here only: ``Subgroup.join(t)`` is <H, t>,
-and ``quotient_group(N, H)`` is N(H)/H with a lift map, under the one
-cap on coset actions, QUOTIENT_CAP.
+``cyclic_joins(N, H)`` gives one <H, a> per cyclic subgroup of N/H
+from a walk of N's elements, and ``quotient_group(N, H)`` is N(H)/H
+with a lift map, under the one cap on coset actions, QUOTIENT_CAP.
 
 Each group numbers its elements on first sight (an index per element
 tuple) and keeps one conjugation table per generator, index to index,
@@ -44,6 +45,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
+from math import gcd
 from operator import methodcaller
 
 from .perms import (
@@ -557,24 +560,62 @@ def close_elements(gens, degree, *, cap=None, seed=None):
     return elems if cap is None or len(elems) <= cap else None
 
 
+def normalizing_cosets(h_elems: frozenset, z: tuple[int, ...]) -> list:
+    """The cosets H z^i = z^i H of H in <H, z>, for z normalizing H, in
+    order of i from H itself (i = 0) to m - 1, m the least with z^m in
+    H: each coset is the gather by z (``left_mul_by``) of the one before.
+    """
+    lz = left_mul_by(z)
+    cosets = [h_elems]
+    w = z   # z^i, the image of the identity in H z^i
+    while w not in h_elems:
+        cosets.append(list(map(lz, cosets[-1])))
+        w = lz(w)
+    return cosets
+
+
 def join_normalizing(h_elems: frozenset, h_gens, z: tuple[int, ...]):
     """Element set of <H, z> when z normalizes H, else None.
 
     With z normalizing H the join is the plain union of the cosets
-    H z^i = z^i H, which is much cheaper than a closure BFS: each coset
-    is the gather by z (``left_mul_by``) of the one before.
+    H z^i = z^i H (``normalizing_cosets``), which is much cheaper than a
+    closure BFS.
     """
     if any(conj(g, z) not in h_elems for g in h_gens):
         return None
     out = set(h_elems)
-    lz = left_mul_by(z)
-    coset = list(map(lz, h_elems))
-    w = z
-    while w not in h_elems:
+    for coset in normalizing_cosets(h_elems, z)[1:]:
         out.update(coset)
-        coset = list(map(lz, coset))
-        w = mul(w, z)
     return frozenset(out)
+
+
+def cyclic_joins(N: Subgroup, U: Subgroup):
+    """(K, c) for each cyclic subgroup K/U of N/U, U normal in N with an
+    element set: K = <U, a> for the first a of N's elements (in their
+    set or chain order) that generates no earlier K modulo U, and c the
+    number of cosets of U generating K/U.
+
+    With m = |K:U| the cosets of U in K are U a^i, 0 <= i < m, and U a^i
+    generates K/U exactly when i is prime to m.  Those cosets are marked
+    covered, so every element of N is joined or covered once, and the
+    counts c sum to |N:U|.  K is the union of those cosets, or
+    ``U.join(a)`` when it is above SET_CAP.
+    """
+    # above SET_CAP, the chain's element list, with no frozenset copy
+    elems = N.elements() if N.order <= SET_CAP else N.as_group().elements()
+    u_elems = U.elements()
+    covered: set = set()
+    for a in elems:
+        if a in covered:
+            continue
+        cosets = normalizing_cosets(u_elems, a)
+        m = len(cosets)
+        gen_cosets = [c for i, c in enumerate(cosets) if gcd(i, m) == 1]
+        for c in gen_cosets:
+            covered.update(c)
+        yield (U.join(a) if U.order * m > SET_CAP else
+               Subgroup(U, U.gens + (a,), elems=chain.from_iterable(cosets)),
+               len(gen_cosets))
 
 
 # ---------------------------------------------------------------------------

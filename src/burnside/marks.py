@@ -27,6 +27,13 @@ block (classes of subgroups inside A) and the outer block:
   reachable partial sums of the row keeps the values that some
   admissible assignment uses.
 
+A Dress row n(U, -) counts the cosets Ua of U in N(U) by the class of
+<U, a>, which depends only on the cyclic subgroup <Ua> of N(U)/U.  For
+a U with an element set the row walks N(U)'s elements once and joins U
+only with an element that generates no cyclic subgroup met before; the
+cosets generating the same cyclic subgroup are counted with it, so no
+coset transversal and no quotient group is built.
+
 Everything is deterministic; per-row decisions are tagged for
 diagnostics.
 """
@@ -35,6 +42,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from math import gcd, lcm
 
 from .extension import (
     ExtensionContext,
@@ -47,11 +55,13 @@ from .groups import (
     Subgroup,
     composition_steps,
     coset_transversal,
+    cyclic_joins,
     normalizer,
     subgroup_class_id,
     trivial_subgroup,
     SET_CAP,
 )
+from .perms import mul, order_of
 
 # ---------------------------------------------------------------------------
 # pattern containers
@@ -208,6 +218,7 @@ class ClassIdentifier:
 class DressRow:
     """Coefficients n(U, -): cosets Ua of U in its normalizer, counted by
     the class of <U, a>; the row congruence is sum(n * y) = 0 mod |N(U):U|.
+    A row is a class -> count map; ``dress_row`` builds it.
 
     For inner U the congruence refines into the orbit-count split: the
     inner part determines o_B and the outer part must realize a count
@@ -222,12 +233,26 @@ class DressRow:
 
 def dress_row(S: PermGroup, ident: ClassIdentifier, u_index: int,
               U: Subgroup, *, inner_size: int | None = None) -> DressRow:
+    """The Dress row of U in S, its classes indexed by ``ident``.
+
+    <U, a> depends only on the cyclic subgroup <Ua> of W = N(U)/U, so a
+    U with an element set (order at most SET_CAP) is joined once per
+    cyclic subgroup of W, found by one walk of N(U)'s elements
+    (``groups.cyclic_joins``), and the cosets generating it are counted
+    toward its class.  A U above SET_CAP has at most |S|/SET_CAP cosets
+    in N(U), while N(U)'s elements would cost a walk of |N(U)|; it is
+    joined once per coset of a transversal.
+    """
     N = normalizer(S, U)
     modulus = N.order // U.order
+    if U.order > SET_CAP:
+        joins = ((U.join(a), 1) for a in coset_transversal(N.as_group(), U))
+    else:
+        joins = cyclic_joins(N, U)
     coeffs: dict[int, int] = {}
-    for a in coset_transversal(N.as_group(), U):
-        idx = ident.index_of(U.join(a))
-        coeffs[idx] = coeffs.get(idx, 0) + 1
+    for K, count in joins:
+        idx = ident.index_of(K)
+        coeffs[idx] = coeffs.get(idx, 0) + count
     if sum(coeffs.values()) != modulus:
         raise RuntimeError(f"Dress row of class {u_index} misses cosets")
     return DressRow(u_index=u_index, coeffs=coeffs, modulus=modulus,
@@ -268,6 +293,7 @@ class MarksExtender:
         self.step: StepClasses = extend_classes(
             [c.rep for c in pa.classes], self.ctx)
         self.inner = self.step.inner.classes
+        self._check_cyclic_classes()
         self.outer = self.step.outer
         self.b = len(self.inner)
         self.class_reps = self.step.reps
@@ -284,6 +310,29 @@ class MarksExtender:
         # incremental subconjugacy data over completed rows
         self._below: list[set] = []   # class -> set of classes below it
         self._above: list[set] = []   # class -> set of completed classes above
+
+    def _check_cyclic_classes(self) -> None:
+        """Every element of A generates one cyclic subgroup, which has
+        phi(|V|) generators, so a complete transversal of A's classes has
+        sum phi(|V|) length(V) = |A| over its cyclic classes V (length in
+        S, which counts the p A-classes of a merged class).  A class V is
+        cyclic when its generators commute and the lcm of their orders
+        is |V|, with no element scan.  A missing non-cyclic class is not
+        seen here."""
+        total = 0
+        for c in self.inner:
+            V = c.rep
+            gens = V.gens
+            if lcm(*map(order_of, gens)) != V.order or any(
+                    mul(x, y) != mul(y, x)
+                    for k, x in enumerate(gens) for y in gens[:k]):
+                continue
+            phi = sum(gcd(i, V.order) == 1 for i in range(V.order))
+            total += phi * (self.S.order // c.normalizer_order)
+        if total != self.ctx.A.order:
+            raise InconsistentTableError(
+                f"the input's cyclic classes hold {total} elements of A, "
+                f"not {self.ctx.A.order}: the transversal misses a class")
 
     # -- quarters ---------------------------------------------------------
 
@@ -823,8 +872,10 @@ def validate_pattern(pattern: SubgroupPattern) -> list[str]:
             if c.gamma_index is None:
                 continue
             g = c.gamma_index
-            for i in range(n):
-                if (pattern.cell(i, j) - pattern.cell(i, g)) % p:
+            # rows above both columns hold 0 in each
+            for i in range(min(g, j), n):
+                row = pattern.rows[i]
+                if ((row[j] if j <= i else 0) - (row[g] if g <= i else 0)) % p:
                     out.append(
                         f"column congruence mod {p} fails at row {i}, "
                         f"columns ({g},{j})")

@@ -380,6 +380,25 @@ def test_conjugate_representatives_are_inconsistent(same_handle):
         extend_table_of_marks(doubled, G)
 
 
+def test_missing_cyclic_class_is_inconsistent():
+    """C2^2 -> C2^3 keys only the A-classes it is given, so the class
+    step cannot see class 1 of the C2^2 pattern missing (it used to give
+    13 classes of C2^3, not 16): the cyclic classes left hold 3 of the 4
+    elements of C2^2, and the engine refuses the input."""
+    G = abelian_group((2, 2, 2))
+    pa = solvable_pattern_chain(G)[-2]
+    idx = [0, 2, 3, 4]
+    missing = SubgroupPattern(
+        group=pa.group, classes=[pa.classes[i] for i in idx],
+        rows=[[pa.cell(idx[i], idx[j]) for j in range(i + 1)]
+              for i in range(len(idx))])
+    assert len(extend_classes([c.rep for c in missing.classes],
+                              ExtensionContext.create(G, pa.group)).reps) == 13
+    with pytest.raises(InconsistentTableError,
+                       match="cyclic classes hold 3 elements of A, not 4"):
+        extend_table_of_marks(missing, G)
+
+
 # ---------------------------------------------------------------------------
 # S-normalizers of the class step against full walks of the classes of S
 

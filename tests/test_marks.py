@@ -2,6 +2,7 @@
 Dress machinery, incidence probes, and the assembled tables."""
 
 import math
+import os
 import random
 from itertools import product
 
@@ -31,12 +32,14 @@ from burnside.lattice import (
     DEFAULT_CAP,
     all_subgroup_classes_brute,
     compare_patterns,
+    subgroup_classes_search,
     table_of_marks_brute,
 )
 from burnside.marks import (
     DressRow,
     InconsistentTableError,
     MarksExtender,
+    PatternClass,
     RowState,
     SubgroupPattern,
     dress_rows_full,
@@ -185,6 +188,29 @@ def test_mark_row_above_set_cap_in_l2_32_5():
     outside = next(g for g in G.gens if g not in K)
     assert incidence_probe(G, K, inside) == [K.elements()]
     assert incidence_probe(G, K, outside) == []
+
+
+@pytest.mark.skipif(not os.environ.get("RUN_SLOW"),
+                    reason="about 10 s; set RUN_SLOW=1 to run")
+def test_l2_32_5_marks_step_from_the_counted_table():
+    """The paper's largest example: L2(32):5 from the table of L2(32)
+    counted by ``mark_row`` on the classes of the search.  Its Dress
+    rows include L2(32) itself, above SET_CAP, joined once per coset."""
+    A = CATALOG.get("L2(32)").build()
+    reps = subgroup_classes_search(A)
+    keys = _keys(A, reps)
+    classes = []
+    for rep, key in zip(reps, keys):
+        length = A._sub_classes[groups.subgroup_class_id(A, rep, key)].size
+        classes.append(PatternClass(rep=rep, order=rep.order, length=length,
+                                    normalizer_order=A.order // length))
+    base = SubgroupPattern(
+        group=A, classes=classes,
+        rows=[mark_row(A, rep, keys[:i + 1]) for i, rep in enumerate(reps)])
+    assert base.n == 24
+    pat = extend_table_of_marks(base, CATALOG.get("L2(32):5").build())
+    assert pat.n == 30 and pat.stats.probes == 0
+    assert validate_pattern(pat) == []
 
 
 def test_mark_row_above_a_small_set_cap(monkeypatch):
@@ -455,6 +481,85 @@ def test_dress_row_whole_group(s5_ext):
     rows = dress_rows_full(pat)
     top = rows[-1]
     assert top.modulus == 1 and top.coeffs == {pat.n - 1: 1}
+
+
+def _coset_loop_row(S, ident, U):
+    """Reference Dress row of U: one join per coset of a transversal of
+    U in N(U), counted by the class of the join."""
+    coeffs = {}
+    for a in coset_transversal(normalizer(S, U).as_group(), U):
+        idx = ident.index_of(U.join(a))
+        coeffs[idx] = coeffs.get(idx, 0) + 1
+    return coeffs
+
+
+def _dress_rows_against_the_coset_loop(S, reps):
+    ident = marks.ClassIdentifier(S, reps)
+    for u, U in enumerate(reps):
+        dr = marks.dress_row(S, ident, u, U)
+        assert dr.coeffs == _coset_loop_row(S, ident, U), u
+        assert dr.modulus == normalizer(S, U).order // U.order
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_dress_rows_match_the_coset_loop(name):
+    """One join per cyclic subgroup of N(U)/U gives the same class ->
+    count map as one join per coset, for every class of the group."""
+    G = CATALOG.get(name).build()
+    _dress_rows_against_the_coset_loop(
+        G, [c.rep for c in table_of_marks_brute(G).classes])
+
+
+@pytest.mark.parametrize("name, cap, big", [("S4", 8, 2), ("S5", 24, 2)])
+def test_dress_rows_above_a_small_set_cap_match_the_coset_loop(
+        name, cap, big, monkeypatch):
+    """With SET_CAP below the order of A_n and S_n, both normal, their
+    rows join once per coset of a transversal; every other row walks
+    N(U)'s elements, which for the trivial U (and V4 in S4, whose join
+    with a 3-cycle is A4 above the cap) lie in a normalizer above the
+    cap.  All rows equal the coset loop's."""
+    reps = [c.rep for c in
+            table_of_marks_brute(CATALOG.get(name).build()).classes]
+    monkeypatch.setattr(groups, "SET_CAP", cap)
+    monkeypatch.setattr(marks, "SET_CAP", cap)
+    G = CATALOG.get(name).build()
+    reps = [Subgroup(G, U.gens) for U in reps]
+    built = []
+
+    def counted(*args):
+        built.append(args[1].order)
+        return coset_transversal(*args)
+
+    monkeypatch.setattr(marks, "coset_transversal", counted)
+    ident = marks.ClassIdentifier(G, reps)
+    rows = [marks.dress_row(G, ident, u, U) for u, U in enumerate(reps)]
+    assert sorted(built) == sorted(U.order for U in reps if U.order > cap)
+    assert len(built) == big
+    for u, U in enumerate(reps):
+        assert rows[u].coeffs == _coset_loop_row(G, ident, U), u
+
+
+def test_dress_rows_below_set_cap_build_no_transversal_and_no_quotient(
+        monkeypatch):
+    """Every class of S6 is below SET_CAP: its Dress rows make no coset
+    transversal and no quotient group."""
+    G = CATALOG.get("S6").build()
+    pat = table_of_marks_brute(G)
+    built = []
+
+    def spy(name, real):
+        def counted(*args):
+            built.append(name)
+            return real(*args)
+        return counted
+
+    for module in (groups, marks):
+        monkeypatch.setattr(module, "coset_transversal",
+                            spy("coset_transversal", coset_transversal))
+    monkeypatch.setattr(groups, "quotient_group",
+                        spy("quotient_group", groups.quotient_group))
+    rows = dress_rows_full(pat)
+    assert len(rows) == 56 and not built
 
 
 # ---------------------------------------------------------------------------
@@ -760,6 +865,28 @@ def _dress_violations_by_ints(pattern):
                 out.append(f"row {i}: congruence of class {dr.u_index} "
                            f"fails (sum {s} mod {dr.modulus})")
     return out
+
+
+def test_column_congruence_violations_match_the_cell_loop():
+    """On the C2^5 table with cells bumped, one of them on the diagonal
+    at a column that is some class's gamma_index, validate_pattern
+    reports the mod-p column congruence violations of the loop over
+    every row by ``cell``, in the same words and order."""
+    pat = solvable_pattern_chain(abelian_group((2,) * 5))[-1]
+    rows = [list(r) for r in pat.rows]
+    g0 = next(c.gamma_index for c in pat.classes if c.gamma_index)
+    for i, j in [(200, 37), (373, 0), (120, 120), (90, 2), (g0, g0)]:
+        rows[i][j] += 1
+    bad = SubgroupPattern(group=pat.group, classes=pat.classes, rows=rows,
+                          stats=pat.stats)
+    p = pat.stats.extension_p
+    want = [f"column congruence mod {p} fails at row {i}, columns ({g},{j})"
+            for j, g in enumerate(c.gamma_index for c in bad.classes)
+            if g is not None
+            for i in range(bad.n) if (bad.cell(i, j) - bad.cell(i, g)) % p]
+    assert len(want) >= 3
+    got = [v for v in validate_pattern(bad) if v.startswith("column")]
+    assert got == want
 
 
 @pytest.mark.parametrize("bump", [1, 2 ** 64 + 1])
