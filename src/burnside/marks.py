@@ -79,11 +79,25 @@ class PatternClass:
 
 @dataclass
 class PatternStats:
+    """Counters of one extension step.
+
+    ``row_tags`` maps each outer row index to the ``RowState.decided_by``
+    dict of that row (column -> deciding rule: ``bounds``, ``lagrange``,
+    ``transitivity``, ``dress:<class of U>`` or ``probe``), kept by
+    reference as the row was solved.  ``decided_by`` is built from it on
+    read: one ``(row, column) -> tag`` entry per decided outer cell, rows
+    in solving order."""
+
     probes: int = 0
     max_probe: int = 0
     millis: int = 0
     extension_p: int | None = None
-    decided_by: dict = field(default_factory=dict)
+    row_tags: dict = field(default_factory=dict)
+
+    @property
+    def decided_by(self) -> dict:
+        return {(i, j): tag for i, tags in self.row_tags.items()
+                for j, tag in tags.items()}
 
 
 @dataclass
@@ -302,6 +316,10 @@ class MarksExtender:
         for bi, c in enumerate(self.inner):
             for ai in c.a_indices:
                 self.col_of_a_index[ai] = bi
+        # per outer class: |V|, V's generators, V, column of V's inner bound
+        self._outer_cells = [
+            (oc.rep.order, oc.rep.gens, oc.rep,
+             self.col_of_a_index[oc.base_index]) for oc in self.outer]
         self.rows: list[list[int]] = []
         self.stats = PatternStats(extension_p=self.p)
         self._ident: ClassIdentifier | None = None
@@ -415,41 +433,37 @@ class MarksExtender:
 
         A normal K gets no candidates: each cell is |S:K| (the diagonal)
         when V <= K and 0 otherwise, and must still lie on the inner
-        bound's progression (at most the bound, congruent to it mod p)."""
+        bound's progression (at most the bound, congruent to it mod p).
+        Its containment test is one set test of V's generators against
+        K's element set, or ``is_subset_of`` when K is above SET_CAP, so
+        no element set is built for such a K."""
         oc = self.outer[ri]
         i = self.b + ri
         K = oc.rep
         diag = oc.normalizer_order // K.order
-        normal = oc.normalizer_order == self.S.order
         values: list = self.bottom_left_row(ri) + [None] * (ri + 1)
         values[i] = diag
         cand: dict[int, tuple] = {}
         decided_by = {}
         contained: set[int] = set()
-        for rj in range(ri):
-            j = self.b + rj
-            V = self.outer[rj]
-            if K.order % V.rep.order:
+        if oc.normalizer_order == self.S.order:
+            self._init_normal_row(K, i, values, decided_by)
+            return RowState(index=i, ri=ri, values=values, cand=cand,
+                            decided_by=decided_by, contained=contained,
+                            diag=diag)
+        for j, (order, _, rep, col) in enumerate(self._outer_cells[:ri],
+                                                 self.b):
+            if K.order % order:
                 values[j] = 0
                 decided_by[j] = "lagrange"
                 continue
-            ub = values[self.col_of_a_index[V.base_index]]
-            inside = V.rep.is_subset_of(K)
-            if normal:
-                m = diag if inside else 0
-                if m > ub or (ub - m) % self.p:
-                    raise InconsistentTableError(
-                        f"normal mark {m} off the inner bound {ub} at "
-                        f"({i},{j})")
-                values[j] = m
-                decided_by[j] = "bounds"
-                continue
+            ub = values[col]
             opts = tuple(m for m in range(ub % self.p, ub + 1, self.p)
                          if m % diag == 0)
             if not opts:
                 raise InconsistentTableError(
                     f"no candidate for cell ({i},{j})")
-            if inside:
+            if rep.is_subset_of(K):
                 contained.add(j)
                 opts = tuple(m for m in opts if m >= diag)
                 if not opts:
@@ -463,6 +477,31 @@ class MarksExtender:
         return RowState(index=i, ri=ri, values=values, cand=cand,
                         decided_by=decided_by, contained=contained,
                         diag=diag)
+
+    def _init_normal_row(self, K: Subgroup, i: int, values: list,
+                         decided_by: dict) -> None:
+        """The outer cells of row i, for K normal in S: 0 by Lagrange when
+        |V| does not divide |K|, else |S:K| (values[i]) when V <= K and 0
+        otherwise, each checked against its inner bound."""
+        diag, p, korder = values[i], self.p, K.order
+        elems = K.elements() if korder <= SET_CAP else None
+        for j, (order, gens, rep, col) in enumerate(
+                self._outer_cells[:i - self.b], self.b):
+            if korder % order:
+                values[j] = 0
+                decided_by[j] = "lagrange"
+                continue
+            ub = values[col]
+            if (elems.issuperset(gens) if elems is not None
+                    else rep.is_subset_of(K)):
+                m = diag
+            else:
+                m = 0
+            if m > ub or (ub - m) % p:
+                raise InconsistentTableError(
+                    f"normal mark {m} off the inner bound {ub} at ({i},{j})")
+            values[j] = m
+            decided_by[j] = "bounds"
 
     # -- refinement passes ---------------------------------------------------
 
@@ -717,10 +756,9 @@ class MarksExtender:
             st = self.solve_row(ri)
             if None in st.values:
                 raise RuntimeError(f"row {st.index} left undecided")
-            self.rows.append([int(v) for v in st.values])
+            self.rows.append(st.values)
             self._register_completed(st.index)
-            for j, tag in st.decided_by.items():
-                self.stats.decided_by[(st.index, j)] = tag
+            self.stats.row_tags[st.index] = st.decided_by
         self.stats.millis = int((time.monotonic() - start) * 1000)
         return self._pattern()
 

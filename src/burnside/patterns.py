@@ -28,7 +28,8 @@ class PatternFormatError(ValueError):
     """The document does not follow the schema or contradicts itself."""
 
 
-def pattern_to_dict(pattern: SubgroupPattern, name: str) -> dict:
+def _head(pattern: SubgroupPattern, name: str) -> dict:
+    """The document's fields before ``marks``."""
     return {
         "group": name,
         "degree": pattern.group.degree,
@@ -41,17 +42,42 @@ def pattern_to_dict(pattern: SubgroupPattern, name: str) -> dict:
             }
             for c in pattern.classes
         ],
-        "marks": [list(map(int, row)) for row in pattern.rows],
-        "stats": {
-            "probes": pattern.stats.probes,
-            "max_probe": pattern.stats.max_probe,
-            "millis": pattern.stats.millis,
-        },
     }
 
 
+def _stats(pattern: SubgroupPattern) -> dict:
+    return {
+        "probes": pattern.stats.probes,
+        "max_probe": pattern.stats.max_probe,
+        "millis": pattern.stats.millis,
+    }
+
+
+def pattern_to_dict(pattern: SubgroupPattern, name: str) -> dict:
+    doc = _head(pattern, name)
+    doc["marks"] = [list(map(int, row)) for row in pattern.rows]
+    doc["stats"] = _stats(pattern)
+    return doc
+
+
+def _json_rows(rows) -> str:
+    """The marks at depth 1 of an ``indent=1`` document, laid out as
+    ``json.dumps`` lays out a non-empty list of non-empty rows: one
+    number per line."""
+    return "[\n  " + ",\n  ".join(
+        "[\n   " + ",\n   ".join(map(int.__repr__, row)) + "\n  ]"
+        for row in rows) + "\n ]"
+
+
 def pattern_to_json(pattern: SubgroupPattern, name: str) -> str:
-    return json.dumps(pattern_to_dict(pattern, name), indent=1)
+    """``json.dumps(pattern_to_dict(pattern, name), indent=1)``, with the
+    marks written row by row by ``str.join``; every string and the rest
+    of the document still go through ``json.dumps``."""
+    head = json.dumps(_head(pattern, name), indent=1)
+    tail = json.dumps({"stats": _stats(pattern)}, indent=1)
+    # head ends with "\n}", tail starts with "{": splice the marks between
+    return (head[:-2] + ',\n "marks": ' + _json_rows(pattern.rows) + ","
+            + tail[1:])
 
 
 _KINDS = {int: "an integer", list: "a list", dict: "an object"}

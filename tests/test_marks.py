@@ -4,6 +4,7 @@ Dress machinery, incidence probes, and the assembled tables."""
 import math
 import os
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -802,6 +803,91 @@ def test_normal_rows_are_decided_by_containment(name):
             ext.rows.append([int(v) for v in st.values])
             ext._register_completed(st.index)
     assert seen
+
+
+def _copied_tags(base, S):
+    """The engine's rows and (row, column) -> tag map, solved row by row
+    with every decided cell's tag copied into one dict, as ``solve`` once
+    did."""
+    ext = MarksExtender(base, S)
+    ext.assemble_inner()
+    tags = {}
+    for ri in range(len(ext.outer)):
+        st = ext.solve_row(ri)
+        ext.rows.append([int(v) for v in st.values])
+        ext._register_completed(st.index)
+        for j, tag in st.decided_by.items():
+            tags[(st.index, j)] = tag
+    return ext.rows, tags
+
+
+@pytest.mark.parametrize("name", ["S5", "S6", "GL2(3)", "C2^4"])
+def test_decided_by_is_the_copied_tag_map(name):
+    """``PatternStats.decided_by``, built on read from the rows' own tag
+    dicts, equals the per-cell copy key for key and in order, with the
+    same histogram of rules; the rows are plain ints.  S5 and S6 from
+    the oracle of A5 and A6 reach Dress and, in S6, transitivity and
+    probes."""
+    if name == "S6":
+        steps = [(table_of_marks_brute(CATALOG.group("A6")),
+                  CATALOG.group("S6"))]
+    else:
+        steps = _extension_steps(name)
+    rules = Counter()
+    for base, S in steps:
+        rows, copied = _copied_tags(base, S)
+        pat = extend_table_of_marks(base, S)
+        assert pat.rows == rows
+        assert all(type(v) is int for row in pat.rows for v in row)
+        assert list(pat.stats.decided_by.items()) == list(copied.items())
+        got = Counter(t.split(":")[0] for t in pat.stats.decided_by.values())
+        assert got == Counter(t.split(":")[0] for t in copied.values())
+        rules += got
+    if name in ("S5", "S6"):
+        assert rules["dress"]
+    if name == "S6":
+        assert rules["transitivity"] and rules["probe"]
+
+
+@pytest.mark.parametrize("name, cap", [("C2^4", 4), ("S4", 8)])
+def test_normal_rows_above_a_small_set_cap(name, cap, monkeypatch):
+    """With SET_CAP below some normal K, the normal rows of the chain
+    still equal mark_row cell by cell, and no K above the cap gets its
+    element set built while its row is decided."""
+    monkeypatch.setattr(groups, "SET_CAP", cap)
+    monkeypatch.setattr(marks, "SET_CAP", cap)
+    G = (abelian_group((2,) * 4) if name == "C2^4"
+         else CATALOG.get(name).build())
+    chain = solvable_pattern_chain(G)
+    real_elements = Subgroup.elements
+    built = []
+    watching = []
+
+    def spied_elements(self):
+        if watching and self._elems is None and self.order > cap:
+            built.append(self.order)
+        return real_elements(self)
+
+    monkeypatch.setattr(Subgroup, "elements", spied_elements)
+    big = 0
+    for k in range(1, len(chain)):
+        S = chain[k].group
+        ext = MarksExtender(chain[k - 1], S)
+        ext.assemble_inner()
+        for ri, oc in enumerate(ext.outer):
+            normal = oc.normalizer_order == S.order
+            watching.append(normal)
+            st = ext.init_row(ri) if normal else ext.solve_row(ri)
+            watching.pop()
+            if normal:
+                big += oc.rep.order > cap
+                reps = ext.class_reps[:st.index + 1]
+                assert not st.cand
+                assert st.values == mark_row(S, oc.rep, _keys(S, reps))
+            ext.rows.append(st.values)
+            ext._register_completed(st.index)
+        assert ext.rows == chain[k].rows
+    assert big and not built
 
 
 def test_all_normal_chain_runs_no_transitivity_and_no_identifier(

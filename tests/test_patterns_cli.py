@@ -12,11 +12,15 @@ import pytest
 
 import burnside
 from burnside import cli
-from burnside.catalog import CATALOG
+from burnside.catalog import CATALOG, abelian_group
 from burnside.extension import InconsistentTableError
 from burnside.cli import main
-from burnside.lattice import table_of_marks_brute
-from burnside.marks import extend_table_of_marks
+from burnside.lattice import DEFAULT_CAP, table_of_marks_brute
+from burnside.marks import (
+    extend_table_of_marks,
+    solvable_pattern_chain,
+    trivial_pattern,
+)
 from burnside.patterns import (
     PatternFormatError,
     pattern_from_dict,
@@ -66,6 +70,48 @@ def test_json_round_trip(a5_pattern, a5):
     from burnside.groups import are_conjugate_subgroups
     for c1, c2 in zip(a5_pattern.classes, back.classes):
         assert are_conjugate_subgroups(a5, c1.rep, c2.rep) is not None
+
+
+def _assert_json_is_reference(pattern, name):
+    """``pattern_to_json`` equals ``json.dumps(..., indent=1)`` of the
+    document; a mismatch names the first differing offset (a diff of the
+    whole text would take minutes)."""
+    got = pattern_to_json(pattern, name)
+    ref = json.dumps(pattern_to_dict(pattern, name), indent=1)
+    if got != ref:
+        at = next((k for k, (a, b) in enumerate(zip(got, ref)) if a != b),
+                  min(len(got), len(ref)))
+        pytest.fail(f"{name}: differs at {at}: {got[at - 40:at + 40]!r} "
+                    f"!= {ref[at - 40:at + 40]!r}")
+
+
+def test_json_writer_matches_json_dumps_on_every_catalog_oracle():
+    """The marks written row by row give the bytes of ``json.dumps`` with
+    ``indent=1`` on the oracle pattern of every catalog group under the
+    cap (the trivial group among them, whose class has no generators)."""
+    seen = 0
+    for entry in CATALOG.entries.values():
+        G = CATALOG.group(entry.name)
+        if G.order > DEFAULT_CAP:
+            continue
+        _assert_json_is_reference(table_of_marks_brute(G), entry.name)
+        seen += 1
+    assert seen == len(CATALOG.entries) - 2   # all but L2(32), L2(32):5
+
+
+def test_json_writer_matches_json_dumps_on_chains_and_edge_cases(a5_pattern):
+    """Byte equality on the C2^5 chain's top pattern, the trivial pattern
+    (``"generators": []``), and group names that need escapes or are not
+    ASCII."""
+    top = solvable_pattern_chain(abelian_group((2,) * 5))[-1]
+    assert top.n == 374
+    triv = trivial_pattern()
+    assert '"generators": []' in pattern_to_json(triv, "trivial")
+    cases = [(top, "C2^5"), (triv, "trivial")]
+    cases += [(a5_pattern, name)
+              for name in ("<10>", 'a "quoted" \\ name', "A\u2085 \u00e9")]
+    for pat, name in cases:
+        _assert_json_is_reference(pat, name)
 
 
 def test_json_rejects_wrong_order(a5_pattern, a5):
