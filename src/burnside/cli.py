@@ -216,7 +216,7 @@ def _class_listing(route: Route) -> list[PatternClass]:
     """Class transversal with normalizer orders, sorted by order."""
     G = route.group
     if route.source == "pattern":
-        reps = [c.rep for c in route.pattern.sorted_ascending().classes]
+        reps = [c.rep for c in route.pattern.classes]
     elif route.source == "search":
         reps = subgroup_classes_search(G)
     else:

@@ -27,6 +27,10 @@ block (classes of subgroups inside A) and the outer block:
   reachable partial sums of the row keeps the values that some
   admissible assignment uses.
 
+The transitivity bounds read subconjugacy from the completed rows of
+the table itself: V lies in a conjugate of K exactly when the mark of
+V on S/K is nonzero.
+
 A Dress row n(U, -) counts the cosets Ua of U in N(U) by the class of
 <U, a>, which depends only on the cyclic subgroup <Ua> of N(U)/U.  For
 a U with an element set the row walks N(U)'s elements once and joins U
@@ -316,6 +320,8 @@ class MarksExtender:
         for bi, c in enumerate(self.inner):
             for ai in c.a_indices:
                 self.col_of_a_index[ai] = bi
+        # A-column read for each blue column
+        self._a_cols = [c.a_indices[0] for c in self.inner]
         # per outer class: |V|, V's generators, V, column of V's inner bound
         self._outer_cells = [
             (oc.rep.order, oc.rep.gens, oc.rep,
@@ -325,9 +331,6 @@ class MarksExtender:
         self._ident: ClassIdentifier | None = None
         self._dress: list[DressRow] | None = None
         self._supporters: dict[int, list[int]] | None = None
-        # incremental subconjugacy data over completed rows
-        self._below: list[set] = []   # class -> set of classes below it
-        self._above: list[set] = []   # class -> set of completed classes above
 
     def _check_cyclic_classes(self) -> None:
         """Every element of A generates one cyclic subgroup, which has
@@ -354,39 +357,26 @@ class MarksExtender:
 
     # -- quarters ---------------------------------------------------------
 
+    def _a_row(self, ai: int, cols: list[int]) -> list[int]:
+        """A-row ai at the A-columns ``cols``, 0 past the end of the row."""
+        row = self.pa.rows[ai]
+        return [row[c] if c <= ai else 0 for c in cols]
+
     def top_left_row(self, bi: int) -> list[int]:
         """Inner row: p-multiple of the A-row, or the merged-row sum."""
         c = self.inner[bi]
         factor = self.p // len(c.a_indices)
-        row = []
-        for bj in range(bi + 1):
-            cj = self.inner[bj].a_indices[0]
-            val = sum(self.pa.cell(ai, cj) for ai in c.a_indices)
-            row.append(factor * val)
-        return row
+        cols = self._a_cols[:bi + 1]
+        return [factor * sum(vals) for vals in
+                zip(*(self._a_row(ai, cols) for ai in c.a_indices))]
 
     def bottom_left_row(self, ri: int) -> list[int]:
         """Inner columns of an outer row: copy of the A-row of rep∩A."""
-        base = self.outer[ri].base_index
-        return [self.pa.cell(base, self.inner[bj].a_indices[0])
-                for bj in range(self.b)]
+        return self._a_row(self.outer[ri].base_index, self._a_cols)
 
     def assemble_inner(self) -> None:
         for bi in range(self.b):
             self.rows.append(self.top_left_row(bi))
-            self._register_completed(bi)
-
-    def _register_completed(self, i: int) -> None:
-        row = self.rows[i]
-        below = {j for j in range(i + 1) if row[j] > 0}
-        if len(self._below) != i:
-            raise RuntimeError(f"row {i} completed out of order")
-        self._below.append(below)
-        while len(self._above) <= i:
-            self._above.append(set())
-        for j in below:
-            if j != i:
-                self._above[j].add(i)
 
     # -- lazily built engine tables ----------------------------------------
 
@@ -511,20 +501,28 @@ class MarksExtender:
         Upper bounds flow up containment (a bigger subgroup fixes no
         more cosets); lower bounds flow down, including the quotient
         bound row(V)/|K:V| for classes V certified below the row class.
+
+        Subconjugacy is read from the completed rows (V is subconjugate
+        to W exactly when the mark of V on S/W is nonzero): the classes
+        below column j are the nonzero cells of row j, the completed
+        classes above it the rows v < i nonzero in column j.
         """
         changed = False
         i = st.index
+        rows = self.rows
         lo: dict[int, int] = {}
         hi: dict[int, int] = {}
         for j in list(st.cand):
             opts = st.cand[j]
             lob, hib = opts[0], opts[-1]
-            for v in self._below[j]:
+            for v, mark in enumerate(rows[j]):
+                if not mark:
+                    continue
                 m = st.values[v] if v not in st.cand else st.cand[v][-1]
                 if m is not None and m < hib:
                     hib = m
-            for v in self._above[j]:
-                if v >= i:
+            for v in range(j + 1, i):
+                if not rows[v][j]:
                     continue
                 m = st.values[v] if v not in st.cand else st.cand[v][0]
                 if m is not None and m > lob:
@@ -540,9 +538,9 @@ class MarksExtender:
         for v in certified:
             ratio = K_order // self.class_reps[v].order
             for j in st.cand:
-                if j == v or j not in self._below[v]:
+                if not (j < v and rows[v][j]):
                     continue
-                bound = -(-self.rows[v][j] // ratio)  # ceil division
+                bound = -(-rows[v][j] // ratio)  # ceil division
                 if bound > lo.get(j, 0):
                     lo[j] = bound
         for j in list(st.cand):
@@ -757,7 +755,6 @@ class MarksExtender:
             if None in st.values:
                 raise RuntimeError(f"row {st.index} left undecided")
             self.rows.append(st.values)
-            self._register_completed(st.index)
             self.stats.row_tags[st.index] = st.decided_by
         self.stats.millis = int((time.monotonic() - start) * 1000)
         return self._pattern()

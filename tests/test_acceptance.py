@@ -129,7 +129,6 @@ def test_criterion_5_dress_worked_example():
     for rj in range(ri):
         st = ext.solve_row(rj)
         ext.rows.append([int(v) for v in st.values])
-        ext._register_completed(st.index)
     st = ext.init_row(ri)
     c4 = _outer_col(ext, 4, True)
     v4 = _outer_col(ext, 4, False)

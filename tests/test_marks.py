@@ -313,7 +313,6 @@ def test_init_candidates_d12(s5_ext):
     for rj in range(ri):
         st = s5_ext.solve_row(rj)
         s5_ext.rows.append([int(v) for v in st.values])
-        s5_ext._register_completed(st.index)
     st = s5_ext.init_row(ri)
     c4 = _outer_col(s5_ext, 4, True)
     v4 = _outer_col(s5_ext, 4, False)
@@ -336,7 +335,6 @@ def test_dress_worked_example(s5_ext):
     for rj in range(ri):
         st = ext.solve_row(rj)
         ext.rows.append([int(v) for v in st.values])
-        ext._register_completed(st.index)
     st = ext.init_row(ri)
     c4 = _outer_col(ext, 4, True)
     v4 = _outer_col(ext, 4, False)
@@ -801,7 +799,6 @@ def test_normal_rows_are_decided_by_containment(name):
                 assert st.values == mark_row(S, oc.rep, _keys(S, reps))
                 assert set(st.decided_by.values()) <= {"bounds", "lagrange"}
             ext.rows.append([int(v) for v in st.values])
-            ext._register_completed(st.index)
     assert seen
 
 
@@ -815,7 +812,6 @@ def _copied_tags(base, S):
     for ri in range(len(ext.outer)):
         st = ext.solve_row(ri)
         ext.rows.append([int(v) for v in st.values])
-        ext._register_completed(st.index)
         for j, tag in st.decided_by.items():
             tags[(st.index, j)] = tag
     return ext.rows, tags
@@ -847,6 +843,170 @@ def test_decided_by_is_the_copied_tag_map(name):
         assert rules["dress"]
     if name == "S6":
         assert rules["transitivity"] and rules["probe"]
+
+
+class _SetRelationExtender(MarksExtender):
+    """The engine with subconjugacy kept in per-class sets beside the
+    table, as it once was: each completed row is copied into the classes
+    below it and, for each of them, the completed classes above."""
+
+    def __init__(self, pattern_A, S):
+        super().__init__(pattern_A, S)
+        self.below, self.above = [], []
+
+    def register_completed(self, i):
+        row = self.rows[i]
+        below = {j for j in range(i + 1) if row[j] > 0}
+        assert len(self.below) == i
+        self.below.append(below)
+        while len(self.above) <= i:
+            self.above.append(set())
+        for j in below:
+            if j != i:
+                self.above[j].add(i)
+
+    def transitivity_pass(self, st):
+        changed = False
+        i = st.index
+        lo, hi = {}, {}
+        for j in list(st.cand):
+            opts = st.cand[j]
+            lob, hib = opts[0], opts[-1]
+            for v in self.below[j]:
+                m = st.values[v] if v not in st.cand else st.cand[v][-1]
+                if m is not None and m < hib:
+                    hib = m
+            for v in self.above[j]:
+                if v >= i:
+                    continue
+                m = st.values[v] if v not in st.cand else st.cand[v][0]
+                if m is not None and m > lob:
+                    lob = m
+            lo[j], hi[j] = lob, hib
+        K_order = self.outer[st.ri].rep.order
+        certified = set(st.contained)
+        for j in range(self.b, i):
+            v = st.values[j]
+            if v is not None and v > 0:
+                certified.add(j)
+        for v in certified:
+            ratio = K_order // self.class_reps[v].order
+            for j in st.cand:
+                if j == v or j not in self.below[v]:
+                    continue
+                bound = -(-self.rows[v][j] // ratio)
+                if bound > lo.get(j, 0):
+                    lo[j] = bound
+        for j in list(st.cand):
+            opts = tuple(m for m in st.cand[j]
+                         if lo.get(j, 0) <= m <= hi.get(j, m))
+            if opts != st.cand[j]:
+                changed = True
+                if not opts:
+                    raise InconsistentTableError("transitivity emptied a cell")
+                if len(opts) == 1:
+                    st.decide(j, opts[0], "transitivity")
+                else:
+                    st.set_cand(j, opts)
+        return changed
+
+
+def _reference_steps(name):
+    """(base pattern, S) of the steps the subconjugacy reference drives:
+    S5, S6 and S4 from the oracles of A5, A6 and A4, or the GL2(3)
+    chain."""
+    if name == "GL2(3)":
+        return _extension_steps(name)
+    A = CATALOG.group({"S4": "A4", "S5": "A5", "S6": "A6"}[name])
+    return [(table_of_marks_brute(A), CATALOG.group(name))]
+
+
+@pytest.mark.parametrize("name", ["S4", "S5", "S6", "GL2(3)"])
+def test_transitivity_reads_subconjugacy_like_the_set_reference(name):
+    """The engine, reading subconjugacy from its completed rows, and the
+    reference keeping it in per-class sets are driven row by row in
+    lockstep, as ``solve_row`` drives one: after every transitivity pass
+    both hold the same candidates and values.  The rows, tags and probe
+    counts then equal each other and ``extend_table_of_marks``."""
+    rules = Counter()
+    for base, S in _reference_steps(name):
+        ext, ref = MarksExtender(base, S), _SetRelationExtender(base, S)
+        ext.assemble_inner()
+        ref.assemble_inner()
+        for i in range(ref.b):
+            ref.register_completed(i)
+        tags, ref_tags = {}, {}
+        for ri in range(len(ext.outer)):
+            st, rst = ext.init_row(ri), ref.init_row(ri)
+            while st.cand:
+                progress = True
+                while progress and st.cand:
+                    progress = ext.transitivity_pass(st)
+                    assert ref.transitivity_pass(rst) == progress
+                    assert (st.cand, st.values) == (rst.cand, rst.values)
+                    if st.cand:
+                        dressed = ext.dress_pass(st)
+                        assert ref.dress_pass(rst) == dressed
+                        progress = progress or dressed
+                if st.cand:
+                    ext.probe_one(st)
+                    ref.probe_one(rst)
+            ext.rows.append(st.values)
+            ref.rows.append(rst.values)
+            ref.register_completed(rst.index)
+            tags[st.index], ref_tags[rst.index] = st.decided_by, rst.decided_by
+        assert ext.rows == ref.rows
+        assert tags == ref_tags
+        assert [list(t.items()) for t in tags.values()] == \
+            [list(t.items()) for t in ref_tags.values()]
+        assert (ext.stats.probes, ext.stats.max_probe) == \
+            (ref.stats.probes, ref.stats.max_probe)
+        pat = extend_table_of_marks(base, S)
+        assert pat.rows == ext.rows and pat.stats.row_tags == tags
+        assert (pat.stats.probes, pat.stats.max_probe) == \
+            (ext.stats.probes, ext.stats.max_probe)
+        rules.update(t.split(":")[0] for row in tags.values()
+                     for t in row.values())
+    if name == "S6":
+        assert rules["transitivity"] and rules["probe"]
+
+
+def test_inner_block_is_gathered_without_cell_calls(monkeypatch):
+    """``assemble_inner`` and ``init_row`` read the A-table's rows
+    directly: a spy on ``SubgroupPattern.cell`` sees no call from them
+    on S6 from the A6 oracle or on any step of the C2^5 chain, while the
+    results still equal the oracle and the chain's rows."""
+    steps = [(table_of_marks_brute(CATALOG.group("A6")),
+              CATALOG.group("S6"))]
+    chain = solvable_pattern_chain(abelian_group((2,) * 5))
+    steps += [(chain[k - 1], chain[k].group) for k in range(1, len(chain))]
+    inside, calls = [], []
+    real_cell = SubgroupPattern.cell
+
+    def spied_cell(self, i, j):
+        if inside:
+            calls.append((i, j))
+        return real_cell(self, i, j)
+
+    def watched(name):
+        real = getattr(MarksExtender, name)
+
+        def run(self, *args):
+            inside.append(name)
+            try:
+                return real(self, *args)
+            finally:
+                inside.pop()
+        return run
+
+    monkeypatch.setattr(SubgroupPattern, "cell", spied_cell)
+    for name in ("assemble_inner", "init_row"):
+        monkeypatch.setattr(MarksExtender, name, watched(name))
+    pats = [extend_table_of_marks(base, S) for base, S in steps]
+    assert not calls
+    assert compare_patterns(
+        pats[0], table_of_marks_brute(CATALOG.group("S6"))).matched
+    assert [p.rows for p in pats[1:]] == [p.rows for p in chain[1:]]
 
 
 @pytest.mark.parametrize("name, cap", [("C2^4", 4), ("S4", 8)])
@@ -885,7 +1045,6 @@ def test_normal_rows_above_a_small_set_cap(name, cap, monkeypatch):
                 assert not st.cand
                 assert st.values == mark_row(S, oc.rep, _keys(S, reps))
             ext.rows.append(st.values)
-            ext._register_completed(st.index)
         assert ext.rows == chain[k].rows
     assert big and not built
 
