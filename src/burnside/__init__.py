@@ -28,7 +28,6 @@ from .marks import (
     extend_table_of_marks,
     solvable_pattern_chain,
     validate_pattern,
-    verify_dress,
 )
 from .lattice import (
     compare_patterns,
@@ -44,7 +43,7 @@ __all__ = [
     "outer_classes", "split_inner_classes",
     "SubgroupPattern", "extend_table_of_marks",
     "solvable_pattern_chain",
-    "validate_pattern", "verify_dress",
+    "validate_pattern",
     "compare_patterns", "subgroup_classes_search",
     "table_of_marks_brute",
     "CATALOG",

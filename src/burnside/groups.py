@@ -672,6 +672,9 @@ class _SubClass:
     tree: dict = field(default_factory=dict)
     # member key -> conjugator g with rep^g == member, for members asked for
     known: dict = field(default_factory=dict)
+    # Dress row of the class, built once by ``marks.dress_row``: (class id
+    # of <U, a> -> number of cosets Ua of U in N(U), |N(U):U|)
+    dress: tuple | None = None
 
     def conjugator(self, key, gens) -> tuple[int, ...]:
         """An element g with rep^g the member with this key: the product

@@ -45,11 +45,11 @@ from .groups import (
     SET_CAP,
 )
 from .marks import (
-    ClassIdentifier,
     ConjugateDuplicatesError,
     PatternClass,
     PatternStats,
     SubgroupPattern,
+    class_columns,
     mark_row,
 )
 from .perms import conj, conj_by, order_of, power
@@ -247,7 +247,7 @@ def compare_patterns(a: SubgroupPattern, b: SubgroupPattern) -> MatchReport:
     Succeeds when some permutation of b's classes makes the tables
     equal cell by cell with matched representatives conjugate in the
     common ambient group.  Each class of a is paired with the class of
-    b that has its class id, from one ``ClassIdentifier`` over b's
+    b that has its class id, from one ``class_columns`` over b's
     representatives; b with two conjugate representatives, a class of
     a with no partner or with the partner of another class, or a pair
     whose lengths or normalizer orders differ, is unmatched.
@@ -260,8 +260,7 @@ def compare_patterns(a: SubgroupPattern, b: SubgroupPattern) -> MatchReport:
     if not all(G.contains(g) for g in b.group.gens):
         return MatchReport(False, None, "ambient groups differ as sets")
     try:
-        index_of_cid = ClassIdentifier(
-            G, [c.rep for c in b.classes]).index_of_cid
+        index_of_cid = class_columns(G, [c.rep for c in b.classes])
     except ConjugateDuplicatesError as exc:
         return MatchReport(False, None, str(exc))
     perm: list[int] = []

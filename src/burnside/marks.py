@@ -36,7 +36,9 @@ A Dress row n(U, -) counts the cosets Ua of U in N(U) by the class of
 a U with an element set the row walks N(U)'s elements once and joins U
 only with an element that generates no cyclic subgroup met before; the
 cosets generating the same cyclic subgroup are counted with it, so no
-coset transversal and no quotient group is built.
+coset transversal and no quotient group is built.  The row depends only
+on S and U's class, so it is built once per group and class, kept on the
+class record, and shared by the engine and the validation of a table.
 
 Everything is deterministic; per-row decisions are tagged for
 diagnostics.
@@ -205,27 +207,17 @@ class ConjugateDuplicatesError(ValueError):
     """Two representatives of a class transversal are conjugate."""
 
 
-class ClassIdentifier:
-    """Maps subgroups of S to their index in a fixed class transversal."""
-
-    def __init__(self, S: PermGroup, reps: list[Subgroup]):
-        self.S = S
-        self.index_of_cid = {}
-        for i, rep in enumerate(reps):
-            cid = subgroup_class_id(S, rep)
-            if cid in self.index_of_cid:
-                raise ConjugateDuplicatesError(
-                    "transversal contains conjugate duplicates: classes "
-                    f"{self.index_of_cid[cid]} and {i}")
-            self.index_of_cid[cid] = i
-
-    def index_of(self, K: Subgroup) -> int:
-        cid = subgroup_class_id(self.S, K)
-        idx = self.index_of_cid.get(cid)
-        if idx is None:
-            raise InconsistentTableError(
-                "generated subgroup matches no class of the transversal")
-        return idx
+def class_columns(S: PermGroup, reps: list[Subgroup]) -> dict[int, int]:
+    """The class id in S of each of ``reps`` -> its index in ``reps``."""
+    cols: dict[int, int] = {}
+    for i, rep in enumerate(reps):
+        cid = subgroup_class_id(S, rep)
+        if cid in cols:
+            raise ConjugateDuplicatesError(
+                "transversal contains conjugate duplicates: classes "
+                f"{cols[cid]} and {i}")
+        cols[cid] = i
+    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +241,9 @@ class DressRow:
     inner_size: int | None = None   # |N_A(U):U| when U is inner
 
 
-def dress_row(S: PermGroup, ident: ClassIdentifier, u_index: int,
-              U: Subgroup, *, inner_size: int | None = None) -> DressRow:
-    """The Dress row of U in S, its classes indexed by ``ident``.
+def _class_dress(S: PermGroup, U: Subgroup) -> tuple[dict[int, int], int]:
+    """The Dress row of U's class in S: the class id of each join <U, a>
+    -> the number of cosets Ua giving it, and |N(U):U|.
 
     <U, a> depends only on the cyclic subgroup <Ua> of W = N(U)/U, so a
     U with an element set (order at most SET_CAP) is joined once per
@@ -262,15 +254,34 @@ def dress_row(S: PermGroup, ident: ClassIdentifier, u_index: int,
     joined once per coset of a transversal.
     """
     N = normalizer(S, U)
-    modulus = N.order // U.order
     if U.order > SET_CAP:
         joins = ((U.join(a), 1) for a in coset_transversal(N.as_group(), U))
     else:
         joins = cyclic_joins(N, U)
-    coeffs: dict[int, int] = {}
+    counts: dict[int, int] = {}
     for K, count in joins:
-        idx = ident.index_of(K)
-        coeffs[idx] = coeffs.get(idx, 0) + count
+        cid = subgroup_class_id(S, K)
+        counts[cid] = counts.get(cid, 0) + count
+    return counts, N.order // U.order
+
+
+def dress_row(S: PermGroup, cols: dict[int, int], u_index: int,
+              U: Subgroup, *, inner_size: int | None = None) -> DressRow:
+    """The Dress row of U in S, its classes mapped to columns by ``cols``
+    (``class_columns``).  The row depends only on U's class, so it is
+    built once per group and class (``_class_dress``) and kept on the
+    class record."""
+    record = S._sub_classes[subgroup_class_id(S, U)]
+    if record.dress is None:
+        record.dress = _class_dress(S, U)
+    counts, modulus = record.dress
+    coeffs: dict[int, int] = {}
+    for cid, count in counts.items():
+        idx = cols.get(cid)
+        if idx is None:
+            raise InconsistentTableError(
+                "generated subgroup matches no class of the transversal")
+        coeffs[idx] = count
     if sum(coeffs.values()) != modulus:
         raise RuntimeError(f"Dress row of class {u_index} misses cosets")
     return DressRow(u_index=u_index, coeffs=coeffs, modulus=modulus,
@@ -301,9 +312,6 @@ class MarksExtender:
 
     def __init__(self, pattern_A: SubgroupPattern, S: PermGroup):
         pa = pattern_A.sorted_ascending()
-        orders = pa.class_orders()
-        if orders != sorted(orders):
-            raise RuntimeError("sorted pattern is not in ascending order")
         self.pa = pa
         self.S = S
         self.ctx = ExtensionContext.create(S, pa.group)
@@ -328,7 +336,6 @@ class MarksExtender:
              self.col_of_a_index[oc.base_index]) for oc in self.outer]
         self.rows: list[list[int]] = []
         self.stats = PatternStats(extension_p=self.p)
-        self._ident: ClassIdentifier | None = None
         self._dress: list[DressRow] | None = None
         self._supporters: dict[int, list[int]] | None = None
 
@@ -380,11 +387,6 @@ class MarksExtender:
 
     # -- lazily built engine tables ----------------------------------------
 
-    def identifier(self) -> ClassIdentifier:
-        if self._ident is None:
-            self._ident = ClassIdentifier(self.S, self.step.reps)
-        return self._ident
-
     def dress_rows(self) -> list[DressRow]:
         """Dress rows whose congruences involve outer columns.
 
@@ -394,16 +396,16 @@ class MarksExtender:
         classes have no outer cosets and are skipped.
         """
         if self._dress is None:
-            ident = self.identifier()
+            cols = class_columns(self.S, self.step.reps)
             rows = []
             for bi, c in enumerate(self.inner):
                 if not c.stable:
                     continue
                 inner_size = c.normalizer_order // self.p // c.rep.order
-                rows.append(dress_row(self.S, ident, bi, c.rep,
+                rows.append(dress_row(self.S, cols, bi, c.rep,
                                       inner_size=inner_size))
             for rj, oc in enumerate(self.outer):
-                dr = dress_row(self.S, ident, self.b + rj, oc.rep)
+                dr = dress_row(self.S, cols, self.b + rj, oc.rep)
                 if dr.modulus > 1:
                     rows.append(dr)
             self._dress = rows
@@ -824,16 +826,6 @@ def solvable_pattern_chain(G: PermGroup) -> list[SubgroupPattern]:
 # verification
 
 
-def dress_rows_full(pattern: SubgroupPattern) -> list[DressRow]:
-    """Dress rows n(U, -) for every class U of the pattern."""
-    S = pattern.group
-    ident = ClassIdentifier(S, [c.rep for c in pattern.classes])
-    out = []
-    for u, c in enumerate(pattern.classes):
-        out.append(dress_row(S, ident, u, c.rep))
-    return out
-
-
 def verify_dress(pattern: SubgroupPattern):
     """Check every row of the table against every Dress congruence.
 
@@ -848,8 +840,12 @@ def verify_dress(pattern: SubgroupPattern):
         for j, v in enumerate(row):
             if v:
                 columns[j].append((i, v))
+    S = pattern.group
+    reps = [c.rep for c in pattern.classes]
+    cols = class_columns(S, reps)
     violations = []
-    for dr in dress_rows_full(pattern):
+    for u, U in enumerate(reps):
+        dr = dress_row(S, cols, u, U)
         sums: dict[int, int] = {}
         for j, n in dr.coeffs.items():
             for i, v in columns[j]:

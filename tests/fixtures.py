@@ -4,13 +4,15 @@ FIG_A5 / FIG_S5 are the tables of marks of A5 and S5; FIG_S5 is given
 in its original layout (classes in PAPER_S5_ORDER).  GL23_PANELS are
 the intermediate tables along the composition series
 1 < 2 < 4 < Q8 < SL2(3) < GL2(3).  ``relabeled`` makes seeded copies of
-catalog groups on renamed points.
+catalog groups on renamed points; ``spy_dress_builds`` records the Dress
+rows built.
 """
 
 import random
 
+from burnside import marks
 from burnside.catalog import CATALOG
-from burnside.groups import PermGroup
+from burnside.groups import PermGroup, subgroup_class_id
 from burnside.perms import conj
 
 FIG_A5 = [
@@ -94,3 +96,17 @@ def relabeled(name, seed):
     random.Random(seed).shuffle(sigma)
     gens = [conj(g, tuple(sigma)) for g in G.gens] if seed else G.gens
     return PermGroup(gens, G.degree)
+
+
+def spy_dress_builds(monkeypatch) -> list:
+    """Record (group, class id) of every Dress row ``marks.dress_row``
+    builds, as opposed to reading it off the class record."""
+    built = []
+    real = marks._class_dress
+
+    def counted(S, U):
+        built.append((id(S), subgroup_class_id(S, U)))
+        return real(S, U)
+
+    monkeypatch.setattr(marks, "_class_dress", counted)
+    return built

@@ -9,7 +9,13 @@ from itertools import product
 
 import pytest
 
-from fixtures import FIG_A5, FIG_S5, GL23_PANELS, relabeled
+from fixtures import (
+    FIG_A5,
+    FIG_S5,
+    GL23_PANELS,
+    relabeled,
+    spy_dress_builds,
+)
 
 from burnside import groups, lattice, marks
 from burnside.catalog import (
@@ -43,7 +49,6 @@ from burnside.marks import (
     PatternClass,
     RowState,
     SubgroupPattern,
-    dress_rows_full,
     extend_table_of_marks,
     incidence_probe,
     mark_fixed_cosets,
@@ -193,10 +198,13 @@ def test_mark_row_above_set_cap_in_l2_32_5():
 
 @pytest.mark.skipif(not os.environ.get("RUN_SLOW"),
                     reason="about 10 s; set RUN_SLOW=1 to run")
-def test_l2_32_5_marks_step_from_the_counted_table():
+def test_l2_32_5_marks_step_from_the_counted_table(monkeypatch):
     """The paper's largest example: L2(32):5 from the table of L2(32)
     counted by ``mark_row`` on the classes of the search.  Its Dress
-    rows include L2(32) itself, above SET_CAP, joined once per coset."""
+    rows include L2(32) itself, above SET_CAP, joined once per coset.
+    Validating the result builds no row the step built: only those of
+    the two inner classes merged from five classes of L2(32), which the
+    step skips."""
     A = CATALOG.get("L2(32)").build()
     reps = subgroup_classes_search(A)
     keys = _keys(A, reps)
@@ -209,9 +217,16 @@ def test_l2_32_5_marks_step_from_the_counted_table():
         group=A, classes=classes,
         rows=[mark_row(A, rep, keys[:i + 1]) for i, rep in enumerate(reps)])
     assert base.n == 24
-    pat = extend_table_of_marks(base, CATALOG.get("L2(32):5").build())
+    S = CATALOG.get("L2(32):5").build()
+    ext = MarksExtender(base, S)
+    pat = ext.solve()
     assert pat.n == 30 and pat.stats.probes == 0
+    built = spy_dress_builds(monkeypatch)
     assert validate_pattern(pat) == []
+    merged = [c.rep for c in ext.inner if not c.stable]
+    assert sorted(built) == sorted(
+        (id(S), groups.subgroup_class_id(S, U)) for U in merged)
+    assert len(merged) == 2
 
 
 def test_mark_row_above_a_small_set_cap(monkeypatch):
@@ -474,29 +489,37 @@ def test_dress_matrix_s5_first_rows(s5_ext, s5):
     assert dr2.coeffs == {1: 1, 3: 1, c4: 1, v4r: 1}
 
 
+def _dress_rows(pattern):
+    """The Dress rows of every class of the pattern, in class order."""
+    S = pattern.group
+    reps = [c.rep for c in pattern.classes]
+    cols = marks.class_columns(S, reps)
+    return [marks.dress_row(S, cols, u, U) for u, U in enumerate(reps)]
+
+
 def test_dress_row_whole_group(s5_ext):
     ext = MarksExtender(s5_ext.pa, s5_ext.S)
     pat = ext.solve()
-    rows = dress_rows_full(pat)
+    rows = _dress_rows(pat)
     top = rows[-1]
     assert top.modulus == 1 and top.coeffs == {pat.n - 1: 1}
 
 
-def _coset_loop_row(S, ident, U):
+def _coset_loop_row(S, cols, U):
     """Reference Dress row of U: one join per coset of a transversal of
     U in N(U), counted by the class of the join."""
     coeffs = {}
     for a in coset_transversal(normalizer(S, U).as_group(), U):
-        idx = ident.index_of(U.join(a))
+        idx = cols[groups.subgroup_class_id(S, U.join(a))]
         coeffs[idx] = coeffs.get(idx, 0) + 1
     return coeffs
 
 
 def _dress_rows_against_the_coset_loop(S, reps):
-    ident = marks.ClassIdentifier(S, reps)
+    cols = marks.class_columns(S, reps)
     for u, U in enumerate(reps):
-        dr = marks.dress_row(S, ident, u, U)
-        assert dr.coeffs == _coset_loop_row(S, ident, U), u
+        dr = marks.dress_row(S, cols, u, U)
+        assert dr.coeffs == _coset_loop_row(S, cols, U), u
         assert dr.modulus == normalizer(S, U).order // U.order
 
 
@@ -530,12 +553,12 @@ def test_dress_rows_above_a_small_set_cap_match_the_coset_loop(
         return coset_transversal(*args)
 
     monkeypatch.setattr(marks, "coset_transversal", counted)
-    ident = marks.ClassIdentifier(G, reps)
-    rows = [marks.dress_row(G, ident, u, U) for u, U in enumerate(reps)]
+    cols = marks.class_columns(G, reps)
+    rows = [marks.dress_row(G, cols, u, U) for u, U in enumerate(reps)]
     assert sorted(built) == sorted(U.order for U in reps if U.order > cap)
     assert len(built) == big
     for u, U in enumerate(reps):
-        assert rows[u].coeffs == _coset_loop_row(G, ident, U), u
+        assert rows[u].coeffs == _coset_loop_row(G, cols, U), u
 
 
 def test_dress_rows_below_set_cap_build_no_transversal_and_no_quotient(
@@ -557,8 +580,24 @@ def test_dress_rows_below_set_cap_build_no_transversal_and_no_quotient(
                             spy("coset_transversal", coset_transversal))
     monkeypatch.setattr(groups, "quotient_group",
                         spy("quotient_group", groups.quotient_group))
-    rows = dress_rows_full(pat)
+    rows = _dress_rows(pat)
     assert len(rows) == 56 and not built
+
+
+def test_validating_a_pattern_twice_builds_its_dress_rows_once(monkeypatch):
+    """The A6 oracle table is validated, then written to JSON, read back
+    onto the same group and validated again, as a benchmark item checks
+    a stored base: A6's 22 Dress rows are built once, by the first
+    check, and kept on A6's class records."""
+    from burnside.patterns import pattern_from_json, pattern_to_json
+    A6 = CATALOG.get("A6").build()
+    pat = table_of_marks_brute(A6)
+    built = spy_dress_builds(monkeypatch)
+    assert validate_pattern(pat) == []
+    assert len(built) == pat.n == 22
+    loaded = pattern_from_json(pattern_to_json(pat, "A6"), A6)
+    assert validate_pattern(loaded) == []
+    assert len(built) == len(set(built)) == 22
 
 
 # ---------------------------------------------------------------------------
@@ -911,17 +950,29 @@ class _SetRelationExtender(MarksExtender):
         return changed
 
 
+# 2^4:D12, transitive of degree 8.  In its chain's step to the subgroup
+# of order 96 (35 classes), cell (30, 24) has candidates {2, 4}, and the
+# last completed row, 29, is the only class above column 24 whose mark
+# lifts that lower bound, to 4
+TWO4_D12 = ("(1,4,2,6,8,3)(5,7)", "(1,5,8,6)(2,4,7,3)")
+
+
 def _reference_steps(name):
     """(base pattern, S) of the steps the subconjugacy reference drives:
-    S5, S6 and S4 from the oracles of A5, A6 and A4, or the GL2(3)
-    chain."""
+    S5, S6 and S4 from the oracles of A5, A6 and A4, or the chain of
+    GL2(3) or of 2^4:D12."""
     if name == "GL2(3)":
         return _extension_steps(name)
+    if name == "2^4:D12":
+        chain = solvable_pattern_chain(
+            groups.PermGroup([parse_cycles(c, 8) for c in TWO4_D12], 8))
+        return [(chain[k - 1], chain[k].group)
+                for k in range(1, len(chain))]
     A = CATALOG.group({"S4": "A4", "S5": "A5", "S6": "A6"}[name])
     return [(table_of_marks_brute(A), CATALOG.group(name))]
 
 
-@pytest.mark.parametrize("name", ["S4", "S5", "S6", "GL2(3)"])
+@pytest.mark.parametrize("name", ["S4", "S5", "S6", "GL2(3)", "2^4:D12"])
 def test_transitivity_reads_subconjugacy_like_the_set_reference(name):
     """The engine, reading subconjugacy from its completed rows, and the
     reference keeping it in per-class sets are driven row by row in
@@ -1052,10 +1103,12 @@ def test_normal_rows_above_a_small_set_cap(name, cap, monkeypatch):
 def test_all_normal_chain_runs_no_transitivity_and_no_identifier(
         monkeypatch):
     """In C2^4 every class is normal: the chain's extension steps make no
-    transitivity pass, build no Dress rows and no ClassIdentifier."""
+    transitivity pass, build no Dress rows and identify no transversal
+    (``class_columns``)."""
     calls = []
-    real_pass, real_rows = (MarksExtender.transitivity_pass,
-                            MarksExtender.dress_rows)
+    real_pass, real_rows, real_cols = (MarksExtender.transitivity_pass,
+                                       MarksExtender.dress_rows,
+                                       marks.class_columns)
 
     def spied_pass(self, st):
         calls.append("transitivity_pass")
@@ -1065,14 +1118,13 @@ def test_all_normal_chain_runs_no_transitivity_and_no_identifier(
         calls.append("dress_rows")
         return real_rows(self)
 
-    class SpiedIdentifier(marks.ClassIdentifier):
-        def __init__(self, *args):
-            calls.append("ClassIdentifier")
-            super().__init__(*args)
+    def spied_cols(*args):
+        calls.append("class_columns")
+        return real_cols(*args)
 
     monkeypatch.setattr(MarksExtender, "transitivity_pass", spied_pass)
     monkeypatch.setattr(MarksExtender, "dress_rows", spied_rows)
-    monkeypatch.setattr(marks, "ClassIdentifier", SpiedIdentifier)
+    monkeypatch.setattr(marks, "class_columns", spied_cols)
     chain = solvable_pattern_chain(abelian_group((2,) * 4))
     assert chain[-1].n == 67 and not calls
     assert chain[-1].stats.probes == 0
@@ -1103,7 +1155,7 @@ def test_inconsistent_normal_row_detected(name):
 def _dress_violations_by_ints(pattern):
     """verify_dress's violation list, recomputed with Python integers."""
     out = []
-    for dr in dress_rows_full(pattern):
+    for dr in _dress_rows(pattern):
         for i in range(pattern.n):
             s = sum(n * pattern.cell(i, j) for j, n in dr.coeffs.items())
             if s % dr.modulus:

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from fixtures import spy_dress_builds
+
 import burnside
 from burnside import cli
 from burnside.catalog import CATALOG, abelian_group
@@ -255,6 +257,25 @@ def test_cli_tom_with_base(tmp_path):
                           str(base)])
     assert code == 0
     assert out == (GOLDEN / "s5.txt").read_text()
+
+
+def test_tom_with_base_builds_each_dress_row_once(tmp_path, monkeypatch):
+    """``tom S6 --base`` validates the A6 file, extends it and validates
+    the result.  Each (group, class) Dress row is built once, 78 in all:
+    A6's 22 by the check of the file, S6's 56 by the engine, whose rows
+    the check of the result reads.  The table is the one of the
+    catalog's route from A6."""
+    a6 = tmp_path / "a6.json"
+    code, _ = _capture(["tom", "A6", "--via", "oracle", "--format", "json",
+                        "--out", str(a6)])
+    assert code == 0
+    # fresh catalog groups, with no row kept from an earlier test
+    monkeypatch.setattr(CATALOG, "_built", {})
+    built = spy_dress_builds(monkeypatch)
+    code, out = _capture(["tom", "S6", "--base", str(a6)])
+    assert code == 0
+    assert len(built) == len(set(built)) == 78
+    assert _capture(["tom", "S6", "--via", "extension"]) == (0, out)
 
 
 def test_cli_verify_pass_and_fail(tmp_path):
