@@ -16,7 +16,8 @@ Stability is decided once per class, by A-class ids, in
 take the stable classes of that split and decide nothing again.
 
 Every S-normalizer of the step is derived from what A has cached
-(Pfeiffer, Exp. Math. 6, 1997), so no class orbit of S is walked:
+(Pfeiffer, Exp. Math. 6, 1997); the only classes of S walked whole
+are those of the <t> of order p outside A, for p dividing |A|:
 
 * |N_S(H)| is p |N_A(H)| for a stable H and |N_A(H)| otherwise, read
   off H's A-class; a merged H has no extensions.
@@ -25,8 +26,9 @@ Every S-normalizer of the step is derived from what A has cached
   Schreier generators over a breadth-first walk of H's S-class from H,
   stopped once it reaches the order; the walk is not cached.
 * |N_S(<H, t>)| is (p - 1) |N_S(H)| / R, with R the size of the
-  rational class of t's image in W.  For a trivial H with p not
-  dividing |A|, <t> is a Sylow subgroup whose normalizer is C_S(t).
+  rational class of t's image w in W, (p - 1) times the class length
+  of <w> in W (the S-class of <t> for a trivial H).  For a trivial H
+  with p not dividing |A|, <t> is a Sylow subgroup; N_S(<t>) = C_S(t).
 
 An A-class representative serves on the S side as it is: a subgroup
 handle belongs to no ambient group, and A and S each key it in their

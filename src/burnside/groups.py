@@ -9,10 +9,11 @@ Every orbit is walked by one helper, ``orbit(seeds, gens, act)``: a
 breadth-first walk that returns the Schreier tree in discovery order
 (point -> None at a seed, or (parent, k) with point = act(parent,
 gens[k])).  Chain levels, element classes, centralizers, subgroup
-classes, cosets and rational classes all use it; ``transversal`` and
-``path_product`` multiply out the group elements along the tree.  Its
-walk, ``orbit_walk``, also runs lazily, for a caller that may stop
-part way.
+classes and cosets all use it; ``transversal`` and ``path_product``
+multiply out the group elements along the tree.  Its walk,
+``orbit_walk``, also runs lazily, for a caller that may stop part way.
+Rational classes are read off subgroup classes, and a coset action off
+the tree edges of the walk that gives its transversal.
 
 A subgroup handle carries its generators, its degree and, whenever
 the order is at most SET_CAP, its element set; it belongs to no
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain, repeat
 from math import gcd
 from operator import methodcaller
 
@@ -809,40 +810,44 @@ def _coset_key(H: Subgroup, known: list):
     return key
 
 
+def _coset_walk(G: PermGroup, H: Subgroup):
+    """The right cosets Hg in breadth-first order from H: the Schreier
+    tree over their keys (``_coset_key``), the transversal along it, and
+    the key of every tree edge in walk order, edges[i * len(G.gens) + k]
+    the key of the coset of node i times gens[k]."""
+    # the identity is the least tuple, so it is its own coset's key
+    key, edges = _coset_key(H, [G.identity]), []
+    tree = orbit([G.identity], G.gens,
+                 lambda c, s: edges.append(key(mul(c, s))) or edges[-1])
+    reps = list(transversal(tree, G.gens, G.identity).values())
+    if len(reps) != G.order // H.order:
+        raise RuntimeError(f"{len(reps)} cosets found, expected "
+                           f"{G.order // H.order}")
+    return tree, reps, edges
+
+
 def coset_transversal(G: PermGroup, H: Subgroup) -> list[tuple[int, ...]]:
     """Deterministic transversal of the right cosets Hg, identity first:
     the cosets in breadth-first order, each represented by the product
     of the generators along its tree path."""
-    index = G.order // H.order
-    if index == 1:
-        return [G.identity]
-    # the identity is the least tuple, so it is its own coset's key
-    key = _coset_key(H, [G.identity])
-    tree = orbit([G.identity], G.gens, lambda c, s: key(mul(c, s)))
-    reps = list(transversal(tree, G.gens, G.identity).values())
-    if len(reps) != index:
-        raise RuntimeError(f"{len(reps)} cosets found, expected {index}")
-    return reps
+    return [G.identity] if G.order == H.order else _coset_walk(G, H)[1]
 
 
 def coset_action(G: PermGroup, H: Subgroup):
     """Action of G on the cosets of H.
 
-    Returns (image group, hom, reps): hom maps an element tuple of G to
-    its image tuple of degree |G:H|, at most QUOTIENT_CAP, and point i
-    is the coset of reps[i].
+    Returns (image group, reps): the image has degree |G:H|, at most
+    QUOTIENT_CAP, and point i is the coset of reps[i]
+    (``coset_transversal``).  The image of point i under gens[k] is read
+    off the edge from node i by k of the walk that gives reps.
     """
     index = G.order // H.order
     if index > QUOTIENT_CAP:
         raise CapExceededError(f"coset action degree {index} over the limit")
-    reps = coset_transversal(G, H)
-    key = _coset_key(H, reps)
-    label = {key(r): i for i, r in enumerate(reps)}
-
-    def hom(g):
-        return tuple(label[key(mul(r, g))] for r in reps)
-
-    return PermGroup([hom(g) for g in G.gens], index), hom, reps
+    tree, reps, edges = _coset_walk(G, H)
+    label, n = dict(zip(tree, range(index))), len(G.gens)
+    return PermGroup([tuple(map(label.__getitem__, edges[k::n]))
+                      for k in range(n)], index), reps
 
 
 def quotient_group(N: PermGroup, H: Subgroup):
@@ -857,7 +862,7 @@ def quotient_group(N: PermGroup, H: Subgroup):
         return N, lambda w: w
     if not H.is_normal_in(N):
         raise ValueError("subgroup is not normal")
-    W, _, reps = coset_action(N, H)
+    W, reps = coset_action(N, H)
     if W.order != N.order // H.order:  # pragma: no cover
         raise RuntimeError("quotient action is not regular")
 
@@ -874,20 +879,22 @@ def rational_classes(W: PermGroup, q: int, skip=None) -> list:
 
     Rational class: closed under conjugacy and prime-to-q powers, so
     two elements are equivalent exactly when they generate conjugate
-    subgroups of order q.  ``skip`` filters elements out entirely; it
-    must be constant on rational classes.
+    subgroups of order q.  It is read off the class of <w> in W, which
+    W caches: each member holds q - 1 of its elements.  ``skip``
+    filters elements out entirely; it must be constant on rational
+    classes.
     """
     seen: set = set()
     out = []
     for w in W.elements_of_order(q):
-        if w in seen:
+        if w in seen or (skip is not None and skip(w)):
             continue
-        if skip is not None and skip(w):
-            continue
-        members = orbit([perm_power(w, k) for k in range(1, q)],
-                        W.gen_conj(), _apply)
-        seen.update(members)
-        out.append((w, len(members)))
+        cyclic = Subgroup(W, [w], elems=accumulate(repeat(w, q - 1), mul,
+                                                  initial=W.identity))
+        cls = W._sub_classes[subgroup_class_id(W, cyclic)]
+        for key in cls.tree:
+            seen.update(W.elements_of(key))
+        out.append((w, (q - 1) * cls.size))
     return out
 
 

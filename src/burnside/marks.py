@@ -208,7 +208,8 @@ class ConjugateDuplicatesError(ValueError):
 
 
 def class_columns(S: PermGroup, reps: list[Subgroup]) -> dict[int, int]:
-    """The class id in S of each of ``reps`` -> its index in ``reps``."""
+    """The class id in S of each of ``reps`` -> its index in ``reps``,
+    in the order of ``reps``."""
     cols: dict[int, int] = {}
     for i, rep in enumerate(reps):
         cid = subgroup_class_id(S, rep)
@@ -265,13 +266,15 @@ def _class_dress(S: PermGroup, U: Subgroup) -> tuple[dict[int, int], int]:
     return counts, N.order // U.order
 
 
-def dress_row(S: PermGroup, cols: dict[int, int], u_index: int,
-              U: Subgroup, *, inner_size: int | None = None) -> DressRow:
-    """The Dress row of U in S, its classes mapped to columns by ``cols``
-    (``class_columns``).  The row depends only on U's class, so it is
-    built once per group and class (``_class_dress``) and kept on the
-    class record."""
-    record = S._sub_classes[subgroup_class_id(S, U)]
+def dress_row(S: PermGroup, cols: dict[int, int], cid: int, U: Subgroup,
+              *, inner_size: int | None = None) -> DressRow:
+    """The Dress row of U in S, U of class ``cid`` and its classes mapped
+    to columns by ``cols`` (``class_columns``), the row's own column
+    ``cols[cid]``.  The row depends only on U's class, so it is built
+    once per group and class (``_class_dress``) and kept on the class
+    record."""
+    u_index = cols[cid]
+    record = S._sub_classes[cid]
     if record.dress is None:
         record.dress = _class_dress(S, U)
     counts, modulus = record.dress
@@ -397,15 +400,16 @@ class MarksExtender:
         """
         if self._dress is None:
             cols = class_columns(self.S, self.step.reps)
+            cids = list(cols)   # in column order
             rows = []
             for bi, c in enumerate(self.inner):
                 if not c.stable:
                     continue
                 inner_size = c.normalizer_order // self.p // c.rep.order
-                rows.append(dress_row(self.S, cols, bi, c.rep,
+                rows.append(dress_row(self.S, cols, cids[bi], c.rep,
                                       inner_size=inner_size))
             for rj, oc in enumerate(self.outer):
-                dr = dress_row(self.S, cols, self.b + rj, oc.rep)
+                dr = dress_row(self.S, cols, cids[self.b + rj], oc.rep)
                 if dr.modulus > 1:
                     rows.append(dr)
             self._dress = rows
@@ -844,8 +848,8 @@ def verify_dress(pattern: SubgroupPattern):
     reps = [c.rep for c in pattern.classes]
     cols = class_columns(S, reps)
     violations = []
-    for u, U in enumerate(reps):
-        dr = dress_row(S, cols, u, U)
+    for cid, u in cols.items():
+        dr = dress_row(S, cols, cid, reps[u])
         sums: dict[int, int] = {}
         for j, n in dr.coeffs.items():
             for i, v in columns[j]:

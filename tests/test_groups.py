@@ -138,10 +138,21 @@ def test_conjugate_subgroups(s5, s4):
     assert are_conjugate_subgroups(s4, h2, h2) == s4.identity
 
 
+def coset_hom(H, reps):
+    """The image of g in the action on the cosets H r, r in reps, one
+    coset key per point: point i goes to the point of the coset of
+    reps[i] g."""
+    key = groups._coset_key(H, list(reps))
+    label = {key(r): i for i, r in enumerate(reps)}
+    return lambda g: tuple(label[key(mul(r, g))] for r in reps)
+
+
 def test_coset_action_s4(s4):
     s3 = Subgroup(s4, [parse_cycles("(1,2)", 4), parse_cycles("(1,2,3)", 4)])
-    img, hom, reps = coset_action(s4, s3)
+    img, reps = coset_action(s4, s3)
     assert img.degree == 4 and img.order == 24
+    hom = coset_hom(s3, reps)
+    assert img.gens == tuple(hom(g) for g in s4.gens)
     # point i is the coset of reps[i]
     assert [hom(r)[0] for r in reps] == list(range(4))
     # homomorphism
@@ -149,11 +160,40 @@ def test_coset_action_s4(s4):
         for h in s4.gens:
             assert hom(mul(g, h)) == mul(hom(g), hom(h))
     d8 = Subgroup(s4, [parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,3)", 4)])
-    img2, _, _ = coset_action(s4, d8)
+    img2, _ = coset_action(s4, d8)
     assert img2.degree == 3 and img2.order == 6
     whole = Subgroup(s4, s4.gens)
-    img3, _, reps3 = coset_action(s4, whole)
+    img3, reps3 = coset_action(s4, whole)
     assert img3.degree == 1 and img3.order == 1 and len(reps3) == 1
+
+
+@pytest.mark.parametrize("G", [CATALOG.group("S5"), CATALOG.group("GL2(3)"),
+                               relabeled("A6", 3)],
+                         ids=["S5", "GL2(3)", "A6 relabeled"])
+def test_coset_action_reads_the_transversal_walk(G, monkeypatch):
+    """For every class representative H, the action's generators are
+    the images of the point-by-point coset map, its representatives are
+    coset_transversal's, and one coset key is computed per tree edge:
+    |G:H| |gens| keys, where a second pass over the transversal would
+    take 2 |G:H| |gens| + |G:H|."""
+    reps = all_subgroup_classes_brute(G)
+    real = groups._coset_key
+    evaluated = []
+
+    def counted_key(H, known):
+        key = real(H, known)
+        return lambda g: evaluated.append(g) or key(g)
+
+    monkeypatch.setattr(groups, "_coset_key", counted_key)
+    for H in reps:
+        index = G.order // H.order
+        evaluated.clear()
+        img, cosets = coset_action(G, H)
+        assert len(evaluated) == index * len(G.gens)
+        assert img.degree == index
+        assert cosets == groups.coset_transversal(G, H)
+        hom = coset_hom(H, cosets)
+        assert img.gens == PermGroup([hom(g) for g in G.gens], index).gens
 
 
 def test_quotient_group(s4):
@@ -367,9 +407,9 @@ def test_orbit_walk_stopped_early_is_a_prefix_of_the_orbit(s5):
 
 
 def scanned_rational_classes(W, q, skip=None):
-    """Representatives as before the sizes were returned: the order of
-    every element scanned on each call, each class closed from its
-    first element."""
+    """(representative, size) pairs from the element scan: the order of
+    every element scanned on each call, each class walked as an element
+    orbit from the powers of its first element."""
     seen = set()
     out = []
     for w in W.sorted_elements():
@@ -377,26 +417,32 @@ def scanned_rational_classes(W, q, skip=None):
             continue
         if skip is not None and skip(w):
             continue
-        seen.update(orbit([power(w, k) for k in range(1, q)], W.gen_conj(),
-                          lambda y, c: c(y)))
-        out.append(w)
+        members = orbit([power(w, k) for k in range(1, q)], W.gen_conj(),
+                        lambda y, c: c(y))
+        seen.update(members)
+        out.append((w, len(members)))
     return out
+
+
+def has_fixed_point(x):
+    """A skip that is constant on rational classes in every group."""
+    return any(i == j for i, j in enumerate(x))
 
 
 @pytest.mark.parametrize("name", ["S5", "GL2(3)", "A6"])
 def test_rational_classes_pairs(name, monkeypatch):
-    """The representatives of the element scan, in its order, each with
-    the size of its rational class counted by conjugating its powers
-    with every element; one order scan serves every prime."""
+    """The pairs of the element scan, in its order, each size the one
+    counted by conjugating its powers with every element; one order scan
+    serves every prime."""
     G = relabeled(name, 3)
     D = groups.derived_subgroup(G)
     calls = []
     monkeypatch.setattr(groups, "order_of",
                         lambda x: calls.append(x) or order_of(x))
     for q in sorted(set(prime_factors(G.order))):
-        for skip in (None, D.contains):
+        for skip in (None, D.contains, has_fixed_point):
             got = groups.rational_classes(G, q, skip)
-            assert [w for w, _ in got] == scanned_rational_classes(G, q, skip)
+            assert got == scanned_rational_classes(G, q, skip)
             for w, size in got:
                 members = {conj(power(w, k), g) for g in G.elements()
                            for k in range(1, q)}
@@ -404,6 +450,45 @@ def test_rational_classes_pairs(name, monkeypatch):
         assert sum(size for _, size in groups.rational_classes(G, q)) \
             == sum(order_of(x) == q for x in G.elements())
     assert len(calls) == G.order
+
+
+def test_rational_classes_of_l2_32_match_the_element_scan():
+    """On a relabelled L2(32), for q = 2, 3, 11 and 31, with and without
+    a skip, the pairs are those of the element scan."""
+    G = relabeled("L2(32)", 3)
+    for q in (2, 3, 11, 31):
+        for skip in (None, has_fixed_point):
+            assert groups.rational_classes(G, q, skip) == \
+                scanned_rational_classes(G, q, skip)
+
+
+@pytest.mark.parametrize("name", ["S5", "GL2(3)", "A6"])
+def test_rational_classes_walk_subgroup_classes_only(name, monkeypatch):
+    """rational_classes walks no element orbit, only class orbits on
+    index sets, and leaves the class of every <w> cached: identifying
+    it afterwards walks nothing."""
+    G = relabeled(name, 3)
+    walked = []
+    real_orbit, real_walk = groups.orbit, groups.orbit_walk
+
+    def spied_orbit(seeds, gens, act):
+        walked.extend(seeds)
+        return real_orbit(seeds, gens, act)
+
+    def spied_walk(tree, gens, act):
+        walked.extend(tree)
+        return real_walk(tree, gens, act)
+
+    monkeypatch.setattr(groups, "orbit", spied_orbit)
+    monkeypatch.setattr(groups, "orbit_walk", spied_walk)
+    found = [w for q in sorted(set(prime_factors(G.order)))
+             for w, _ in groups.rational_classes(G, q)]
+    assert walked and all(isinstance(x, frozenset) for x in walked)
+    classes = len(G._sub_classes)
+    walked.clear()
+    for w in found:
+        subgroup_class_id(G, Subgroup(G, [w]))
+    assert len(G._sub_classes) == classes and not walked
 
 
 @pytest.mark.parametrize("name", ["S5", "GL2(3)"])

@@ -494,7 +494,8 @@ def _dress_rows(pattern):
     S = pattern.group
     reps = [c.rep for c in pattern.classes]
     cols = marks.class_columns(S, reps)
-    return [marks.dress_row(S, cols, u, U) for u, U in enumerate(reps)]
+    return [marks.dress_row(S, cols, cid, reps[u])
+            for cid, u in cols.items()]
 
 
 def test_dress_row_whole_group(s5_ext):
@@ -517,8 +518,9 @@ def _coset_loop_row(S, cols, U):
 
 def _dress_rows_against_the_coset_loop(S, reps):
     cols = marks.class_columns(S, reps)
-    for u, U in enumerate(reps):
-        dr = marks.dress_row(S, cols, u, U)
+    for cid, u in cols.items():
+        U = reps[u]
+        dr = marks.dress_row(S, cols, cid, U)
         assert dr.coeffs == _coset_loop_row(S, cols, U), u
         assert dr.modulus == normalizer(S, U).order // U.order
 
@@ -554,7 +556,8 @@ def test_dress_rows_above_a_small_set_cap_match_the_coset_loop(
 
     monkeypatch.setattr(marks, "coset_transversal", counted)
     cols = marks.class_columns(G, reps)
-    rows = [marks.dress_row(G, cols, u, U) for u, U in enumerate(reps)]
+    rows = [marks.dress_row(G, cols, cid, reps[u])
+            for cid, u in cols.items()]
     assert sorted(built) == sorted(U.order for U in reps if U.order > cap)
     assert len(built) == big
     for u, U in enumerate(reps):
@@ -582,6 +585,27 @@ def test_dress_rows_below_set_cap_build_no_transversal_and_no_quotient(
                         spy("quotient_group", groups.quotient_group))
     rows = _dress_rows(pat)
     assert len(rows) == 56 and not built
+
+
+def test_dress_rows_take_the_class_ids_of_class_columns(monkeypatch):
+    """Validating the C2^4 chain table keys each representative once, in
+    ``class_columns``: its Dress row takes that class id instead of
+    keying the representative again, 374 class lookups in all where a
+    second key per row made 441."""
+    pat = solvable_pattern_chain(abelian_group((2,) * 4))[-1]
+    real = groups.subgroup_class_id
+    keyed = []
+
+    def counted(S, H, key=None):
+        keyed.append(H)
+        return real(S, H, key)
+
+    for module in (groups, marks):
+        monkeypatch.setattr(module, "subgroup_class_id", counted)
+    assert validate_pattern(pat) == []
+    reps = [c.rep for c in pat.classes]
+    assert sum(any(H is U for U in reps) for H in keyed) == pat.n == 67
+    assert len(keyed) == 374
 
 
 def test_validating_a_pattern_twice_builds_its_dress_rows_once(monkeypatch):
