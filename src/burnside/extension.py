@@ -45,8 +45,8 @@ from dataclasses import dataclass
 from .groups import (
     PermGroup,
     Subgroup,
+    element_class_length,
     normalizer,
-    orbit,
     prime_factors,
     quotient_group,
     rational_classes,
@@ -200,8 +200,7 @@ def extension_elements(ctx: ExtensionContext, c: InnerClass) -> list:
         # t has order divisible by p as it lies outside A.  A normalizer
         # of <t> meets A in C_A(t), so it is C_S(t).
         t = power(ctx.t, order_of(ctx.t) // p)
-        return [(t, S.order // len(orbit([t], S.gen_conj(),
-                                         lambda x, c: c(x))))]
+        return [(t, S.order // element_class_length(S, t))]
     N = normalizer(S, H, order)
     W, lift = quotient_group(N.as_group(), H)
 

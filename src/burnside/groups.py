@@ -8,10 +8,11 @@ is reproducible run to run.
 Every orbit is walked by one helper, ``orbit(seeds, gens, act)``: a
 breadth-first walk that returns the Schreier tree in discovery order
 (point -> None at a seed, or (parent, k) with point = act(parent,
-gens[k])).  Chain levels, element classes, centralizers, subgroup
-classes and cosets all use it; ``transversal`` and ``path_product``
-multiply out the group elements along the tree.  Its walk,
-``orbit_walk``, also runs lazily, for a caller that may stop part way.
+gens[k])).  Chain levels, element class lengths, centralizers,
+subgroup classes and cosets all use it; ``transversal`` and
+``path_product`` multiply out the group elements along the tree.  Its
+walk, ``orbit_walk``, also runs lazily, for a caller that may stop part
+way.
 Rational classes are read off subgroup classes, and a coset action off
 the tree edges of the walk that gives its transversal.
 
@@ -261,9 +262,8 @@ class PermGroup:
     """A permutation group with a cached deterministic stabilizer chain.
 
     Immutable after construction; all per-group caches (elements,
-    conjugacy classes, subgroup-class orbits, normalizers) are
-    value-deterministic, so sharing instances across computations is
-    safe and profitable.
+    subgroup-class orbits, normalizers) are value-deterministic, so
+    sharing instances across computations is safe and profitable.
     """
 
     def __init__(self, gens, degree: int):
@@ -274,14 +274,11 @@ class PermGroup:
         self._elements: list[tuple[int, ...]] | None = None
         self._sorted_elements: list[tuple[int, ...]] | None = None
         self._by_order: dict | None = None  # element order -> elements
-        self._element_classes = None
-        self._class_of_element: dict | None = None
         self._numbering: _Numbering | None = None   # made on first use
         # subgroup conjugacy caches
         self._sub_class_of: dict = {}       # class key -> class id
         self._sub_classes: list = []        # class id -> _SubClass
         self._normalizers: dict = {}        # class key -> Subgroup
-        self._centralizers: dict = {}       # element tuple -> Subgroup
 
     # -- basics ------------------------------------------------------------
 
@@ -385,36 +382,6 @@ class PermGroup:
 
     def __repr__(self) -> str:
         return f"PermGroup(order={self.order}, degree={self.degree})"
-
-    # -- element conjugacy ---------------------------------------------------
-
-    def element_classes(self):
-        """Conjugacy classes of elements as (representative, size) pairs.
-
-        Classes are ordered by element order, ties by first appearance in
-        the sorted element list; the representative is the minimal tuple
-        of its class.
-        """
-        if self._element_classes is None:
-            elems = self.sorted_elements()
-            class_of: dict = {}
-            classes = []
-            for x in elems:
-                if x in class_of:
-                    continue
-                members = orbit([x], self.gen_conj(), _apply)
-                class_of.update(dict.fromkeys(members, len(classes)))
-                classes.append((x, len(members)))
-            ordering = sorted(range(len(classes)),
-                              key=lambda i: (order_of(classes[i][0]), i))
-            remap = {old: new for new, old in enumerate(ordering)}
-            self._element_classes = [classes[i] for i in ordering]
-            self._class_of_element = {x: remap[c] for x, c in class_of.items()}
-        return self._element_classes
-
-    def class_of_element(self, x: tuple[int, ...]) -> int:
-        self.element_classes()
-        return self._class_of_element[x]
 
 
 class Subgroup:
@@ -652,16 +619,17 @@ def centralizer(G: PermGroup, x) -> Subgroup:
     t = tuple(x)
     if not G.contains(t):
         raise ValueError("element outside the group")
-    cached = G._centralizers.get(t)
-    if cached is not None:
-        return cached
     cg = G.gen_conj()
     reps = transversal(orbit([t], cg, _apply), G.gens, G.identity)
-    result = _stabilizer_from_orbit(
+    return _stabilizer_from_orbit(
         G, Subgroup(G, [t]), reps, reps.__getitem__, lambda y, k: cg[k](y),
         G.order // len(reps))
-    G._centralizers[t] = result
-    return result
+
+
+def element_class_length(G: PermGroup, x) -> int:
+    """|x^G|, the length of the conjugacy class of an element x of G:
+    its orbit under conjugation by the generators."""
+    return len(orbit([tuple(x)], G.gen_conj(), _apply))
 
 
 @dataclass

@@ -20,11 +20,13 @@ block (classes of subgroups inside A) and the outer block:
 * the other outer-by-outer marks are decided on candidate sets: upper bounds
   from the inner part, congruences modulo p down each column pair,
   divisibility by the diagonal, transitivity bounds, the congruences
-  from the rows of the Dress matrix, and, as a last resort, explicit
-  counting of the conjugates of K containing a fixed element t (read
-  off the class orbit of K).  Each Dress congruence is decided exactly,
-  whatever the number of undecided cells it touches: one pass over the
-  reachable partial sums of the row keeps the values that some
+  from the rows of the Dress matrix, and, as a last resort, a probe: a
+  fixed element t is chosen by counting the conjugates of K that
+  contain it on K's class tree, and the cells of the classes holding t
+  take their marks from ``mark_row``, the one mark formula of the
+  module.  Each Dress pass visits every congruence; each is decided
+  exactly, whatever the number of undecided cells it touches: one pass
+  over the reachable partial sums of the row keeps the values that some
   admissible assignment uses.
 
 The transitivity bounds read subconjugacy from the completed rows of
@@ -62,6 +64,7 @@ from .groups import (
     composition_steps,
     coset_transversal,
     cyclic_joins,
+    element_class_length,
     normalizer,
     subgroup_class_id,
     trivial_subgroup,
@@ -295,15 +298,13 @@ def dress_row(S: PermGroup, cols: dict[int, int], cid: int, U: Subgroup,
 # explicit incidence counting
 
 
-def incidence_probe(S: PermGroup, K: Subgroup, t: tuple[int, ...]):
-    """Conjugates of K containing t, as a list of element sets: the
-    members of the class orbit of K that the kernel keeps for class
-    identification whose keys hold the index of t
+def incidence_probe(S: PermGroup, K: Subgroup, t: tuple[int, ...]) -> list:
+    """The class keys of the conjugates of K that contain t: the members
+    of K's class tree whose keys hold the index of t
     (``conjugates_containing``).
     """
     [members] = conjugates_containing(S, K, [S.index_set([t])])
-    return [S.elements_of(m) if K.order <= SET_CAP else K.elements()
-            for m in members]
+    return members
 
 
 # ---------------------------------------------------------------------------
@@ -333,14 +334,13 @@ class MarksExtender:
                 self.col_of_a_index[ai] = bi
         # A-column read for each blue column
         self._a_cols = [c.a_indices[0] for c in self.inner]
-        # per outer class: |V|, V's generators, V, column of V's inner bound
+        # per outer class: |V|, V, column of V's inner bound
         self._outer_cells = [
-            (oc.rep.order, oc.rep.gens, oc.rep,
-             self.col_of_a_index[oc.base_index]) for oc in self.outer]
+            (oc.rep.order, oc.rep, self.col_of_a_index[oc.base_index])
+            for oc in self.outer]
         self.rows: list[list[int]] = []
         self.stats = PatternStats(extension_p=self.p)
         self._dress: list[DressRow] | None = None
-        self._supporters: dict[int, list[int]] | None = None
 
     def _check_cyclic_classes(self) -> None:
         """Every element of A generates one cyclic subgroup, which has
@@ -413,11 +413,6 @@ class MarksExtender:
                 if dr.modulus > 1:
                     rows.append(dr)
             self._dress = rows
-            self._supporters = {}
-            for k, dr in enumerate(rows):
-                for j in dr.coeffs:
-                    if j >= self.b:
-                        self._supporters.setdefault(j, []).append(k)
         return self._dress
 
     # -- row state ----------------------------------------------------------
@@ -430,12 +425,18 @@ class MarksExtender:
         A normal K gets no candidates: each cell is |S:K| (the diagonal)
         when V <= K and 0 otherwise, and must still lie on the inner
         bound's progression (at most the bound, congruent to it mod p).
-        Its containment test is one set test of V's generators against
-        K's element set, or ``is_subset_of`` when K is above SET_CAP, so
-        no element set is built for such a K."""
+
+        Both kinds of row test V <= K by one predicate: a set test of V's
+        generators against K's element set, or ``is_subset_of`` when K
+        is above SET_CAP, so no element set is built for such a K."""
         oc = self.outer[ri]
         i = self.b + ri
         K = oc.rep
+        if K.order <= SET_CAP:
+            elems = K.elements()
+            inside = lambda V: elems.issuperset(V.gens)
+        else:
+            inside = lambda V: V.is_subset_of(K)
         diag = oc.normalizer_order // K.order
         values: list = self.bottom_left_row(ri) + [None] * (ri + 1)
         values[i] = diag
@@ -443,12 +444,12 @@ class MarksExtender:
         decided_by = {}
         contained: set[int] = set()
         if oc.normalizer_order == self.S.order:
-            self._init_normal_row(K, i, values, decided_by)
+            self._init_normal_row(K, inside, i, values, decided_by)
             return RowState(index=i, ri=ri, values=values, cand=cand,
                             decided_by=decided_by, contained=contained,
                             diag=diag)
-        for j, (order, _, rep, col) in enumerate(self._outer_cells[:ri],
-                                                 self.b):
+        for j, (order, rep, col) in enumerate(self._outer_cells[:ri],
+                                              self.b):
             if K.order % order:
                 values[j] = 0
                 decided_by[j] = "lagrange"
@@ -459,7 +460,7 @@ class MarksExtender:
             if not opts:
                 raise InconsistentTableError(
                     f"no candidate for cell ({i},{j})")
-            if rep.is_subset_of(K):
+            if inside(rep):
                 contained.add(j)
                 opts = tuple(m for m in opts if m >= diag)
                 if not opts:
@@ -474,25 +475,21 @@ class MarksExtender:
                         decided_by=decided_by, contained=contained,
                         diag=diag)
 
-    def _init_normal_row(self, K: Subgroup, i: int, values: list,
+    def _init_normal_row(self, K: Subgroup, inside, i: int, values: list,
                          decided_by: dict) -> None:
         """The outer cells of row i, for K normal in S: 0 by Lagrange when
-        |V| does not divide |K|, else |S:K| (values[i]) when V <= K and 0
-        otherwise, each checked against its inner bound."""
+        |V| does not divide |K|, else |S:K| (values[i]) when V <= K, by
+        the row's containment test ``inside``, and 0 otherwise, each
+        checked against its inner bound."""
         diag, p, korder = values[i], self.p, K.order
-        elems = K.elements() if korder <= SET_CAP else None
-        for j, (order, gens, rep, col) in enumerate(
+        for j, (order, rep, col) in enumerate(
                 self._outer_cells[:i - self.b], self.b):
             if korder % order:
                 values[j] = 0
                 decided_by[j] = "lagrange"
                 continue
             ub = values[col]
-            if (elems.issuperset(gens) if elems is not None
-                    else rep.is_subset_of(K)):
-                m = diag
-            else:
-                m = 0
+            m = diag if inside(rep) else 0
             if m > ub or (ub - m) % p:
                 raise InconsistentTableError(
                     f"normal mark {m} off the inner bound {ub} at ({i},{j})")
@@ -560,7 +557,7 @@ class MarksExtender:
                 if len(opts) == 1:
                     st.decide(j, opts[0], "transitivity")
                 else:
-                    st.set_cand(j, opts)
+                    st.cand[j] = opts
         return changed
 
     def dress_pass(self, st: "RowState") -> bool:
@@ -569,22 +566,11 @@ class MarksExtender:
         congruences of outer classes.  Each congruence keeps exactly the
         candidates some admissible assignment of its support uses.
 
-        Only congruence rows touching an undecided cell are visited; on
-        repeat passes only those whose support changed since the last
-        visit."""
-        rows = self.dress_rows()
-        hit = set()
-        if st.dress_fresh:
-            source = list(st.cand.keys())
-            st.dress_fresh = False
-        else:
-            source = list(st.changed)
-        for j in source:
-            hit.update(self._supporters.get(j, ()))
-        st.changed.clear()
+        Every congruence is visited, in order; one whose support holds no
+        undecided cell returns at once (``_dress_single``)."""
         changed = False
-        for k in sorted(hit):
-            if self._dress_single(st, rows[k]):
+        for dr in self.dress_rows():
+            if self._dress_single(st, dr):
                 changed = True
             if not st.cand:
                 break
@@ -619,7 +605,7 @@ class MarksExtender:
                 if len(vals) == 1:
                     st.decide(j, vals[0], f"dress:{dr.u_index}")
                 else:
-                    st.set_cand(j, vals)
+                    st.cand[j] = vals
         return changed
 
     def _dress_targets(self, st: "RowState", dr: DressRow, und: list[int]):
@@ -706,34 +692,35 @@ class MarksExtender:
     # -- explicit probes -----------------------------------------------------
 
     def probe_one(self, st: "RowState") -> None:
-        """Explicit counting with a single t: one probe set decides every
-        undecided cell whose class representative contains t.
+        """Explicit counting with a single t: one probe decides the cell
+        of t's column and every undecided cell whose class representative
+        contains t, each by ``mark_row``.
 
-        The t is taken from the cheapest candidate column (fewest
-        elements of K in the class of its coset element).
+        The t is the coset element of the candidate column with the
+        fewest elements in K ∩ t^S.  Counting the pairs (x, K^g) with x
+        in K^g ∩ t^S both ways, that number is |t^S| c(t) / |K^S|, where
+        c(t) is the number of conjugates of K containing t
+        (``incidence_probe``).
         """
-        i = st.index
-        K = self.outer[st.ri].rep
-        kelems = K.elements()
-        kcls = [self.S.class_of_element(x) for x in kelems]
+        S, i = self.S, st.index
+        oc = self.outer[st.ri]
+        K = oc.rep
+        conjugates = S.order // oc.normalizer_order
         best = None
         for j in sorted(st.cand):
             t = self.outer[j - self.b].gen_element
-            tcls = self.S.class_of_element(t)
-            est = sum(1 for c in kcls if c == tcls)
+            members = incidence_probe(S, K, t)
+            est = element_class_length(S, t) * len(members) // conjugates
             if best is None or est < best[0]:
-                best = (est, j, t)
-        _, j0, t = best
-        members = incidence_probe(self.S, K, t)
+                best = (est, j, t, members)
+        _, j0, t, members = best
         self.stats.probes += 1
         self.stats.max_probe = max(self.stats.max_probe, len(members))
-        diag = st.diag
-        for j in sorted(st.cand):
-            V = self.outer[j - self.b]
-            if j != j0 and t not in V.rep.elements():
-                continue
-            val = diag * sum(
-                1 for m in members if all(g in m for g in V.rep.gens))
+        cols = [j for j in sorted(st.cand)
+                if j == j0 or t in self.class_reps[j]]
+        vals = mark_row(S, K, [S.subgroup_key(self.class_reps[j])
+                               for j in cols])
+        for j, val in zip(cols, vals):
             if val not in st.cand[j]:
                 raise InconsistentTableError(
                     f"explicit mark {val} outside candidates at ({i},{j})")
@@ -793,18 +780,11 @@ class RowState:
     decided_by: dict[int, str]
     contained: set[int]
     diag: int
-    changed: set = field(default_factory=set)
-    dress_fresh: bool = True
 
     def decide(self, j: int, val: int, tag: str) -> None:
         self.values[j] = val
         self.decided_by[j] = tag
-        self.changed.add(j)
         del self.cand[j]
-
-    def set_cand(self, j: int, opts: tuple) -> None:
-        self.cand[j] = opts
-        self.changed.add(j)
 
 
 def extend_table_of_marks(pattern_A: SubgroupPattern,

@@ -26,6 +26,7 @@ from burnside.groups import (
     composition_series,
     coset_action,
     derived_series,
+    element_class_length,
     is_solvable,
     normalizer,
     orbit,
@@ -81,19 +82,38 @@ def test_elements_deterministic(s4):
     assert len(set(e1)) == 24
 
 
+def _class_lengths_by_scan(G):
+    """Element -> the size of its conjugacy class, conjugating it by every
+    element of G; and the number of classes."""
+    elems = G.elements()
+    classes = {frozenset(conj(x, g) for g in elems) for x in elems}
+    return {x: len(c) for c in classes for x in c}, len(classes)
+
+
 def test_element_classes_s4(s4):
-    classes = s4.element_classes()
-    assert [size for _, size in classes] == [1, 6, 3, 8, 6]
-    assert sum(size for _, size in classes) == 24
+    reps = [s4.identity] + [parse_cycles(c, 4) for c in (
+        "(1,2)", "(1,2)(3,4)", "(1,2,3)", "(1,2,3,4)")]
+    assert [element_class_length(s4, x) for x in reps] == [1, 6, 3, 8, 6]
+    lengths, count = _class_lengths_by_scan(s4)
+    assert count == len(reps)
+    assert all(element_class_length(s4, x) == n for x, n in lengths.items())
 
 
 def test_element_classes_trivial():
     G = PermGroup([], 3)
-    assert G.element_classes() == [((0, 1, 2), 1)]
+    assert element_class_length(G, (0, 1, 2)) == 1
 
 
 def test_element_classes_a5(a5):
-    assert [s for _, s in a5.element_classes()] == [1, 15, 20, 12, 12]
+    """The 5-cycles split into two A5-classes of 12: a 5-cycle and its
+    square are not conjugate in A5."""
+    five = parse_cycles("(1,2,3,4,5)", 5)
+    reps = [a5.identity, parse_cycles("(1,2)(3,4)", 5),
+            parse_cycles("(1,2,3)", 5), five, mul(five, five)]
+    assert [element_class_length(a5, x) for x in reps] == [1, 15, 20, 12, 12]
+    lengths, count = _class_lengths_by_scan(a5)
+    assert count == len(reps)
+    assert all(element_class_length(a5, x) == n for x, n in lengths.items())
 
 
 def test_normalizer_against_scan(s4):

@@ -1,6 +1,7 @@
 """Marks engine: the defining count, quarters, candidate propagation,
 Dress machinery, incidence probes, and the assembled tables."""
 
+import functools
 import math
 import os
 import random
@@ -10,6 +11,7 @@ from itertools import product
 import pytest
 
 from fixtures import (
+    BENCH_ROWS,
     FIG_A5,
     FIG_S5,
     GL23_PANELS,
@@ -30,6 +32,7 @@ from burnside.groups import (
     Subgroup,
     centralizer,
     coset_transversal,
+    element_class_length,
     normalizer,
     orbit,
     path_product,
@@ -192,7 +195,7 @@ def test_mark_row_above_set_cap_in_l2_32_5():
     assert mark_row(G, K, _keys(G, [trivial_subgroup(G), K])) == [5, 5]
     inside = K.gens[0]
     outside = next(g for g in G.gens if g not in K)
-    assert incidence_probe(G, K, inside) == [K.elements()]
+    assert incidence_probe(G, K, inside) == [G.subgroup_key(K)]
     assert incidence_probe(G, K, outside) == []
 
 
@@ -248,7 +251,7 @@ def test_mark_row_above_a_small_set_cap(monkeypatch):
     assert mark_row(G, c3, _keys(G, Hs)) == [8, 2, 0, 0, 0] == (
         _coset_count_row(G, c3, Hs))
     assert incidence_probe(G, a4, parse_cycles("(1,2,3)", 4)) == [
-        a4.elements()]
+        G.subgroup_key(a4)]
     assert incidence_probe(G, a4, parse_cycles("(1,2)", 4)) == []
     d8 = _sub(G, "(1,2,3,4)", "(1,3)")
     with pytest.raises(CapExceededError):
@@ -632,7 +635,7 @@ def test_incidence_probe_self(s5):
     k = _sub(s5, "(1,2)")
     t = parse_cycles("(1,2)", 5)
     members = incidence_probe(s5, k, t)
-    assert members == [k.elements()]
+    assert [s5.elements_of(m) for m in members] == [k.elements()]
 
 
 def test_incidence_probe_d8_s4(s4):
@@ -640,7 +643,7 @@ def test_incidence_probe_d8_s4(s4):
     t = parse_cycles("(1,3)", 4)
     members = incidence_probe(s4, d8, t)
     assert len(members) == 1
-    assert all(t in m for m in members)
+    assert all(t in s4.elements_of(m) for m in members)
 
 
 def test_incidence_probe_empty(s5):
@@ -651,7 +654,8 @@ def test_incidence_probe_empty(s5):
 
 def _probe_mark(S, K, V, t):
     """|N(K):K| times the number of probe members (t in V) containing V."""
-    hits = sum(1 for m in incidence_probe(S, K, t) if V.elements() <= m)
+    hits = sum(1 for m in incidence_probe(S, K, t)
+               if V.elements() <= S.elements_of(m))
     return normalizer(S, K).order // K.order * hits
 
 
@@ -667,16 +671,21 @@ def test_explicit_mark_values(s5):
     assert _probe_mark(s5, d12, c4red, parse_cycles("(1,2,3,4)", 5)) == 0
 
 
-def _probe_by_centralizer_orbits(S, K, t):
-    """Reference probe: the classes of elements of K lying in the S-class
-    of t are merged into N_S(K)-orbits; each orbit contributes the
-    C_S(t)-orbit of one conjugate K^s with the orbit representative
-    mapped onto t.  The identity is left out of K, so t = 1 gives []."""
+def _element_class(S, t):
+    """The S-class of t: its orbit under conjugation by S's elements."""
+    return {conj(t, g) for g in S.elements()}
+
+
+def _probe_by_centralizer_orbits(S, K, t, tclass):
+    """Reference probe: the classes of elements of K lying in ``tclass``,
+    the S-class of t, are merged into N_S(K)-orbits; each orbit
+    contributes the C_S(t)-orbit of one conjugate K^s with the orbit
+    representative mapped onto t.  The identity is left out of K, so
+    t = 1 gives []."""
     if K.is_normal_in(S):
         return [K.elements()] if t in K else []
-    tcid = S.class_of_element(t)
     T = sorted(x for x in K.elements()
-               if x != S.identity and S.class_of_element(x) == tcid)
+               if x != S.identity and x in tclass)
     N = normalizer(S, K)
     reps, seen = [], set()
     for x in T:
@@ -698,11 +707,15 @@ def _probe_by_centralizer_orbits(S, K, t):
 @pytest.mark.parametrize("name", ["S5", "A6", "GL2(3)", "S6"])
 def test_incidence_probe_matches_centralizer_orbits(name, seed):
     G = relabeled(name, seed)
-    ts = [x for x, _ in G.element_classes() if x != G.identity]
+    classes, seen = {}, {G.identity}
+    for x in G.sorted_elements():
+        if x not in seen:
+            classes[x] = _element_class(G, x)
+            seen |= classes[x]
     for K in all_subgroup_classes_brute(G):
-        for t in ts:
-            want = _probe_by_centralizer_orbits(G, K, t)
-            got = incidence_probe(G, K, t)
+        for t, tclass in classes.items():
+            want = _probe_by_centralizer_orbits(G, K, t, tclass)
+            got = [G.elements_of(m) for m in incidence_probe(G, K, t)]
             assert len(got) == len(want) == len(set(want))
             assert set(got) == set(want)
         # every conjugate contains the identity
@@ -970,7 +983,7 @@ class _SetRelationExtender(MarksExtender):
                 if len(opts) == 1:
                     st.decide(j, opts[0], "transitivity")
                 else:
-                    st.set_cand(j, opts)
+                    st.cand[j] = opts
         return changed
 
 
@@ -981,10 +994,18 @@ class _SetRelationExtender(MarksExtender):
 TWO4_D12 = ("(1,4,2,6,8,3)(5,7)", "(1,5,8,6)(2,4,7,3)")
 
 
+@functools.lru_cache(maxsize=None)
+def _a7_table():
+    """The oracle table of A7 (40 classes), counted once per session."""
+    return table_of_marks_brute(alternating_group(7), cap=6000)
+
+
 def _reference_steps(name):
-    """(base pattern, S) of the steps the subconjugacy reference drives:
-    S5, S6 and S4 from the oracles of A5, A6 and A4, or the chain of
+    """(base pattern, S) of the steps the reference engines drive: S4,
+    S5, S6 and S7 from the oracles of A4, A5, A6 and A7, or the chain of
     GL2(3) or of 2^4:D12."""
+    if name == "S7":
+        return [(_a7_table(), symmetric_group(7))]
     if name == "GL2(3)":
         return _extension_steps(name)
     if name == "2^4:D12":
@@ -1044,6 +1065,215 @@ def test_transitivity_reads_subconjugacy_like_the_set_reference(name):
                      for t in row.values())
     if name == "S6":
         assert rules["transitivity"] and rules["probe"]
+
+
+class _ChangeLog(dict):
+    """Candidate sets that log each column set or deleted since the log
+    was last cleared; ``fresh`` until the first Dress pass of the row."""
+
+    def __init__(self, cand):
+        super().__init__(cand)
+        self.changed, self.fresh = set(), True
+
+    def __setitem__(self, j, opts):
+        super().__setitem__(j, opts)
+        self.changed.add(j)
+
+    def __delitem__(self, j):
+        super().__delitem__(j)
+        self.changed.add(j)
+
+
+class _FilteredProbeExtender(MarksExtender):
+    """The engine with the bookkeeping it once had.  A Dress pass visits
+    only the congruences touching an undecided cell on its first pass,
+    and on later passes only those whose support changed since the last
+    visit.  A probe picks t by a partition of S's elements into classes
+    and counts each probed cell on the element sets of the conjugates of
+    K containing t."""
+
+    def __init__(self, pattern_A, S):
+        super().__init__(pattern_A, S)
+        self.supporters = None
+        self.class_of = {}
+        for x in S.elements():
+            if x not in self.class_of:
+                cls = orbit([x], S.gen_conj(), lambda y, c: c(y))
+                self.class_of.update(dict.fromkeys(cls, len(self.class_of)))
+
+    def init_row(self, ri):
+        st = super().init_row(ri)
+        st.cand = _ChangeLog(st.cand)
+        return st
+
+    def dress_pass(self, st):
+        rows = self.dress_rows()
+        if self.supporters is None:
+            self.supporters = {}
+            for k, dr in enumerate(rows):
+                for j in dr.coeffs:
+                    if j >= self.b:
+                        self.supporters.setdefault(j, []).append(k)
+        log = st.cand
+        source = list(log) if log.fresh else list(log.changed)
+        log.fresh = False
+        hit = set()
+        for j in source:
+            hit.update(self.supporters.get(j, ()))
+        log.changed.clear()
+        changed = False
+        for k in sorted(hit):
+            if self._dress_single(st, rows[k]):
+                changed = True
+            if not st.cand:
+                break
+        return changed
+
+    def probe_one(self, st):
+        i = st.index
+        K = self.outer[st.ri].rep
+        kcls = [self.class_of[x] for x in K.elements()]
+        best = None
+        for j in sorted(st.cand):
+            t = self.outer[j - self.b].gen_element
+            est = kcls.count(self.class_of[t])
+            if best is None or est < best[0]:
+                best = (est, j, t)
+        _, j0, t = best
+        members = [self.S.elements_of(m)
+                   for m in incidence_probe(self.S, K, t)]
+        self.stats.probes += 1
+        self.stats.max_probe = max(self.stats.max_probe, len(members))
+        for j in sorted(st.cand):
+            V = self.outer[j - self.b]
+            if j != j0 and t not in V.rep.elements():
+                continue
+            val = st.diag * sum(
+                1 for m in members if all(g in m for g in V.rep.gens))
+            if val not in st.cand[j]:
+                raise InconsistentTableError(
+                    f"explicit mark {val} outside candidates at ({i},{j})")
+            st.decide(j, val, "probe")
+
+
+def _settle(engine, st):
+    """Transitivity and Dress passes until neither decides more, as
+    ``solve_row`` runs them before each probe."""
+    progress = True
+    while progress and st.cand:
+        progress = engine.transitivity_pass(st)
+        if st.cand and engine.dress_pass(st):
+            progress = True
+
+
+# (order of S, row, column) -> (the reference's tag, the engine's tag) of
+# the two cells, both in the top step of the 2^4:D12 chain, that the
+# engine decides by another rule: its Dress pass reaches them one pass
+# before the reference's
+RETAGGED = {("2^4:D12", 192, 86, 39): ("dress:2", "dress:39"),
+            ("2^4:D12", 192, 86, 41): ("transitivity", "dress:41")}
+
+
+@pytest.mark.parametrize("name", ["S5", "S6", "S7", "GL2(3)", "2^4:D12"])
+def test_unfiltered_dress_and_class_tree_probes_decide_like_the_reference(
+        name):
+    """The engine, whose Dress pass visits every congruence and whose
+    probes count on K's class tree, and the reference, which filters the
+    congruences by change and probes on S's element classes and element
+    sets, are driven row by row in lockstep: after the bounds, after the
+    propagation settles before each probe, and after each probe, both
+    hold the same candidates and values, and the same tags in the same
+    order.  At the end the probes and the largest probe are equal, and
+    the rows and tags equal ``extend_table_of_marks``.
+
+    The engine may decide a cell a Dress pass earlier: a congruence whose
+    support an earlier congruence of the same pass changed is visited in
+    that pass, where the reference waits for its next pass.  Then
+    transitivity may not get to decide it first, or another congruence
+    may; the tags of ``RETAGGED`` differ so, and no others."""
+    probes, retagged = 0, {}
+    for base, S in _reference_steps(name):
+        ext, ref = MarksExtender(base, S), _FilteredProbeExtender(base, S)
+        ext.assemble_inner()
+        ref.assemble_inner()
+
+        def same(st, rst):
+            assert (st.cand, st.values) == (rst.cand, rst.values)
+            assert st.decided_by.keys() == rst.decided_by.keys()
+            diff = {(name, S.order, st.index, j): (rst.decided_by[j], tag)
+                    for j, tag in st.decided_by.items()
+                    if rst.decided_by[j] != tag}
+            if not diff:
+                assert list(st.decided_by.items()) == \
+                    list(rst.decided_by.items())
+            retagged.update(diff)
+
+        for ri in range(len(ext.outer)):
+            st, rst = ext.init_row(ri), ref.init_row(ri)
+            same(st, rst)
+            while st.cand:
+                _settle(ext, st)
+                _settle(ref, rst)
+                same(st, rst)
+                if st.cand:
+                    ext.probe_one(st)
+                    ref.probe_one(rst)
+                    same(st, rst)
+            ext.rows.append(st.values)
+            ref.rows.append(rst.values)
+            ext.stats.row_tags[st.index] = st.decided_by
+        assert (ext.stats.probes, ext.stats.max_probe) == \
+            (ref.stats.probes, ref.stats.max_probe)
+        pat = extend_table_of_marks(base, S)
+        assert pat.rows == ext.rows == ref.rows
+        assert pat.stats.row_tags == ext.stats.row_tags
+        assert (pat.stats.probes, pat.stats.max_probe) == \
+            (ext.stats.probes, ext.stats.max_probe)
+        probes += pat.stats.probes
+    assert retagged == {k: v for k, v in RETAGGED.items() if k[0] == name}
+    if name in ("S6", "S7"):
+        assert probes
+
+
+@pytest.mark.parametrize("name", ["S5", "S6", "S7"])
+def test_probe_estimate_counts_pairs_both_ways(name):
+    """For every pair of outer classes (K, t) of the step, t the coset
+    element of its class: |t^S| c(t) = |K ∩ t^S| |K^S|, where c(t)
+    counts the conjugates of K containing t (``incidence_probe``), and
+    t^S is an element orbit walked here by conjugating t with every
+    element of S."""
+    base, S = _reference_steps(name)[0]
+    ext = MarksExtender(base, S)
+    for oc_t in ext.outer:
+        t = oc_t.gen_element
+        tclass = _element_class(S, t)
+        assert element_class_length(S, t) == len(tclass)
+        for oc in ext.outer:
+            K = oc.rep
+            meet = sum(1 for x in K.elements() if x in tclass)
+            conjugates = S.order // oc.normalizer_order
+            assert len(tclass) * len(incidence_probe(S, K, t)) == \
+                meet * conjugates
+
+
+def test_s7_from_the_a7_oracle_against_the_bench_row():
+    """The probe path where it does the most work: S7 from the A7 oracle
+    through the engine makes 11 probes, the largest of 8 conjugates,
+    where the paper reports 3 probe sets of at most 20
+    (``BENCH_ROWS["S7"]``, whose probe sets count differently).  The
+    table equals the S7 oracle."""
+    name_a, n_a, n_s, paper_probes, paper_max = BENCH_ROWS["S7"]
+    base = _a7_table()
+    assert name_a == "A7" and base.n == n_a
+    pat = extend_table_of_marks(base, symmetric_group(7))
+    assert pat.n == n_s
+    assert validate_pattern(pat) == []
+    stats = (pat.stats.probes, pat.stats.max_probe)
+    assert stats == (11, 8)
+    print(f"S7: probes={stats[0]} max={stats[1]} "
+          f"(paper: {paper_probes}, {paper_max})")
+    oracle = table_of_marks_brute(symmetric_group(7), cap=6000)
+    assert compare_patterns(pat, oracle).matched
 
 
 def test_inner_block_is_gathered_without_cell_calls(monkeypatch):
