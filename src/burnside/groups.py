@@ -3,7 +3,11 @@
 Groups are given by generators.  A deterministic Schreier-Sims chain
 (base points chosen smallest-moved-first, orbits in BFS discovery
 order) backs order and membership, so every computation in the package
-is reproducible run to run.
+is reproducible run to run.  Each level keeps its transversal and the
+inverses of its elements.  A caller that knows the group order exactly
+(a handle with an element set, the regular quotient N/H, a conjugate
+above SET_CAP) passes it, and Schreier-Sims stops once the orbit
+lengths multiply to it, with the chain of the full run.
 
 Every orbit is walked by one helper, ``orbit(seeds, gens, act)``: a
 breadth-first walk that returns the Schreier tree in discovery order
@@ -13,8 +17,12 @@ subgroup classes and cosets all use it; ``transversal`` and
 ``path_product`` multiply out the group elements along the tree.  Its
 walk, ``orbit_walk``, also runs lazily, for a caller that may stop part
 way.
-Rational classes are read off subgroup classes, and a coset action off
-the tree edges of the walk that gives its transversal.
+Rational classes come from one sweep of the sorted elements, cached
+on the group: the powers of an unseen element give its order, a
+prime-order one is read off its subgroup class and marks its rational
+class seen, a composite-order one marks the generators of its cyclic
+subgroup.  A coset action is read off the tree edges of the walk that
+gives its transversal.
 
 A subgroup handle carries its generators, its degree and, whenever
 the order is at most SET_CAP, its element set; it belongs to no
@@ -32,9 +40,13 @@ from a walk of N's elements, and ``quotient_group(N, H)`` is N(H)/H
 with a lift map, under the one cap on coset actions, QUOTIENT_CAP.
 
 Each group numbers its elements on first sight (an index per element
-tuple) and keeps one conjugation table per generator, index to index,
-filled on demand by two gathers per entry through the generator's
-inverse, which is computed once (``perms.conj_by``).  The class key of
+tuple), ``elements()`` included, so its element list and its numbering
+share one tuple per element.  It keeps one conjugation table per
+generator, index to index, filled on demand by two gathers per entry
+through the generator's inverse, which is computed once
+(``perms.conj_by``); an involution's table fills the entries of x and
+x^s together.  Index values and class-id order depend on what was seen
+first and have no effect on any output.  The class key of
 a subgroup of order at most SET_CAP is the frozenset of its element
 indices in the classifying group's numbering, so a step of a class
 orbit walk is one table gather per element instead of a permutation
@@ -47,7 +59,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, repeat
+from itertools import chain
 from math import gcd
 from operator import methodcaller
 
@@ -142,28 +154,46 @@ def path_product(tree: dict, node, gens, known: dict):
 
 
 def _orbit_rebuild(level: dict, degree: int) -> None:
-    tree = orbit([level["base"]], level["gens"], lambda pt, s: s[pt])
-    level["orbit"] = transversal(tree, level["gens"], identity_tuple(degree))
+    """The level's transversal, point -> u with base^u == point, and
+    the inverses of its elements, both along one Schreier tree: the
+    inverse at a point is inv(s) times the inverse at its parent."""
+    gens, idn = level["gens"], identity_tuple(degree)
+    tree = orbit([level["base"]], gens, lambda pt, s: s[pt])
+    level["orbit"] = transversal(tree, gens, idn)
+    invs = [inv(s) for s in gens]
+    level["inverse"] = inverse = {}
+    for x, edge in tree.items():
+        inverse[x] = (idn if edge is None
+                      else mul(invs[edge[1]], inverse[edge[0]]))
 
 
 def _chain_sift(levels: list[dict], g: tuple[int, ...]) -> tuple[int, ...]:
     for lv in levels:
-        u = lv["orbit"].get(g[lv["base"]])
+        u = lv["inverse"].get(g[lv["base"]])
         if u is None:
             return g
-        g = mul(g, inv(u))
+        g = mul(g, u)
     return g
 
 
-def build_chain(gens, degree: int) -> list[dict]:
+def build_chain(gens, degree: int, order: int | None = None) -> list[dict]:
     """Deterministic Schreier-Sims; returns the list of chain levels.
 
     Level i holds the strong generators fixing the first i base points,
     so the generator lists are nested: a sifted residue is installed at
     every level from where it got stuck down to the first base it moves.
+
+    ``order``, when the caller knows |<gens>| exactly, stops the run as
+    soon as the orbit lengths multiply to it (the known-order shortcut,
+    Seress, Permutation Group Algorithms, 2003): the orbits are then the
+    basic orbits of a complete chain, every later Schreier generator
+    sifts to the identity, and the levels are those of the full run.
+    Every input generator is then checked to sift through the chain, and
+    a chain of another order is refused.
     """
     idn = identity_tuple(degree)
     levels: list[dict] = []
+    done = False   # the orbit lengths multiply to ``order``
 
     def sift_add(g: tuple[int, ...], i: int) -> None:
         # a residue stuck at some level moves its base point
@@ -172,30 +202,42 @@ def build_chain(gens, degree: int) -> list[dict]:
             add_gen(g)
 
     def add_gen(h: tuple[int, ...]) -> None:
+        nonlocal done
         # h enters every level whose earlier bases it fixes
         m = 0
         while m < len(levels) and h[levels[m]["base"]] == levels[m]["base"]:
             m += 1
         if m == len(levels):
             base = min(x for x in range(degree) if h[x] != x)
-            levels.append({"base": base, "gens": [], "orbit": {base: idn}})
+            levels.append({"base": base, "gens": []})
         for i in range(m + 1):
             lv = levels[i]
             lv["gens"].append(h)
             _orbit_rebuild(lv, degree)
+        if order is not None and _chain_order(levels) >= order:
+            done = True
+            return
         for i in range(m + 1):
             lv = levels[i]
-            reps = lv["orbit"]
+            reps, inverse = lv["orbit"], lv["inverse"]
             for pt in list(reps):
                 u = reps[pt]
                 for s in lv["gens"]:
-                    sg = mul(mul(u, s), inv(reps[s[pt]]))
+                    sg = mul(mul(u, s), inverse[s[pt]])
                     if sg != idn:
                         sift_add(sg, i + 1)
+                        if done:
+                            return
 
     for g in gens:
         if g != idn:
             sift_add(g, 0)
+            if done:
+                break
+    if order is not None and (
+            _chain_order(levels) != order
+            or any(_chain_sift(levels, g) != idn for g in gens)):
+        raise RuntimeError(f"generators span no group of order {order}")
     return levels
 
 
@@ -240,15 +282,17 @@ def _apply(x, f):
 class _Numbering:
     """Element indices of one group, assigned on first sight, one
     conjugation table per generator (index -> index, -1 while unfilled),
-    and the map x -> x^s of each generator s, which fills it."""
+    the map x -> x^s of each generator s, which fills it, and whether s
+    is an involution, whose table is its own inverse."""
 
-    __slots__ = ("index", "elts", "tabs", "conj")
+    __slots__ = ("index", "elts", "tabs", "conj", "involution")
 
     def __init__(self, gens):
         self.index: dict = {}                  # element tuple -> index
         self.elts: list = []                   # index -> element tuple
         self.tabs: list[list[int]] = [[] for _ in gens]
         self.conj = [conj_by(s) for s in gens]
+        self.involution = [mul(s, s) == identity_tuple(len(s)) for s in gens]
 
     def number(self, x: tuple[int, ...]) -> int:
         i = self.index.get(x)
@@ -256,6 +300,15 @@ class _Numbering:
             i = self.index[x] = len(self.elts)
             self.elts.append(x)
         return i
+
+    def number_all(self, xs: list) -> list:
+        """Numbers the distinct elements xs not seen before, in order,
+        and returns the numbering's tuple of each of xs."""
+        index, elts = self.index, self.elts
+        new = [x for x in xs if x not in index]
+        index.update(zip(new, range(len(elts), len(elts) + len(new))))
+        elts.extend(new)
+        return list(map(elts.__getitem__, map(index.__getitem__, xs)))
 
 
 class PermGroup:
@@ -266,14 +319,15 @@ class PermGroup:
     sharing instances across computations is safe and profitable.
     """
 
-    def __init__(self, gens, degree: int):
+    def __init__(self, gens, degree: int, order: int | None = None):
         self.degree = degree
         self.gens: tuple[tuple[int, ...], ...] = _clean_gens(gens, degree)
-        self.chain = build_chain(self.gens, degree)
+        # ``order``, when known exactly, ends Schreier-Sims early
+        self.chain = build_chain(self.gens, degree, order)
         self.order: int = _chain_order(self.chain)
         self._elements: list[tuple[int, ...]] | None = None
         self._sorted_elements: list[tuple[int, ...]] | None = None
-        self._by_order: dict | None = None  # element order -> elements
+        self._rational: dict | None = None  # prime -> rational classes
         self._numbering: _Numbering | None = None   # made on first use
         # subgroup conjugacy caches
         self._sub_class_of: dict = {}       # class key -> class id
@@ -295,27 +349,21 @@ class PermGroup:
     __contains__ = contains
 
     def elements(self) -> list[tuple[int, ...]]:
-        """All elements, in deterministic chain order."""
+        """All elements, in deterministic chain order.  Each is numbered
+        (``index_set``), and the list holds the numbering's tuple, so
+        the two share one tuple per element."""
         if self._elements is None:
             if self.order > ELEMENTS_CAP:
                 raise CapExceededError(
                     f"group of order {self.order} exceeds element cap")
-            self._elements = _chain_elements(self.chain, self.degree)
+            self._elements = self._num().number_all(
+                _chain_elements(self.chain, self.degree))
         return self._elements
 
     def sorted_elements(self) -> list[tuple[int, ...]]:
         if self._sorted_elements is None:
             self._sorted_elements = sorted(self.elements())
         return self._sorted_elements
-
-    def elements_of_order(self, n: int) -> list[tuple[int, ...]]:
-        """The elements of order n, in sorted element order; one scan
-        of the element orders serves every n."""
-        if self._by_order is None:
-            self._by_order = {}
-            for x in self.sorted_elements():
-                self._by_order.setdefault(order_of(x), []).append(x)
-        return self._by_order.get(n, [])
 
     # -- element numbering -------------------------------------------------
 
@@ -350,10 +398,14 @@ class PermGroup:
         out = frozenset(map(tab.__getitem__, idxs))
         if -1 not in out:
             return out
-        c = num.conj[k]
+        c, involution = num.conj[k], num.involution[k]
         for i in idxs:
             if tab[i] < 0:
-                tab[i] = num.number(c(elts[i]))
+                j = tab[i] = num.number(c(elts[i]))
+                if involution:   # x^s = y  <=>  y^s = x
+                    if j >= len(tab):
+                        tab.extend([-1] * (len(elts) - len(tab)))
+                    tab[j] = i
         return frozenset(map(tab.__getitem__, idxs))
 
     def subgroup_key(self, H: "Subgroup"):
@@ -418,8 +470,12 @@ class Subgroup:
                       else len(self._elems))
 
     def as_group(self) -> PermGroup:
+        """The subgroup as a PermGroup; with an element set, its order
+        is known and ends the chain's Schreier-Sims early."""
         if self._group is None:
-            self._group = PermGroup(self.gens, self.degree)
+            self._group = PermGroup(
+                self.gens, self.degree,
+                None if self._elems is None else len(self._elems))
         return self._group
 
     def elements(self) -> frozenset:
@@ -457,7 +513,7 @@ class Subgroup:
         gens = [c(x) for x in self.gens]
         if self.order <= SET_CAP:
             return Subgroup(self, gens, elems=map(c, self.elements()))
-        return PermGroup(gens, self.degree).as_subgroup()
+        return PermGroup(gens, self.degree, self.order).as_subgroup()
 
     def join(self, t: tuple[int, ...]) -> "Subgroup":
         """<H, t>, generated by H.gens + (t,).  When t normalizes H, and
@@ -801,13 +857,14 @@ def coset_transversal(G: PermGroup, H: Subgroup) -> list[tuple[int, ...]]:
     return [G.identity] if G.order == H.order else _coset_walk(G, H)[1]
 
 
-def coset_action(G: PermGroup, H: Subgroup):
+def coset_action(G: PermGroup, H: Subgroup, order: int | None = None):
     """Action of G on the cosets of H.
 
     Returns (image group, reps): the image has degree |G:H|, at most
     QUOTIENT_CAP, and point i is the coset of reps[i]
     (``coset_transversal``).  The image of point i under gens[k] is read
     off the edge from node i by k of the walk that gives reps.
+    ``order`` is the image's order, for a caller that knows it exactly.
     """
     index = G.order // H.order
     if index > QUOTIENT_CAP:
@@ -815,7 +872,7 @@ def coset_action(G: PermGroup, H: Subgroup):
     tree, reps, edges = _coset_walk(G, H)
     label, n = dict(zip(tree, range(index))), len(G.gens)
     return PermGroup([tuple(map(label.__getitem__, edges[k::n]))
-                      for k in range(n)], index), reps
+                      for k in range(n)], index, order), reps
 
 
 def quotient_group(N: PermGroup, H: Subgroup):
@@ -824,15 +881,14 @@ def quotient_group(N: PermGroup, H: Subgroup):
     H must be normal in N.  Returns (W, lift) where lift maps a
     W-element tuple to a coset representative in N; lift of the
     identity is the identity (which lies in H).  N itself for a
-    trivial H; otherwise |N:H| is at most QUOTIENT_CAP.
+    trivial H; otherwise |N:H| is at most QUOTIENT_CAP.  The image is
+    regular, of the known order |N:H|.
     """
     if H.order == 1:
         return N, lambda w: w
     if not H.is_normal_in(N):
         raise ValueError("subgroup is not normal")
-    W, reps = coset_action(N, H)
-    if W.order != N.order // H.order:  # pragma: no cover
-        raise RuntimeError("quotient action is not regular")
+    W, reps = coset_action(N, H, N.order // H.order)
 
     def lift(w: tuple[int, ...]) -> tuple[int, ...]:
         return reps[w[0]]
@@ -840,30 +896,56 @@ def quotient_group(N: PermGroup, H: Subgroup):
     return W, lift
 
 
+def _rational_sweep(W: PermGroup) -> dict:
+    """Prime q -> one (representative, size) pair per rational class of
+    order-q elements of W, the representative the first of its class in
+    sorted element order: one sweep of W's sorted elements, cached on W.
+
+    The powers of an unseen element x give its order n.  A prime n
+    walks the class of <x> in W, which W caches, and marks the whole
+    rational class seen: each member holds n - 1 of its elements.  A
+    composite n marks only the generators of <x>, which have order n
+    too.  No element order is computed with ``order_of``.
+    """
+    if W._rational is None:
+        idn, elems = W.identity, W.sorted_elements()
+        index = W._num().index   # elements() numbered every element
+        seen = {index[idn]}      # element indices
+        out: dict = {}
+        for x in elems:
+            if index[x] in seen:
+                continue
+            powers = [x]
+            while powers[-1] != idn:
+                powers.append(mul(powers[-1], x))
+            n = len(powers)   # powers[k - 1] == x^k, powers[n - 1] == 1
+            if prime_factors(n) == [n]:
+                cyclic = Subgroup(W, [x], elems=powers)
+                cls = W._sub_classes[subgroup_class_id(W, cyclic)]
+                for key in cls.tree:   # the index set of a conjugate
+                    seen.update(key)
+                out.setdefault(n, []).append((x, (n - 1) * cls.size))
+            else:
+                seen.update(index[powers[k - 1]] for k in range(1, n)
+                            if gcd(k, n) == 1)
+        W._rational = out
+    return W._rational
+
+
 def rational_classes(W: PermGroup, q: int, skip=None) -> list:
     """One (representative, size) pair per rational class of order-q
     elements of W (q prime), the representative the first of its class
-    in sorted element order.
+    in sorted element order (``_rational_sweep``).
 
     Rational class: closed under conjugacy and prime-to-q powers, so
     two elements are equivalent exactly when they generate conjugate
     subgroups of order q.  It is read off the class of <w> in W, which
     W caches: each member holds q - 1 of its elements.  ``skip``
-    filters elements out entirely; it must be constant on rational
-    classes.
+    filters classes out by their representative; it must be constant on
+    rational classes.
     """
-    seen: set = set()
-    out = []
-    for w in W.elements_of_order(q):
-        if w in seen or (skip is not None and skip(w)):
-            continue
-        cyclic = Subgroup(W, [w], elems=accumulate(repeat(w, q - 1), mul,
-                                                  initial=W.identity))
-        cls = W._sub_classes[subgroup_class_id(W, cyclic)]
-        for key in cls.tree:
-            seen.update(W.elements_of(key))
-        out.append((w, (q - 1) * cls.size))
-    return out
+    return [(w, size) for w, size in _rational_sweep(W).get(q, [])
+            if skip is None or not skip(w)]
 
 
 # ---------------------------------------------------------------------------

@@ -163,16 +163,18 @@ def table_of_marks_brute(G: PermGroup,
                          cap: int = DEFAULT_CAP) -> SubgroupPattern:
     """Pattern of G with every entry counted by ``mark_row`` on the
     class orbit of its K (the package's independent oracle).  Each
-    representative is keyed once for the whole table."""
+    representative is keyed and classified once for the whole table."""
     reps = all_subgroup_classes_brute(G, cap)
     keys = [G.subgroup_key(rep) for rep in reps]
+    cids = [subgroup_class_id(G, rep, key) for rep, key in zip(reps, keys)]
     classes = []
-    for rep, key in zip(reps, keys):
-        length = G._sub_classes[subgroup_class_id(G, rep, key)].size
+    for rep, cid in zip(reps, cids):
+        length = G._sub_classes[cid].size
         classes.append(PatternClass(
             rep=rep, order=rep.order, length=length,
             normalizer_order=G.order // length))
-    rows = [mark_row(G, rep, keys[:i + 1]) for i, rep in enumerate(reps)]
+    rows = [mark_row(G, rep, keys[:i + 1], cid)
+            for i, (rep, cid) in enumerate(zip(reps, cids))]
     return SubgroupPattern(group=G, classes=classes, rows=rows,
                            stats=PatternStats())
 

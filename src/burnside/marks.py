@@ -160,17 +160,21 @@ def trivial_pattern(degree: int = 1) -> SubgroupPattern:
 # and the probes use only this)
 
 
-def conjugates_containing(G: PermGroup, K: Subgroup, keys) -> list:
+def conjugates_containing(G: PermGroup, K: Subgroup, keys,
+                          cid: int | None = None) -> list:
     """For each of ``keys``, the member keys of K's class tree in G that
     contain it: the conjugates of K holding it.  A key is the class key
     ``G.subgroup_key(H)`` of a subgroup H, or the index set of some
-    elements; K's class is looked up once for all of them.
+    elements; K's class is looked up once for all of them, or not at
+    all when the caller passes its id ``cid``.
 
     A K above SET_CAP is classified only when it is normal, and its tree
     may hold several alias keys of it; it is decided by containment,
     as its own key or none.
     """
-    tree = G._sub_classes[subgroup_class_id(G, K)].tree
+    if cid is None:
+        cid = subgroup_class_id(G, K)
+    tree = G._sub_classes[cid].tree
     if K.order <= SET_CAP:
         # a key above SET_CAP is no index set and fits in no conjugate
         return [[m for m in tree if key <= m]
@@ -180,7 +184,8 @@ def conjugates_containing(G: PermGroup, K: Subgroup, keys) -> list:
             for key in keys]
 
 
-def mark_row(G: PermGroup, K: Subgroup, keys) -> list[int]:
+def mark_row(G: PermGroup, K: Subgroup, keys,
+             cid: int | None = None) -> list[int]:
     """Marks on G/K of the subgroups H with the given class keys
     ``G.subgroup_key(H)``: the number of cosets of K fixed by H in the
     action of G on G/K.
@@ -188,13 +193,15 @@ def mark_row(G: PermGroup, K: Subgroup, keys) -> list[int]:
     A coset Kg is fixed by H exactly when H lies in K^g, and the
     |N(K):K| cosets of K in N(K)g give the same conjugate, so a mark is
     |N(K):K| times the number of conjugates of K that contain H (none
-    when |H| does not divide |K|).  K's class is looked up per row, not
-    per cell, and no H is keyed here: a caller that asks for many rows
+    when |H| does not divide |K|).  K's class is looked up once per
+    row, not per cell, or not at all when the caller passes its id
+    ``cid``, and no H is keyed here: a caller that asks for many rows
     keys each H once.
     """
-    size = G._sub_classes[subgroup_class_id(G, K)].size
-    diag = G.order // (size * K.order)
-    return [diag * len(ms) for ms in conjugates_containing(G, K, keys)]
+    if cid is None:
+        cid = subgroup_class_id(G, K)
+    diag = G.order // (G._sub_classes[cid].size * K.order)
+    return [diag * len(ms) for ms in conjugates_containing(G, K, keys, cid)]
 
 
 def mark_fixed_cosets(G: PermGroup, K: Subgroup, H: Subgroup) -> int:
@@ -298,12 +305,13 @@ def dress_row(S: PermGroup, cols: dict[int, int], cid: int, U: Subgroup,
 # explicit incidence counting
 
 
-def incidence_probe(S: PermGroup, K: Subgroup, t: tuple[int, ...]) -> list:
+def incidence_probe(S: PermGroup, K: Subgroup, t: tuple[int, ...],
+                    cid: int | None = None) -> list:
     """The class keys of the conjugates of K that contain t: the members
     of K's class tree whose keys hold the index of t
-    (``conjugates_containing``).
+    (``conjugates_containing``; ``cid`` is K's class id, when known).
     """
-    [members] = conjugates_containing(S, K, [S.index_set([t])])
+    [members] = conjugates_containing(S, K, [S.index_set([t])], cid)
     return members
 
 
@@ -706,10 +714,11 @@ class MarksExtender:
         oc = self.outer[st.ri]
         K = oc.rep
         conjugates = S.order // oc.normalizer_order
+        cid = subgroup_class_id(S, K)   # once per probe
         best = None
         for j in sorted(st.cand):
             t = self.outer[j - self.b].gen_element
-            members = incidence_probe(S, K, t)
+            members = incidence_probe(S, K, t, cid)
             est = element_class_length(S, t) * len(members) // conjugates
             if best is None or est < best[0]:
                 best = (est, j, t, members)
@@ -719,7 +728,7 @@ class MarksExtender:
         cols = [j for j in sorted(st.cand)
                 if j == j0 or t in self.class_reps[j]]
         vals = mark_row(S, K, [S.subgroup_key(self.class_reps[j])
-                               for j in cols])
+                               for j in cols], cid)
         for j, val in zip(cols, vals):
             if val not in st.cand[j]:
                 raise InconsistentTableError(

@@ -452,8 +452,8 @@ def has_fixed_point(x):
 @pytest.mark.parametrize("name", ["S5", "GL2(3)", "A6"])
 def test_rational_classes_pairs(name, monkeypatch):
     """The pairs of the element scan, in its order, each size the one
-    counted by conjugating its powers with every element; one order scan
-    serves every prime."""
+    counted by conjugating its powers with every element; the sweep
+    reads each element's order off its powers and calls no order_of."""
     G = relabeled(name, 3)
     D = groups.derived_subgroup(G)
     calls = []
@@ -469,7 +469,7 @@ def test_rational_classes_pairs(name, monkeypatch):
                 assert size == len(members)
         assert sum(size for _, size in groups.rational_classes(G, q)) \
             == sum(order_of(x) == q for x in G.elements())
-    assert len(calls) == G.order
+    assert calls == []
 
 
 def test_rational_classes_of_l2_32_match_the_element_scan():
@@ -829,3 +829,99 @@ def test_normalizers_build_no_chain_once_the_classes_are_walked(
     assert builds == []
     assert [fresh.order // o for o in orders] == [
         fresh._sub_classes[subgroup_class_id(fresh, H)].size for H in reps]
+
+
+# ---------------------------------------------------------------------------
+# known-order chains and conjugation tables
+
+
+def _levels(chain):
+    """Everything a chain level holds, in its order, with each inverse
+    checked against its transversal element."""
+    for lv in chain:
+        idn = tuple(range(len(lv["gens"][0])))
+        assert all(mul(u, lv["inverse"][pt]) == idn
+                   for pt, u in lv["orbit"].items())
+    return [(lv["base"], lv["gens"], list(lv["orbit"].items()),
+             list(lv["inverse"].items())) for lv in chain]
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG.entries))
+def test_known_order_chain_of_catalog_group_equals_the_full_run(name):
+    G = CATALOG.get(name).build()
+    assert _levels(groups.build_chain(G.gens, G.degree, G.order)) == \
+        _levels(G.chain)
+
+
+@pytest.mark.parametrize("base,key", [("A5", "S5"), ("A6", "S6"),
+                                      ("L2(32)", "L2(32):5")])
+def test_known_order_chains_of_class_steps_equal_the_full_run(
+        base, key, monkeypatch):
+    """Every chain built with a known order, in the class search or
+    oracle of A and in the class step to S, has the levels of the full
+    Schreier-Sims run on the same generators.  The step builds its
+    regular quotient images N_S(H)/H that way (degree = order), and the
+    L2(32) search its normalizers with element sets."""
+    from burnside import extension
+    from burnside.lattice import subgroup_classes_search
+    A, S = CATALOG.get(base).build(), CATALOG.get(key).build()
+    real, calls = groups.build_chain, []
+
+    def spy(gens, degree, order=None):
+        if order is not None:
+            calls.append((gens, degree, order))
+        return real(gens, degree, order)
+
+    monkeypatch.setattr(groups, "build_chain", spy)
+    reps = (subgroup_classes_search(A) if base == "L2(32)"
+            else all_subgroup_classes_brute(A))
+    searched = len(calls)
+    extension.extend_classes(extension.sort_class_reps(reps),
+                             extension.ExtensionContext.create(S, A))
+    assert any(degree == order for _, degree, order in calls[searched:])
+    if base == "L2(32)":
+        assert any(degree != order for _, degree, order in calls[:searched])
+    for gens, degree, order in calls:
+        assert _levels(real(gens, degree, order)) == \
+            _levels(real(gens, degree))
+
+
+def test_known_order_stop_checks_every_generator():
+    """A run stopped at a wrong order is refused: (1,2,3) alone reaches
+    order 3, and (1,2) then does not sift; an order never reached is
+    refused too.  The right order gives the full run's levels."""
+    s3 = [parse_cycles("(1,2,3)", 3), parse_cycles("(1,2)", 3)]
+    for wrong in (3, 12):
+        with pytest.raises(RuntimeError):
+            groups.build_chain(s3, 3, wrong)
+    assert _levels(groups.build_chain(s3, 3, 6)) == \
+        _levels(groups.build_chain(s3, 3))
+
+
+@pytest.mark.parametrize("make", [lambda: CATALOG.get("S5").build(),
+                                  lambda: CATALOG.get("GL2(3)").build(),
+                                  lambda: relabeled("A6", 3)],
+                         ids=["S5", "GL2(3)", "A6 relabeled"])
+def test_conjugation_tables_match_tuple_conjugation(make):
+    """After the class walks of the whole lattice, and again once every
+    entry is filled, each generator's table maps the index of x to the
+    index of x^s computed by tuple conjugation; an involution fills the
+    entry of x^s with x as it fills the entry of x."""
+    G = make()
+    all_subgroup_classes_brute(G)
+    num = G._num()
+
+    def check():
+        for k, s in enumerate(G.gens):
+            tab = num.tabs[k]
+            assert all(j < 0 or j == num.index[conj(num.elts[i], s)]
+                       for i, j in enumerate(tab))
+
+    check()
+    every = G.index_set(G.elements())
+    for k in range(len(G.gens)):
+        G.conj_index_set(every, k)
+    check()
+    assert all(len(tab) == G.order and min(tab) >= 0 for tab in num.tabs)
+    # S5 and GL2(3) each have an involutory generator, A6 none
+    assert num.involution == [order_of(s) == 2 for s in G.gens]

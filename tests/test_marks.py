@@ -186,6 +186,56 @@ def test_oracle_rows_key_each_class_a_bounded_number_of_times(monkeypatch):
             G, ki.rep, [c.rep for c in pat.classes[:i + 1]])
 
 
+def _class_id_calls(monkeypatch) -> list:
+    """Every ``subgroup_class_id`` call the marks module makes."""
+    calls = []
+    real = marks.subgroup_class_id
+    monkeypatch.setattr(marks, "subgroup_class_id",
+                        lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_mark_row_classifies_k_once_per_row(monkeypatch):
+    """A row looks up K's class once, for its diagonal and its
+    conjugates alike; given the class id it looks up nothing, and the
+    oracle classifies each representative once for the whole table."""
+    G = CATALOG.get("S5").build()
+    reps = all_subgroup_classes_brute(G)
+    keys = _keys(G, reps)
+    calls = _class_id_calls(monkeypatch)
+    rows = [mark_row(G, rep, keys[:i + 1]) for i, rep in enumerate(reps)]
+    assert len(calls) == len(reps)
+    cids = [groups.subgroup_class_id(G, rep) for rep in reps]
+    calls.clear()
+    assert [mark_row(G, rep, keys[:i + 1], cid)
+            for i, (rep, cid) in enumerate(zip(reps, cids))] == rows
+    assert calls == []
+    monkeypatch.setattr(lattice, "all_subgroup_classes_brute",
+                        lambda G, cap: reps)
+    monkeypatch.setattr(lattice, "subgroup_class_id",
+                        marks.subgroup_class_id)
+    pat = table_of_marks_brute(G)
+    assert len(calls) == len(reps) and pat.rows == rows
+
+
+def test_probe_one_classifies_k_once_per_probe(monkeypatch):
+    """S6 from the A6 oracle makes its four probes with one class
+    lookup of K each, however many candidate columns it weighs."""
+    base = table_of_marks_brute(CATALOG.group("A6"))
+    calls = _class_id_calls(monkeypatch)
+    per_probe = []
+    real = MarksExtender.probe_one
+
+    def probe(self, st):
+        before = len(calls)
+        real(self, st)
+        per_probe.append(len(calls) - before)
+
+    monkeypatch.setattr(MarksExtender, "probe_one", probe)
+    pat = extend_table_of_marks(base, CATALOG.get("S6").build())
+    assert pat.stats.probes == 4 and per_probe == [1] * 4
+
+
 def test_mark_row_above_set_cap_in_l2_32_5():
     """L2(32) is above SET_CAP and normal in L2(32):5: its row is
     decided by containment, and its probes return it or nothing."""
