@@ -18,11 +18,11 @@ subgroup classes and cosets all use it; ``transversal`` and
 walk, ``orbit_walk``, also runs lazily, for a caller that may stop part
 way.
 Rational classes come from one sweep of the sorted elements, cached
-on the group: the powers of an unseen element give its order, a
-prime-order one is read off its subgroup class and marks its rational
-class seen, a composite-order one marks the generators of its cyclic
-subgroup.  A coset action is read off the tree edges of the walk that
-gives its transversal.
+on the group: the zuppo an element generates gives its order, and the
+first element of an unseen zuppo of prime order is read off the
+zuppo's subgroup class and marks its rational class seen.  A coset
+action is read off the tree edges of the walk that gives its
+transversal.
 
 A subgroup handle carries its generators, its degree and, whenever
 the order is at most SET_CAP, its element set; it belongs to no
@@ -39,26 +39,34 @@ Cyclic extensions are built here only: ``Subgroup.join(t)`` is <H, t>,
 from a walk of N's elements, and ``quotient_group(N, H)`` is N(H)/H
 with a lift map, under the one cap on coset actions, QUOTIENT_CAP.
 
-Each group numbers its elements on first sight (an index per element
-tuple), ``elements()`` included, so its element list and its numbering
-share one tuple per element.  It keeps one conjugation table per
-generator, index to index, filled on demand by two gathers per entry
-through the generator's inverse, which is computed once
-(``perms.conj_by``); an involution's table fills the entries of x and
-x^s together.  Index values and class-id order depend on what was seen
-first and have no effect on any output.  The class key of
-a subgroup of order at most SET_CAP is the frozenset of its element
-indices in the classifying group's numbering, so a step of a class
-orbit walk is one table gather per element instead of a permutation
-conjugation.  A class stores its orbit as a Schreier tree (member key
--> parent key and generator index), and conjugating elements are
-multiplied out only for the members asked for.
+Each group numbers its zuppos, the cyclic subgroups of prime-power
+order, on first sight: an element maps to the id of the zuppo it
+generates, or to NO_ZUPPO (the identity, composite orders), and all
+elements of a cyclic subgroup are classified together from the powers
+of one of them.  ``elements()`` lets the numbering adopt the tuples of
+its list, so the two share one tuple per element.  The group keeps one
+conjugation table per generator, zuppo id to zuppo id, filled on
+demand by conjugating one generator of the zuppo through the
+generator's inverse, which is computed once (``perms.conj_by``); an
+involution's table fills the entries of Z and Z^s together.  Id values
+and class-id order depend on what was seen first and have no effect on
+any output.  The class key of a subgroup of order at most SET_CAP is
+the frozenset of the ids of its zuppos in the classifying group's
+numbering.  It is canonical (a subgroup is generated by its zuppos,
+since each element is a product of powers of itself of prime-power
+order), it commutes with conjugation, and H <= K exactly when key(H) is
+a subset of key(K).  So a step of a class orbit walk is one table
+gather per zuppo instead of a permutation conjugation per element.  A
+class stores its orbit as a Schreier tree (member key -> parent key and
+generator index), and conjugating elements are multiplied out only for
+the members asked for.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain
 from math import gcd
 from operator import methodcaller
@@ -83,6 +91,11 @@ ELEMENTS_CAP = 250_000
 
 # coset actions, so normalizer quotients N(H)/H, refuse a degree beyond this
 QUOTIENT_CAP = 200_000
+
+# the zuppo id of an element that generates no zuppo: the identity and
+# every element of composite order
+NO_ZUPPO = -1
+_NO_ZUPPOS = frozenset([NO_ZUPPO])
 
 
 class NotSolvableError(ValueError):
@@ -279,36 +292,81 @@ def _apply(x, f):
     return f(x)
 
 
+@lru_cache(maxsize=None)
+def _cyclic_layout(n: int) -> tuple:
+    """The subgroups of a cyclic group <x> of order n, as positions in
+    [x, x^2, ..., x^n]: for each divisor d of n, the position of x^(n/d),
+    which generates the subgroup of order d, then d, whether d is a
+    prime power above 1, and the positions of the generators x^(kn/d),
+    k prime to d."""
+    out = []
+    for d in range(1, n + 1):
+        if n % d == 0:
+            step = n // d
+            out.append((step - 1, d, len(set(prime_factors(d))) == 1,
+                        tuple(k * step - 1 for k in range(1, d + 1)
+                              if gcd(k, d) == 1)))
+    return tuple(out)
+
+
+def _powers(x: tuple[int, ...], idn: tuple[int, ...]) -> list:
+    """The elements of <x> as [x, x^2, ..., x^n], x^n the identity:
+    x^(k+1) = x x^k, a gather through one prebuilt map."""
+    lx, powers = left_mul_by(x), [x]
+    while powers[-1] != idn:
+        powers.append(lx(powers[-1]))
+    return powers
+
+
 class _Numbering:
-    """Element indices of one group, assigned on first sight, one
-    conjugation table per generator (index -> index, -1 while unfilled),
-    the map x -> x^s of each generator s, which fills it, and whether s
-    is an involution, whose table is its own inverse."""
+    """The zuppos of one group, its cyclic subgroups of prime-power
+    order, numbered on first sight.
 
-    __slots__ = ("index", "elts", "tabs", "conj", "involution")
+    ``index`` maps each element seen to the id of the zuppo it
+    generates, or to NO_ZUPPO; an element of the group's element list
+    maps to None until it is seen.  All elements of a cyclic subgroup
+    <x> are classified together, from the powers of x, when the first
+    of them is seen.  ``gen`` holds a generator of each zuppo and
+    ``size`` its order.  Each generator s of the group has a
+    conjugation table (zuppo id -> zuppo id, one entry per zuppo, -1
+    while unfilled), the map x -> x^s, which fills an entry by
+    conjugating one generator of the zuppo, and whether s is an
+    involution, whose table is its own inverse."""
 
-    def __init__(self, gens):
-        self.index: dict = {}                  # element tuple -> index
-        self.elts: list = []                   # index -> element tuple
+    __slots__ = ("index", "gen", "size", "tabs", "conj", "involution", "idn")
+
+    def __init__(self, gens, degree: int):
+        self.index: dict = {}     # element tuple -> zuppo id or NO_ZUPPO
+        self.gen: list = []       # zuppo id -> a generator of the zuppo
+        self.size: list[int] = []  # zuppo id -> its order
         self.tabs: list[list[int]] = [[] for _ in gens]
         self.conj = [conj_by(s) for s in gens]
-        self.involution = [mul(s, s) == identity_tuple(len(s)) for s in gens]
+        self.idn = identity_tuple(degree)
+        self.involution = [mul(s, s) == self.idn for s in gens]
 
     def number(self, x: tuple[int, ...]) -> int:
-        i = self.index.get(x)
-        if i is None:
-            i = self.index[x] = len(self.elts)
-            self.elts.append(x)
-        return i
+        z = self.index.get(x)
+        if z is None:
+            self._classify(x)
+            z = self.index[x]
+        return z
 
-    def number_all(self, xs: list) -> list:
-        """Numbers the distinct elements xs not seen before, in order,
-        and returns the numbering's tuple of each of xs."""
-        index, elts = self.index, self.elts
-        new = [x for x in xs if x not in index]
-        index.update(zip(new, range(len(elts), len(elts) + len(new))))
-        elts.extend(new)
-        return list(map(elts.__getitem__, map(index.__getitem__, xs)))
+    def _classify(self, x: tuple[int, ...]) -> None:
+        """Classifies every element of <x>, one subgroup of <x> at a
+        time (``_cyclic_layout``); a subgroup found classified is
+        classified whole."""
+        index, powers = self.index, _powers(x, self.idn)
+        for first, d, zuppo, positions in _cyclic_layout(len(powers)):
+            if index.get(powers[first]) is not None:
+                continue
+            z = NO_ZUPPO
+            if zuppo:
+                z = len(self.gen)
+                self.gen.append(powers[first])
+                self.size.append(d)
+                for tab in self.tabs:
+                    tab.append(-1)
+            index.update(dict.fromkeys(map(powers.__getitem__, positions), z))
 
 
 class PermGroup:
@@ -349,15 +407,19 @@ class PermGroup:
     __contains__ = contains
 
     def elements(self) -> list[tuple[int, ...]]:
-        """All elements, in deterministic chain order.  Each is numbered
-        (``index_set``), and the list holds the numbering's tuple, so
-        the two share one tuple per element."""
+        """All elements, in deterministic chain order.  The numbering
+        adopts the list's tuples, each unclassified until it is seen,
+        so the list and the numbering share one tuple per element."""
         if self._elements is None:
             if self.order > ELEMENTS_CAP:
                 raise CapExceededError(
                     f"group of order {self.order} exceeds element cap")
-            self._elements = self._num().number_all(
-                _chain_elements(self.chain, self.degree))
+            elems = _chain_elements(self.chain, self.degree)
+            num = self._num()
+            index = dict.fromkeys(elems)
+            index.update(num.index)   # an existing key keeps its tuple
+            num.index = index
+            self._elements = elems
         return self._elements
 
     def sorted_elements(self) -> list[tuple[int, ...]]:
@@ -365,67 +427,96 @@ class PermGroup:
             self._sorted_elements = sorted(self.elements())
         return self._sorted_elements
 
-    # -- element numbering -------------------------------------------------
+    # -- zuppo numbering ---------------------------------------------------
 
     def _num(self) -> "_Numbering":
         if self._numbering is None:
-            self._numbering = _Numbering(self.gens)
+            self._numbering = _Numbering(self.gens, self.degree)
         return self._numbering
 
     def gen_conj(self) -> list:
         """The maps x -> x^s of the generators s, in generator order."""
         return self._num().conj
 
-    def index_set(self, elems) -> frozenset:
-        """Frozenset of the indices of the given elements (a re-iterable
-        collection), numbering the ones not seen before."""
+    def zuppo_id(self, x: tuple[int, ...]) -> int:
+        """The id of the zuppo that the element x generates, or NO_ZUPPO
+        when its order is no prime power."""
+        return self._num().number(x)
+
+    def elements_key(self, elems) -> frozenset:
+        """The class key of the subgroup with the given elements (a
+        re-iterable collection): the ids of the zuppos among them.
+        Each element is a product of powers of itself of prime-power
+        order, so the subgroup is generated by its zuppos."""
         num = self._num()
         try:
-            return frozenset(map(num.index.__getitem__, elems))
+            ids = frozenset(map(num.index.__getitem__, elems))
         except KeyError:
-            return frozenset(map(num.number, elems))
+            ids = None
+        if ids is None or None in ids:
+            ids = frozenset(map(num.number, elems))
+        return ids - _NO_ZUPPOS
 
-    def elements_of(self, idxs) -> frozenset:
-        """The element tuples with the given indices."""
-        return frozenset(map(self._num().elts.__getitem__, idxs))
+    def index_set(self, elems) -> frozenset:
+        """The zuppo ids of the prime-power parts of the given elements
+        (a list, such as an incidence probe's [t]): a subset of the class
+        key of a subgroup exactly when all of them lie in it.  The
+        q-part of x, of order n = q^a m with m prime to q, is x^m."""
+        num, out = self._num(), set()
+        for x in elems:
+            powers = _powers(x, num.idn)
+            n = len(powers)
+            for q in set(prime_factors(n)):
+                m = n
+                while m % q == 0:
+                    m //= q
+                out.add(num.number(powers[m - 1]))
+        return frozenset(out)
+
+    def elements_of(self, key) -> frozenset:
+        """The elements of the subgroup with this class key: the closure
+        of its generators (``key_generators``)."""
+        return frozenset(close_elements(self.key_generators(key),
+                                        self.degree))
 
     def conj_index_set(self, idxs: frozenset, k: int) -> frozenset:
-        """Index set of the conjugates x^s, x in idxs, s = gens[k]."""
-        num = self._num()
-        tab, elts = num.tabs[k], num.elts
-        if len(tab) < len(elts):
-            tab.extend([-1] * (len(elts) - len(tab)))
+        """The zuppo ids of the conjugates Z^s, Z in idxs, s = gens[k];
+        idxs come from this group's numbering, which therefore exists."""
+        num = self._numbering
+        tab = num.tabs[k]
         out = frozenset(map(tab.__getitem__, idxs))
         if -1 not in out:
             return out
-        c, involution = num.conj[k], num.involution[k]
+        c, involution, gen = num.conj[k], num.involution[k], num.gen
         for i in idxs:
             if tab[i] < 0:
-                j = tab[i] = num.number(c(elts[i]))
-                if involution:   # x^s = y  <=>  y^s = x
-                    if j >= len(tab):
-                        tab.extend([-1] * (len(elts) - len(tab)))
+                j = tab[i] = num.number(c(gen[i]))
+                if involution:   # Z^s = Y  <=>  Y^s = Z
                     tab[j] = i
         return frozenset(map(tab.__getitem__, idxs))
 
     def subgroup_key(self, H: "Subgroup"):
         """Hashable class key of a subgroup handle in this group: the
-        index set of its elements in this group's numbering when the
-        order is at most SET_CAP.
+        zuppo ids of its elements in this group's numbering
+        (``elements_key``) when the order is at most SET_CAP.  Keys
+        commute with conjugation, and H <= K exactly when key(H) is a
+        subset of key(K).
 
         Bigger subgroups get a key from their order and generators,
         which is only unique per handle; class identification treats
         them separately.
         """
         if H.order <= SET_CAP:
-            return self.index_set(H.elements())
+            return self.elements_key(H.elements())
         return ("big", H.order, tuple(sorted(H.gens)))
 
     def key_generators(self, key):
-        """Elements that generate the subgroup with this class key: its
-        elements for an index set, its generators for a key above
-        SET_CAP."""
-        return key[2] if isinstance(key, tuple) else self.elements_of(key)
+        """Elements that generate the subgroup with this class key: a
+        generator of each of its zuppos for a set of zuppo ids, its
+        generators for a key above SET_CAP."""
+        if isinstance(key, tuple):
+            return key[2]
+        return list(map(self._num().gen.__getitem__, key))
 
     def as_subgroup(self) -> "Subgroup":
         """The whole group as a subgroup handle, on this group's chain
@@ -712,7 +803,7 @@ def subgroup_class_id(G: PermGroup, H: Subgroup, key=None) -> int:
 
     The whole class orbit is cached on G, so later identifications of
     any member are dictionary lookups.  Each orbit step conjugates a
-    member's index set by one generator through its conjugation table.
+    member's zuppo set by one generator through its conjugation table.
     ``key`` is H's ``G.subgroup_key``, for a caller that already has it.
     """
     fp = G.subgroup_key(H) if key is None else key
@@ -781,7 +872,7 @@ def normalizer(G: PermGroup, H: Subgroup,
                order: int | None = None) -> Subgroup:
     """Normalizer of H in G via orbit-stabilizer on H's class.
 
-    The class is walked lazily from H, on index sets through the
+    The class is walked lazily from H, on zuppo sets through the
     conjugation tables, and the Schreier generators over the walk grow H
     (``_stabilizer_from_orbit``) until the normalizer has ``order``; an
     element is multiplied out only for the members the walk visits.
@@ -901,33 +992,32 @@ def _rational_sweep(W: PermGroup) -> dict:
     order-q elements of W, the representative the first of its class in
     sorted element order: one sweep of W's sorted elements, cached on W.
 
-    The powers of an unseen element x give its order n.  A prime n
-    walks the class of <x> in W, which W caches, and marks the whole
-    rational class seen: each member holds n - 1 of its elements.  A
-    composite n marks only the generators of <x>, which have order n
-    too.  No element order is computed with ``order_of``.
+    Each element is looked up to the zuppo it generates, which gives
+    its order.  The first element of an unseen zuppo of prime order q
+    walks the class of the zuppo in W, which W caches, and marks the
+    whole rational class seen: each member holds q - 1 of its elements.
+    No element order is computed with ``order_of``.
     """
     if W._rational is None:
-        idn, elems = W.identity, W.sorted_elements()
-        index = W._num().index   # elements() numbered every element
-        seen = {index[idn]}      # element indices
+        elems, num = W.sorted_elements(), W._num()
+        index = num.index   # holds every element, once elements() ran
+        seen: set = set()   # zuppo ids
         out: dict = {}
         for x in elems:
-            if index[x] in seen:
+            z = index[x]
+            if z is None:
+                z = num.number(x)
+            if z == NO_ZUPPO or z in seen:
                 continue
-            powers = [x]
-            while powers[-1] != idn:
-                powers.append(mul(powers[-1], x))
-            n = len(powers)   # powers[k - 1] == x^k, powers[n - 1] == 1
-            if prime_factors(n) == [n]:
-                cyclic = Subgroup(W, [x], elems=powers)
-                cls = W._sub_classes[subgroup_class_id(W, cyclic)]
-                for key in cls.tree:   # the index set of a conjugate
-                    seen.update(key)
-                out.setdefault(n, []).append((x, (n - 1) * cls.size))
-            else:
-                seen.update(index[powers[k - 1]] for k in range(1, n)
-                            if gcd(k, n) == 1)
+            n = num.size[z]
+            if prime_factors(n) != [n]:
+                continue
+            cyclic = Subgroup(W, [x], elems=_powers(x, W.identity))
+            cls = W._sub_classes[
+                subgroup_class_id(W, cyclic, frozenset([z]))]
+            for key in cls.tree:   # the zuppo id of a conjugate
+                seen.update(key)
+            out.setdefault(n, []).append((x, (n - 1) * cls.size))
         W._rational = out
     return W._rational
 

@@ -5,12 +5,14 @@ Enumeration is bottom-up join closure: class representatives are
 extended by cyclic subgroups of prime-power order (zuppos) and
 deduplicated up to conjugacy.  A representative H is joined with one
 zuppo per orbit of its normalizer N on the zuppos outside H, since
-conjugate zuppos give conjugate joins.  The orbits are walked on zuppo
-numbers: a step conjugates the zuppo's generator and looks the image
-up among the generators of all zuppos, one conjugation per step rather
-than one per element.  N comes from the kernel, so it is checked here
-to normalize H; when it does not, H is joined with every zuppo, which
-costs time but never a class.  A join <H, z> with z outside the
+conjugate zuppos give conjugate joins.  The zuppos are read off the
+kernel's zuppo numbering, which keys every subgroup class by the zuppos
+it holds.  The orbits are walked on zuppo numbers: a step conjugates
+the zuppo's generator and looks the image up among the generators of
+all zuppos, one conjugation per step rather than one per element.  N
+comes from the kernel, so it is checked here to normalize H; when it
+does not, H is joined with every zuppo, which costs time but never a
+class.  A join <H, z> with z outside the
 normalizer of H is closed only up to |G|/2 elements: past that it is G
 by Lagrange, so no closure runs to the end to find G.
 Each join is looked up by its key before a handle is made, and only a
@@ -30,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import (
+    NO_ZUPPO,
     CapExceededError,
     PermGroup,
     Subgroup,
@@ -52,24 +55,23 @@ from .marks import (
     class_columns,
     mark_row,
 )
-from .perms import conj, conj_by, order_of, power
+from .perms import conj, conj_by, order_of
 
 DEFAULT_CAP = 2000
 
 
 def zuppos(G: PermGroup) -> list[tuple[tuple[int, ...], frozenset]]:
-    """Cyclic subgroups of prime-power order, as (generator, elements)."""
+    """Cyclic subgroups of prime-power order, as (generator, elements),
+    in order of first sight over the sorted elements: G's zuppo
+    numbering (``PermGroup.zuppo_id``) gives the zuppo each element
+    generates, and each zuppo's elements are closed once."""
     out = []
-    seen = set()
+    seen = {NO_ZUPPO}
     for x in G.sorted_elements():
-        n = order_of(x)
-        if len(set(prime_factors(n))) != 1:
-            continue
-        elems = frozenset(power(x, k) for k in range(n))
-        if elems in seen:
-            continue
-        seen.add(elems)
-        out.append((x, elems))
+        z = G.zuppo_id(x)
+        if z not in seen:
+            seen.add(z)
+            out.append((x, G.elements_of(frozenset([z]))))
     return out
 
 
@@ -97,7 +99,7 @@ def all_subgroup_classes_brute(G: PermGroup,
     a subgroup past it is all of G by Lagrange.  The first such
     join, while G's class is not yet found, stands for G with all of G's
     elements; every later one is dropped before it is keyed.  Any other
-    join is keyed by its element indices, and a handle is made only for
+    join is keyed by its zuppo ids, and a handle is made only for
     a join whose class is new, so the transversal is the full loop's.
 
     Deterministic; the result is sorted by subgroup order with
@@ -146,7 +148,7 @@ def all_subgroup_classes_brute(G: PermGroup,
                     elems = G.elements()
             # the class key G.subgroup_key(K) up to SET_CAP; above it the
             # key comes from the handle
-            key = G.index_set(elems) if len(elems) <= SET_CAP else None
+            key = G.elements_key(elems) if len(elems) <= SET_CAP else None
             if G._sub_class_of.get(key) in known:
                 continue
             K = Subgroup(G, gens, elems=elems)

@@ -164,9 +164,10 @@ def conjugates_containing(G: PermGroup, K: Subgroup, keys,
                           cid: int | None = None) -> list:
     """For each of ``keys``, the member keys of K's class tree in G that
     contain it: the conjugates of K holding it.  A key is the class key
-    ``G.subgroup_key(H)`` of a subgroup H, or the index set of some
-    elements; K's class is looked up once for all of them, or not at
-    all when the caller passes its id ``cid``.
+    ``G.subgroup_key(H)`` of a subgroup H, or ``G.index_set`` of some
+    elements (the zuppos of their prime-power parts); K's class is
+    looked up once for all of them, or not at all when the caller
+    passes its id ``cid``.
 
     A K above SET_CAP is classified only when it is normal, and its tree
     may hold several alias keys of it; it is decided by containment,
@@ -176,7 +177,7 @@ def conjugates_containing(G: PermGroup, K: Subgroup, keys,
         cid = subgroup_class_id(G, K)
     tree = G._sub_classes[cid].tree
     if K.order <= SET_CAP:
-        # a key above SET_CAP is no index set and fits in no conjugate
+        # a key above SET_CAP is no zuppo set and fits in no conjugate
         return [[m for m in tree if key <= m]
                 if isinstance(key, frozenset) else [] for key in keys]
     own = [G.subgroup_key(K)]
@@ -308,8 +309,9 @@ def dress_row(S: PermGroup, cols: dict[int, int], cid: int, U: Subgroup,
 def incidence_probe(S: PermGroup, K: Subgroup, t: tuple[int, ...],
                     cid: int | None = None) -> list:
     """The class keys of the conjugates of K that contain t: the members
-    of K's class tree whose keys hold the index of t
-    (``conjugates_containing``; ``cid`` is K's class id, when known).
+    of K's class tree whose keys hold the zuppos of t's prime-power
+    parts (``conjugates_containing``; ``cid`` is K's class id, when
+    known).
     """
     [members] = conjugates_containing(S, K, [S.index_set([t])], cid)
     return members

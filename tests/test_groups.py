@@ -36,7 +36,11 @@ from burnside.groups import (
     transversal,
     trivial_subgroup,
 )
-from burnside.lattice import all_subgroup_classes_brute, zuppos
+from burnside.lattice import (
+    all_subgroup_classes_brute,
+    subgroup_classes_search,
+    zuppos,
+)
 from burnside.perms import conj, inv, mul, order_of, parse_cycles, power
 
 
@@ -726,17 +730,18 @@ def test_coset_keys_match_the_product_loop(G):
                                relabeled("A6", 3)],
                          ids=["S5", "GL2(3)", "A6 relabeled"])
 def test_conjugation_tables_match_tuple_conj(G):
-    """Every generator's table, filled over the whole group by gathers,
-    maps each index to the index of the conjugate by that generator."""
-    idxs = G.index_set(G.elements())
+    """Every generator's table, filled over all of G's zuppos, maps each
+    zuppo id to the id of the zuppo that the conjugate of its generator
+    by that generator generates."""
+    idxs = G.subgroup_key(G.as_subgroup())
     num = G._num()
     for k, s in enumerate(G.gens):
         image = G.conj_index_set(idxs, k)
         assert image == idxs
-        tab, elts = num.tabs[k], num.elts
-        assert len(elts) == G.order
-        for i in range(G.order):
-            assert elts[tab[i]] == conj(elts[i], s)
+        tab, gen = num.tabs[k], num.gen
+        assert len(gen) == len(idxs) and len(num.index) == G.order
+        for i in range(len(gen)):
+            assert tab[i] == num.index[conj(gen[i], s)]
 
 
 # ---------------------------------------------------------------------------
@@ -904,9 +909,10 @@ def test_known_order_stop_checks_every_generator():
                          ids=["S5", "GL2(3)", "A6 relabeled"])
 def test_conjugation_tables_match_tuple_conjugation(make):
     """After the class walks of the whole lattice, and again once every
-    entry is filled, each generator's table maps the index of x to the
-    index of x^s computed by tuple conjugation; an involution fills the
-    entry of x^s with x as it fills the entry of x."""
+    entry is filled, each generator's table maps the id of a zuppo to
+    the id of the conjugate of its generator by tuple conjugation; an
+    involution fills the entry of Z^s with Z as it fills the entry of
+    Z, so its table is its own inverse."""
     G = make()
     all_subgroup_classes_brute(G)
     num = G._num()
@@ -914,14 +920,91 @@ def test_conjugation_tables_match_tuple_conjugation(make):
     def check():
         for k, s in enumerate(G.gens):
             tab = num.tabs[k]
-            assert all(j < 0 or j == num.index[conj(num.elts[i], s)]
+            assert all(j < 0 or j == num.index[conj(num.gen[i], s)]
                        for i, j in enumerate(tab))
+            if num.involution[k]:
+                assert all(j < 0 or tab[j] == i for i, j in enumerate(tab))
 
     check()
-    every = G.index_set(G.elements())
+    every = G.subgroup_key(G.as_subgroup())
     for k in range(len(G.gens)):
         G.conj_index_set(every, k)
     check()
-    assert all(len(tab) == G.order and min(tab) >= 0 for tab in num.tabs)
+    assert all(len(tab) == len(num.gen) and min(tab) >= 0
+               for tab in num.tabs)
     # S5 and GL2(3) each have an involutory generator, A6 none
     assert num.involution == [order_of(s) == 2 for s in G.gens]
+
+
+# ---------------------------------------------------------------------------
+# class keys on zuppos
+
+
+def _every_subgroup(G):
+    """Every subgroup of G once: the oracle's representatives and their
+    conjugates, told apart by their element sets."""
+    subs = {}
+    for H in all_subgroup_classes_brute(G):
+        for g in G.elements():
+            K = H.conjugated(g)
+            subs.setdefault(K.elements(), K)
+    return list(subs.values())
+
+
+@pytest.mark.parametrize("name, subgroups", [
+    ("S4", _every_subgroup),
+    ("GL2(3)", all_subgroup_classes_brute),
+    ("A6 relabeled", all_subgroup_classes_brute)],
+    ids=["S4", "GL2(3)", "A6 relabeled"])
+def test_zuppo_keys_are_canonical_ordered_and_conjugation_invariant(
+        name, subgroups):
+    """A class key is the set of a subgroup's zuppo ids: equal keys are
+    equal subgroups, inclusion of keys is inclusion of subgroups, a
+    table conjugates a key as conjugation conjugates the subgroup, the
+    closure of a key's generators is the subgroup, and an element t
+    lies in K exactly when the zuppos of its prime-power parts do."""
+    G = (relabeled("A6", 3) if name == "A6 relabeled"
+         else CATALOG.get(name).build())
+    subs = subgroups(G)
+    keys = [G.subgroup_key(H) for H in subs]
+    for H, kh in zip(subs, keys):
+        for K, kk in zip(subs, keys):
+            assert (kh == kk) == (H.elements() == K.elements())
+            assert (kh <= kk) == (H.elements() <= K.elements())
+        for k, s in enumerate(G.gens):
+            assert G.conj_index_set(kh, k) == \
+                G.subgroup_key(H.conjugated(s))
+        assert G.elements_of(kh) == H.elements()
+    composite = [t for t in G.elements()
+                 if len(set(prime_factors(order_of(t)))) > 1]
+    # GL2(3) has elements of order 6; S4 and A6 have none
+    assert bool(composite) == (name == "GL2(3)")
+    for t in G.elements():
+        parts = G.index_set([t])
+        for K, kk in zip(subs, keys):
+            assert (t in K) == (parts <= kk)
+
+
+def test_l2_32_class_search_fills_each_table_entry_once():
+    """The L2(32) class search numbers all 2 543 zuppos of L2(32) and
+    conjugates at most one zuppo generator per table entry: at most
+    2 543 entries for each of its three generators, where an element
+    table had 32 736."""
+    G = CATALOG.get("L2(32)").build()
+    num = G._num()
+    fills = []
+
+    def counted(c):
+        def conjugate(x):
+            fills.append(x)
+            return c(x)
+        return conjugate
+
+    num.conj = [counted(c) for c in num.conj]
+    assert len(subgroup_classes_search(G)) == 24
+    sizes = {}
+    for n in num.size:
+        sizes[n] = sizes.get(n, 0) + 1
+    assert sizes == {2: 1023, 3: 496, 11: 496, 31: 528}
+    assert len(num.gen) == 2543 and len(G.gens) == 3
+    assert len(fills) <= 2543 * 3
