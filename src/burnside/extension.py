@@ -208,8 +208,10 @@ def extension_elements(ctx: ExtensionContext, c: InnerClass) -> list:
     # rational class of w holds the p - 1 generators of each conjugate
     # of <w>, so its size R gives |N_W(<w>)| = (p - 1) |W| / R.
     out = []
-    for w, size in rational_classes(W, p, lambda x: A.contains(lift(x))):
+    for w, size in rational_classes(W, p):
         t0 = lift(w)
+        if A.contains(t0):
+            continue
         q = order_of(t0)
         while q % p == 0:
             q //= p

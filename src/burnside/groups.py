@@ -16,13 +16,8 @@ gens[k])).  Chain levels, element class lengths, centralizers,
 subgroup classes and cosets all use it; ``transversal`` and
 ``path_product`` multiply out the group elements along the tree.  Its
 walk, ``orbit_walk``, also runs lazily, for a caller that may stop part
-way.
-Rational classes come from one sweep of the sorted elements, cached
-on the group: the zuppo an element generates gives its order, and the
-first element of an unseen zuppo of prime order is read off the
-zuppo's subgroup class and marks its rational class seen.  A coset
-action is read off the tree edges of the walk that gives its
-transversal.
+way.  A coset action is read off the tree edges of the walk that
+gives its transversal.
 
 A subgroup handle carries its generators, its degree and, whenever
 the order is at most SET_CAP, its element set; it belongs to no
@@ -60,6 +55,13 @@ gather per zuppo instead of a permutation conjugation per element.  A
 class stores its orbit as a Schreier tree (member key -> parent key and
 generator index), and conjugating elements are multiplied out only for
 the members asked for.
+
+``zuppos(G)`` lists G's zuppos once, cached on G: each id with the
+zuppo's least generator, in order of first sight over the sorted
+elements.  The oracle's joins and the rational classes both read it.
+The rational classes of order q are one walk of the list: the first
+unseen zuppo of order q is read off its subgroup class, which marks its
+whole rational class seen.
 """
 
 from __future__ import annotations
@@ -385,7 +387,7 @@ class PermGroup:
         self.order: int = _chain_order(self.chain)
         self._elements: list[tuple[int, ...]] | None = None
         self._sorted_elements: list[tuple[int, ...]] | None = None
-        self._rational: dict | None = None  # prime -> rational classes
+        self._zuppos: list | None = None    # zuppos(self), made on first use
         self._numbering: _Numbering | None = None   # made on first use
         # subgroup conjugacy caches
         self._sub_class_of: dict = {}       # class key -> class id
@@ -987,55 +989,45 @@ def quotient_group(N: PermGroup, H: Subgroup):
     return W, lift
 
 
-def _rational_sweep(W: PermGroup) -> dict:
-    """Prime q -> one (representative, size) pair per rational class of
-    order-q elements of W, the representative the first of its class in
-    sorted element order: one sweep of W's sorted elements, cached on W.
-
-    Each element is looked up to the zuppo it generates, which gives
-    its order.  The first element of an unseen zuppo of prime order q
-    walks the class of the zuppo in W, which W caches, and marks the
-    whole rational class seen: each member holds q - 1 of its elements.
-    No element order is computed with ``order_of``.
-    """
-    if W._rational is None:
-        elems, num = W.sorted_elements(), W._num()
-        index = num.index   # holds every element, once elements() ran
-        seen: set = set()   # zuppo ids
-        out: dict = {}
-        for x in elems:
-            z = index[x]
-            if z is None:
-                z = num.number(x)
-            if z == NO_ZUPPO or z in seen:
-                continue
-            n = num.size[z]
-            if prime_factors(n) != [n]:
-                continue
-            cyclic = Subgroup(W, [x], elems=_powers(x, W.identity))
-            cls = W._sub_classes[
-                subgroup_class_id(W, cyclic, frozenset([z]))]
-            for key in cls.tree:   # the zuppo id of a conjugate
-                seen.update(key)
-            out.setdefault(n, []).append((x, (n - 1) * cls.size))
-        W._rational = out
-    return W._rational
+def zuppos(G: PermGroup) -> list[tuple[tuple[int, ...], int]]:
+    """The zuppos of G, its cyclic subgroups of prime-power order, as
+    (x, z) pairs: z the zuppo's id in G's numbering
+    (``PermGroup.zuppo_id``) and x its least generator.  The pairs come
+    in order of first sight over the sorted elements; the list is made
+    once and cached on G."""
+    if G._zuppos is None:
+        num, out, seen = G._num(), [], {NO_ZUPPO}
+        for x in G.sorted_elements():
+            z = num.number(x)
+            if z not in seen:
+                seen.add(z)
+                out.append((x, z))
+        G._zuppos = out
+    return G._zuppos
 
 
-def rational_classes(W: PermGroup, q: int, skip=None) -> list:
+def rational_classes(W: PermGroup, q: int) -> list:
     """One (representative, size) pair per rational class of order-q
     elements of W (q prime), the representative the first of its class
-    in sorted element order (``_rational_sweep``).
+    in sorted element order.
 
     Rational class: closed under conjugacy and prime-to-q powers, so
     two elements are equivalent exactly when they generate conjugate
-    subgroups of order q.  It is read off the class of <w> in W, which
-    W caches: each member holds q - 1 of its elements.  ``skip``
-    filters classes out by their representative; it must be constant on
-    rational classes.
+    subgroups of order q.  One walk of W's zuppos (``zuppos``) keeps
+    those of order q; the first unseen one reads the class of <x> in W,
+    which W caches, and marks every member seen: each member holds
+    q - 1 of its elements.
     """
-    return [(w, size) for w, size in _rational_sweep(W).get(q, [])
-            if skip is None or not skip(w)]
+    size, seen, out = W._num().size, set(), []
+    for x, z in zuppos(W):
+        if size[z] != q or z in seen:
+            continue
+        cyclic = Subgroup(W, [x], elems=_powers(x, W.identity))
+        cls = W._sub_classes[subgroup_class_id(W, cyclic, frozenset([z]))]
+        for key in cls.tree:   # the zuppo id of a conjugate
+            seen.update(key)
+        out.append((x, (q - 1) * cls.size))
+    return out
 
 
 # ---------------------------------------------------------------------------

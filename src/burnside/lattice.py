@@ -5,11 +5,11 @@ Enumeration is bottom-up join closure: class representatives are
 extended by cyclic subgroups of prime-power order (zuppos) and
 deduplicated up to conjugacy.  A representative H is joined with one
 zuppo per orbit of its normalizer N on the zuppos outside H, since
-conjugate zuppos give conjugate joins.  The zuppos are read off the
-kernel's zuppo numbering, which keys every subgroup class by the zuppos
-it holds.  The orbits are walked on zuppo numbers: a step conjugates
-the zuppo's generator and looks the image up among the generators of
-all zuppos, one conjugation per step rather than one per element.  N
+conjugate zuppos give conjugate joins.  The zuppos are the kernel's
+list (``groups.zuppos``), and the orbits are walked on the kernel's
+zuppo ids, which also key every subgroup class: a step conjugates the
+zuppo's least generator and looks up the id of the zuppo the image
+generates, one conjugation per step rather than one per element.  N
 comes from the kernel, so it is checked here to normalize H; when it
 does not, H is joined with every zuppo, which costs time but never a
 class.  A join <H, z> with z outside the
@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import (
-    NO_ZUPPO,
     CapExceededError,
     PermGroup,
     Subgroup,
@@ -45,6 +44,7 @@ from .groups import (
     rational_classes,
     subgroup_class_id,
     trivial_subgroup,
+    zuppos,
     SET_CAP,
 )
 from .marks import (
@@ -55,35 +55,9 @@ from .marks import (
     class_columns,
     mark_row,
 )
-from .perms import conj, conj_by, order_of
+from .perms import conj, conj_by
 
 DEFAULT_CAP = 2000
-
-
-def zuppos(G: PermGroup) -> list[tuple[tuple[int, ...], frozenset]]:
-    """Cyclic subgroups of prime-power order, as (generator, elements),
-    in order of first sight over the sorted elements: G's zuppo
-    numbering (``PermGroup.zuppo_id``) gives the zuppo each element
-    generates, and each zuppo's elements are closed once."""
-    out = []
-    seen = {NO_ZUPPO}
-    for x in G.sorted_elements():
-        z = G.zuppo_id(x)
-        if z not in seen:
-            seen.add(z)
-            out.append((x, G.elements_of(frozenset([z]))))
-    return out
-
-
-def _zuppo_action(zups):
-    """Conjugation on zuppo numbers: act(i, c) is the number of the
-    image of zups[i] under c, a map x -> x^g.  A conjugation maps a
-    zuppo's generator to a generator of the conjugate zuppo, so every
-    generator of every zuppo (its elements of full order) is looked up
-    to its zuppo's number."""
-    zid = {y: i for i, (_, zel) in enumerate(zups)
-           for y in zel if order_of(y) == len(zel)}
-    return lambda i, c: zid[c(zups[i][0])]
 
 
 def all_subgroup_classes_brute(G: PermGroup,
@@ -113,12 +87,16 @@ def all_subgroup_classes_brute(G: PermGroup,
     known = {subgroup_class_id(G, triv)}
     whole_known = False  # G's class is among the representatives
     zups = zuppos(G)
-    act = _zuppo_action(zups)
-    # zuppo number -> its class in G: the orbits for every H normal in G
+    least = {z: x for x, z in zups}
+
+    def act(z, c):   # conjugation on zuppo ids, c a map x -> x^g
+        return G.zuppo_id(c(least[z]))
+
+    # zuppo id -> its class in G: the orbits for every H normal in G
     zclass: dict = {}
-    for i in range(len(zups)):
-        if i not in zclass:
-            cls = tuple(orbit([i], G.gen_conj(), act))
+    for _, z in zups:
+        if z not in zclass:
+            cls = tuple(orbit([z], G.gen_conj(), act))
             zclass.update(dict.fromkeys(cls, cls))
     qi = 0
     while qi < len(reps):
@@ -131,10 +109,10 @@ def all_subgroup_classes_brute(G: PermGroup,
             nconj = ([conj_by(g) for g in N.gens] if H.is_normal_in(N)
                      else ())
         seen: set = set()
-        for i, (x, _) in enumerate(zups):
-            if x in helems or i in seen:
+        for x, z in zups:
+            if x in helems or z in seen:
                 continue
-            seen.update(zclass[i] if normal else orbit([i], nconj, act))
+            seen.update(zclass[z] if normal else orbit([z], nconj, act))
             gens = H.gens + (x,)
             elems = join_normalizing(helems, H.gens, x)
             if elems is None:

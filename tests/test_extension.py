@@ -579,8 +579,9 @@ def two_pass_extension_elements(ctx, H):
     N = normalizer(S, H, order)
     W, lift = groups.quotient_group(N.as_group(), H)
     out = []
-    for w, size in groups.rational_classes(
-            W, p, lambda x: A.contains(lift(x))):
+    for w, size in groups.rational_classes(W, p):
+        if A.contains(lift(w)):
+            continue
         t0 = lift(w)
         q = order_of(t0)
         while q % p == 0:

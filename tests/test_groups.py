@@ -14,7 +14,7 @@ import pytest
 from fixtures import relabeled
 
 import burnside
-from burnside import groups
+from burnside import groups, lattice
 from burnside.catalog import CATALOG, abelian_group, cyclic_group
 from burnside.groups import (
     CapExceededError,
@@ -465,7 +465,8 @@ def test_rational_classes_pairs(name, monkeypatch):
                         lambda x: calls.append(x) or order_of(x))
     for q in sorted(set(prime_factors(G.order))):
         for skip in (None, D.contains, has_fixed_point):
-            got = groups.rational_classes(G, q, skip)
+            got = [(w, size) for w, size in groups.rational_classes(G, q)
+                   if skip is None or not skip(w)]
             assert got == scanned_rational_classes(G, q, skip)
             for w, size in got:
                 members = {conj(power(w, k), g) for g in G.elements()
@@ -482,7 +483,8 @@ def test_rational_classes_of_l2_32_match_the_element_scan():
     G = relabeled("L2(32)", 3)
     for q in (2, 3, 11, 31):
         for skip in (None, has_fixed_point):
-            assert groups.rational_classes(G, q, skip) == \
+            assert [(w, size) for w, size in groups.rational_classes(G, q)
+                    if skip is None or not skip(w)] == \
                 scanned_rational_classes(G, q, skip)
 
 
@@ -983,6 +985,40 @@ def test_zuppo_keys_are_canonical_ordered_and_conjugation_invariant(
         parts = G.index_set([t])
         for K, kk in zip(subs, keys):
             assert (t in K) == (parts <= kk)
+
+
+def scanned_zuppos(G):
+    """(x, elements) per cyclic subgroup of prime-power order, from a
+    scan of the sorted elements: each new subgroup <x>, told apart by
+    its element set, with its first generator x."""
+    seen, out = set(), []
+    for x in G.sorted_elements():
+        n = order_of(x)
+        if len(set(prime_factors(n))) != 1:
+            continue
+        elems = frozenset(power(x, k) for k in range(n))
+        if elems not in seen:
+            seen.add(elems)
+            out.append((x, elems))
+    return out
+
+
+@pytest.mark.parametrize("G", [CATALOG.group("S5"), CATALOG.group("GL2(3)"),
+                               relabeled("A6", 3)],
+                         ids=["S5", "GL2(3)", "A6 relabeled"])
+def test_zuppo_list_matches_the_element_set_scan(G):
+    """groups.zuppos lists each zuppo once, in the scan's order with the
+    scan's generator, under its id in G's numbering; the oracle reads
+    the same function, and the list is made once."""
+    zups = groups.zuppos(G)
+    want = scanned_zuppos(G)
+    assert [x for x, _ in zups] == [x for x, _ in want]
+    assert len({z for _, z in zups}) == len(zups)
+    for (x, z), (_, elems) in zip(zups, want):
+        assert G.zuppo_id(x) == z
+        assert G.elements_of(frozenset([z])) == elems
+    assert lattice.zuppos is groups.zuppos
+    assert groups.zuppos(G) is zups
 
 
 def test_l2_32_class_search_fills_each_table_entry_once():

@@ -170,9 +170,17 @@ def test_subgroup_classes_search_matches_brute(s4, a5):
 
 
 def test_zuppos_prime_power_only(s4):
-    for x, elems in zuppos(s4):
-        n = len(elems)
+    for x, z in zuppos(s4):
+        n = len(s4.elements_of(frozenset([z])))
         assert n in (2, 3, 4)
+
+
+def zuppo_action(G):
+    """The oracle's conjugation on G's zuppo ids: act(z, c) is the id of
+    the zuppo that c, a map x -> x^g, maps zuppo z's least generator
+    into."""
+    least = {z: x for x, z in zuppos(G)}
+    return lambda z, c: G.zuppo_id(c(least[z]))
 
 
 def _conj_set(elems, c):
@@ -191,18 +199,18 @@ def _partition(points, act, gens):
                                relabeled("A6", 3)],
                          ids=["S5", "GL2(3)", "A6 relabeled"])
 def test_zuppo_orbits_on_numbers_match_element_set_orbits(G):
-    """The orbits walked on zuppo numbers are the orbits of the zuppo
+    """The orbits walked on zuppo ids are the orbits of the zuppo
     element sets under conjugation, for G and for the normalizer of
     every class representative."""
-    zups = zuppos(G)
-    act = lattice._zuppo_action(zups)
+    zel = {z: G.elements_of(frozenset([z])) for _, z in zuppos(G)}
+    act = zuppo_action(G)
     actions = [G.gen_conj()] + [
         [conj_by(g) for g in normalizer(G, H).gens]
         for H in all_subgroup_classes_brute(G)]
     for gens in actions:
-        want = _partition([zel for _, zel in zups], _conj_set, gens)
-        got = {frozenset(zups[i][1] for i in numbered)
-               for numbered in _partition(range(len(zups)), act, gens)}
+        want = _partition(zel.values(), _conj_set, gens)
+        got = {frozenset(zel[z] for z in numbered)
+               for numbered in _partition(zel, act, gens)}
         assert got == want
 
 
@@ -272,11 +280,11 @@ def uncapped_loop(G):
     reps = [triv]
     known = {subgroup_class_id(G, triv)}
     zups = zuppos(G)
-    act = lattice._zuppo_action(zups)
+    act = zuppo_action(G)
     zclass: dict = {}
-    for i in range(len(zups)):
-        if i not in zclass:
-            cls = tuple(orbit([i], G.gen_conj(), act))
+    for _, z in zups:
+        if z not in zclass:
+            cls = tuple(orbit([z], G.gen_conj(), act))
             zclass.update(dict.fromkeys(cls, cls))
     joins = 0
     for H in reps:
@@ -287,10 +295,10 @@ def uncapped_loop(G):
             nconj = ([conj_by(g) for g in N.gens] if H.is_normal_in(N)
                      else ())
         seen: set = set()
-        for i, (x, _) in enumerate(zups):
-            if x in helems or i in seen:
+        for x, z in zups:
+            if x in helems or z in seen:
                 continue
-            seen.update(zclass[i] if normal else orbit([i], nconj, act))
+            seen.update(zclass[z] if normal else orbit([z], nconj, act))
             joins += 1
             elems = join_normalizing(helems, H.gens, x)
             if elems is None:
