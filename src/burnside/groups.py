@@ -17,7 +17,8 @@ subgroup classes and cosets all use it; ``transversal`` and
 ``path_product`` multiply out the group elements along the tree.  Its
 walk, ``orbit_walk``, also runs lazily, for a caller that may stop part
 way.  A coset action is read off the tree edges of the walk that
-gives its transversal.
+gives its transversal; a coset Hg is keyed by the element of it with
+the least base images along H's stabilizer chain, one gather a level.
 
 A subgroup handle carries its generators, its degree and, whenever
 the order is at most SET_CAP, its element set; it belongs to no
@@ -56,12 +57,13 @@ class stores its orbit as a Schreier tree (member key -> parent key and
 generator index), and conjugating elements are multiplied out only for
 the members asked for.
 
-``zuppos(G)`` lists G's zuppos once, cached on G: each id with the
-zuppo's least generator, in order of first sight over the sorted
-elements.  The oracle's joins and the rational classes both read it.
-The rational classes of order q are one walk of the list: the first
-unseen zuppo of order q is read off its subgroup class, which marks its
-whole rational class seen.
+Each group finds its classes of cyclic subgroups once, from a lazy
+walk of its elements that stops when the class equation over cyclic
+subgroups (the class lengths times phi of the orders, plus one, sum to
+the group order) certifies it complete; the rational classes of order
+q are those of order q, each represented by its least element.  No
+element list is built.  ``zuppos(G)``, the zuppos in order of first
+sight over the sorted elements, serves the oracle only.
 """
 
 from __future__ import annotations
@@ -69,9 +71,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
 from math import gcd
-from operator import methodcaller
 
 from .perms import (
     conj,
@@ -263,12 +264,18 @@ def _chain_order(levels: list[dict]) -> int:
     return n
 
 
-def _chain_elements(levels: list[dict], degree: int) -> list[tuple[int, ...]]:
-    elems = [identity_tuple(degree)]
-    for lv in reversed(levels):
-        reps = [lv["orbit"][pt] for pt in sorted(lv["orbit"])]
-        elems = [mul(e, u) for u in reps for e in elems]
-    return elems
+def _chain_elements(levels: list[dict], degree: int):
+    """The group's elements, lazily, in chain order: the products
+    u_k ... u_1 of one transversal element per level, each level's in
+    sorted point order, the first level's varying slowest.  The
+    stabilizer of the first base point is listed once, and each coset
+    of it is yielded as the gather of that list by its u_1."""
+    reps = [[lv["orbit"][pt] for pt in sorted(lv["orbit"])] for lv in levels]
+    inner = [identity_tuple(degree)]
+    for us in reversed(reps[1:]):
+        inner = [mul(e, u) for u in us for e in inner]
+    for u in reps[0] if reps else inner:
+        yield from map(mul, inner, repeat(u))
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +335,8 @@ class _Numbering:
     generates, or to NO_ZUPPO; an element of the group's element list
     maps to None until it is seen.  All elements of a cyclic subgroup
     <x> are classified together, from the powers of x, when the first
-    of them is seen.  ``gen`` holds a generator of each zuppo and
-    ``size`` its order.  Each generator s of the group has a
+    of them is seen.  ``gen`` holds the least generator of each zuppo
+    and ``size`` its order.  Each generator s of the group has a
     conjugation table (zuppo id -> zuppo id, one entry per zuppo, -1
     while unfilled), the map x -> x^s, which fills an entry by
     conjugating one generator of the zuppo, and whether s is an
@@ -364,7 +371,7 @@ class _Numbering:
             z = NO_ZUPPO
             if zuppo:
                 z = len(self.gen)
-                self.gen.append(powers[first])
+                self.gen.append(min(map(powers.__getitem__, positions)))
                 self.size.append(d)
                 for tab in self.tabs:
                     tab.append(-1)
@@ -388,6 +395,7 @@ class PermGroup:
         self._elements: list[tuple[int, ...]] | None = None
         self._sorted_elements: list[tuple[int, ...]] | None = None
         self._zuppos: list | None = None    # zuppos(self), made on first use
+        self._cyclic: list | None = None    # _cyclic_classes(self), likewise
         self._numbering: _Numbering | None = None   # made on first use
         # subgroup conjugacy caches
         self._sub_class_of: dict = {}       # class key -> class id
@@ -416,7 +424,7 @@ class PermGroup:
             if self.order > ELEMENTS_CAP:
                 raise CapExceededError(
                     f"group of order {self.order} exceeds element cap")
-            elems = _chain_elements(self.chain, self.degree)
+            elems = list(_chain_elements(self.chain, self.degree))
             num = self._num()
             index = dict.fromkeys(elems)
             index.update(num.index)   # an existing key keeps its tuple
@@ -909,22 +917,23 @@ def normalizer(G: PermGroup, H: Subgroup,
 # coset actions and quotients
 
 
-def _coset_key(H: Subgroup, known: list):
-    """The key of the right coset Hg, an element of it: its least element
-    when H has an element set, the least of the gathers mul(h, g), h in
-    H, through maps built once per key; above SET_CAP, the first of
-    ``known`` in Hg, or g itself, appended to ``known``, when Hg is new."""
-    if H.order <= SET_CAP:
-        getters = [left_mul_by(h) for h in H.elements()]
-        return lambda g: min(map(methodcaller("__call__", g), getters))
+def _coset_key(H: Subgroup):
+    """The key of the right coset Hg, an element of it, read off H's
+    stabilizer chain (Seress, Permutation Group Algorithms, 2003): level
+    by level, the transversal element u that takes the base point to
+    the orbit point of least image under x moves x to ux, so x ends as
+    the element of Hg whose base images are least, in base order.  That
+    element is shifted by the inverse of H's own, so H's key is the
+    identity."""
+    levels = [{pt: left_mul_by(u) for pt, u in lv["orbit"].items()}
+              for lv in H.as_group().chain]
 
-    def key(g):
-        for r in known:
-            if mul(g, inv(r)) in H:
-                return r
-        known.append(g)
-        return g
-    return key
+    def least(x):
+        for orb in levels:
+            x = orb[min(orb, key=x.__getitem__)](x)
+        return x
+    shift = left_mul_by(inv(least(identity_tuple(H.degree))))
+    return lambda g: shift(least(g))
 
 
 def _coset_walk(G: PermGroup, H: Subgroup):
@@ -932,8 +941,8 @@ def _coset_walk(G: PermGroup, H: Subgroup):
     tree over their keys (``_coset_key``), the transversal along it, and
     the key of every tree edge in walk order, edges[i * len(G.gens) + k]
     the key of the coset of node i times gens[k]."""
-    # the identity is the least tuple, so it is its own coset's key
-    key, edges = _coset_key(H, [G.identity]), []
+    # H's key is the identity, the root of the walk
+    key, edges = _coset_key(H), []
     tree = orbit([G.identity], G.gens,
                  lambda c, s: edges.append(key(mul(c, s))) or edges[-1])
     reps = list(transversal(tree, G.gens, G.identity).values())
@@ -956,7 +965,8 @@ def coset_action(G: PermGroup, H: Subgroup, order: int | None = None):
     Returns (image group, reps): the image has degree |G:H|, at most
     QUOTIENT_CAP, and point i is the coset of reps[i]
     (``coset_transversal``).  The image of point i under gens[k] is read
-    off the edge from node i by k of the walk that gives reps.
+    off the edge from node i by k of the walk that gives reps, one coset
+    key per edge through H's stabilizer chain (``_coset_key``).
     ``order`` is the image's order, for a caller that knows it exactly.
     """
     index = G.order // H.order
@@ -1006,28 +1016,62 @@ def zuppos(G: PermGroup) -> list[tuple[tuple[int, ...], int]]:
     return G._zuppos
 
 
+def _cyclic_classes(W: PermGroup) -> list:
+    """(d, member keys) for each class of cyclic subgroups of order
+    d > 1 of W, cached on W.  W's elements are walked lazily in chain
+    order; an x outside every <y> walked before opens the class of each
+    subgroup of <x> in no class seen, keyed by its zuppo ids.  Every
+    element generates one cyclic subgroup, and each member of a class of
+    order d has phi(d) generators, so the walk is complete once those
+    counts and the identity sum to |W|.  A class up to SET_CAP is W's
+    subgroup class; one above is walked on its ids, unregistered."""
+    if W._cyclic is None:
+        idn, out, seen, done, count = W.identity, [], set(), set(), 1
+        for x in _chain_elements(W.chain, W.degree):
+            if count >= W.order:
+                break
+            if x in done:
+                continue
+            powers = _powers(x, idn)
+            done.update(powers)
+            for first, d, _, positions in _cyclic_layout(len(powers))[1:]:
+                elems = powers[first::first + 1]
+                key = W.elements_key(elems)
+                if key in seen:
+                    continue
+                if d <= SET_CAP:
+                    cid = subgroup_class_id(
+                        W, Subgroup(W, [elems[0]], elems=elems), key)
+                    members = W._sub_classes[cid].tree
+                else:
+                    members = orbit([key], range(len(W.gens)),
+                                    W.conj_index_set)
+                seen.update(members)
+                count += len(positions) * len(members)
+                out.append((d, members))
+        if count != W.order:
+            raise RuntimeError(f"cyclic classes cover {count} elements "
+                               f"of a group of order {W.order}")
+        W._cyclic = out
+    return W._cyclic
+
+
 def rational_classes(W: PermGroup, q: int) -> list:
     """One (representative, size) pair per rational class of order-q
-    elements of W (q prime), the representative the first of its class
-    in sorted element order.
+    elements of W (q prime), in order of representative, each the least
+    element of its class.
 
     Rational class: closed under conjugacy and prime-to-q powers, so
     two elements are equivalent exactly when they generate conjugate
-    subgroups of order q.  One walk of W's zuppos (``zuppos``) keeps
-    those of order q; the first unseen one reads the class of <x> in W,
-    which W caches, and marks every member seen: each member holds
-    q - 1 of its elements.
+    subgroups of order q: one class of cyclic subgroups of order q
+    (``_cyclic_classes``), whose members are single zuppos.  Its least
+    element is the least of their least generators, and each member
+    holds q - 1 of its elements.
     """
-    size, seen, out = W._num().size, set(), []
-    for x, z in zuppos(W):
-        if size[z] != q or z in seen:
-            continue
-        cyclic = Subgroup(W, [x], elems=_powers(x, W.identity))
-        cls = W._sub_classes[subgroup_class_id(W, cyclic, frozenset([z]))]
-        for key in cls.tree:   # the zuppo id of a conjugate
-            seen.update(key)
-        out.append((x, (q - 1) * cls.size))
-    return out
+    gen = W._num().gen
+    return sorted((min(map(gen.__getitem__, chain.from_iterable(keys))),
+                   (q - 1) * len(keys))
+                  for d, keys in _cyclic_classes(W) if d == q)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -166,7 +167,7 @@ def coset_hom(H, reps):
     """The image of g in the action on the cosets H r, r in reps, one
     coset key per point: point i goes to the point of the coset of
     reps[i] g."""
-    key = groups._coset_key(H, list(reps))
+    key = groups._coset_key(H)
     label = {key(r): i for i, r in enumerate(reps)}
     return lambda g: tuple(label[key(mul(r, g))] for r in reps)
 
@@ -204,8 +205,8 @@ def test_coset_action_reads_the_transversal_walk(G, monkeypatch):
     real = groups._coset_key
     evaluated = []
 
-    def counted_key(H, known):
-        key = real(H, known)
+    def counted_key(H):
+        key = real(H)
         return lambda g: evaluated.append(g) or key(g)
 
     monkeypatch.setattr(groups, "_coset_key", counted_key)
@@ -517,6 +518,102 @@ def test_rational_classes_walk_subgroup_classes_only(name, monkeypatch):
     assert len(G._sub_classes) == classes and not walked
 
 
+def zuppo_walk_rational_classes(W, q):
+    """The rational classes as the walk of W's zuppo list gave them: the
+    first zuppo of order q not yet seen, in order of first sight over
+    the sorted elements, reads the class of <x> and marks it seen."""
+    size, seen, out = W._num().size, set(), []
+    for x, z in zuppos(W):
+        if size[z] != q or z in seen:
+            continue
+        cyclic = Subgroup(W, [x], elems=groups._powers(x, W.identity))
+        cls = W._sub_classes[subgroup_class_id(W, cyclic, frozenset([z]))]
+        for key in cls.tree:   # the zuppo id of a conjugate
+            seen.update(key)
+        out.append((x, (q - 1) * cls.size))
+    return out
+
+
+def phi(d):
+    return sum(gcd(k, d) == 1 for k in range(1, d + 1))
+
+
+def scanned_cyclic_counts(G):
+    """Order -> number of cyclic subgroups of G of that order above 1,
+    told apart by their element sets."""
+    subs = {frozenset(power(x, k) for k in range(order_of(x)))
+            for x in G.elements()}
+    counts = {}
+    for c in subs:
+        if len(c) > 1:
+            counts[len(c)] = counts.get(len(c), 0) + 1
+    return counts
+
+
+SMALL_GROUPS = [e.name for e in CATALOG.entries.values()
+                if CATALOG.group(e.name).order <= lattice.DEFAULT_CAP]
+
+
+@pytest.mark.parametrize("set_cap", [groups.SET_CAP, 3])
+@pytest.mark.parametrize("name", SMALL_GROUPS + ["A6 relabeled"])
+def test_rational_classes_match_the_zuppo_walk(name, set_cap, monkeypatch):
+    """For every prime, the pairs of the zuppo-list walk; the certified
+    cyclic classes hold every cyclic subgroup once, so their generator
+    counts and the identity sum to |W|.  With SET_CAP 3 a class above
+    the cap is walked on its ids without being registered."""
+    def fresh():
+        return (relabeled("A6", 3) if name == "A6 relabeled"
+                else CATALOG.get(name).build())
+
+    ref = fresh()
+    want = {q: zuppo_walk_rational_classes(ref, q)
+            for q in sorted(set(prime_factors(ref.order)))}
+    counts = scanned_cyclic_counts(ref)
+    monkeypatch.setattr(groups, "SET_CAP", set_cap)
+    W = fresh()
+    for q, pairs in want.items():
+        assert groups.rational_classes(W, q) == pairs
+    classes = groups._cyclic_classes(W)
+    assert 1 + sum(phi(d) * len(keys) for d, keys in classes) == W.order
+    got = {}
+    for d, keys in classes:
+        got[d] = got.get(d, 0) + len(keys)
+    assert got == counts
+    registered = {cls.rep.order for cls in W._sub_classes}
+    assert registered == {d for d, _ in classes if d <= set_cap}
+
+
+def test_rational_classes_of_l2_32_match_the_zuppo_walk():
+    """On L2(32), for q = 2, 3, 11 and 31, the pairs of the zuppo-list
+    walk, from cyclic classes whose counts sum to |L2(32)|."""
+    ref = CATALOG.get("L2(32)").build()
+    W = CATALOG.get("L2(32)").build()
+    for q in (2, 3, 11, 31):
+        assert groups.rational_classes(W, q) == \
+            zuppo_walk_rational_classes(ref, q)
+    classes = groups._cyclic_classes(W)
+    assert sorted((d, len(keys)) for d, keys in classes) == \
+        [(2, 1023), (3, 496), (11, 496), (31, 528), (33, 496)]
+    assert 1 + sum(phi(d) * len(keys) for d, keys in classes) == W.order
+
+
+def test_l2_32_class_search_lists_no_element_of_l2_32(monkeypatch):
+    """The class search of L2(32) builds neither the element list nor
+    the sorted list, and never makes the zuppo list."""
+    calls = []
+
+    def spied(G):
+        calls.append(G)
+        return zuppos(G)
+
+    monkeypatch.setattr(groups, "zuppos", spied)
+    monkeypatch.setattr(lattice, "zuppos", spied)
+    G = CATALOG.get("L2(32)").build()
+    assert len(subgroup_classes_search(G)) == 24
+    assert G._elements is None and G._sorted_elements is None
+    assert calls == []
+
+
 @pytest.mark.parametrize("name", ["S5", "GL2(3)"])
 def test_join_matches_a_fresh_subgroup(name):
     """<H, t> for every class representative H and a fixed sample of t,
@@ -709,9 +806,10 @@ def test_left_coset_closure_matches_the_right_coset_closure(G):
                                CATALOG.group("A6")],
                          ids=["S5", "GL2(3)", "A6"])
 def test_coset_keys_match_the_product_loop(G):
-    """The gathered coset key is the former min(mul(h, g) for h in H)
-    at random g, and coset_transversal is the one that key gives, for
-    every class representative H."""
+    """The chain coset key is constant on each coset Hg and lies in it,
+    H's key is the identity, and coset_transversal is the one that the
+    former key min(mul(h, g) for h in H) gives, for every class
+    representative H."""
     rng = random.Random(17)
     elems = G.sorted_elements()
     for H in all_subgroup_classes_brute(G):
@@ -720,9 +818,12 @@ def test_coset_keys_match_the_product_loop(G):
         def old_key(g):
             return min(mul(h, g) for h in helems)
 
-        key = groups._coset_key(H, [])
+        key = groups._coset_key(H)
+        assert key(G.identity) == G.identity
         for g in rng.sample(elems, 20):
-            assert key(g) == old_key(g)
+            k = key(g)
+            assert mul(k, inv(g)) in H
+            assert all(key(mul(h, g)) == k for h in helems)
         tree = orbit([G.identity], G.gens, lambda c, s: old_key(mul(c, s)))
         want = list(transversal(tree, G.gens, G.identity).values())
         assert groups.coset_transversal(G, H) == want
