@@ -10,7 +10,6 @@ a brute-force subgroup-lattice oracle used for cross-validation.
 from .groups import (
     PermGroup,
     Subgroup,
-    SeriesChain,
     composition_series,
     is_solvable,
     normalizer,
@@ -37,7 +36,7 @@ from .lattice import (
 from .catalog import CATALOG
 
 __all__ = [
-    "PermGroup", "Subgroup", "SeriesChain",
+    "PermGroup", "Subgroup",
     "composition_series", "is_solvable", "normalizer", "quotient_group",
     "ExtensionContext", "extend_classes", "extension_elements",
     "outer_classes", "split_inner_classes",

@@ -56,7 +56,7 @@ from .groups import (
     CapExceededError,
     NotSolvableError,
     PermGroup,
-    composition_steps,
+    composition_series,
     normalizer,
 )
 from .lattice import (
@@ -177,7 +177,7 @@ def _route(name: str, G: PermGroup, entry: CatalogEntry | None,
                     f"subgroup of {name}: {exc}")
             return Route("pattern", base.group, [G], pattern=base)
         try:
-            steps = composition_steps(G)
+            steps = composition_series(G)
         except NotSolvableError:
             steps = None
         if steps is not None:

@@ -60,10 +60,12 @@ the members asked for.
 Each group finds its classes of cyclic subgroups once, from a lazy
 walk of its elements that stops when the class equation over cyclic
 subgroups (the class lengths times phi of the orders, plus one, sum to
-the group order) certifies it complete; the rational classes of order
-q are those of order q, each represented by its least element.  No
-element list is built.  ``zuppos(G)``, the zuppos in order of first
-sight over the sorted elements, serves the oracle only.
+the group order) certifies it complete.  No element list is built.
+Both readers of cyclic subgroups take them from these classes: the
+rational classes of order q are the classes of order q, each
+represented by its least element, and ``zuppos(G)``, for the oracle,
+is the classes of prime-power order, each zuppo with its G-class, in
+order of least generator.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, repeat
-from math import gcd
+from math import gcd, lcm
 
 from .perms import (
     conj,
@@ -393,7 +395,6 @@ class PermGroup:
         self.chain = build_chain(self.gens, degree, order)
         self.order: int = _chain_order(self.chain)
         self._elements: list[tuple[int, ...]] | None = None
-        self._sorted_elements: list[tuple[int, ...]] | None = None
         self._zuppos: list | None = None    # zuppos(self), made on first use
         self._cyclic: list | None = None    # _cyclic_classes(self), likewise
         self._numbering: _Numbering | None = None   # made on first use
@@ -432,11 +433,6 @@ class PermGroup:
             self._elements = elems
         return self._elements
 
-    def sorted_elements(self) -> list[tuple[int, ...]]:
-        if self._sorted_elements is None:
-            self._sorted_elements = sorted(self.elements())
-        return self._sorted_elements
-
     # -- zuppo numbering ---------------------------------------------------
 
     def _num(self) -> "_Numbering":
@@ -466,28 +462,6 @@ class PermGroup:
         if ids is None or None in ids:
             ids = frozenset(map(num.number, elems))
         return ids - _NO_ZUPPOS
-
-    def index_set(self, elems) -> frozenset:
-        """The zuppo ids of the prime-power parts of the given elements
-        (a list, such as an incidence probe's [t]): a subset of the class
-        key of a subgroup exactly when all of them lie in it.  The
-        q-part of x, of order n = q^a m with m prime to q, is x^m."""
-        num, out = self._num(), set()
-        for x in elems:
-            powers = _powers(x, num.idn)
-            n = len(powers)
-            for q in set(prime_factors(n)):
-                m = n
-                while m % q == 0:
-                    m //= q
-                out.add(num.number(powers[m - 1]))
-        return frozenset(out)
-
-    def elements_of(self, key) -> frozenset:
-        """The elements of the subgroup with this class key: the closure
-        of its generators (``key_generators``)."""
-        return frozenset(close_elements(self.key_generators(key),
-                                        self.degree))
 
     def conj_index_set(self, idxs: frozenset, k: int) -> frozenset:
         """The zuppo ids of the conjugates Z^s, Z in idxs, s = gens[k];
@@ -601,6 +575,14 @@ class Subgroup:
                 counts[o] = counts.get(o, 0) + 1
             self._profile = tuple(sorted(counts.items()))
         return self._profile
+
+    def is_cyclic(self) -> bool:
+        """True iff the subgroup is cyclic, with no element scan: its
+        generators commute, and the lcm of their orders is its order."""
+        gens = self.gens
+        return lcm(*map(order_of, gens)) == self.order and all(
+            mul(x, y) == mul(y, x) for k, x in enumerate(gens)
+            for y in gens[:k])
 
     def is_subset_of(self, other: "Subgroup") -> bool:
         return all(g in other for g in self.gens)
@@ -796,16 +778,9 @@ class _SubClass:
     # Schreier tree of the class orbit: member key -> (parent key,
     # generator index); None at the root and at aliases of rep
     tree: dict = field(default_factory=dict)
-    # member key -> conjugator g with rep^g == member, for members asked for
-    known: dict = field(default_factory=dict)
     # Dress row of the class, built once by ``marks.dress_row``: (class id
     # of <U, a> -> number of cosets Ua of U in N(U), |N(U):U|)
     dress: tuple | None = None
-
-    def conjugator(self, key, gens) -> tuple[int, ...]:
-        """An element g with rep^g the member with this key: the product
-        of the generators along the tree path from the root."""
-        return path_product(self.tree, key, gens, self.known)
 
 
 def subgroup_class_id(G: PermGroup, H: Subgroup, key=None) -> int:
@@ -824,8 +799,7 @@ def subgroup_class_id(G: PermGroup, H: Subgroup, key=None) -> int:
         return _class_id_big(G, H, fp)
     cid = len(G._sub_classes)
     tree = orbit([fp], range(len(G.gens)), G.conj_index_set)
-    G._sub_classes.append(
-        _SubClass(rep=H, size=len(tree), tree=tree, known={fp: G.identity}))
+    G._sub_classes.append(_SubClass(rep=H, size=len(tree), tree=tree))
     G._sub_class_of.update(dict.fromkeys(tree, cid))
     return cid
 
@@ -833,24 +807,24 @@ def subgroup_class_id(G: PermGroup, H: Subgroup, key=None) -> int:
 def _class_id_big(G: PermGroup, H: Subgroup, fp) -> int:
     """Class id for subgroups above SET_CAP (generator keys per handle).
 
-    These are almost always normal at the scales this package targets;
-    a non-normal big subgroup would need a guarded orbit walk, which is
-    refused beyond a small bound.
+    A handle equal to the representative of a class above SET_CAP is an
+    alias key of that class.  Otherwise the subgroup must be normal,
+    and opens a class of length 1: a non-normal subgroup above SET_CAP
+    would need an orbit walk on generator keys, and every one is refused
+    with CapExceededError.
     """
     for cid, cls in enumerate(G._sub_classes):
         if cls.rep.order == H.order and cls.rep.order > SET_CAP:
             if H.same_subgroup(cls.rep):
                 G._sub_class_of[fp] = cid
                 cls.tree[fp] = None
-                cls.known[fp] = G.identity
                 return cid
     if not H.is_normal_in(G):
         raise CapExceededError(
             "conjugacy-class enumeration of a non-normal subgroup of order "
             f"{H.order} is above the element-set cap")
     cid = len(G._sub_classes)
-    cls = _SubClass(rep=H, size=1, tree={fp: None}, known={fp: G.identity})
-    G._sub_classes.append(cls)
+    G._sub_classes.append(_SubClass(rep=H, size=1, tree={fp: None}))
     G._sub_class_of[fp] = cid
     return cid
 
@@ -871,11 +845,12 @@ def are_conjugate_subgroups(G: PermGroup, H: Subgroup, K: Subgroup):
     ch = subgroup_class_id(G, H, kh)
     if ch != subgroup_class_id(G, K, kk):
         return None
-    cls = G._sub_classes[ch]
-    gh = cls.conjugator(kh, G.gens)
-    gk = cls.conjugator(kk, G.gens)
-    # rep^gh = H, rep^gk = K  =>  H^(gh^-1 gk) = K
-    return mul(inv(gh), gk)
+    # the products along the class tree from its root: rep^gh = H and
+    # rep^gk = K, so H^(gh^-1 gk) = K
+    tree = G._sub_classes[ch].tree
+    known = {key: G.identity for key, edge in tree.items() if edge is None}
+    gh = path_product(tree, kh, G.gens, known)
+    return mul(inv(gh), path_product(tree, kk, G.gens, known))
 
 
 def normalizer(G: PermGroup, H: Subgroup,
@@ -999,19 +974,23 @@ def quotient_group(N: PermGroup, H: Subgroup):
     return W, lift
 
 
-def zuppos(G: PermGroup) -> list[tuple[tuple[int, ...], int]]:
+def zuppos(G: PermGroup) -> list:
     """The zuppos of G, its cyclic subgroups of prime-power order, as
-    (x, z) pairs: z the zuppo's id in G's numbering
-    (``PermGroup.zuppo_id``) and x its least generator.  The pairs come
-    in order of first sight over the sorted elements; the list is made
-    once and cached on G."""
+    (x, z, zclass) triples: z the zuppo's id in G's numbering
+    (``PermGroup.zuppo_id``), x its least generator and zclass the ids
+    of its G-class, one tuple shared by the class.  They are read off
+    the certified cyclic classes (``_cyclic_classes``): a member of a
+    class of prime-power order d is keyed by the ids of its subgroups,
+    and its own id is the one of order d.  The triples come in order of
+    least generator; the list is made once and cached on G."""
     if G._zuppos is None:
-        num, out, seen = G._num(), [], {NO_ZUPPO}
-        for x in G.sorted_elements():
-            z = num.number(x)
-            if z not in seen:
-                seen.add(z)
-                out.append((x, z))
+        num, out = G._num(), []
+        for d, members in _cyclic_classes(G):
+            if len(set(prime_factors(d))) == 1:
+                zclass = tuple(next(z for z in key if num.size[z] == d)
+                               for key in members)
+                out += [(num.gen[z], z, zclass) for z in zclass]
+        out.sort()
         G._zuppos = out
     return G._zuppos
 
@@ -1139,32 +1118,21 @@ def is_solvable(G: PermGroup) -> bool:
         return False
 
 
-@dataclass
-class SeriesChain:
-    """A chain of prime-index normal steps from the trivial group to G."""
-    terms: list[Subgroup]
-    indices: list[int]
+def composition_series(G: PermGroup) -> list[PermGroup]:
+    """The groups of a composition series 1 = G_0 < G_1 < ... < G_n = G
+    above the trivial one, bottom up, with G itself at the top: each is
+    one extension step of prime index over the one before.
 
-    def __post_init__(self):
-        for a, b, p in zip(self.terms, self.terms[1:], self.indices):
-            if b.order != a.order * p:
-                raise RuntimeError(
-                    f"series step of index {b.order // a.order}, expected {p}")
-
-
-def composition_series(G: PermGroup) -> SeriesChain:
-    """Composition series 1 = G_0 < G_1 < ... < G_n = G with prime steps.
-
-    Built by refining the derived series: each abelian factor W is
-    peeled into prime-order steps (W's generators in order, smallest
-    primes first), and each step is the join of the term below with a
-    lifted element.  An element of W lies in the current term's image
-    exactly when its lift lies in the current term, which contains the
-    bottom of the factor.
+    Built by refining the derived series (which raises NotSolvableError
+    if G is not solvable): each abelian factor W is peeled into
+    prime-order steps (W's generators in order, smallest primes first),
+    and each step is the join of the term below with a lifted element.
+    An element of W lies in the current term's image exactly when its
+    lift lies in the current term, which contains the bottom of the
+    factor.
     """
-    dseries = derived_series(G)  # raises NotSolvableError if not solvable
+    dseries = derived_series(G)
     terms = [trivial_subgroup(G)]
-    indices: list[int] = []
     for step in range(len(dseries) - 1, 0, -1):
         # extend from dseries[step] up to dseries[step-1]
         bottom = terms[-1]
@@ -1186,17 +1154,9 @@ def composition_series(G: PermGroup) -> SeriesChain:
                 if new_term.order != terms[-1].order * p:
                     raise RuntimeError("prime refinement step failed")
                 terms.append(new_term)
-                indices.append(p)
         if terms[-1].order != top.order:
             raise RuntimeError("factor refinement incomplete")
     if terms[-1].order != G.order:
         raise RuntimeError("composition series does not reach the group")
-    return SeriesChain(terms=terms, indices=indices)
-
-
-def composition_steps(G: PermGroup) -> list[PermGroup]:
-    """The groups of a composition series above the trivial one, bottom
-    up, with G itself at the top: each is one extension step over the
-    one before.  Raises NotSolvableError if G is not solvable."""
     return [G if term.order == G.order else term.as_group()
-            for term in composition_series(G).terms[1:]]
+            for term in terms[1:]]

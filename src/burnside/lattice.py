@@ -6,8 +6,9 @@ extended by cyclic subgroups of prime-power order (zuppos) and
 deduplicated up to conjugacy.  A representative H is joined with one
 zuppo per orbit of its normalizer N on the zuppos outside H, since
 conjugate zuppos give conjugate joins.  The zuppos are the kernel's
-list (``groups.zuppos``), and the orbits are walked on the kernel's
-zuppo ids, which also key every subgroup class: a step conjugates the
+list (``groups.zuppos``), each with its G-class, which is the orbit for
+every H normal in G.  Other orbits are walked on the kernel's zuppo
+ids, which also key every subgroup class: a step conjugates the
 zuppo's least generator and looks up the id of the zuppo the image
 generates, one conjugation per step rather than one per element.  N
 comes from the kernel, so it is checked here to normalize H; when it
@@ -87,17 +88,11 @@ def all_subgroup_classes_brute(G: PermGroup,
     known = {subgroup_class_id(G, triv)}
     whole_known = False  # G's class is among the representatives
     zups = zuppos(G)
-    least = {z: x for x, z in zups}
+    least = {z: x for x, z, _ in zups}
 
     def act(z, c):   # conjugation on zuppo ids, c a map x -> x^g
         return G.zuppo_id(c(least[z]))
 
-    # zuppo id -> its class in G: the orbits for every H normal in G
-    zclass: dict = {}
-    for _, z in zups:
-        if z not in zclass:
-            cls = tuple(orbit([z], G.gen_conj(), act))
-            zclass.update(dict.fromkeys(cls, cls))
     qi = 0
     while qi < len(reps):
         H = reps[qi]
@@ -109,10 +104,11 @@ def all_subgroup_classes_brute(G: PermGroup,
             nconj = ([conj_by(g) for g in N.gens] if H.is_normal_in(N)
                      else ())
         seen: set = set()
-        for x, z in zups:
+        for x, z, zclass in zups:
             if x in helems or z in seen:
                 continue
-            seen.update(zclass[z] if normal else orbit([z], nconj, act))
+            # for H normal in G, the N-orbit of z is its G-class
+            seen.update(zclass if normal else orbit([z], nconj, act))
             gens = H.gens + (x,)
             elems = join_normalizing(helems, H.gens, x)
             if elems is None:

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from math import gcd, lcm
+from math import gcd
 
 from .extension import (
     ExtensionContext,
@@ -61,7 +61,7 @@ from .extension import (
 from .groups import (
     PermGroup,
     Subgroup,
-    composition_steps,
+    composition_series,
     coset_transversal,
     cyclic_joins,
     element_class_length,
@@ -70,7 +70,6 @@ from .groups import (
     trivial_subgroup,
     SET_CAP,
 )
-from .perms import mul, order_of
 
 # ---------------------------------------------------------------------------
 # pattern containers
@@ -164,10 +163,9 @@ def conjugates_containing(G: PermGroup, K: Subgroup, keys,
                           cid: int | None = None) -> list:
     """For each of ``keys``, the member keys of K's class tree in G that
     contain it: the conjugates of K holding it.  A key is the class key
-    ``G.subgroup_key(H)`` of a subgroup H, or ``G.index_set`` of some
-    elements (the zuppos of their prime-power parts); K's class is
-    looked up once for all of them, or not at all when the caller
-    passes its id ``cid``.
+    ``G.subgroup_key(H)`` of a subgroup H; K's class is looked up once
+    for all of them, or not at all when the caller passes its id
+    ``cid``.
 
     A K above SET_CAP is classified only when it is normal, and its tree
     may hold several alias keys of it; it is decided by containment,
@@ -309,11 +307,12 @@ def dress_row(S: PermGroup, cols: dict[int, int], cid: int, U: Subgroup,
 def incidence_probe(S: PermGroup, K: Subgroup, t: tuple[int, ...],
                     cid: int | None = None) -> list:
     """The class keys of the conjugates of K that contain t: the members
-    of K's class tree whose keys hold the zuppos of t's prime-power
-    parts (``conjugates_containing``; ``cid`` is K's class id, when
-    known).
+    of K's class tree whose keys hold the key of <t>, the zuppos of t's
+    prime-power parts (``conjugates_containing``; ``cid`` is K's class
+    id, when known).
     """
-    [members] = conjugates_containing(S, K, [S.index_set([t])], cid)
+    [members] = conjugates_containing(
+        S, K, [S.subgroup_key(Subgroup(S, [t]))], cid)
     return members
 
 
@@ -356,20 +355,15 @@ class MarksExtender:
         """Every element of A generates one cyclic subgroup, which has
         phi(|V|) generators, so a complete transversal of A's classes has
         sum phi(|V|) length(V) = |A| over its cyclic classes V (length in
-        S, which counts the p A-classes of a merged class).  A class V is
-        cyclic when its generators commute and the lcm of their orders
-        is |V|, with no element scan.  A missing non-cyclic class is not
-        seen here."""
+        S, which counts the p A-classes of a merged class), read with no
+        element scan (``Subgroup.is_cyclic``).  A missing non-cyclic
+        class is not seen here."""
         total = 0
         for c in self.inner:
             V = c.rep
-            gens = V.gens
-            if lcm(*map(order_of, gens)) != V.order or any(
-                    mul(x, y) != mul(y, x)
-                    for k, x in enumerate(gens) for y in gens[:k]):
-                continue
-            phi = sum(gcd(i, V.order) == 1 for i in range(V.order))
-            total += phi * (self.S.order // c.normalizer_order)
+            if V.is_cyclic():
+                phi = sum(gcd(i, V.order) == 1 for i in range(V.order))
+                total += phi * (self.S.order // c.normalizer_order)
         if total != self.ctx.A.order:
             raise InconsistentTableError(
                 f"the input's cyclic classes hold {total} elements of A, "
@@ -812,7 +806,7 @@ def solvable_pattern_chain(G: PermGroup) -> list[SubgroupPattern]:
     each step are re-sorted by ascending subgroup order.
     """
     chain = [trivial_pattern(G.degree)]
-    for S in composition_steps(G):
+    for S in composition_series(G):
         chain.append(extend_table_of_marks(chain[-1], S))
     return chain
 

@@ -4,6 +4,8 @@ Covers the families that show up in desk-scale tables: cyclic,
 elementary abelian, dihedral, (generalized) quaternion, a few named
 groups recognized by their element-order profile, and an elementary
 split extension p^k:Cq.  Everything else falls back to G<order>.
+Above SET_CAP no order profile is read: a cyclic group is C<order>
+(``Subgroup.is_cyclic``), and any other is named by its order alone.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ def subgroup_name(sub: Subgroup) -> str:
     if n == 1:
         return "1"
     if n > SET_CAP:
-        key = (n, None)
-        return _PROFILE_NAMES.get(key, f"G{n}")
+        if sub.is_cyclic():
+            return f"C{n}"
+        return _PROFILE_NAMES.get((n, None), f"G{n}")
     prof = dict(sub.order_profile())
     named = _PROFILE_NAMES.get((n, tuple(sorted(prof.items()))))
     if named:

@@ -150,14 +150,10 @@ def pattern_from_json(text: str, group: PermGroup) -> SubgroupPattern:
     return pattern_from_dict(doc, group)
 
 
-def class_labels(pattern: SubgroupPattern) -> list[str]:
-    return [subgroup_name(c.rep) for c in pattern.classes]
-
-
 def render_text(pattern: SubgroupPattern, name: str) -> str:
     """Text triangle: rows labeled name/H, zeros as dots, and a
     footer line with the class labels."""
-    labels = class_labels(pattern)
+    labels = [subgroup_name(c.rep) for c in pattern.classes]
     row_labels = [f"{name}/{lbl}" for lbl in labels]
     lw = max(len(r) for r in row_labels)
     cells = [[(str(v) if v else ".") for v in row] for row in pattern.rows]

@@ -12,7 +12,11 @@ import random
 
 from burnside import marks
 from burnside.catalog import CATALOG
-from burnside.groups import PermGroup, subgroup_class_id
+from burnside.groups import (
+    PermGroup,
+    close_elements,
+    subgroup_class_id,
+)
 from burnside.perms import conj
 
 FIG_A5 = [
@@ -110,3 +114,10 @@ def spy_dress_builds(monkeypatch) -> list:
 
     monkeypatch.setattr(marks, "_class_dress", counted)
     return built
+
+
+def key_elements(G, key):
+    """The elements of the subgroup with this class key of G: the
+    closure of a generator of each of its zuppos."""
+    return frozenset(close_elements(G.key_generators(key), G.degree))
+

@@ -24,7 +24,7 @@ from burnside.groups import (
     CapExceededError,
     PermGroup,
     Subgroup,
-    composition_steps,
+    composition_series,
     is_solvable,
     normalizer,
     subgroup_class_id,
@@ -266,7 +266,7 @@ def subgroup_classes_solvable(G):
     """Class transversal of a solvable G: the class step along a
     composition series, starting from the trivial group."""
     classes, A = [trivial_subgroup(G)], PermGroup([], G.degree)
-    for S in composition_steps(G):
+    for S in composition_series(G):
         classes = extend_classes(sort_class_reps(classes),
                                  ExtensionContext.create(S, A)).reps
         A = S
@@ -479,7 +479,7 @@ SOLVABLE = [entry.name for entry in CATALOG.entries.values()
 def test_class_step_normalizers_match_full_walks_on_chains(name, seed):
     G = relabeled(name, seed)
     A, classes = PermGroup([], G.degree), [trivial_subgroup(G)]
-    for S in composition_steps(G):
+    for S in composition_series(G):
         step, handed = spied_step(A, S, classes)
         check_against_full_walks(A, S, classes, step, handed)
         A, classes = S, sort_class_reps(step.reps)
@@ -644,7 +644,7 @@ def test_one_pass_class_step_matches_two_pass_on_chains(G, shapes):
     step, so V4 -> A4 and Q8 -> SL2(3) are steps with p = 3 and fusion."""
     A, classes = PermGroup([], G.degree), [trivial_subgroup(G)]
     seen = []
-    for S in composition_steps(G):
+    for S in composition_series(G):
         step = check_one_pass_step(A, S, classes)
         seen.append((S.order // A.order, len(step.inner.merged_classes)))
         A, classes = S, sort_class_reps(step.reps)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from fixtures import relabeled
+from fixtures import key_elements, relabeled
 
 import burnside
 from burnside import groups, lattice
@@ -245,21 +245,22 @@ def test_quotient_requires_normal(s4):
 
 
 def test_composition_series_s4(s4):
+    """The groups above the trivial one, bottom up, S4 itself on top;
+    each is normal of prime index in the next."""
     ser = composition_series(s4)
-    assert sorted(ser.indices) == [2, 2, 2, 3]
-    orders = [t.order for t in ser.terms]
-    assert orders[0] == 1 and orders[-1] == 24
-    for a, b, p in zip(ser.terms, ser.terms[1:], ser.indices):
-        assert b.order == a.order * p
-        assert p in (2, 3)
+    assert ser[-1] is s4
+    orders = [1] + [t.order for t in ser]
+    assert sorted(b // a for a, b in zip(orders, orders[1:])) == [2, 2, 2, 3]
+    for a, b in zip(ser, ser[1:]):
+        assert b.order // a.order in (2, 3)
         # normality of each step
         assert all(conj(x, g) in a for g in b.gens for x in a.gens)
 
 
 def test_composition_series_gl23(gl23):
     ser = composition_series(gl23)
-    assert ser.indices == [2, 2, 2, 3, 2]
-    assert [t.order for t in ser.terms] == [1, 2, 4, 8, 24, 48]
+    assert [t.order for t in ser] == [2, 4, 8, 24, 48]
+    assert ser[-1] is gl23
 
 
 @pytest.mark.parametrize("G", [CATALOG.group("GL2(3)"),
@@ -277,7 +278,7 @@ def test_composition_series_builds_every_term_by_a_join(G, monkeypatch):
 
     monkeypatch.setattr(groups, "close_elements", counted)
     ser = composition_series(G)
-    assert ser.terms[-1].order == G.order and not closures
+    assert ser[-1].order == G.order and not closures
 
 
 def test_not_solvable(a5):
@@ -437,7 +438,7 @@ def scanned_rational_classes(W, q, skip=None):
     orbit from the powers of its first element."""
     seen = set()
     out = []
-    for w in W.sorted_elements():
+    for w in sorted(W.elements()):
         if w in seen or order_of(w) != q:
             continue
         if skip is not None and skip(w):
@@ -518,12 +519,43 @@ def test_rational_classes_walk_subgroup_classes_only(name, monkeypatch):
     assert len(G._sub_classes) == classes and not walked
 
 
+def first_sight_zuppos(G):
+    """The former body of ``groups.zuppos``: (x, z) for each zuppo of G,
+    in order of first sight over the sorted elements, x the element of
+    first sight and z its id in G's numbering."""
+    out, seen = [], {groups.NO_ZUPPO}
+    for x in sorted(G.elements()):
+        z = G.zuppo_id(x)
+        if z not in seen:
+            seen.add(z)
+            out.append((x, z))
+    return out
+
+
+def orbit_zuppo_classes(G, pairs):
+    """The former zuppo-class loop of the oracle: zuppo id -> the ids of
+    its G-class, each class walked as an orbit on ids, a step
+    conjugating the zuppo's least generator (``pairs`` as
+    ``first_sight_zuppos`` gives them)."""
+    least = {z: x for x, z in pairs}
+
+    def act(z, c):
+        return G.zuppo_id(c(least[z]))
+
+    zclass = {}
+    for _, z in pairs:
+        if z not in zclass:
+            cls = tuple(orbit([z], G.gen_conj(), act))
+            zclass.update(dict.fromkeys(cls, cls))
+    return zclass
+
+
 def zuppo_walk_rational_classes(W, q):
     """The rational classes as the walk of W's zuppo list gave them: the
     first zuppo of order q not yet seen, in order of first sight over
     the sorted elements, reads the class of <x> and marks it seen."""
     size, seen, out = W._num().size, set(), []
-    for x, z in zuppos(W):
+    for x, z in first_sight_zuppos(W):
         if size[z] != q or z in seen:
             continue
         cyclic = Subgroup(W, [x], elems=groups._powers(x, W.identity))
@@ -598,8 +630,8 @@ def test_rational_classes_of_l2_32_match_the_zuppo_walk():
 
 
 def test_l2_32_class_search_lists_no_element_of_l2_32(monkeypatch):
-    """The class search of L2(32) builds neither the element list nor
-    the sorted list, and never makes the zuppo list."""
+    """The class search of L2(32) builds no element list and never
+    makes the zuppo list."""
     calls = []
 
     def spied(G):
@@ -610,7 +642,7 @@ def test_l2_32_class_search_lists_no_element_of_l2_32(monkeypatch):
     monkeypatch.setattr(lattice, "zuppos", spied)
     G = CATALOG.get("L2(32)").build()
     assert len(subgroup_classes_search(G)) == 24
-    assert G._elements is None and G._sorted_elements is None
+    assert G._elements is None
     assert calls == []
 
 
@@ -620,7 +652,7 @@ def test_join_matches_a_fresh_subgroup(name):
     normalizing or not: the generators H.gens + (t,), and the element
     set and order of the same subgroup built from scratch."""
     G = CATALOG.group(name)
-    sample = random.Random(5).sample(G.sorted_elements(), 12)
+    sample = random.Random(5).sample(sorted(G.elements()), 12)
     kinds = set()
     for H in all_subgroup_classes_brute(G):
         for t in sample:
@@ -635,13 +667,28 @@ def test_join_matches_a_fresh_subgroup(name):
     assert kinds == {True, False}
 
 
+@pytest.mark.parametrize("name", ["S5", "GL2(3)", "D12"])
+def test_is_cyclic_matches_an_element_of_full_order(name):
+    """A subgroup is cyclic exactly when one of its elements has its
+    order: for every class representative, given by its generators and
+    by all of its elements."""
+    G = CATALOG.group(name)
+    kinds = set()
+    for H in all_subgroup_classes_brute(G):
+        want = any(order_of(x) == H.order for x in H.elements())
+        assert H.is_cyclic() == want
+        assert Subgroup(G, sorted(H.elements())).is_cyclic() == want
+        kinds.add(want)
+    assert kinds == {True, False}
+
+
 def test_join_takes_the_coset_union_exactly_when_it_fits(monkeypatch):
     """The join of C2 with a 4-cycle squaring into it has order 4: with
     SET_CAP 5 it is the union of two cosets, with SET_CAP 3 it is known
     to be above the cap (|H| m = 4) and gets a stabilizer chain; neither
     runs a closure."""
     G = CATALOG.group("D8")
-    c4 = next(x for x in G.sorted_elements() if order_of(x) == 4)
+    c4 = next(x for x in sorted(G.elements()) if order_of(x) == 4)
     H = Subgroup(G, [mul(c4, c4)])
     closures = []
     real = groups.close_elements
@@ -720,7 +767,7 @@ def test_close_elements_matches_a_breadth_first_closure(name):
     by cosets from scratch and from H's element set, is the group the
     plain product closure finds."""
     G = CATALOG.group(name)
-    zups = [x for x, _ in zuppos(G)]
+    zups = [x for x, _, _ in zuppos(G)]
     for H in all_subgroup_classes_brute(G):
         for z in zups:
             gens = H.gens + (z,)
@@ -782,7 +829,7 @@ def test_left_coset_closure_matches_the_right_coset_closure(G):
     seeded random z, closed from scratch and from H's element set, and
     gives None at exactly the same caps."""
     rng = random.Random(13)
-    elems = G.sorted_elements()
+    elems = sorted(G.elements())
     for H in all_subgroup_classes_brute(G):
         for z in rng.sample(elems, 3):
             gens = H.gens + (z,)
@@ -811,7 +858,7 @@ def test_coset_keys_match_the_product_loop(G):
     former key min(mul(h, g) for h in H) gives, for every class
     representative H."""
     rng = random.Random(17)
-    elems = G.sorted_elements()
+    elems = sorted(G.elements())
     for H in all_subgroup_classes_brute(G):
         helems = sorted(H.elements())
 
@@ -876,9 +923,10 @@ def _full_walk_normalizer(G, H):
     if H.is_normal_in(G):
         return G.as_subgroup()
     cls = G._sub_classes[subgroup_class_id(G, H)]
-    g0inv = inv(cls.conjugator(G.subgroup_key(H), G.gens))
+    rep = transversal(cls.tree, G.gens, G.identity)
+    g0inv = inv(rep[G.subgroup_key(H)])
     gens = _chain_rebuild_stabilizer_gens(
-        G, cls.tree, lambda key: mul(g0inv, cls.conjugator(key, G.gens)),
+        G, cls.tree, lambda key: mul(g0inv, rep[key]),
         G.conj_index_set, G.order // cls.size, H.gens)
     return Subgroup(G, gens)
 
@@ -1065,7 +1113,8 @@ def test_zuppo_keys_are_canonical_ordered_and_conjugation_invariant(
     equal subgroups, inclusion of keys is inclusion of subgroups, a
     table conjugates a key as conjugation conjugates the subgroup, the
     closure of a key's generators is the subgroup, and an element t
-    lies in K exactly when the zuppos of its prime-power parts do."""
+    lies in K exactly when the key of <t>, the zuppos of its prime-power
+    parts, lies in K's key."""
     G = (relabeled("A6", 3) if name == "A6 relabeled"
          else CATALOG.get(name).build())
     subs = subgroups(G)
@@ -1077,13 +1126,13 @@ def test_zuppo_keys_are_canonical_ordered_and_conjugation_invariant(
         for k, s in enumerate(G.gens):
             assert G.conj_index_set(kh, k) == \
                 G.subgroup_key(H.conjugated(s))
-        assert G.elements_of(kh) == H.elements()
+        assert key_elements(G, kh) == H.elements()
     composite = [t for t in G.elements()
                  if len(set(prime_factors(order_of(t)))) > 1]
     # GL2(3) has elements of order 6; S4 and A6 have none
     assert bool(composite) == (name == "GL2(3)")
     for t in G.elements():
-        parts = G.index_set([t])
+        parts = G.subgroup_key(Subgroup(G, [t]))
         for K, kk in zip(subs, keys):
             assert (t in K) == (parts <= kk)
 
@@ -1093,7 +1142,7 @@ def scanned_zuppos(G):
     scan of the sorted elements: each new subgroup <x>, told apart by
     its element set, with its first generator x."""
     seen, out = set(), []
-    for x in G.sorted_elements():
+    for x in sorted(G.elements()):
         n = order_of(x)
         if len(set(prime_factors(n))) != 1:
             continue
@@ -1113,13 +1162,35 @@ def test_zuppo_list_matches_the_element_set_scan(G):
     the same function, and the list is made once."""
     zups = groups.zuppos(G)
     want = scanned_zuppos(G)
-    assert [x for x, _ in zups] == [x for x, _ in want]
-    assert len({z for _, z in zups}) == len(zups)
-    for (x, z), (_, elems) in zip(zups, want):
+    assert [x for x, _, _ in zups] == [x for x, _ in want]
+    assert len({z for _, z, _ in zups}) == len(zups)
+    for (x, z, _), (_, elems) in zip(zups, want):
         assert G.zuppo_id(x) == z
-        assert G.elements_of(frozenset([z])) == elems
+        assert key_elements(G, frozenset([z])) == elems
     assert lattice.zuppos is groups.zuppos
     assert groups.zuppos(G) is zups
+
+
+@pytest.mark.parametrize("set_cap", [groups.SET_CAP, 3])
+@pytest.mark.parametrize("name", SMALL_GROUPS + ["S6 relabeled"])
+def test_zuppos_match_the_first_sight_scan_and_the_orbit_loop(
+        name, set_cap, monkeypatch):
+    """The zuppos read off the certified cyclic classes, made first on
+    a fresh group, are the pairs of the former scan of the sorted
+    elements, in its order, and each carries the G-class that the
+    former orbit loop walks on ids, one tuple per class.  With SET_CAP
+    3 the classes above the cap are walked unregistered."""
+    monkeypatch.setattr(groups, "SET_CAP", set_cap)
+    G = (relabeled("S6", 5) if name == "S6 relabeled"
+         else CATALOG.get(name).build())
+    zups = groups.zuppos(G)
+    want = first_sight_zuppos(G)
+    assert [(x, z) for x, z, _ in zups] == want
+    zclass = orbit_zuppo_classes(G, want)
+    shared = {}
+    for _, z, cls in zups:
+        assert sorted(cls) == sorted(zclass[z])
+        assert shared.setdefault(frozenset(cls), cls) is cls
 
 
 def test_l2_32_class_search_fills_each_table_entry_once():

@@ -5,7 +5,12 @@ from dataclasses import dataclass
 
 import pytest
 
-from fixtures import A5_CLASS_ORDERS, FIG_A5, relabeled
+from fixtures import (
+    A5_CLASS_ORDERS,
+    FIG_A5,
+    key_elements,
+    relabeled,
+)
 
 from burnside import groups, lattice
 from burnside.catalog import CATALOG, abelian_group, cyclic_group
@@ -19,6 +24,7 @@ from burnside.groups import (
     normalizer,
     orbit,
     subgroup_class_id,
+    transversal,
     trivial_subgroup,
 )
 from burnside.lattice import (
@@ -60,11 +66,10 @@ def all_subgroups_brute(G: PermGroup, cap: int = DEFAULT_CAP) -> LatticeDump:
         cid = subgroup_class_id(G, rep)
         cls = G._sub_classes[cid]
         idxs = []
-        for key in cls.tree:
-            g = cls.conjugator(key, G.gens)
+        for key, g in transversal(cls.tree, G.gens, G.identity).items():
             idxs.append(len(subgroups))
             gens = tuple(conj(x, g) for x in cls.rep.gens)
-            subgroups.append(Subgroup(G, gens, elems=G.elements_of(key)))
+            subgroups.append(Subgroup(G, gens, elems=key_elements(G, key)))
         classes.append(idxs)
     return LatticeDump(subgroups=subgroups, classes=classes)
 
@@ -110,7 +115,7 @@ def test_idempotent_under_rejoin(s4):
     fps = {s.elements() for s in dump.subgroups}
     from burnside.groups import close_elements
     for sub in dump.subgroups[:12]:
-        for z, _ in zuppos(s4):
+        for z, _, _ in zuppos(s4):
             el = close_elements(sub.gens + (z,), 4, seed=sub.elements())
             assert frozenset(el) in fps
 
@@ -170,8 +175,8 @@ def test_subgroup_classes_search_matches_brute(s4, a5):
 
 
 def test_zuppos_prime_power_only(s4):
-    for x, z in zuppos(s4):
-        n = len(s4.elements_of(frozenset([z])))
+    for x, z, _ in zuppos(s4):
+        n = len(key_elements(s4, frozenset([z])))
         assert n in (2, 3, 4)
 
 
@@ -179,7 +184,7 @@ def zuppo_action(G):
     """The oracle's conjugation on G's zuppo ids: act(z, c) is the id of
     the zuppo that c, a map x -> x^g, maps zuppo z's least generator
     into."""
-    least = {z: x for x, z in zuppos(G)}
+    least = {z: x for x, z, _ in zuppos(G)}
     return lambda z, c: G.zuppo_id(c(least[z]))
 
 
@@ -202,7 +207,7 @@ def test_zuppo_orbits_on_numbers_match_element_set_orbits(G):
     """The orbits walked on zuppo ids are the orbits of the zuppo
     element sets under conjugation, for G and for the normalizer of
     every class representative."""
-    zel = {z: G.elements_of(frozenset([z])) for _, z in zuppos(G)}
+    zel = {z: key_elements(G, frozenset([z])) for _, z, _ in zuppos(G)}
     act = zuppo_action(G)
     actions = [G.gen_conj()] + [
         [conj_by(g) for g in normalizer(G, H).gens]
@@ -229,7 +234,7 @@ def full_zuppo_loop(G):
     known = {subgroup_class_id(G, triv)}
     zups = zuppos(G)
     for H in reps:
-        for x, _ in zups:
+        for x, _, _ in zups:
             if x in H:
                 continue
             gens = H.gens + (x,)
@@ -282,7 +287,7 @@ def uncapped_loop(G):
     zups = zuppos(G)
     act = zuppo_action(G)
     zclass: dict = {}
-    for _, z in zups:
+    for _, z, _ in zups:
         if z not in zclass:
             cls = tuple(orbit([z], G.gen_conj(), act))
             zclass.update(dict.fromkeys(cls, cls))
@@ -295,7 +300,7 @@ def uncapped_loop(G):
             nconj = ([conj_by(g) for g in N.gens] if H.is_normal_in(N)
                      else ())
         seen: set = set()
-        for x, z in zups:
+        for x, z, _ in zups:
             if x in helems or z in seen:
                 continue
             seen.update(zclass[z] if normal else orbit([z], nconj, act))

@@ -95,3 +95,65 @@ def test_every_imported_name_is_used():
         found += [f"{path.name}:{line} {name}"
                   for name, line in imported.items() if name not in used]
     assert SOURCES and not found, found
+
+
+PERFBENCH = Path(burnside.__file__).resolve().parents[2] / "perfbench"
+
+# public names kept with no caller in the package, each for a reason
+TEST_REFERENCES = {
+    # the plain dict of the frozen JSON schema: the tests compare
+    # pattern_to_json's text against json.dumps of it
+    "pattern_to_dict",
+    # every abelian group type of an order: the tests build the abelian
+    # groups of the property suite from it
+    "abelian_types",
+}
+
+
+def _definitions(tree):
+    """The module's public functions and classes and their public
+    methods, as AST nodes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+            if isinstance(node, ast.ClassDef):
+                yield from (d for d in node.body
+                            if isinstance(d, ast.FunctionDef))
+
+
+def _references(tree, strings=False):
+    """(name, line) of every name and attribute the module reads, and,
+    with ``strings``, of every string constant."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif (strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str)):
+            yield node.value, node.lineno
+
+
+def test_every_public_name_has_a_caller():
+    """A public function, class or method is named in the package
+    outside its own definition, exported in ``__all__``, or named by the
+    benchmark (``perfbench/``, whose tracer lists its spans as strings);
+    otherwise it is surface that only the tests keep.  The two names of
+    ``TEST_REFERENCES`` are kept as test references."""
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    outside = set(burnside.__all__) | TEST_REFERENCES
+    for path in sorted(PERFBENCH.glob("*.py")):
+        outside.update(name for name, _ in _references(
+            ast.parse(path.read_text(), str(path)), strings=True))
+    refs = {path: list(_references(tree)) for path, tree in trees.items()}
+    orphans = []
+    for path, tree in trees.items():
+        for node in _definitions(tree):
+            name = node.name
+            if name.startswith("_") or name in outside:
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(n == name and (p != path or line not in own)
+                       for p, pairs in refs.items() for n, line in pairs):
+                orphans.append(f"{path.name}:{node.lineno} {name}")
+    assert PERFBENCH.is_dir() and not orphans, orphans

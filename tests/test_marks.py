@@ -15,6 +15,7 @@ from fixtures import (
     FIG_A5,
     FIG_S5,
     GL23_PANELS,
+    key_elements,
     relabeled,
     spy_dress_builds,
 )
@@ -143,7 +144,7 @@ def test_mark_row_matches_each_cell(name, monkeypatch):
     assert not built
     monkeypatch.undo()
     rng = random.Random(f"conjugates of {name}")
-    elems = G.sorted_elements()
+    elems = sorted(G.elements())
 
     def moved(H, length):
         Hg = H.conjugated(rng.choice(elems))
@@ -685,7 +686,7 @@ def test_incidence_probe_self(s5):
     k = _sub(s5, "(1,2)")
     t = parse_cycles("(1,2)", 5)
     members = incidence_probe(s5, k, t)
-    assert [s5.elements_of(m) for m in members] == [k.elements()]
+    assert [key_elements(s5, m) for m in members] == [k.elements()]
 
 
 def test_incidence_probe_d8_s4(s4):
@@ -693,7 +694,7 @@ def test_incidence_probe_d8_s4(s4):
     t = parse_cycles("(1,3)", 4)
     members = incidence_probe(s4, d8, t)
     assert len(members) == 1
-    assert all(t in s4.elements_of(m) for m in members)
+    assert all(t in key_elements(s4, m) for m in members)
 
 
 def test_incidence_probe_empty(s5):
@@ -705,7 +706,7 @@ def test_incidence_probe_empty(s5):
 def _probe_mark(S, K, V, t):
     """|N(K):K| times the number of probe members (t in V) containing V."""
     hits = sum(1 for m in incidence_probe(S, K, t)
-               if V.elements() <= S.elements_of(m))
+               if V.elements() <= key_elements(S, m))
     return normalizer(S, K).order // K.order * hits
 
 
@@ -758,14 +759,14 @@ def _probe_by_centralizer_orbits(S, K, t, tclass):
 def test_incidence_probe_matches_centralizer_orbits(name, seed):
     G = relabeled(name, seed)
     classes, seen = {}, {G.identity}
-    for x in G.sorted_elements():
+    for x in sorted(G.elements()):
         if x not in seen:
             classes[x] = _element_class(G, x)
             seen |= classes[x]
     for K in all_subgroup_classes_brute(G):
         for t, tclass in classes.items():
             want = _probe_by_centralizer_orbits(G, K, t, tclass)
-            got = [G.elements_of(m) for m in incidence_probe(G, K, t)]
+            got = [key_elements(G, m) for m in incidence_probe(G, K, t)]
             assert len(got) == len(want) == len(set(want))
             assert set(got) == set(want)
         # every conjugate contains the identity
@@ -1190,7 +1191,7 @@ class _FilteredProbeExtender(MarksExtender):
             if best is None or est < best[0]:
                 best = (est, j, t)
         _, j0, t = best
-        members = [self.S.elements_of(m)
+        members = [key_elements(self.S, m)
                    for m in incidence_probe(self.S, K, t)]
         self.stats.probes += 1
         self.stats.max_probe = max(self.stats.max_probe, len(members))
@@ -1304,6 +1305,30 @@ def test_probe_estimate_counts_pairs_both_ways(name):
             conjugates = S.order // oc.normalizer_order
             assert len(tclass) * len(incidence_probe(S, K, t)) == \
                 meet * conjugates
+
+
+@pytest.mark.parametrize("name", ["S5", "S6"])
+def test_incidence_probe_is_the_conjugates_holding_t(name):
+    """For every outer generator t and outer K of the step, the probe
+    gives exactly the conjugates K^g that hold t, each once: the
+    conjugates are K's element set walked under conjugation, and t is
+    looked up in each.  The step to S6 still makes 4 probes, the largest
+    with 4 members."""
+    base, S = _reference_steps(name)[0]
+    ext = MarksExtender(base, S)
+    for oc in ext.outer:
+        conjugates = orbit([oc.rep.elements()], S.gens,
+                           lambda m, g: frozenset(conj(x, g) for x in m))
+        assert len(conjugates) == S.order // oc.normalizer_order
+        for oc_t in ext.outer:
+            t = oc_t.gen_element
+            got = [key_elements(S, m)
+                   for m in incidence_probe(S, oc.rep, t)]
+            assert len(got) == len(set(got))
+            assert set(got) == {m for m in conjugates if t in m}
+    stats = ext.solve().stats
+    if name == "S6":
+        assert (stats.probes, stats.max_probe) == (4, 4)
 
 
 def test_s7_from_the_a7_oracle_against_the_bench_row():

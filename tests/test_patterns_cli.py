@@ -17,12 +17,14 @@ from burnside import cli
 from burnside.catalog import CATALOG, abelian_group
 from burnside.extension import InconsistentTableError
 from burnside.cli import main
+from burnside.groups import PermGroup
 from burnside.lattice import DEFAULT_CAP, table_of_marks_brute
 from burnside.marks import (
     extend_table_of_marks,
     solvable_pattern_chain,
     trivial_pattern,
 )
+from burnside.naming import subgroup_name
 from burnside.patterns import (
     PatternFormatError,
     pattern_from_dict,
@@ -31,6 +33,7 @@ from burnside.patterns import (
     pattern_to_json,
     render_text,
 )
+from burnside.perms import parse_cycles
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -227,6 +230,43 @@ def test_cli_subgroups_l2_32_5_matches_golden():
     code, out = _capture(["subgroups", "L2(32):5"])
     assert code == 0
     assert out == (GOLDEN / "l2_32_5_subgroups.txt").read_text()
+
+
+def test_cli_names_a_cyclic_group_above_set_cap():
+    """Four disjoint cycles of lengths 5, 7, 11 and 13 generate C5005,
+    above SET_CAP, where no order profile is read: its name comes from
+    its commuting generators, and every subgroup is named C<order>."""
+    cycles = "".join(
+        "(" + ",".join(map(str, range(a, b))) + ")"
+        for a, b in ((1, 6), (6, 13), (13, 24), (24, 37)))
+    code, out = _capture(["subgroups", "36", "--gens", cycles])
+    assert code == 0
+    lines = [line.split() for line in out.splitlines()]
+    assert [words[2] for words in lines][-1] == "5005" and len(lines) == 16
+    assert [words[-1] for words in lines] == \
+        ["1"] + [f"C{words[2]}" for words in lines[1:]]
+
+
+def test_subgroup_names_above_set_cap():
+    """Above SET_CAP a cyclic group is C<order>, whatever its generators;
+    a group whose order is in the name table gets that name, and any
+    other group G<order>."""
+    def handle(degree, *cycles):
+        return PermGroup([parse_cycles(c, degree) for c in cycles],
+                         degree).as_subgroup()
+
+    def cycle(a, b):
+        return "(" + ",".join(map(str, range(a, b))) + ")"
+
+    c5005 = handle(36, cycle(1, 6) + cycle(6, 13),
+                   cycle(13, 24) + cycle(24, 37))
+    c71_2 = handle(142, cycle(1, 72), cycle(72, 143))
+    l2_32 = CATALOG.group("L2(32)").as_subgroup()
+    assert [H.order for H in (c5005, c71_2, l2_32)] == [5005, 5041, 32736]
+    assert [H.is_cyclic() for H in (c5005, c71_2, l2_32)] == \
+        [True, False, False]
+    assert [subgroup_name(H) for H in (c5005, c71_2, l2_32)] == \
+        ["C5005", "G5041", "L2(32)"]
 
 
 def test_cli_inconsistent_step_exits_4(monkeypatch, capsys):
