@@ -52,7 +52,7 @@ from .groups import (
     rational_classes,
     subgroup_class_id,
 )
-from .perms import mul, order_of, power
+from .perms import order_of, power
 
 
 class InconsistentTableError(RuntimeError):
@@ -128,9 +128,11 @@ def split_inner_classes(a_classes: list[Subgroup],
 
     Each representative is keyed to its A-class id once.  A class is
     stable (kept as-is, |N_S(H)| = p |N_A(H)|) when H^t lies in H's
-    A-class: one conjugation by t.  Otherwise the A-classes of H^(t^k),
-    0 <= k < p, merge into one S-class with |N_S(H)| = |N_A(H)|, found
-    by p - 1 conjugations of its first member.  Two conjugate
+    A-class: one conjugation by t of H's key in A's numbering
+    (``PermGroup.conjugate_key``), looked up among A's classes.
+    Otherwise the A-classes of H^(t^k), 0 <= k < p, merge into one
+    S-class with |N_S(H)| = |N_A(H)|, found by p - 1 conjugations of
+    its first member's key.  Two conjugate
     representatives, or a transversal that misses a merged partner,
     raise InconsistentTableError.
     """
@@ -138,7 +140,8 @@ def split_inner_classes(a_classes: list[Subgroup],
     for H in a_classes:
         if not all(A.contains(g) for g in H.gens):
             raise ValueError("input class representative not inside A")
-    cids = [subgroup_class_id(A, H) for H in a_classes]
+    keys = [A.subgroup_key(H) for H in a_classes]
+    cids = [subgroup_class_id(A, H, key) for H, key in zip(a_classes, keys)]
     index_of: dict[int, int] = {}
     for i, cid in enumerate(cids):
         j = index_of.setdefault(cid, i)
@@ -151,15 +154,15 @@ def split_inner_classes(a_classes: list[Subgroup],
     for i, H in enumerate(a_classes):
         if i in assigned:
             continue
-        partners, g = [i], ctx.t
+        partners, key = [i], keys[i]
         for _ in range(p - 1):
-            j = index_of.get(subgroup_class_id(A, H.conjugated(g)))
-            if j == i:   # at g = t only: t fixes H's A-class
+            key = A.conjugate_key(key, ctx.t)   # the key of H^(t^k)
+            j = index_of.get(A._sub_class_of.get(key))
+            if j == i:   # at k = 1 only: t fixes H's A-class
                 break
             if j is None:
                 raise InconsistentTableError("inconsistent class fusion")
             partners.append(j)
-            g = mul(g, ctx.t)
         assigned.update(partners)
         order = A.order // A._sub_classes[cids[i]].size   # |N_A(H)|
         classes.append(InnerClass(

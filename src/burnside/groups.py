@@ -5,9 +5,9 @@ Groups are given by generators.  A deterministic Schreier-Sims chain
 order) backs order and membership, so every computation in the package
 is reproducible run to run.  Each level keeps its transversal and the
 inverses of its elements.  A caller that knows the group order exactly
-(a handle with an element set, the regular quotient N/H, a conjugate
-above SET_CAP) passes it, and Schreier-Sims stops once the orbit
-lengths multiply to it, with the chain of the full run.
+(a handle with an element set, the regular quotient N/H, a cyclic
+class representative above SET_CAP) passes it, and Schreier-Sims stops
+once the orbit lengths multiply to it, with the chain of the full run.
 
 Every orbit is walked by one helper, ``orbit(seeds, gens, act)``: a
 breadth-first walk that returns the Schreier tree in discovery order
@@ -21,10 +21,11 @@ gives its transversal; a coset Hg is keyed by the element of it with
 the least base images along H's stabilizer chain, one gather a level.
 
 A subgroup handle carries its generators, its degree and, whenever
-the order is at most SET_CAP, its element set; it belongs to no
-ambient group.  The group that classifies a handle keys it in its own
-numbering (``PermGroup.subgroup_key``), so one handle can be classified
-in A and in an overgroup S alike.  Conjugacy of subgroups is resolved
+the order is at most SET_CAP, its element set; SET_CAP caps element
+sets and nothing else.  A handle belongs to no ambient group.  The
+group that classifies a handle keys it in its own numbering
+(``PermGroup.subgroup_key``), so one handle can be classified in A and
+in an overgroup S alike.  Conjugacy of subgroups is resolved
 by orbit enumeration with per-class caches stored on that group.
 A normalizer walks H's class from H only until its Schreier
 generators, joined to H one at a time, span its order; a caller that
@@ -46,12 +47,14 @@ demand by conjugating one generator of the zuppo through the
 generator's inverse, which is computed once (``perms.conj_by``); an
 involution's table fills the entries of Z and Z^s together.  Id values
 and class-id order depend on what was seen first and have no effect on
-any output.  The class key of a subgroup of order at most SET_CAP is
-the frozenset of the ids of its zuppos in the classifying group's
-numbering.  It is canonical (a subgroup is generated by its zuppos,
-since each element is a product of powers of itself of prime-power
-order), it commutes with conjugation, and H <= K exactly when key(H) is
-a subset of key(K).  So a step of a class orbit walk is one table
+any output.  The class key of a subgroup, at every order, is the
+frozenset of the ids of its zuppos in the classifying group's
+numbering: read off its element set up to SET_CAP, and above it off
+its own certified cyclic classes, mapped through one generator per
+zuppo.  It is canonical (a subgroup is generated by its zuppos, since
+each element is a product of powers of itself of prime-power order),
+it commutes with conjugation, and H <= K exactly when key(H) is a
+subset of key(K).  So a step of a class orbit walk is one table
 gather per zuppo instead of a permutation conjugation per element.  A
 class stores its orbit as a Schreier tree (member key -> parent key and
 generator index), and conjugating elements are multiplied out only for
@@ -60,12 +63,14 @@ the members asked for.
 Each group finds its classes of cyclic subgroups once, from a lazy
 walk of its elements that stops when the class equation over cyclic
 subgroups (the class lengths times phi of the orders, plus one, sum to
-the group order) certifies it complete.  No element list is built.
-Both readers of cyclic subgroups take them from these classes: the
-rational classes of order q are the classes of order q, each
-represented by its least element, and ``zuppos(G)``, for the oracle,
-is the classes of prime-power order, each zuppo with its G-class, in
-order of least generator.
+the group order) certifies it complete.  No element list is built,
+and each class is registered as a subgroup class of the group.  Every
+reader of cyclic subgroups takes them from these classes: the rational
+classes of order q are the classes of order q, each represented by its
+least element; ``zuppos(G)``, for the oracle, is the classes of
+prime-power order, each zuppo with its G-class, in order of least
+generator; and the key of a subgroup above SET_CAP is the union of its
+member keys.
 """
 
 from __future__ import annotations
@@ -479,28 +484,36 @@ class PermGroup:
                     tab[j] = i
         return frozenset(map(tab.__getitem__, idxs))
 
-    def subgroup_key(self, H: "Subgroup"):
-        """Hashable class key of a subgroup handle in this group: the
-        zuppo ids of its elements in this group's numbering
-        (``elements_key``) when the order is at most SET_CAP.  Keys
-        commute with conjugation, and H <= K exactly when key(H) is a
-        subset of key(K).
+    def subgroup_key(self, H: "Subgroup") -> frozenset:
+        """The class key of a subgroup handle in this group: the ids of
+        its zuppos in this group's numbering.  Keys commute with
+        conjugation, and H <= K exactly when key(H) is a subset of
+        key(K).
 
-        Bigger subgroups get a key from their order and generators,
-        which is only unique per handle; class identification treats
-        them separately.
+        Up to SET_CAP they are read off H's element set
+        (``elements_key``).  Above it they are the union of the member
+        keys of H's certified cyclic classes (``_cyclic_classes``) of
+        prime-power order, which hold every zuppo, each mapped into
+        this group's numbering through its generator; the whole group
+        takes its own classes, unmapped.
         """
         if H.order <= SET_CAP:
             return self.elements_key(H.elements())
-        return ("big", H.order, tuple(sorted(H.gens)))
+        own = self if H.order == self.order else H.as_group()
+        ids = frozenset().union(*(key for d, members in _cyclic_classes(own)
+                                  if len(set(prime_factors(d))) == 1
+                                  for key in members))
+        if own is self:
+            return ids
+        gen, number = own._num().gen, self._num().number
+        return frozenset(number(gen[z]) for z in ids)
 
-    def key_generators(self, key):
-        """Elements that generate the subgroup with this class key: a
-        generator of each of its zuppos for a set of zuppo ids, its
-        generators for a key above SET_CAP."""
-        if isinstance(key, tuple):
-            return key[2]
-        return list(map(self._num().gen.__getitem__, key))
+    def conjugate_key(self, key: frozenset, g: tuple[int, ...]) -> frozenset:
+        """The class key of H^g for the subgroup H of this class key, g
+        normalizing this group: the id of the conjugate by g of one
+        generator of each zuppo."""
+        num, c = self._num(), conj_by(g)
+        return frozenset(num.number(c(num.gen[z])) for z in key)
 
     def as_subgroup(self) -> "Subgroup":
         """The whole group as a subgroup handle, on this group's chain
@@ -576,13 +589,17 @@ class Subgroup:
             self._profile = tuple(sorted(counts.items()))
         return self._profile
 
-    def is_cyclic(self) -> bool:
-        """True iff the subgroup is cyclic, with no element scan: its
-        generators commute, and the lcm of their orders is its order."""
+    def is_abelian(self) -> bool:
+        """True iff the subgroup is abelian: its generators commute."""
         gens = self.gens
-        return lcm(*map(order_of, gens)) == self.order and all(
-            mul(x, y) == mul(y, x) for k, x in enumerate(gens)
-            for y in gens[:k])
+        return all(mul(x, y) == mul(y, x) for k, x in enumerate(gens)
+                   for y in gens[:k])
+
+    def is_cyclic(self) -> bool:
+        """True iff the subgroup is cyclic, with no element scan: it is
+        abelian, and the lcm of its generators' orders is its order."""
+        return (lcm(*map(order_of, self.gens)) == self.order
+                and self.is_abelian())
 
     def is_subset_of(self, other: "Subgroup") -> bool:
         return all(g in other for g in self.gens)
@@ -590,13 +607,6 @@ class Subgroup:
     def same_subgroup(self, other: "Subgroup") -> bool:
         return (self.order == other.order
                 and self.is_subset_of(other))
-
-    def conjugated(self, g: tuple[int, ...]) -> "Subgroup":
-        c = conj_by(g)
-        gens = [c(x) for x in self.gens]
-        if self.order <= SET_CAP:
-            return Subgroup(self, gens, elems=map(c, self.elements()))
-        return PermGroup(gens, self.degree, self.order).as_subgroup()
 
     def join(self, t: tuple[int, ...]) -> "Subgroup":
         """<H, t>, generated by H.gens + (t,).  When t normalizes H, and
@@ -776,7 +786,7 @@ class _SubClass:
     rep: Subgroup
     size: int
     # Schreier tree of the class orbit: member key -> (parent key,
-    # generator index); None at the root and at aliases of rep
+    # generator index); None at the root, rep's key
     tree: dict = field(default_factory=dict)
     # Dress row of the class, built once by ``marks.dress_row``: (class id
     # of <U, a> -> number of cosets Ua of U in N(U), |N(U):U|)
@@ -788,44 +798,18 @@ def subgroup_class_id(G: PermGroup, H: Subgroup, key=None) -> int:
 
     The whole class orbit is cached on G, so later identifications of
     any member are dictionary lookups.  Each orbit step conjugates a
-    member's zuppo set by one generator through its conjugation table.
-    ``key`` is H's ``G.subgroup_key``, for a caller that already has it.
+    member's zuppo set by one generator through its conjugation table,
+    at every order.  ``key`` is H's ``G.subgroup_key``, for a caller
+    that already has it.
     """
     fp = G.subgroup_key(H) if key is None else key
     cid = G._sub_class_of.get(fp)
     if cid is not None:
         return cid
-    if H.order > SET_CAP:
-        return _class_id_big(G, H, fp)
     cid = len(G._sub_classes)
     tree = orbit([fp], range(len(G.gens)), G.conj_index_set)
     G._sub_classes.append(_SubClass(rep=H, size=len(tree), tree=tree))
     G._sub_class_of.update(dict.fromkeys(tree, cid))
-    return cid
-
-
-def _class_id_big(G: PermGroup, H: Subgroup, fp) -> int:
-    """Class id for subgroups above SET_CAP (generator keys per handle).
-
-    A handle equal to the representative of a class above SET_CAP is an
-    alias key of that class.  Otherwise the subgroup must be normal,
-    and opens a class of length 1: a non-normal subgroup above SET_CAP
-    would need an orbit walk on generator keys, and every one is refused
-    with CapExceededError.
-    """
-    for cid, cls in enumerate(G._sub_classes):
-        if cls.rep.order == H.order and cls.rep.order > SET_CAP:
-            if H.same_subgroup(cls.rep):
-                G._sub_class_of[fp] = cid
-                cls.tree[fp] = None
-                return cid
-    if not H.is_normal_in(G):
-        raise CapExceededError(
-            "conjugacy-class enumeration of a non-normal subgroup of order "
-            f"{H.order} is above the element-set cap")
-    cid = len(G._sub_classes)
-    G._sub_classes.append(_SubClass(rep=H, size=1, tree={fp: None}))
-    G._sub_class_of[fp] = cid
     return cid
 
 
@@ -848,7 +832,7 @@ def are_conjugate_subgroups(G: PermGroup, H: Subgroup, K: Subgroup):
     # the products along the class tree from its root: rep^gh = H and
     # rep^gk = K, so H^(gh^-1 gk) = K
     tree = G._sub_classes[ch].tree
-    known = {key: G.identity for key, edge in tree.items() if edge is None}
+    known = {next(iter(tree)): G.identity}   # the root
     gh = path_product(tree, kh, G.gens, known)
     return mul(inv(gh), path_product(tree, kk, G.gens, known))
 
@@ -862,28 +846,25 @@ def normalizer(G: PermGroup, H: Subgroup,
     (``_stabilizer_from_orbit``) until the normalizer has ``order``; an
     element is multiplied out only for the members the walk visits.
     Without ``order`` it is |G| over H's class length, from G's class
-    cache; a caller that passes it leaves that cache alone.  A
-    non-normal subgroup above SET_CAP is refused by the class walk.
+    cache; a caller that passes it leaves that cache alone.  A normal H
+    is answered before it is keyed, so no key is made for it.
     """
+    if not all(g in G for g in H.gens):
+        raise ValueError("subgroup not inside the group")
+    if H.is_normal_in(G):
+        return G.as_subgroup()
     fp = G.subgroup_key(H)
     cached = G._normalizers.get(fp)
     if cached is not None:
         return cached
-    if not all(g in G for g in H.gens):
-        raise ValueError("subgroup not inside the group")
-    if H.is_normal_in(G):
-        result = G.as_subgroup()
-    else:
-        if order is None or H.order > SET_CAP:
-            # H's class length; the class walk refuses a big H (not
-            # normal here) with CapExceededError
-            cid = subgroup_class_id(G, H, fp)
-            order = G.order // G._sub_classes[cid].size
-        tree, known = {fp: None}, {fp: G.identity}
-        result = _stabilizer_from_orbit(
-            G, H, orbit_walk(tree, range(len(G.gens)), G.conj_index_set),
-            lambda key: path_product(tree, key, G.gens, known),
-            G.conj_index_set, order)
+    if order is None:
+        # H's class length
+        order = G.order // G._sub_classes[subgroup_class_id(G, H, fp)].size
+    tree, known = {fp: None}, {fp: G.identity}
+    result = _stabilizer_from_orbit(
+        G, H, orbit_walk(tree, range(len(G.gens)), G.conj_index_set),
+        lambda key: path_product(tree, key, G.gens, known),
+        G.conj_index_set, order)
     G._normalizers[fp] = result
     return result
 
@@ -1002,8 +983,8 @@ def _cyclic_classes(W: PermGroup) -> list:
     subgroup of <x> in no class seen, keyed by its zuppo ids.  Every
     element generates one cyclic subgroup, and each member of a class of
     order d has phi(d) generators, so the walk is complete once those
-    counts and the identity sum to |W|.  A class up to SET_CAP is W's
-    subgroup class; one above is walked on its ids, unregistered."""
+    counts and the identity sum to |W|.  Each class is W's subgroup
+    class, its representative holding an element set up to SET_CAP."""
     if W._cyclic is None:
         idn, out, seen, done, count = W.identity, [], set(), set(), 1
         for x in _chain_elements(W.chain, W.degree):
@@ -1013,18 +994,18 @@ def _cyclic_classes(W: PermGroup) -> list:
                 continue
             powers = _powers(x, idn)
             done.update(powers)
+            # with <x> seen, so is each subgroup of it: its class opened
+            # along with the subgroups of a conjugate of <x>
+            if W.elements_key(powers) in seen:
+                continue
             for first, d, _, positions in _cyclic_layout(len(powers))[1:]:
                 elems = powers[first::first + 1]
                 key = W.elements_key(elems)
                 if key in seen:
                     continue
-                if d <= SET_CAP:
-                    cid = subgroup_class_id(
-                        W, Subgroup(W, [elems[0]], elems=elems), key)
-                    members = W._sub_classes[cid].tree
-                else:
-                    members = orbit([key], range(len(W.gens)),
-                                    W.conj_index_set)
+                rep = (Subgroup(W, [elems[0]], elems=elems) if d <= SET_CAP
+                       else PermGroup([elems[0]], W.degree, d).as_subgroup())
+                members = W._sub_classes[subgroup_class_id(W, rep, key)].tree
                 seen.update(members)
                 count += len(positions) * len(members)
                 out.append((d, members))

@@ -46,7 +46,6 @@ from .groups import (
     subgroup_class_id,
     trivial_subgroup,
     zuppos,
-    SET_CAP,
 )
 from .marks import (
     ConjugateDuplicatesError,
@@ -120,9 +119,8 @@ def all_subgroup_classes_brute(G: PermGroup,
                         continue
                     whole_known = True
                     elems = G.elements()
-            # the class key G.subgroup_key(K) up to SET_CAP; above it the
-            # key comes from the handle
-            key = G.elements_key(elems) if len(elems) <= SET_CAP else None
+            # the class key G.subgroup_key(K), read off the elements
+            key = G.elements_key(elems)
             if G._sub_class_of.get(key) in known:
                 continue
             K = Subgroup(G, gens, elems=elems)

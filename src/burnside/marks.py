@@ -165,22 +165,13 @@ def conjugates_containing(G: PermGroup, K: Subgroup, keys,
     contain it: the conjugates of K holding it.  A key is the class key
     ``G.subgroup_key(H)`` of a subgroup H; K's class is looked up once
     for all of them, or not at all when the caller passes its id
-    ``cid``.
-
-    A K above SET_CAP is classified only when it is normal, and its tree
-    may hold several alias keys of it; it is decided by containment,
-    as its own key or none.
+    ``cid``.  Keys are zuppo sets at every order, so a conjugate holds
+    H exactly when its key holds H's.
     """
     if cid is None:
         cid = subgroup_class_id(G, K)
     tree = G._sub_classes[cid].tree
-    if K.order <= SET_CAP:
-        # a key above SET_CAP is no zuppo set and fits in no conjugate
-        return [[m for m in tree if key <= m]
-                if isinstance(key, frozenset) else [] for key in keys]
-    own = [G.subgroup_key(K)]
-    return [own if all(g in K for g in G.key_generators(key)) else []
-            for key in keys]
+    return [[m for m in tree if key <= m] for key in keys]
 
 
 def mark_row(G: PermGroup, K: Subgroup, keys,
@@ -261,11 +252,12 @@ def _class_dress(S: PermGroup, U: Subgroup) -> tuple[dict[int, int], int]:
     (``groups.cyclic_joins``), and the cosets generating it are counted
     toward its class.  A U above SET_CAP has at most |S|/SET_CAP cosets
     in N(U), while N(U)'s elements would cost a walk of |N(U)|; it is
-    joined once per coset of a transversal.
+    joined once per coset of a transversal but the first, U itself.
     """
     N = normalizer(S, U)
     if U.order > SET_CAP:
-        joins = ((U.join(a), 1) for a in coset_transversal(N.as_group(), U))
+        joins = [(U, 1)] + [(U.join(a), 1) for a in
+                            coset_transversal(N.as_group(), U)[1:]]
     else:
         joins = cyclic_joins(N, U)
     counts: dict[int, int] = {}

@@ -5,7 +5,8 @@ elementary abelian, dihedral, (generalized) quaternion, a few named
 groups recognized by their element-order profile, and an elementary
 split extension p^k:Cq.  Everything else falls back to G<order>.
 Above SET_CAP no order profile is read: a cyclic group is C<order>
-(``Subgroup.is_cyclic``), and any other is named by its order alone.
+(``Subgroup.is_cyclic``), another abelian one G<order>, and a
+non-abelian one is named by its order alone.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ def subgroup_name(sub: Subgroup) -> str:
     if n > SET_CAP:
         if sub.is_cyclic():
             return f"C{n}"
+        if sub.is_abelian():
+            return f"G{n}"
         return _PROFILE_NAMES.get((n, None), f"G{n}")
     prof = dict(sub.order_profile())
     named = _PROFILE_NAMES.get((n, tuple(sorted(prof.items()))))

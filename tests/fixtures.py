@@ -5,19 +5,22 @@ in its original layout (classes in PAPER_S5_ORDER).  GL23_PANELS are
 the intermediate tables along the composition series
 1 < 2 < 4 < Q8 < SL2(3) < GL2(3).  ``relabeled`` makes seeded copies of
 catalog groups on renamed points; ``spy_dress_builds`` records the Dress
-rows built.
+rows built.  ``conjugated`` and ``key_generators`` are reference
+helpers: a conjugate handle built from scratch, and the generators of
+a class key, for checking the kernel's key arithmetic against them.
 """
 
 import random
 
-from burnside import marks
+from burnside import groups, marks
 from burnside.catalog import CATALOG
 from burnside.groups import (
     PermGroup,
+    Subgroup,
     close_elements,
     subgroup_class_id,
 )
-from burnside.perms import conj
+from burnside.perms import conj, conj_by
 
 FIG_A5 = [
     [60],
@@ -116,8 +119,25 @@ def spy_dress_builds(monkeypatch) -> list:
     return built
 
 
+def conjugated(H, g):
+    """H^g as a fresh handle: H's generators and, up to SET_CAP, its
+    elements conjugated by g; above SET_CAP, a group of H's order on the
+    conjugated generators."""
+    c = conj_by(g)
+    gens = [c(x) for x in H.gens]
+    if H.order <= groups.SET_CAP:
+        return Subgroup(H, gens, elems=map(c, H.elements()))
+    return PermGroup(gens, H.degree, H.order).as_subgroup()
+
+
+def key_generators(G, key):
+    """Elements that generate the subgroup with this class key of G: a
+    generator of each of its zuppos."""
+    return [G._num().gen[z] for z in key]
+
+
 def key_elements(G, key):
     """The elements of the subgroup with this class key of G: the
     closure of a generator of each of its zuppos."""
-    return frozenset(close_elements(G.key_generators(key), G.degree))
+    return frozenset(close_elements(key_generators(G, key), G.degree))
 

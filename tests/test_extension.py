@@ -5,7 +5,7 @@ import dataclasses
 
 import pytest
 
-from fixtures import relabeled
+from fixtures import conjugated, relabeled
 
 from burnside import extension, groups
 from burnside.catalog import CATALOG, abelian_group, dihedral_group
@@ -79,7 +79,7 @@ def test_split_inner_a5(s5_ctx, a5_classes):
 def test_a4_s4_step_above_a_small_cap_gets_every_closure_back(
         s4, a4, monkeypatch):
     """With SET_CAP 8, A4 itself is above the cap: the step conjugates
-    it and joins it to S4 by a chain, so no closure of the step comes
+    its key and joins it to S4 by a chain, so no closure of the step comes
     back empty, and the 11 classes of S4 come out."""
     a_classes = all_subgroup_classes_brute(PermGroup(a4.gens, a4.degree))
     results = []
@@ -532,7 +532,7 @@ def two_pass_inner_normalizer_order(ctx, H):
     A = ctx.A
     cid = subgroup_class_id(A, H)
     order = A.order // A._sub_classes[cid].size
-    if subgroup_class_id(A, H.conjugated(ctx.t)) == cid:
+    if subgroup_class_id(A, conjugated(H, ctx.t)) == cid:
         return True, ctx.p * order
     return False, order
 
@@ -555,7 +555,7 @@ def two_pass_split(a_classes, ctx):
         partners = [i]
         g = ctx.t
         for _ in range(p - 1):
-            cid = subgroup_class_id(A, H.conjugated(g))
+            cid = subgroup_class_id(A, conjugated(H, g))
             j = a_cid_of.get(cid)
             if j is None or j in assigned or j in partners:
                 raise InconsistentTableError("inconsistent class fusion")
@@ -609,23 +609,37 @@ def step_fields(step):
 
 
 def counted_step(A, S, a_classes):
-    """The class step, and the number of Subgroup.conjugated calls it
-    makes."""
+    """The class step, and the number of key conjugations
+    (``PermGroup.conjugate_key``) it makes."""
     calls = []
-    real = Subgroup.conjugated
+    real = PermGroup.conjugate_key
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(Subgroup, "conjugated",
-                  lambda H, g: calls.append(g) or real(H, g))
+        m.setattr(PermGroup, "conjugate_key",
+                  lambda G, key, g: calls.append(g) or real(G, key, g))
         step = extend_classes(a_classes, ExtensionContext.create(S, A))
     return step, len(calls)
 
 
+def check_key_conjugation(ctx, a_classes):
+    """For every A-class representative H and every t^k, 0 < k < p, the
+    key conjugation in A's numbering gives the key of the handle H^(t^k)
+    built from scratch."""
+    A, g = ctx.A, ctx.t
+    for _ in range(ctx.p - 1):
+        for H in a_classes:
+            assert A.conjugate_key(A.subgroup_key(H), g) == \
+                A.subgroup_key(conjugated(H, g))
+        g = mul(g, ctx.t)
+
+
 def check_one_pass_step(A, S, a_classes):
     """The step equals the two-pass step field by field, in order, and
-    conjugates once per stable class and p - 1 times per merged one."""
+    conjugates a key once per stable class and p - 1 times per merged
+    one; each key conjugation is the key of the conjugated handle."""
     step, conjugations = counted_step(A, S, a_classes)
     ctx = ExtensionContext.create(S, A)
     assert step_fields(step) == step_fields(two_pass_step(a_classes, ctx))
+    check_key_conjugation(ctx, a_classes)
     inner = step.inner
     assert conjugations == (len(inner.stable_classes)
                             + (ctx.p - 1) * len(inner.merged_classes))

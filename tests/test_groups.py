@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from fixtures import key_elements, relabeled
+from fixtures import conjugated, key_elements, relabeled
 
 import burnside
 from burnside import groups, lattice
@@ -340,7 +340,7 @@ def test_class_members_conjugators_and_normalizers(name, seed):
             K = Subgroup(G, gens)
             g = are_conjugate_subgroups(G, rep, K)
             assert g is not None and G.contains(g)
-            assert rep.conjugated(g).same_subgroup(K)
+            assert conjugated(rep, g).same_subgroup(K)
 
 
 def test_subgroups_output_ignores_the_hash_seed():
@@ -591,8 +591,8 @@ SMALL_GROUPS = [e.name for e in CATALOG.entries.values()
 def test_rational_classes_match_the_zuppo_walk(name, set_cap, monkeypatch):
     """For every prime, the pairs of the zuppo-list walk; the certified
     cyclic classes hold every cyclic subgroup once, so their generator
-    counts and the identity sum to |W|.  With SET_CAP 3 a class above
-    the cap is walked on its ids without being registered."""
+    counts and the identity sum to |W|.  At either cap every class is
+    registered as a subgroup class of W, above the cap too."""
     def fresh():
         return (relabeled("A6", 3) if name == "A6 relabeled"
                 else CATALOG.get(name).build())
@@ -612,7 +612,7 @@ def test_rational_classes_match_the_zuppo_walk(name, set_cap, monkeypatch):
         got[d] = got.get(d, 0) + len(keys)
     assert got == counts
     registered = {cls.rep.order for cls in W._sub_classes}
-    assert registered == {d for d, _ in classes if d <= set_cap}
+    assert registered == {d for d, _ in classes}
 
 
 def test_rational_classes_of_l2_32_match_the_zuppo_walk():
@@ -724,7 +724,7 @@ def test_big_joins_and_conjugates_run_no_closure(monkeypatch):
 
     monkeypatch.setattr(groups, "close_elements", counted)
     monkeypatch.setattr(groups, "SET_CAP", 3)
-    conjugate, joined = c4.conjugated(t), c4.join(r)
+    conjugate, joined = conjugated(c4, t), c4.join(r)
     assert not closures
     assert conjugate.order == 4 and joined.order == 8
     assert conjugate.elements() == {conj(x, t) for x in c4.elements()}
@@ -742,7 +742,7 @@ def test_class_keys_belong_to_the_classifying_group():
     for H in all_subgroup_classes_brute(A):
         cold = PermGroup(S.gens, S.degree)
         handles = [Subgroup(G, H.gens) for G in (A, S, cold)]
-        conjugates = [h.conjugated(t) for h in handles]
+        conjugates = [conjugated(h, t) for h in handles]
         ids = {subgroup_class_id(S, h) for h in handles + conjugates}
         assert len(ids) == 1
         assert len({normalizer(S, h).order for h in handles}) == 1
@@ -1097,7 +1097,7 @@ def _every_subgroup(G):
     subs = {}
     for H in all_subgroup_classes_brute(G):
         for g in G.elements():
-            K = H.conjugated(g)
+            K = conjugated(H, g)
             subs.setdefault(K.elements(), K)
     return list(subs.values())
 
@@ -1125,7 +1125,7 @@ def test_zuppo_keys_are_canonical_ordered_and_conjugation_invariant(
             assert (kh <= kk) == (H.elements() <= K.elements())
         for k, s in enumerate(G.gens):
             assert G.conj_index_set(kh, k) == \
-                G.subgroup_key(H.conjugated(s))
+                G.subgroup_key(conjugated(H, s))
         assert key_elements(G, kh) == H.elements()
     composite = [t for t in G.elements()
                  if len(set(prime_factors(order_of(t)))) > 1]
@@ -1179,7 +1179,7 @@ def test_zuppos_match_the_first_sight_scan_and_the_orbit_loop(
     a fresh group, are the pairs of the former scan of the sorted
     elements, in its order, and each carries the G-class that the
     former orbit loop walks on ids, one tuple per class.  With SET_CAP
-    3 the classes above the cap are walked unregistered."""
+    3 the classes above the cap are keyed and walked alike."""
     monkeypatch.setattr(groups, "SET_CAP", set_cap)
     G = (relabeled("S6", 5) if name == "S6 relabeled"
          else CATALOG.get(name).build())

@@ -8,6 +8,7 @@ import pytest
 from fixtures import (
     A5_CLASS_ORDERS,
     FIG_A5,
+    conjugated,
     key_elements,
     relabeled,
 )
@@ -428,7 +429,7 @@ def corrupted(p):
         out["swapped classes"] = permuted(p, swap)
         twin = dataclasses.replace(
             p.classes[same + 1],
-            rep=p.classes[same].rep.conjugated(p.group.gens[0]))
+            rep=conjugated(p.classes[same].rep, p.group.gens[0]))
         out["conjugate duplicate"] = permuted(
             p, ident, p.classes[:same + 1] + [twin] + p.classes[same + 2:])
     k = p.n - 1

@@ -5,6 +5,7 @@ import functools
 import math
 import os
 import random
+import re
 from collections import Counter
 from itertools import product
 
@@ -15,6 +16,7 @@ from fixtures import (
     FIG_A5,
     FIG_S5,
     GL23_PANELS,
+    conjugated,
     key_elements,
     relabeled,
     spy_dress_builds,
@@ -29,7 +31,6 @@ from burnside.catalog import (
     symmetric_group,
 )
 from burnside.groups import (
-    CapExceededError,
     Subgroup,
     centralizer,
     coset_transversal,
@@ -147,9 +148,9 @@ def test_mark_row_matches_each_cell(name, monkeypatch):
     elems = sorted(G.elements())
 
     def moved(H, length):
-        Hg = H.conjugated(rng.choice(elems))
+        Hg = conjugated(H, rng.choice(elems))
         while length > 1 and Hg.same_subgroup(H):
-            Hg = H.conjugated(rng.choice(elems))
+            Hg = conjugated(H, rng.choice(elems))
         return Hg
 
     Hs = [c.rep for c in pat.classes]
@@ -287,8 +288,9 @@ def test_mark_row_above_a_small_set_cap(monkeypatch):
     """With SET_CAP 5 in S4, A4 is a normal K above the cap: its row is
     decided by containment against keys on both sides of the cap and
     equals the coset count, as does the row of a C3 below the cap.  A
-    non-normal K above the cap (D8) has no class orbit to count on and
-    is refused."""
+    non-normal K above the cap (D8) is keyed by its zuppos like any
+    other, and its row, counted on its class orbit of three members,
+    equals the coset count too."""
     monkeypatch.setattr(groups, "SET_CAP", 5)
     monkeypatch.setattr(marks, "SET_CAP", 5)
     G = symmetric_group(4)
@@ -305,8 +307,59 @@ def test_mark_row_above_a_small_set_cap(monkeypatch):
         G.subgroup_key(a4)]
     assert incidence_probe(G, a4, parse_cycles("(1,2)", 4)) == []
     d8 = _sub(G, "(1,2,3,4)", "(1,3)")
-    with pytest.raises(CapExceededError):
-        mark_row(G, d8, _keys(G, Hs[:1]))
+    Hs[-1] = d8
+    assert mark_row(G, d8, _keys(G, Hs)) == [3, 0, 1, 3, 1] == (
+        _coset_count_row(G, d8, Hs))
+    assert G._sub_classes[groups.subgroup_class_id(G, d8)].size == 3
+
+
+def _results_at_the_current_cap():
+    """The oracle JSON, the class-search transversal (orders and
+    generators), the chain JSON of S4 and GL2(3) and the A5 -> S5 step,
+    each on fresh groups, millis masked; and, per oracle, whether every
+    representative above SET_CAP has the key of its element list."""
+    from burnside.patterns import pattern_to_json
+
+    def fresh(name):
+        return CATALOG.get(name).build()
+
+    def text(pattern, name):
+        return re.sub(r'"millis": \d+', '"millis": 0',
+                      pattern_to_json(pattern, name))
+
+    out, big = {}, []
+    for name in ("S4", "GL2(3)", "S5", "A6"):
+        G = fresh(name)
+        pat = table_of_marks_brute(G)
+        out[name, "oracle"] = text(pat, name)
+        big += [G.subgroup_key(c.rep) ==
+                G.elements_key(c.rep.as_group().elements())
+                for c in pat.classes if c.order > groups.SET_CAP]
+        out[name, "search"] = [(H.order, H.gens)
+                               for H in subgroup_classes_search(fresh(name))]
+    for name in ("S4", "GL2(3)"):
+        out[name, "chain"] = [text(p, name)
+                              for p in solvable_pattern_chain(fresh(name))]
+    out["S5", "step"] = text(extend_table_of_marks(
+        table_of_marks_brute(fresh("A5")), fresh("S5")), "S5")
+    return out, big
+
+
+def test_results_at_small_set_caps_equal_the_default_cap(monkeypatch):
+    """With SET_CAP 5 and then 3, most subgroups of S4, GL2(3), S5 and A6
+    are above the cap and keyed by their cyclic classes: the oracle,
+    the class search, the chains of S4 and GL2(3) and the A5 -> S5 step
+    give what they give at the default cap, and every key above the cap
+    equals the key of the subgroup's element list."""
+    want, big = _results_at_the_current_cap()
+    assert big == []
+    for cap in (5, 3):
+        monkeypatch.setattr(groups, "SET_CAP", cap)
+        monkeypatch.setattr(marks, "SET_CAP", cap)
+        got, big = _results_at_the_current_cap()
+        assert big and all(big), cap
+        for what in want:
+            assert got[what] == want[what], (cap, what)
 
 
 # ---------------------------------------------------------------------------

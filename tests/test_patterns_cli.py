@@ -269,6 +269,19 @@ def test_subgroup_names_above_set_cap():
         ["C5005", "G5041", "L2(32)"]
 
 
+def test_order_only_names_above_set_cap_need_a_non_abelian_group():
+    """The name table's entry for order 32 736 names L2(32), whose
+    generators do not all commute, and not the non-cyclic abelian group
+    C2 x C16 x C3 x C11 x C31 (C2 x C16368) of the same order, which is
+    G32736."""
+    abelian = abelian_group((2, 16, 3, 11, 31)).as_subgroup()
+    l2_32 = CATALOG.group("L2(32)").as_subgroup()
+    assert abelian.order == l2_32.order == 32736
+    assert [H.is_abelian() for H in (abelian, l2_32)] == [True, False]
+    assert subgroup_name(abelian) == "G32736"
+    assert subgroup_name(l2_32) == "L2(32)"
+
+
 def test_cli_inconsistent_step_exits_4(monkeypatch, capsys):
     """A class step that finds its input inconsistent ends the command
     with exit 4 and an error line, not a traceback."""
