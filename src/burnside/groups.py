@@ -32,9 +32,10 @@ generators, joined to H one at a time, span its order; a caller that
 knows the order passes it, and no class is cached then.
 
 Cyclic extensions are built here only: ``Subgroup.join(t)`` is <H, t>,
-``cyclic_joins(N, H)`` gives one <H, a> per cyclic subgroup of N/H
-from a walk of N's elements, and ``quotient_group(N, H)`` is N(H)/H
-with a lift map, under the one cap on coset actions, QUOTIENT_CAP.
+``cyclic_joins(N, H)`` gives one <H, a> per cyclic subgroup of N/H, or
+per class of them when N is above SET_CAP, and ``quotient_group(N, H)``
+is N(H)/H with a lift map, under the one cap on coset actions,
+QUOTIENT_CAP.
 
 Each group numbers its zuppos, the cyclic subgroups of prime-power
 order, on first sight: an element maps to the id of the zuppo it
@@ -500,9 +501,9 @@ class PermGroup:
         if H.order <= SET_CAP:
             return self.elements_key(H.elements())
         own = self if H.order == self.order else H.as_group()
-        ids = frozenset().union(*(key for d, members in _cyclic_classes(own)
-                                  if len(set(prime_factors(d))) == 1
-                                  for key in members))
+        ids = frozenset().union(*(
+            key for d, members, _ in _cyclic_classes(own)
+            if len(set(prime_factors(d))) == 1 for key in members))
         if own is self:
             return ids
         gen, number = own._num().gen, self._num().number
@@ -707,22 +708,30 @@ def join_normalizing(h_elems: frozenset, h_gens, z: tuple[int, ...]):
 
 
 def cyclic_joins(N: Subgroup, U: Subgroup):
-    """(K, c) for each cyclic subgroup K/U of N/U, U normal in N with an
-    element set: K = <U, a> for the first a of N's elements (in their
-    set or chain order) that generates no earlier K modulo U, and c the
-    number of cosets of U generating K/U.
+    """(K, c) pairs for U normal in N: K = <U, a> for a coset Ua, and c
+    the number of cosets Ub for which <U, b> is K, or conjugate to K in
+    N.  The counts sum to |N:U|.
 
-    With m = |K:U| the cosets of U in K are U a^i, 0 <= i < m, and U a^i
-    generates K/U exactly when i is prime to m.  Those cosets are marked
-    covered, so every element of N is joined or covered once, and the
-    counts c sum to |N:U|.  K is the union of those cosets, or
-    ``U.join(a)`` when it is above SET_CAP.
+    Up to SET_CAP, one K per cyclic subgroup K/U of N/U: a walk of N's
+    element set joins the first a that generates no earlier K modulo U.
+    With m = |K:U| the cosets U a^i, i prime to m, generate K/U; they
+    are marked covered, so every element of N is joined or covered
+    once, and K is the union of the cosets U a^i, 0 <= i < m.  Above
+    it, U itself once, then one K per class of cyclic subgroups of
+    W = N/U (``quotient_group``), U joined with the lift of the class's
+    generator (``_cyclic_classes``), counted phi(d) times the class
+    length for a class of order d.  No element list is built.
     """
-    # above SET_CAP, the chain's element list, with no frozenset copy
-    elems = N.elements() if N.order <= SET_CAP else N.as_group().elements()
+    if N.order > SET_CAP:
+        W, lift = quotient_group(N.as_group(), U)
+        yield U, 1
+        for d, members, x in _cyclic_classes(W):
+            phi = len(_cyclic_layout(d)[-1][3])
+            yield U.join(lift(x)), phi * len(members)
+        return
     u_elems = U.elements()
     covered: set = set()
-    for a in elems:
+    for a in N.elements():
         if a in covered:
             continue
         cosets = normalizing_cosets(u_elems, a)
@@ -730,8 +739,7 @@ def cyclic_joins(N: Subgroup, U: Subgroup):
         gen_cosets = [c for i, c in enumerate(cosets) if gcd(i, m) == 1]
         for c in gen_cosets:
             covered.update(c)
-        yield (U.join(a) if U.order * m > SET_CAP else
-               Subgroup(U, U.gens + (a,), elems=chain.from_iterable(cosets)),
+        yield (Subgroup(U, U.gens + (a,), elems=chain.from_iterable(cosets)),
                len(gen_cosets))
 
 
@@ -966,7 +974,7 @@ def zuppos(G: PermGroup) -> list:
     least generator; the list is made once and cached on G."""
     if G._zuppos is None:
         num, out = G._num(), []
-        for d, members in _cyclic_classes(G):
+        for d, members, _ in _cyclic_classes(G):
             if len(set(prime_factors(d))) == 1:
                 zclass = tuple(next(z for z in key if num.size[z] == d)
                                for key in members)
@@ -977,14 +985,16 @@ def zuppos(G: PermGroup) -> list:
 
 
 def _cyclic_classes(W: PermGroup) -> list:
-    """(d, member keys) for each class of cyclic subgroups of order
+    """(d, member keys, g) for each class of cyclic subgroups of order
     d > 1 of W, cached on W.  W's elements are walked lazily in chain
     order; an x outside every <y> walked before opens the class of each
-    subgroup of <x> in no class seen, keyed by its zuppo ids.  Every
-    element generates one cyclic subgroup, and each member of a class of
-    order d has phi(d) generators, so the walk is complete once those
-    counts and the identity sum to |W|.  Each class is W's subgroup
-    class, its representative holding an element set up to SET_CAP."""
+    subgroup of <x> in no class seen, keyed by its zuppo ids; g is the
+    power of x that generates the member of order d (a representative
+    registered earlier may have other generators).  Every element generates one cyclic
+    subgroup, and each member of a class of order d has phi(d)
+    generators, so the walk is complete once those counts and the
+    identity sum to |W|.  Each class is W's subgroup class, its
+    representative holding an element set up to SET_CAP."""
     if W._cyclic is None:
         idn, out, seen, done, count = W.identity, [], set(), set(), 1
         for x in _chain_elements(W.chain, W.degree):
@@ -1008,7 +1018,7 @@ def _cyclic_classes(W: PermGroup) -> list:
                 members = W._sub_classes[subgroup_class_id(W, rep, key)].tree
                 seen.update(members)
                 count += len(positions) * len(members)
-                out.append((d, members))
+                out.append((d, members, elems[0]))
         if count != W.order:
             raise RuntimeError(f"cyclic classes cover {count} elements "
                                f"of a group of order {W.order}")
@@ -1031,7 +1041,7 @@ def rational_classes(W: PermGroup, q: int) -> list:
     gen = W._num().gen
     return sorted((min(map(gen.__getitem__, chain.from_iterable(keys))),
                    (q - 1) * len(keys))
-                  for d, keys in _cyclic_classes(W) if d == q)
+                  for d, keys, _ in _cyclic_classes(W) if d == q)
 
 
 # ---------------------------------------------------------------------------

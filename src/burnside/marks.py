@@ -34,13 +34,14 @@ the table itself: V lies in a conjugate of K exactly when the mark of
 V on S/K is nonzero.
 
 A Dress row n(U, -) counts the cosets Ua of U in N(U) by the class of
-<U, a>, which depends only on the cyclic subgroup <Ua> of N(U)/U.  For
-a U with an element set the row walks N(U)'s elements once and joins U
-only with an element that generates no cyclic subgroup met before; the
-cosets generating the same cyclic subgroup are counted with it, so no
-coset transversal and no quotient group is built.  The row depends only
-on S and U's class, so it is built once per group and class, kept on the
-class record, and shared by the engine and the validation of a table.
+<U, a>, which depends only on the class of the cyclic subgroup <Ua> of
+W = N(U)/U.  So U is joined once per cyclic subgroup of W, from one
+walk of N(U)'s element set, or, when N(U) is above SET_CAP, once per
+class of them, read off W's certified cyclic classes; the cosets
+generating each are counted with it, and no coset transversal is
+built.  The row depends only on S and U's class, so it is built once
+per group and class, kept on the class record, and shared by the
+engine and the validation of a table.
 
 Everything is deterministic; per-row decisions are tagged for
 diagnostics.
@@ -62,7 +63,6 @@ from .groups import (
     PermGroup,
     Subgroup,
     composition_series,
-    coset_transversal,
     cyclic_joins,
     element_class_length,
     normalizer,
@@ -244,24 +244,12 @@ class DressRow:
 
 def _class_dress(S: PermGroup, U: Subgroup) -> tuple[dict[int, int], int]:
     """The Dress row of U's class in S: the class id of each join <U, a>
-    -> the number of cosets Ua giving it, and |N(U):U|.
-
-    <U, a> depends only on the cyclic subgroup <Ua> of W = N(U)/U, so a
-    U with an element set (order at most SET_CAP) is joined once per
-    cyclic subgroup of W, found by one walk of N(U)'s elements
-    (``groups.cyclic_joins``), and the cosets generating it are counted
-    toward its class.  A U above SET_CAP has at most |S|/SET_CAP cosets
-    in N(U), while N(U)'s elements would cost a walk of |N(U)|; it is
-    joined once per coset of a transversal but the first, U itself.
-    """
+    -> the number of cosets Ua giving it, and |N(U):U|, from one join per
+    cyclic subgroup of N(U)/U, or per class of them
+    (``groups.cyclic_joins``)."""
     N = normalizer(S, U)
-    if U.order > SET_CAP:
-        joins = [(U, 1)] + [(U.join(a), 1) for a in
-                            coset_transversal(N.as_group(), U)[1:]]
-    else:
-        joins = cyclic_joins(N, U)
     counts: dict[int, int] = {}
-    for K, count in joins:
+    for K, count in cyclic_joins(N, U):
         cid = subgroup_class_id(S, K)
         counts[cid] = counts.get(cid, 0) + count
     return counts, N.order // U.order

@@ -591,8 +591,9 @@ SMALL_GROUPS = [e.name for e in CATALOG.entries.values()
 def test_rational_classes_match_the_zuppo_walk(name, set_cap, monkeypatch):
     """For every prime, the pairs of the zuppo-list walk; the certified
     cyclic classes hold every cyclic subgroup once, so their generator
-    counts and the identity sum to |W|.  At either cap every class is
-    registered as a subgroup class of W, above the cap too."""
+    counts and the identity sum to |W|, and each class's recorded
+    generator generates one of its members.  At either cap every class
+    is registered as a subgroup class of W, above the cap too."""
     def fresh():
         return (relabeled("A6", 3) if name == "A6 relabeled"
                 else CATALOG.get(name).build())
@@ -606,13 +607,14 @@ def test_rational_classes_match_the_zuppo_walk(name, set_cap, monkeypatch):
     for q, pairs in want.items():
         assert groups.rational_classes(W, q) == pairs
     classes = groups._cyclic_classes(W)
-    assert 1 + sum(phi(d) * len(keys) for d, keys in classes) == W.order
+    assert 1 + sum(phi(d) * len(keys) for d, keys, _ in classes) == W.order
     got = {}
-    for d, keys in classes:
+    for d, keys, x in classes:
         got[d] = got.get(d, 0) + len(keys)
+        assert W.elements_key([power(x, k) for k in range(d)]) in keys
     assert got == counts
     registered = {cls.rep.order for cls in W._sub_classes}
-    assert registered == {d for d, _ in classes}
+    assert registered == {d for d, _, _ in classes}
 
 
 def test_rational_classes_of_l2_32_match_the_zuppo_walk():
@@ -624,9 +626,9 @@ def test_rational_classes_of_l2_32_match_the_zuppo_walk():
         assert groups.rational_classes(W, q) == \
             zuppo_walk_rational_classes(ref, q)
     classes = groups._cyclic_classes(W)
-    assert sorted((d, len(keys)) for d, keys in classes) == \
+    assert sorted((d, len(keys)) for d, keys, _ in classes) == \
         [(2, 1023), (3, 496), (11, 496), (31, 528), (33, 496)]
-    assert 1 + sum(phi(d) * len(keys) for d, keys in classes) == W.order
+    assert 1 + sum(phi(d) * len(keys) for d, keys, _ in classes) == W.order
 
 
 def test_l2_32_class_search_lists_no_element_of_l2_32(monkeypatch):

@@ -3,7 +3,6 @@ Dress machinery, incidence probes, and the assembled tables."""
 
 import functools
 import math
-import os
 import random
 import re
 from collections import Counter
@@ -38,6 +37,7 @@ from burnside.groups import (
     normalizer,
     orbit,
     path_product,
+    quotient_group,
     trivial_subgroup,
 )
 from burnside.lattice import (
@@ -140,7 +140,6 @@ def test_mark_row_matches_each_cell(name, monkeypatch):
         return coset_transversal(*args)
 
     monkeypatch.setattr(groups, "coset_transversal", counted)
-    monkeypatch.setattr(marks, "coset_transversal", counted)
     pat = table_of_marks_brute(G)
     assert not built
     monkeypatch.undo()
@@ -251,15 +250,9 @@ def test_mark_row_above_set_cap_in_l2_32_5():
     assert incidence_probe(G, K, outside) == []
 
 
-@pytest.mark.skipif(not os.environ.get("RUN_SLOW"),
-                    reason="about 10 s; set RUN_SLOW=1 to run")
-def test_l2_32_5_marks_step_from_the_counted_table(monkeypatch):
-    """The paper's largest example: L2(32):5 from the table of L2(32)
-    counted by ``mark_row`` on the classes of the search.  Its Dress
-    rows include L2(32) itself, above SET_CAP, joined once per coset.
-    Validating the result builds no row the step built: only those of
-    the two inner classes merged from five classes of L2(32), which the
-    step skips."""
+def _l2_32_counted_table():
+    """The table of L2(32) counted by ``mark_row`` on the classes of the
+    search."""
     A = CATALOG.get("L2(32)").build()
     reps = subgroup_classes_search(A)
     keys = _keys(A, reps)
@@ -268,9 +261,18 @@ def test_l2_32_5_marks_step_from_the_counted_table(monkeypatch):
         length = A._sub_classes[groups.subgroup_class_id(A, rep, key)].size
         classes.append(PatternClass(rep=rep, order=rep.order, length=length,
                                     normalizer_order=A.order // length))
-    base = SubgroupPattern(
+    return SubgroupPattern(
         group=A, classes=classes,
         rows=[mark_row(A, rep, keys[:i + 1]) for i, rep in enumerate(reps)])
+
+
+def test_l2_32_5_marks_step_from_the_counted_table(monkeypatch):
+    """The paper's largest example: L2(32):5 from the counted table of
+    L2(32).  Its Dress rows include L2(32) itself, above SET_CAP, joined
+    once per class of cyclic subgroups of its quotient C5.  Validating
+    the result builds no row the step built: only those of the two inner
+    classes merged from five classes of L2(32), which the step skips."""
+    base = _l2_32_counted_table()
     assert base.n == 24
     S = CATALOG.get("L2(32):5").build()
     ext = MarksExtender(base, S)
@@ -282,6 +284,48 @@ def test_l2_32_5_marks_step_from_the_counted_table(monkeypatch):
     assert sorted(built) == sorted(
         (id(S), groups.subgroup_class_id(S, U)) for U in merged)
     assert len(merged) == 2
+
+
+def test_l2_32_5_step_lists_no_element_of_a_group_above_set_cap(
+        monkeypatch):
+    """The L2(32):5 step and the validation of its table build no
+    element list of a group above SET_CAP and no coset transversal:
+    the Dress row of the trivial subgroup reads the certified cyclic
+    classes of S, and the row of L2(32) those of its quotient C5.  The
+    rows are those of one join per element of S: the trivial row counts
+    the elements of S by the class of the cyclic subgroup they generate,
+    modulo |S|, and the row of L2(32) is itself once and S four times,
+    modulo 5."""
+    base = _l2_32_counted_table()
+    S = CATALOG.get("L2(32):5").build()
+    listed, cosets = [], []
+    real_elements = groups.PermGroup.elements
+
+    def elements(G):
+        if G.order > groups.SET_CAP:
+            listed.append(G.order)
+        return real_elements(G)
+
+    def transversal(*args):
+        cosets.append(args)
+        return coset_transversal(*args)
+
+    monkeypatch.setattr(groups.PermGroup, "elements", elements)
+    monkeypatch.setattr(groups, "coset_transversal", transversal)
+    pat = MarksExtender(base, S).solve()
+    assert validate_pattern(pat) == []
+    reps = [c.rep for c in pat.classes]
+    cols = marks.class_columns(S, reps)
+    rows = {reps[u].order: marks.dress_row(S, cols, cid, reps[u])
+            for cid, u in cols.items() if reps[u].order in (1, 32736)}
+    assert not listed and not cosets
+    assert sorted(rows[1].coeffs.values()) == [
+        1, 992, 1023, 4960, 9920, 15840, 21824, 43648, 65472]
+    assert rows[1].modulus == S.order == 163680
+    orders = [c.order for c in pat.classes]
+    assert rows[32736].coeffs == {orders.index(32736): 1,
+                                  orders.index(163680): 4}
+    assert rows[32736].modulus == 5
 
 
 def test_mark_row_above_a_small_set_cap(monkeypatch):
@@ -641,14 +685,17 @@ def test_dress_rows_match_the_coset_loop(name):
         G, [c.rep for c in table_of_marks_brute(G).classes])
 
 
-@pytest.mark.parametrize("name, cap, big", [("S4", 8, 2), ("S5", 24, 2)])
+@pytest.mark.parametrize("name, cap, big", [
+    ("S4", 8, 3), ("S5", 24, 2), ("S6", 100, 6), ("S6", 30, 34),
+    ("A6", 50, 3), ("GL2(3)", 10, 13)])
 def test_dress_rows_above_a_small_set_cap_match_the_coset_loop(
         name, cap, big, monkeypatch):
-    """With SET_CAP below the order of A_n and S_n, both normal, their
-    rows join once per coset of a transversal; every other row walks
-    N(U)'s elements, which for the trivial U (and V4 in S4, whose join
-    with a 3-cycle is A4 above the cap) lie in a normalizer above the
-    cap.  All rows equal the coset loop's."""
+    """With SET_CAP below the order of the group, a row whose normalizer
+    N(U) is above the cap joins U once per class of cyclic subgroups of
+    N(U)/U, a quotient built for each nontrivial such U (``big`` of
+    them) and N(U) itself for the trivial U; every other row walks
+    N(U)'s elements.  Joins land on both sides of the cap.  All rows
+    equal the coset loop's."""
     reps = [c.rep for c in
             table_of_marks_brute(CATALOG.get(name).build()).classes]
     monkeypatch.setattr(groups, "SET_CAP", cap)
@@ -657,15 +704,18 @@ def test_dress_rows_above_a_small_set_cap_match_the_coset_loop(
     reps = [Subgroup(G, U.gens) for U in reps]
     built = []
 
-    def counted(*args):
-        built.append(args[1].order)
-        return coset_transversal(*args)
+    def counted(N, H):
+        if H.order > 1:
+            built.append(H.order)
+        return quotient_group(N, H)
 
-    monkeypatch.setattr(marks, "coset_transversal", counted)
+    monkeypatch.setattr(groups, "quotient_group", counted)
     cols = marks.class_columns(G, reps)
     rows = [marks.dress_row(G, cols, cid, reps[u])
             for cid, u in cols.items()]
-    assert sorted(built) == sorted(U.order for U in reps if U.order > cap)
+    assert sorted(built) == sorted(
+        U.order for U in reps
+        if U.order > 1 and normalizer(G, U).order > cap)
     assert len(built) == big
     for u, U in enumerate(reps):
         assert rows[u].coeffs == _coset_loop_row(G, cols, U), u
@@ -673,8 +723,8 @@ def test_dress_rows_above_a_small_set_cap_match_the_coset_loop(
 
 def test_dress_rows_below_set_cap_build_no_transversal_and_no_quotient(
         monkeypatch):
-    """Every class of S6 is below SET_CAP: its Dress rows make no coset
-    transversal and no quotient group."""
+    """Every normalizer in S6 is below SET_CAP: its Dress rows make no
+    coset transversal and no quotient group."""
     G = CATALOG.get("S6").build()
     pat = table_of_marks_brute(G)
     built = []
@@ -685,9 +735,8 @@ def test_dress_rows_below_set_cap_build_no_transversal_and_no_quotient(
             return real(*args)
         return counted
 
-    for module in (groups, marks):
-        monkeypatch.setattr(module, "coset_transversal",
-                            spy("coset_transversal", coset_transversal))
+    monkeypatch.setattr(groups, "coset_transversal",
+                        spy("coset_transversal", coset_transversal))
     monkeypatch.setattr(groups, "quotient_group",
                         spy("quotient_group", groups.quotient_group))
     rows = _dress_rows(pat)
