@@ -108,9 +108,29 @@ def _resolve_group(args) -> tuple[str, PermGroup, CatalogEntry | None]:
     return entry.name, CATALOG.group(entry.name), entry
 
 
+def _file_group(name: str, doc: dict) -> PermGroup:
+    """The group a pattern file names: a catalog group, or, for a name
+    ``<d>`` with d the file's degree (what ``tom d --gens`` writes), the
+    group that the generators of its last class, the whole group, span.
+    Any other name is an input error."""
+    entry = CATALOG.get(name)
+    if entry is not None:
+        return CATALOG.group(entry.name)
+    degree = doc.get("degree")
+    if (not isinstance(degree, int) or isinstance(degree, bool)
+            or name != f"<{degree}>"):
+        raise CliError(INPUT_ERROR,
+                       f"pattern file names unknown group {name!r}")
+    try:
+        gens = doc["classes"][-1]["generators"]
+        return PermGroup([parse_cycles(s, degree) for s in gens], degree)
+    except (LookupError, TypeError, ValueError) as exc:
+        raise PatternFormatError(
+            f"the last class gives no group: {exc!r}") from exc
+
+
 def _read_pattern(path: str) -> SubgroupPattern:
-    """Load a pattern file; its group is named in the file and resolved
-    from the catalog."""
+    """Load a pattern file onto the group it names (``_file_group``)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -121,12 +141,8 @@ def _read_pattern(path: str) -> SubgroupPattern:
         raise CliError(INPUT_ERROR, f"cannot read {path}: {exc}")
     except (ValueError, KeyError, TypeError) as exc:
         raise CliError(INPUT_ERROR, f"bad pattern file {path}: {exc}")
-    entry = CATALOG.get(name)
-    if entry is None:
-        raise CliError(INPUT_ERROR,
-                       f"pattern file names unknown group {name!r}")
     try:
-        return pattern_from_dict(doc, CATALOG.group(entry.name))
+        return pattern_from_dict(doc, _file_group(name, doc))
     except PatternFormatError as exc:
         raise CliError(INPUT_ERROR, f"bad pattern file {path}: {exc}")
 

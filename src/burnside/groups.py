@@ -29,13 +29,14 @@ in an overgroup S alike.  Conjugacy of subgroups is resolved
 by orbit enumeration with per-class caches stored on that group.
 A normalizer walks H's class from H only until its Schreier
 generators, joined to H one at a time, span its order; a caller that
-knows the order passes it, and no class is cached then.
+knows the order passes it, and no class is cached then.  An order of
+|G| gives G itself, with no walk and no normality test.
 
 Cyclic extensions are built here only: ``Subgroup.join(t)`` is <H, t>,
-``cyclic_joins(N, H)`` gives one <H, a> per cyclic subgroup of N/H, or
-per class of them when N is above SET_CAP, and ``quotient_group(N, H)``
-is N(H)/H with a lift map, under the one cap on coset actions,
-QUOTIENT_CAP.
+``cyclic_joins(S, N, H)`` gives the class in S of one <H, a> per cyclic
+subgroup of N/H, or per class of them when N is above SET_CAP, and
+``quotient_group(N, H)`` is N(H)/H with a lift map, under the one cap
+on coset actions, QUOTIENT_CAP.
 
 Each group numbers its zuppos, the cyclic subgroups of prime-power
 order, on first sight: an element maps to the id of the zuppo it
@@ -707,29 +708,32 @@ def join_normalizing(h_elems: frozenset, h_gens, z: tuple[int, ...]):
     return frozenset(out)
 
 
-def cyclic_joins(N: Subgroup, U: Subgroup):
-    """(K, c) pairs for U normal in N: K = <U, a> for a coset Ua, and c
-    the number of cosets Ub for which <U, b> is K, or conjugate to K in
-    N.  The counts sum to |N:U|.
+def cyclic_joins(S: PermGroup, N: Subgroup, U: Subgroup):
+    """(class id in S, c) pairs for U normal in N <= S: the class of
+    K = <U, a> for a coset Ua, and c the number of cosets Ub for which
+    <U, b> is K, or conjugate to K in N.  The counts sum to |N:U|.
 
     Up to SET_CAP, one K per cyclic subgroup K/U of N/U: a walk of N's
     element set joins the first a that generates no earlier K modulo U.
     With m = |K:U| the cosets U a^i, i prime to m, generate K/U; they
     are marked covered, so every element of N is joined or covered
-    once, and K is the union of the cosets U a^i, 0 <= i < m.  Above
-    it, U itself once, then one K per class of cyclic subgroups of
-    W = N/U (``quotient_group``), U joined with the lift of the class's
-    generator (``_cyclic_classes``), counted phi(d) times the class
-    length for a class of order d.  No element list is built.
+    once, and K is the union of the cosets U a^i, 0 <= i < m.  K is
+    keyed from those elements (``S.elements_key``) and looked up among
+    S's known classes; a handle is made only for a K of a class S has
+    not seen.  Above it, U itself once, then one K per class of cyclic
+    subgroups of W = N/U (``quotient_group``), U joined with the lift of
+    the class's generator (``_cyclic_classes``), counted phi(d) times
+    the class length for a class of order d.  No element list is built.
     """
     if N.order > SET_CAP:
         W, lift = quotient_group(N.as_group(), U)
-        yield U, 1
+        yield subgroup_class_id(S, U), 1
         for d, members, x in _cyclic_classes(W):
             phi = len(_cyclic_layout(d)[-1][3])
-            yield U.join(lift(x)), phi * len(members)
+            yield subgroup_class_id(S, U.join(lift(x))), phi * len(members)
         return
     u_elems = U.elements()
+    known = S._sub_class_of
     covered: set = set()
     for a in N.elements():
         if a in covered:
@@ -739,8 +743,13 @@ def cyclic_joins(N: Subgroup, U: Subgroup):
         gen_cosets = [c for i, c in enumerate(cosets) if gcd(i, m) == 1]
         for c in gen_cosets:
             covered.update(c)
-        yield (Subgroup(U, U.gens + (a,), elems=chain.from_iterable(cosets)),
-               len(gen_cosets))
+        elems = list(chain.from_iterable(cosets))
+        key = S.elements_key(elems)
+        cid = known.get(key)
+        if cid is None:
+            cid = subgroup_class_id(
+                S, Subgroup(U, U.gens + (a,), elems=elems), key)
+        yield cid, len(gen_cosets)
 
 
 # ---------------------------------------------------------------------------
@@ -855,11 +864,13 @@ def normalizer(G: PermGroup, H: Subgroup,
     element is multiplied out only for the members the walk visits.
     Without ``order`` it is |G| over H's class length, from G's class
     cache; a caller that passes it leaves that cache alone.  A normal H
-    is answered before it is keyed, so no key is made for it.
+    is answered before it is keyed, so no key is made for it: by
+    ``order`` = |G| with no conjugation, and without ``order`` by
+    ``is_normal_in``.
     """
     if not all(g in G for g in H.gens):
         raise ValueError("subgroup not inside the group")
-    if H.is_normal_in(G):
+    if order == G.order or (order is None and H.is_normal_in(G)):
         return G.as_subgroup()
     fp = G.subgroup_key(H)
     cached = G._normalizers.get(fp)

@@ -39,9 +39,18 @@ W = N(U)/U.  So U is joined once per cyclic subgroup of W, from one
 walk of N(U)'s element set, or, when N(U) is above SET_CAP, once per
 class of them, read off W's certified cyclic classes; the cosets
 generating each are counted with it, and no coset transversal is
-built.  The row depends only on S and U's class, so it is built once
-per group and class, kept on the class record, and shared by the
-engine and the validation of a table.
+built.  Below SET_CAP a join is keyed from its cosets and looked up
+among S's known classes, which hold every class of the table once its
+columns are identified, so it gets no subgroup handle; and |N(U)| is
+|S| over U's class length, so a normal U needs no normality test.
+The row depends only on S and U's class, so it is built once per
+group and class, kept on the class record, and shared by the engine
+and the validation of a table.
+
+Validation visits only the nonzero cells, listed by one ``compress``
+pass over each row: every cell check can fail only at a nonzero cell,
+and the same cells, gathered by column, serve the mod-p column
+congruence and the Dress sums.
 
 Everything is deterministic; per-row decisions are tagged for
 diagnostics.
@@ -51,6 +60,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import compress
 from math import gcd
 
 from .extension import (
@@ -242,16 +252,18 @@ class DressRow:
     inner_size: int | None = None   # |N_A(U):U| when U is inner
 
 
-def _class_dress(S: PermGroup, U: Subgroup) -> tuple[dict[int, int], int]:
-    """The Dress row of U's class in S: the class id of each join <U, a>
-    -> the number of cosets Ua giving it, and |N(U):U|, from one join per
-    cyclic subgroup of N(U)/U, or per class of them
-    (``groups.cyclic_joins``)."""
-    N = normalizer(S, U)
+def _class_dress(S: PermGroup, cid: int,
+                 U: Subgroup) -> tuple[dict[int, int], int]:
+    """The Dress row of U's class ``cid`` in S: the class id of each join
+    <U, a> -> the number of cosets Ua giving it, and |N(U):U|, from one
+    join per cyclic subgroup of N(U)/U, or per class of them
+    (``groups.cyclic_joins``), each join's class looked up by its key.
+    |N(U)| is |S| over the class length, so the normalizer is S itself
+    for a normal U, with no conjugation."""
+    N = normalizer(S, U, S.order // S._sub_classes[cid].size)
     counts: dict[int, int] = {}
-    for K, count in cyclic_joins(N, U):
-        cid = subgroup_class_id(S, K)
-        counts[cid] = counts.get(cid, 0) + count
+    for jid, count in cyclic_joins(S, N, U):
+        counts[jid] = counts.get(jid, 0) + count
     return counts, N.order // U.order
 
 
@@ -265,7 +277,7 @@ def dress_row(S: PermGroup, cols: dict[int, int], cid: int, U: Subgroup,
     u_index = cols[cid]
     record = S._sub_classes[cid]
     if record.dress is None:
-        record.dress = _class_dress(S, U)
+        record.dress = _class_dress(S, cid, U)
     counts, modulus = record.dress
     coeffs: dict[int, int] = {}
     for cid, count in counts.items():
@@ -795,7 +807,7 @@ def solvable_pattern_chain(G: PermGroup) -> list[SubgroupPattern]:
 # verification
 
 
-def verify_dress(pattern: SubgroupPattern):
+def verify_dress(pattern: SubgroupPattern, columns=None):
     """Check every row of the table against every Dress congruence.
 
     Returns (ok, violations); each violation names the offending row,
@@ -803,12 +815,16 @@ def verify_dress(pattern: SubgroupPattern):
     |N(U):U|, row by row within each congruence.  Sums are accumulated
     over the nonzero cells of each coefficient column only: a row whose
     sum never gets a term sums to zero, which every congruence admits.
+    ``columns`` holds those cells, (i, v) in each column with rows
+    ascending, for a caller that has listed them already
+    (``validate_pattern``); otherwise one ``compress`` pass over each
+    row lists them.
     """
-    columns: list[list[tuple[int, int]]] = [[] for _ in range(pattern.n)]
-    for i, row in enumerate(pattern.rows):
-        for j, v in enumerate(row):
-            if v:
-                columns[j].append((i, v))
+    if columns is None:
+        columns = [[] for _ in range(pattern.n)]
+        for i, row in enumerate(pattern.rows):
+            for j in compress(range(len(row)), row):
+                columns[j].append((i, row[j]))
     S = pattern.group
     reps = [c.rep for c in pattern.classes]
     cols = class_columns(S, reps)
@@ -816,9 +832,10 @@ def verify_dress(pattern: SubgroupPattern):
     for cid, u in cols.items():
         dr = dress_row(S, cols, cid, reps[u])
         sums: dict[int, int] = {}
+        get = sums.get
         for j, n in dr.coeffs.items():
             for i, v in columns[j]:
-                sums[i] = sums.get(i, 0) + n * v
+                sums[i] = get(i, 0) + n * v
         for i in sorted(sums):
             if sums[i] % dr.modulus:
                 violations.append(
@@ -830,57 +847,69 @@ def verify_dress(pattern: SubgroupPattern):
 def validate_pattern(pattern: SubgroupPattern) -> list[str]:
     """Structural invariant suite; returns a list of violations.
 
-    Checks triangular shape, class length x normalizer order = group
+    A table whose row count is not its class count, or whose row i
+    does not hold i + 1 cells, gets only those shape violations.
+    Otherwise the checks are class length x normalizer order = group
     order, order divisibility at nonzero cells, diagonal = normalizer
     index, first column = group index, last row of ones, row
     divisibility by the diagonal, the mod-p column
     congruence for recorded (rep∩A, rep) pairs, and the
     Dress congruences, which also reject conjugate representatives and
     a transversal that misses a class.
+
+    Every cell check reports only at a nonzero cell (a zero mark is
+    non-negative, breaks no Lagrange bound and is divisible by any
+    diagonal), so the cells each row lists by one ``compress`` pass are
+    the only ones visited, and the same lists, gathered by column, feed
+    the column congruence and the Dress sums: a column pair can break
+    its congruence only in a row nonzero in one of the two.
     """
-    out = []
     n = pattern.n
     G = pattern.group
-    for i, row in enumerate(pattern.rows):
-        if len(row) != i + 1:
-            out.append(f"row {i} has length {len(row)}")
+    rows = pattern.rows
+    out = [f"row {i} has length {len(row)}"
+           for i, row in enumerate(rows) if len(row) != i + 1]
+    if len(rows) != n:
+        out.append(f"table has {len(rows)} rows for {n} classes")
+    if out:
+        return out
     orders = pattern.class_orders()
-    for i in range(n):
-        ci = pattern.classes[i]
+    columns: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, (ci, row) in enumerate(zip(pattern.classes, rows)):
         if ci.length * ci.normalizer_order != G.order:
             out.append(f"class {i}: length {ci.length} x normalizer "
                        f"{ci.normalizer_order} is not the group order "
                        f"{G.order}")
-        if pattern.rows[i][i] != ci.normalizer_order // ci.order:
+        if row[i] != ci.normalizer_order // ci.order:
             out.append(f"diagonal {i} is not the normalizer index")
-        if pattern.rows[i][0] != G.order // ci.order:
+        if row[0] != G.order // ci.order:
             out.append(f"first column of row {i} is not the group index")
-        diag = pattern.rows[i][i]
-        for j in range(i + 1):
-            v = pattern.rows[i][j]
+        diag, order = row[i], orders[i]
+        for j in compress(range(i + 1), row):
+            v = row[j]
+            columns[j].append((i, v))
             if v < 0:
                 out.append(f"negative mark at ({i},{j})")
-            if v and orders[i] % orders[j]:
+            if order % orders[j]:
                 out.append(f"nonzero mark at ({i},{j}) violates Lagrange")
             if diag and v % diag:
                 out.append(f"mark at ({i},{j}) not divisible by diagonal")
-    if orders[-1] != G.order or any(v != 1 for v in pattern.rows[-1]):
+    if orders[-1] != G.order or any(v != 1 for v in rows[-1]):
         out.append("last row is not the all-ones row of the whole group")
     p = pattern.stats.extension_p
     if p:
         for j, c in enumerate(pattern.classes):
-            if c.gamma_index is None:
-                continue
             g = c.gamma_index
-            # rows above both columns hold 0 in each
-            for i in range(min(g, j), n):
-                row = pattern.rows[i]
-                if ((row[j] if j <= i else 0) - (row[g] if g <= i else 0)) % p:
+            if g is None:
+                continue
+            at_j, at_g = dict(columns[j]), dict(columns[g])
+            for i in sorted(at_j.keys() | at_g.keys()):
+                if (at_j.get(i, 0) - at_g.get(i, 0)) % p:
                     out.append(
                         f"column congruence mod {p} fails at row {i}, "
                         f"columns ({g},{j})")
     try:
-        _, viol = verify_dress(pattern)
+        _, viol = verify_dress(pattern, columns)
     except (ConjugateDuplicatesError, InconsistentTableError) as exc:
         viol = [str(exc)]
     out.extend(viol)

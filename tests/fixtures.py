@@ -18,7 +18,6 @@ from burnside.groups import (
     PermGroup,
     Subgroup,
     close_elements,
-    subgroup_class_id,
 )
 from burnside.perms import conj, conj_by
 
@@ -111,9 +110,9 @@ def spy_dress_builds(monkeypatch) -> list:
     built = []
     real = marks._class_dress
 
-    def counted(S, U):
-        built.append((id(S), subgroup_class_id(S, U)))
-        return real(S, U)
+    def counted(S, cid, U):
+        built.append((id(S), cid))
+        return real(S, cid, U)
 
     monkeypatch.setattr(marks, "_class_dress", counted)
     return built

@@ -746,8 +746,11 @@ def test_dress_rows_below_set_cap_build_no_transversal_and_no_quotient(
 def test_dress_rows_take_the_class_ids_of_class_columns(monkeypatch):
     """Validating the C2^4 chain table keys each representative once, in
     ``class_columns``: its Dress row takes that class id instead of
-    keying the representative again, 374 class lookups in all where a
-    second key per row made 441."""
+    keying the representative again, and each join of the row is keyed
+    by its elements and found among the classes ``class_columns``
+    registered, with no lookup call.  So the 67 representatives make the
+    only 67 class lookups, where a lookup per join made 374 and a
+    second key per row 441."""
     pat = solvable_pattern_chain(abelian_group((2,) * 4))[-1]
     real = groups.subgroup_class_id
     keyed = []
@@ -761,7 +764,7 @@ def test_dress_rows_take_the_class_ids_of_class_columns(monkeypatch):
     assert validate_pattern(pat) == []
     reps = [c.rep for c in pat.classes]
     assert sum(any(H is U for U in reps) for H in keyed) == pat.n == 67
-    assert len(keyed) == 374
+    assert len(keyed) == 67
 
 
 def test_validating_a_pattern_twice_builds_its_dress_rows_once(monkeypatch):
@@ -1631,3 +1634,192 @@ def test_verify_dress_matches_python_ints(bump):
     want = _dress_violations_by_ints(bad)
     assert want and all("row 200:" in v for v in want)
     assert verify_dress(bad) == (False, want)
+
+
+# ---------------------------------------------------------------------------
+# validation against the dense loops
+
+
+def _dense_validation(pattern):
+    """validate_pattern by its dense loops, as it was before it visited
+    only nonzero cells: the sign, Lagrange and divisibility checks over
+    every cell, the column congruence over every row from the first of
+    the two columns, and the Dress sums over columns listed by a scan of
+    every cell."""
+    out = []
+    n = pattern.n
+    G = pattern.group
+    for i, row in enumerate(pattern.rows):
+        if len(row) != i + 1:
+            out.append(f"row {i} has length {len(row)}")
+    orders = pattern.class_orders()
+    for i in range(n):
+        ci = pattern.classes[i]
+        if ci.length * ci.normalizer_order != G.order:
+            out.append(f"class {i}: length {ci.length} x normalizer "
+                       f"{ci.normalizer_order} is not the group order "
+                       f"{G.order}")
+        if pattern.rows[i][i] != ci.normalizer_order // ci.order:
+            out.append(f"diagonal {i} is not the normalizer index")
+        if pattern.rows[i][0] != G.order // ci.order:
+            out.append(f"first column of row {i} is not the group index")
+        diag = pattern.rows[i][i]
+        for j in range(i + 1):
+            v = pattern.rows[i][j]
+            if v < 0:
+                out.append(f"negative mark at ({i},{j})")
+            if v and orders[i] % orders[j]:
+                out.append(f"nonzero mark at ({i},{j}) violates Lagrange")
+            if diag and v % diag:
+                out.append(f"mark at ({i},{j}) not divisible by diagonal")
+    if orders[-1] != G.order or any(v != 1 for v in pattern.rows[-1]):
+        out.append("last row is not the all-ones row of the whole group")
+    p = pattern.stats.extension_p
+    if p:
+        for j, c in enumerate(pattern.classes):
+            if c.gamma_index is None:
+                continue
+            g = c.gamma_index
+            for i in range(min(g, j), n):
+                row = pattern.rows[i]
+                if ((row[j] if j <= i else 0)
+                        - (row[g] if g <= i else 0)) % p:
+                    out.append(
+                        f"column congruence mod {p} fails at row {i}, "
+                        f"columns ({g},{j})")
+    columns = [[] for _ in range(n)]
+    for i, row in enumerate(pattern.rows):
+        for j, v in enumerate(row):
+            if v:
+                columns[j].append((i, v))
+    for dr in _dress_rows(pattern):
+        sums = {}
+        for j, k in dr.coeffs.items():
+            for i, v in columns[j]:
+                sums[i] = sums.get(i, 0) + k * v
+        for i in sorted(sums):
+            if sums[i] % dr.modulus:
+                out.append(f"row {i}: congruence of class {dr.u_index} "
+                           f"fails (sum {sums[i]} mod {dr.modulus})")
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _validated_table(name):
+    """The GL2(3) and C2^5 chain tables, and S6 from the A6 oracle."""
+    if name == "S6":
+        return extend_table_of_marks(
+            table_of_marks_brute(CATALOG.group("A6")), CATALOG.group("S6"))
+    G = abelian_group((2,) * 5) if name == "C2^5" else CATALOG.group(name)
+    return solvable_pattern_chain(G)[-1]
+
+
+def _corrupted(pat):
+    """A copy of the table with five cells broken, each in its own row:
+    a mark negated, a mark where Lagrange forbids one, a mark one more
+    than a multiple of its diagonal 2 or more, a cell of a gamma-linked
+    column bumped by p times its diagonal plus one, and a mark raised
+    by twice its diagonal (a Dress break that keeps every cell check)."""
+    rows = [list(r) for r in pat.rows]
+    orders = pat.class_orders()
+    p = pat.stats.extension_p
+    used = {0, pat.n - 1}
+
+    def cell(ok):
+        i, j = next((i, j) for i in range(pat.n) if i not in used
+                    for j in range(1, i) if ok(i, j))
+        used.add(i)
+        return i, j
+
+    i, j = cell(lambda i, j: rows[i][j])
+    rows[i][j] = -rows[i][j]
+    i, j = cell(lambda i, j: orders[i] % orders[j])
+    rows[i][j] = rows[i][i]
+    i, j = cell(lambda i, j: rows[i][i] > 1 and not orders[i] % orders[j])
+    rows[i][j] += 1
+    i, j = next((i, j) for j, c in enumerate(pat.classes)
+                if c.gamma_index is not None
+                for i in range(j, pat.n) if i not in used)
+    used.add(i)
+    rows[i][j] += p * rows[i][i] + 1
+    i, j = cell(lambda i, j: rows[i][j] and not orders[i] % orders[j])
+    rows[i][j] += 2 * rows[i][i]
+    return SubgroupPattern(group=pat.group, classes=pat.classes, rows=rows,
+                           stats=pat.stats)
+
+
+@pytest.mark.parametrize("name", ["GL2(3)", "C2^5", "S6"])
+def test_sparse_validation_matches_the_dense_loops(name):
+    """On a table with a negative mark, a Lagrange break, a mark not
+    divisible by its diagonal, a column-congruence break and a Dress
+    break, validate_pattern reports what the dense loops over every
+    cell and every row report, in the same words and order; on the
+    table itself both report nothing."""
+    pat = _validated_table(name)
+    assert validate_pattern(pat) == _dense_validation(pat) == []
+    bad = _corrupted(pat)
+    want = _dense_validation(bad)
+    for text in ("negative mark", "violates Lagrange",
+                 "not divisible by diagonal", "column congruence mod",
+                 "congruence of class"):
+        assert any(text in v for v in want), text
+    assert validate_pattern(bad) == want
+
+
+@pytest.mark.parametrize("shape", ["short", "long", "long last", "missing"])
+def test_ragged_table_gets_only_its_shape_violations(shape, s4):
+    """A row of the S4 oracle table one cell short, or one cell long with
+    a nonzero extra cell (the last row's past every column), or a row
+    missing: validate_pattern returns the shape lines and nothing else,
+    where the cell loops raised IndexError."""
+    pat = table_of_marks_brute(s4)
+    rows = [list(r) for r in pat.rows]
+    i = pat.n - 1 if shape == "long last" else 5
+    if shape == "short":
+        rows[i].pop()
+    elif shape == "missing":
+        rows.pop()
+    else:
+        rows[i].append(3)
+    bad = SubgroupPattern(group=pat.group, classes=pat.classes, rows=rows,
+                          stats=pat.stats)
+    want = ([f"table has {pat.n - 1} rows for {pat.n} classes"]
+            if shape == "missing" else
+            [f"row {i} has length {len(rows[i])}"])
+    assert validate_pattern(bad) == want
+
+
+def test_dress_rows_of_the_c2x5_table_build_no_join_and_no_normality_test(
+        monkeypatch):
+    """Validating the C2^5 chain table builds its 374 Dress rows, 2 451
+    joins (one per cyclic subgroup of each C2^5/U), on classes ``class_columns`` registered: no join gets a
+    Subgroup handle, since each is keyed by its elements and found, and
+    no row tests U for normality, since |N(U)| = |S| says N(U) is S.
+    The only handles made are S itself, once per row."""
+    pat = solvable_pattern_chain(abelian_group((2,) * 5))[-1]
+    S = pat.group
+    built, normal_tests = [], []
+    real_init = Subgroup.__init__
+
+    def counted_init(self, G, gens, **kw):
+        built.append(kw.get("group"))
+        real_init(self, G, gens, **kw)
+
+    def counted_normal(self, other):
+        normal_tests.append(self)
+        return True
+
+    monkeypatch.setattr(Subgroup, "__init__", counted_init)
+    monkeypatch.setattr(Subgroup, "is_normal_in", counted_normal)
+    joins = []
+    real_joins = groups.cyclic_joins
+
+    def counted_joins(*args):
+        for pair in real_joins(*args):
+            joins.append(pair)
+            yield pair
+    monkeypatch.setattr(marks, "cyclic_joins", counted_joins)
+    assert validate_pattern(pat) == []
+    assert pat.n == 374 and len(joins) == 2451
+    assert normal_tests == []
+    assert len(built) == 374 and all(g is S for g in built)

@@ -347,6 +347,51 @@ def test_cli_verify_pass_and_fail(tmp_path):
     assert "congruence" in out or "FAIL" in out
 
 
+INLINE_A4 = ["tom", "4", "--gens", "(1,2,3)", "--gens", "(1,2)(3,4)"]
+INLINE_S4 = ["tom", "4", "--gens", "(1,2,3,4)", "--gens", "(1,2)"]
+NO_GROUP = "the last class gives no group"
+
+
+def test_cli_inline_group_file_reads_back(tmp_path):
+    """A table written by ``tom 4 --gens`` names its group ``<4>``; it is
+    read onto the group its last class spans, so ``verify`` accepts it,
+    and as the base of S4 it gives the table of S4's own route."""
+    a4 = tmp_path / "a4.json"
+    assert _capture(INLINE_A4 + ["--format", "json", "--out", str(a4)]) == (
+        0, "")
+    assert json.loads(a4.read_text())["group"] == "<4>"
+    assert _capture(["verify", str(a4)]) == (
+        0, "ok: 5 classes, all invariants hold\n")
+    code, out = _capture(INLINE_S4 + ["--base", str(a4)])
+    assert code == 0 and "classes: 11" in out
+    assert _capture(INLINE_S4) == (0, out)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"group": "<5>"}, "unknown group '<5>'"),
+    ({"group": "<4> "}, "unknown group '<4> '"),
+    ({"group": "4"}, "unknown group '4'"),
+    ({"degree": "4"}, "unknown group '<4>'"),
+    ({"classes": []}, NO_GROUP),
+    ({"classes": [{"order": 1}]}, NO_GROUP),
+    ({"classes": [{"generators": ["(1,5)"]}]}, NO_GROUP),
+])
+def test_cli_inline_group_file_needs_its_degree_and_generators(
+        fields, message, tmp_path, capsys):
+    """Only a name ``<d>`` with d the file's integer degree reads a file
+    onto the group of its last class; any other unknown name, or a last
+    class with no usable generators, exits 2."""
+    a4 = tmp_path / "a4.json"
+    assert _capture(INLINE_A4 + ["--format", "json", "--out", str(a4)])[0] == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**json.loads(a4.read_text()), **fields}))
+    capsys.readouterr()
+    for argv in (["verify", str(bad)], INLINE_S4 + ["--base", str(bad)]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err, argv
+
+
 def test_cli_verify_parse_failure(tmp_path):
     f = tmp_path / "junk.json"
     f.write_text("{not json")
