@@ -16,8 +16,9 @@ Stability is decided once per class, by A-class ids, in
 take the stable classes of that split and decide nothing again.
 
 Every S-normalizer of the step is derived from what A has cached
-(Pfeiffer, Exp. Math. 6, 1997); the only classes of S walked whole
-are those of the <t> of order p outside A, for p dividing |A|:
+(Pfeiffer, Exp. Math. 6, 1997); no element class of S is walked, and
+the only subgroup classes of S walked whole are those of the <t> of
+order p outside A, for p dividing |A|:
 
 * |N_S(H)| is p |N_A(H)| for a stable H and |N_A(H)| otherwise, read
   off H's A-class; a merged H has no extensions.
@@ -28,11 +29,14 @@ are those of the <t> of order p outside A, for p dividing |A|:
 * |N_S(<H, t>)| is (p - 1) |N_S(H)| / R, with R the size of the
   rational class of t's image w in W, (p - 1) times the class length
   of <w> in W (the S-class of <t> for a trivial H).  For a trivial H
-  with p not dividing |A|, <t> is a Sylow subgroup; N_S(<t>) = C_S(t).
+  with p not dividing |A|, <t> is a Sylow subgroup and N_S(<t>) is
+  C_S(t) = <t> C_A(t), C_A(t) spanned by the zuppos of A that t
+  centralizes (``centralizer_order``).
 
 An A-class representative serves on the S side as it is: a subgroup
-handle belongs to no ambient group, and A and S each key it in their
-own element numbering.
+handle belongs to no ambient group, and S keys it in its numbering, a
+copy of A's (``PermGroup.number_from``) that classifies no element of
+A again.
 
 Iterating the step along a composition series enumerates the classes
 of any solvable group starting from the trivial one.
@@ -45,7 +49,7 @@ from dataclasses import dataclass
 from .groups import (
     PermGroup,
     Subgroup,
-    element_class_length,
+    centralizer_order,
     normalizer,
     prime_factors,
     quotient_group,
@@ -85,6 +89,7 @@ class ExtensionContext:
                 raise ValueError("normal subgroup not inside the group")
         if not A.as_subgroup().is_normal_in(S):
             raise ValueError("subgroup is not normal")
+        S.number_from(A)   # A's zuppos are S's, numbered once
         t = next((g for g in S.gens if not A.contains(g)), None)
         if t is None:
             raise RuntimeError("every generator lies in the subgroup")
@@ -201,9 +206,9 @@ def extension_elements(ctx: ExtensionContext, c: InnerClass) -> list:
     if H.order == 1 and A.order % p:
         # Sylow case: the only order-p class; any p-element works, and
         # t has order divisible by p as it lies outside A.  A normalizer
-        # of <t> meets A in C_A(t), so it is C_S(t).
+        # of <t> meets A in C_A(t): it is C_S(t) = <t> C_A(t).
         t = power(ctx.t, order_of(ctx.t) // p)
-        return [(t, S.order // element_class_length(S, t))]
+        return [(t, p * centralizer_order(A, t))]
     N = normalizer(S, H, order)
     W, lift = quotient_group(N.as_group(), H)
 

@@ -43,10 +43,12 @@ order, on first sight: an element maps to the id of the zuppo it
 generates, or to NO_ZUPPO (the identity, composite orders), and all
 elements of a cyclic subgroup are classified together from the powers
 of one of them.  ``elements()`` lets the numbering adopt the tuples of
-its list, so the two share one tuple per element.  The group keeps one
-conjugation table per generator, zuppo id to zuppo id, filled on
-demand by conjugating one generator of the zuppo through the
-generator's inverse, which is computed once (``perms.conj_by``); an
+its list, so the two share one tuple per element; a group over a normal
+subgroup A starts from a copy of A's numbering (``number_from``), so
+A's zuppos keep their ids and tuples and are not classified again.
+The group keeps one conjugation table per generator, zuppo id to zuppo
+id, filled on demand by conjugating one generator of the zuppo through
+the generator's inverse, computed once (``perms.conj_by``); an
 involution's table fills the entries of Z and Z^s together.  Id values
 and class-id order depend on what was seen first and have no effect on
 any output.  The class key of a subgroup, at every order, is the
@@ -353,11 +355,12 @@ class _Numbering:
 
     __slots__ = ("index", "gen", "size", "tabs", "conj", "involution", "idn")
 
-    def __init__(self, gens, degree: int):
-        self.index: dict = {}     # element tuple -> zuppo id or NO_ZUPPO
-        self.gen: list = []       # zuppo id -> a generator of the zuppo
-        self.size: list[int] = []  # zuppo id -> its order
-        self.tabs: list[list[int]] = [[] for _ in gens]
+    def __init__(self, gens, degree: int, base: "_Numbering | None" = None):
+        # a normal subgroup's numbering (``base``) is copied, tables aside
+        self.index: dict = {} if base is None else dict(base.index)
+        self.gen: list = [] if base is None else list(base.gen)
+        self.size: list[int] = [] if base is None else list(base.size)
+        self.tabs: list[list[int]] = [[-1] * len(self.gen) for _ in gens]
         self.conj = [conj_by(s) for s in gens]
         self.idn = identity_tuple(degree)
         self.involution = [mul(s, s) == self.idn for s in gens]
@@ -405,6 +408,7 @@ class PermGroup:
         self._zuppos: list | None = None    # zuppos(self), made on first use
         self._cyclic: list | None = None    # _cyclic_classes(self), likewise
         self._numbering: _Numbering | None = None   # made on first use
+        self._whole: Subgroup | None = None   # as_subgroup(), likewise
         # subgroup conjugacy caches
         self._sub_class_of: dict = {}       # class key -> class id
         self._sub_classes: list = []        # class id -> _SubClass
@@ -446,6 +450,11 @@ class PermGroup:
         if self._numbering is None:
             self._numbering = _Numbering(self.gens, self.degree)
         return self._numbering
+
+    def number_from(self, A: "PermGroup") -> None:
+        """Start the numbering, if none yet, as a copy of normal A's."""
+        if self._numbering is None:
+            self._numbering = _Numbering(self.gens, self.degree, A._numbering)
 
     def gen_conj(self) -> list:
         """The maps x -> x^s of the generators s, in generator order."""
@@ -519,8 +528,10 @@ class PermGroup:
 
     def as_subgroup(self) -> "Subgroup":
         """The whole group as a subgroup handle, on this group's chain
-        and element list."""
-        return Subgroup(self, self.gens, group=self)
+        and element list, made once."""
+        if self._whole is None:
+            self._whole = Subgroup(self, self.gens, group=self)
+        return self._whole
 
     def __repr__(self) -> str:
         return f"PermGroup(order={self.order}, degree={self.degree})"
@@ -756,23 +767,28 @@ def cyclic_joins(S: PermGroup, N: Subgroup, U: Subgroup):
 # orbit-stabilizer machinery
 
 
-def _stabilizer_from_orbit(G: PermGroup, sub: Subgroup, nodes, rep_of, act,
-                           order: int) -> Subgroup:
+def _stabilizer_from_orbit(G: PermGroup, sub: Subgroup, nodes, tree: dict,
+                           rep_of, act, order: int) -> Subgroup:
     """The stabilizer of a point, of the given order, grown from ``sub``
     (a subgroup of it) by one join per Schreier generator outside it.
 
-    nodes: the orbit, starting at the point; rep_of(node) -> an element
-    taking the point to node (identity at the point); act(node, k) -> the
-    image of node under G.gens[k].  Each join is ``Subgroup.join``, so a
-    stabilizer of order at most SET_CAP grows by cosets of its element
-    set and no stabilizer chain is built.
+    nodes: the orbit, starting at the point, and tree its Schreier tree
+    (``orbit``), holding each node's images once the node is reached;
+    rep_of(node) -> an element taking the point to node (identity at the
+    point); act(node, k) -> the image v of node under G.gens[k].  A tree
+    edge, tree[v] == (node, k), gives the identity and is skipped.  Each
+    join is ``Subgroup.join``, so a stabilizer of order at most SET_CAP
+    grows by cosets of its element set and no stabilizer chain is built.
     """
     if sub.order == order:
         return sub
     for node in nodes:
         u = rep_of(node)
         for k, s in enumerate(G.gens):
-            sg = mul(mul(u, s), inv(rep_of(act(node, k))))
+            v = act(node, k)
+            if tree[v] == (node, k):
+                continue
+            sg = mul(mul(u, s), inv(rep_of(v)))
             if sg not in sub:
                 sub = sub.join(sg)
                 if sub.order == order:
@@ -786,10 +802,19 @@ def centralizer(G: PermGroup, x) -> Subgroup:
     if not G.contains(t):
         raise ValueError("element outside the group")
     cg = G.gen_conj()
-    reps = transversal(orbit([t], cg, _apply), G.gens, G.identity)
+    tree = orbit([t], cg, _apply)
+    reps = transversal(tree, G.gens, G.identity)
     return _stabilizer_from_orbit(
-        G, Subgroup(G, [t]), reps, reps.__getitem__, lambda y, k: cg[k](y),
-        G.order // len(reps))
+        G, Subgroup(G, [t]), tree, tree, reps.__getitem__,
+        lambda y, k: cg[k](y), G.order // len(reps))
+
+
+def centralizer_order(G: PermGroup, t: tuple[int, ...]) -> int:
+    """|C_G(t)| for a permutation t of G's degree, with no orbit walked:
+    C_G(t) is spanned by the zuppos of G (``zuppos``) whose generator t
+    centralizes, each element a product of prime-power powers of itself."""
+    c = conj_by(t)
+    return PermGroup([x for x, _, _ in zuppos(G) if c(x) == x], G.degree).order
 
 
 def element_class_length(G: PermGroup, x) -> int:
@@ -881,7 +906,7 @@ def normalizer(G: PermGroup, H: Subgroup,
         order = G.order // G._sub_classes[subgroup_class_id(G, H, fp)].size
     tree, known = {fp: None}, {fp: G.identity}
     result = _stabilizer_from_orbit(
-        G, H, orbit_walk(tree, range(len(G.gens)), G.conj_index_set),
+        G, H, orbit_walk(tree, range(len(G.gens)), G.conj_index_set), tree,
         lambda key: path_product(tree, key, G.gens, known),
         G.conj_index_set, order)
     G._normalizers[fp] = result

@@ -24,7 +24,10 @@ from burnside.groups import (
     CapExceededError,
     PermGroup,
     Subgroup,
+    centralizer,
+    centralizer_order,
     composition_series,
+    element_class_length,
     is_solvable,
     normalizer,
     subgroup_class_id,
@@ -467,6 +470,35 @@ def check_against_full_walks(A, S, a_classes, step, handed):
                       if s and not (sylow and H.order == 1)]
     for oc in step.outer:
         assert oc.normalizer_order == full_walk_normalizer(S, oc.rep).order
+        if sylow and oc.rep.order == p:
+            assert oc.normalizer_order == sylow_reference(S, oc.gen_element)
+
+
+def sylow_reference(S, t):
+    """|C_S(t)| as the step took it for the Sylow class <t> before it
+    read C_A(t) off A's zuppos: |S| over the class of t walked in S."""
+    return S.order // element_class_length(S, t)
+
+
+def element_class_reps(G):
+    """One element of each conjugacy class of G, by full element walks."""
+    seen, reps = set(), []
+    for x in G.elements():
+        if x not in seen:
+            reps.append(x)
+            seen.update(groups.orbit([x], G.gen_conj(), groups._apply))
+    return reps
+
+
+@pytest.mark.parametrize("name", ["S4", "S5", "GL2(3)", "A6"])
+def test_zuppos_centralized_by_x_span_its_centralizer(name):
+    """The zuppos of G that x centralizes span C_G(x), for every class
+    representative x: no coprimality of x to |G| is assumed.  The
+    order is checked against ``centralizer`` and against a count."""
+    G = CATALOG.group(name)
+    for x in element_class_reps(G):
+        want = sum(mul(x, y) == mul(y, x) for y in G.elements())
+        assert centralizer_order(G, x) == centralizer(G, x).order == want
 
 
 SOLVABLE = [entry.name for entry in CATALOG.entries.values()
@@ -497,25 +529,68 @@ def test_class_step_normalizers_match_full_walks(a_name, s_name, seed):
 @pytest.fixture(scope="module")
 def l2_32_step():
     """The L2(32) class search, then the step to L2(32):5, with the class
-    counts of both groups right after the step."""
+    counts of both groups right after the step, the generator lists of
+    the orbits the step walked (``element_class_length`` and
+    ``centralizer`` walk by ``groups.orbit``), and the (numbering,
+    element) pairs it classified."""
     A, S = relabeled("L2(32)", 0), relabeled("L2(32):5", 0)
     a_classes = sort_class_reps(subgroup_classes_search(A))
     searched = len(A._sub_classes)
-    step, handed = spied_step(A, S, a_classes)
+    walked, classified = [], []
+    real_orbit, real_classify = groups.orbit, groups._Numbering._classify
+
+    def orbit_spy(seeds, gens, act):
+        walked.append(gens)
+        return real_orbit(seeds, gens, act)
+
+    def classify_spy(num, x):
+        classified.append((num, x))
+        real_classify(num, x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groups, "orbit", orbit_spy)
+        mp.setattr(groups._Numbering, "_classify", classify_spy)
+        step, handed = spied_step(A, S, a_classes)
     counts = (searched, len(A._sub_classes), len(S._sub_classes))
-    return A, S, a_classes, step, handed, counts
+    return A, S, a_classes, step, handed, counts, (walked, classified)
 
 
 def test_l2_32_5_step_walks_no_class_of_s(l2_32_step):
-    *_, step, _, (searched, after, s_classes) = l2_32_step
+    *_, step, _, (searched, after, s_classes), _ = l2_32_step
     assert len(step.reps) == 30
     assert (len(step.inner.classes), len(step.inner.stable_classes),
             step.inner.raw_fused_count) == (16, 14, 10)
     assert s_classes == 0 and after == searched == 24
 
 
+def test_l2_32_5_step_walks_no_element_orbit_and_numbers_a_once(
+        l2_32_step, monkeypatch):
+    """The step conjugates no element of S around a class (the Sylow
+    class's C_S(t) is read off A's zuppos), and S's numbering starts as
+    a copy of A's: no element of A is classified again, each zuppo of A
+    keeps its id, and numbering an element outside A leaves A's
+    numbering as it was."""
+    A, S, *_, (walked, classified) = l2_32_step
+    num = S._numbering
+    assert walked and all(gens is not num.conj for gens in walked)
+    assert not [x for n, x in classified if n is num and A.contains(x)]
+    again = []
+    monkeypatch.setattr(groups._Numbering, "_classify",
+                        lambda n, x: again.append(x))
+    a_num = A._numbering
+    assert all(S.zuppo_id(x) == A.zuppo_id(x) for x in a_num.gen)
+    assert again == [] and num.index is not a_num.index
+    monkeypatch.undo()
+    before = dict(a_num.index), list(a_num.gen)
+    t = next(g for g in S.gens if not A.contains(g))
+    x = next(y for y in (mul(z, t) for z in a_num.gen)
+             if y not in num.index)
+    S.zuppo_id(x)
+    assert x in num.index and (a_num.index, a_num.gen) == before
+
+
 def test_l2_32_5_step_normalizers_match_full_walks(l2_32_step):
-    A, S, a_classes, step, handed, _ = l2_32_step
+    A, S, a_classes, step, handed, *_ = l2_32_step
     check_against_full_walks(A, S, a_classes, step, handed)
 
 
