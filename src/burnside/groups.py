@@ -16,7 +16,11 @@ gens[k])).  Chain levels, element class lengths, centralizers,
 subgroup classes and cosets all use it; ``transversal`` and
 ``path_product`` multiply out the group elements along the tree.  Its
 walk, ``orbit_walk``, also runs lazily, for a caller that may stop part
-way.  A coset action is read off the tree edges of the walk that
+way.  A caller that names the involutions among the generators (the
+numbering's flags, for class and element walks) saves the back edges:
+a point reached from its parent by an involution is not acted on by it
+again, since that image is the parent; the tree and its order do not
+change.  A coset action is read off the tree edges of the walk that
 gives its transversal; a coset Hg is keyed by the element of it with
 the least base images along H's stabilizer chain, one gather a level.
 
@@ -27,10 +31,15 @@ group that classifies a handle keys it in its own numbering
 (``PermGroup.subgroup_key``), so one handle can be classified in A and
 in an overgroup S alike.  Conjugacy of subgroups is resolved
 by orbit enumeration with per-class caches stored on that group.
-A normalizer walks H's class from H only until its Schreier
-generators, joined to H one at a time, span its order; a caller that
-knows the order passes it, and no class is cached then.  An order of
-|G| gives G itself, with no walk and no normality test.
+A normalizer takes the Schreier generators of H's class from H only
+until, joined to H one at a time, they span its order: it reads the
+class tree cached on G when H's key is its root, and otherwise walks
+the class lazily from H, keeping each image the walk makes for the
+stabilizer loop, so each key is conjugated once per generator.  A
+caller that knows the order passes it, and no class is cached then;
+a caller that has H's key passes it too, and a key G has registered
+spares the sift of H's generators.  An order of |G| gives G itself,
+with no walk and no normality test.
 
 Cyclic extensions are built here only: ``Subgroup.join(t)`` is <H, t>,
 ``cyclic_joins(S, N, H)`` gives the class in S of one <H, a> per cyclic
@@ -124,29 +133,48 @@ class CapExceededError(ValueError):
 # orbits
 
 
-def orbit(seeds, gens, act) -> dict:
+def orbit(seeds, gens, act, involutions=()) -> dict:
     """Breadth-first orbit of the seeds under gens, as a Schreier tree.
 
     Points come in discovery order, seeds first; each maps to None (a
     seed) or to (parent, k) with point == act(parent, gens[k]).
+    ``involutions`` holds the indices of generators of order two, whose
+    back edges the walk skips (``orbit_walk``).
     """
     tree = dict.fromkeys(seeds)
-    deque(orbit_walk(tree, gens, act), maxlen=0)
+    deque(orbit_walk(tree, gens, act, involutions), maxlen=0)
     return tree
 
 
-def orbit_walk(tree: dict, gens, act):
+def _edge_steps(gens, involutions) -> tuple[list, list]:
+    """The (k, gens[k]) steps out of a point: all of them from a seed,
+    and by the index k of the tree edge into any other point, all but
+    the back edge k when gens[k] is an involution (the indices in
+    ``involutions``), whose image is the point's parent."""
+    steps = list(enumerate(gens))
+    return steps, [[st for st in steps if st[0] != k]
+                   if k in involutions else steps for k in range(len(steps))]
+
+
+def orbit_walk(tree: dict, gens, act, involutions=()):
     """The walk behind ``orbit``, grown lazily: starting from the points
     already in ``tree`` (the seeds, each mapped to None), yields the
     points in discovery order, each once its images under gens are in
-    the tree, so a caller can stop the walk part way."""
+    the tree, so a caller can stop the walk part way.  A point reached
+    from its parent by an involution gens[k] is not acted on by gens[k]
+    again: act is a right action, so that image is the parent.  The
+    tree and its order are those of the walk that acts by every
+    generator."""
+    steps, by_edge = _edge_steps(gens, involutions)
     queue = list(tree)
+    push = queue.append
     for x in queue:
-        for k, g in enumerate(gens):
+        edge = tree[x]
+        for k, g in steps if edge is None else by_edge[edge[1]]:
             y = act(x, g)
             if y not in tree:
                 tree[y] = (x, k)
-                queue.append(y)
+                push(y)
         yield x
 
 
@@ -350,10 +378,11 @@ class _Numbering:
     and ``size`` its order.  Each generator s of the group has a
     conjugation table (zuppo id -> zuppo id, one entry per zuppo, -1
     while unfilled), the map x -> x^s, which fills an entry by
-    conjugating one generator of the zuppo, and whether s is an
-    involution, whose table is its own inverse."""
+    conjugating one generator of the zuppo; ``involutions`` holds the
+    indices of the involutions s, whose tables are their own inverses."""
 
-    __slots__ = ("index", "gen", "size", "tabs", "conj", "involution", "idn")
+    __slots__ = ("index", "gen", "size", "tabs", "conj", "involutions",
+                 "idn")
 
     def __init__(self, gens, degree: int, base: "_Numbering | None" = None):
         # a normal subgroup's numbering (``base``) is copied, tables aside
@@ -363,7 +392,8 @@ class _Numbering:
         self.tabs: list[list[int]] = [[-1] * len(self.gen) for _ in gens]
         self.conj = [conj_by(s) for s in gens]
         self.idn = identity_tuple(degree)
-        self.involution = [mul(s, s) == self.idn for s in gens]
+        self.involutions = frozenset(
+            k for k, s in enumerate(gens) if mul(s, s) == self.idn)
 
     def number(self, x: tuple[int, ...]) -> int:
         z = self.index.get(x)
@@ -487,7 +517,7 @@ class PermGroup:
         out = frozenset(map(tab.__getitem__, idxs))
         if -1 not in out:
             return out
-        c, involution, gen = num.conj[k], num.involution[k], num.gen
+        c, involution, gen = num.conj[k], k in num.involutions, num.gen
         for i in idxs:
             if tab[i] < 0:
                 j = tab[i] = num.number(c(gen[i]))
@@ -768,23 +798,29 @@ def cyclic_joins(S: PermGroup, N: Subgroup, U: Subgroup):
 
 
 def _stabilizer_from_orbit(G: PermGroup, sub: Subgroup, nodes, tree: dict,
-                           rep_of, act, order: int) -> Subgroup:
+                           rep_of, act, order: int,
+                           involutions=()) -> Subgroup:
     """The stabilizer of a point, of the given order, grown from ``sub``
     (a subgroup of it) by one join per Schreier generator outside it.
 
     nodes: the orbit, starting at the point, and tree its Schreier tree
     (``orbit``), holding each node's images once the node is reached;
     rep_of(node) -> an element taking the point to node (identity at the
-    point); act(node, k) -> the image v of node under G.gens[k].  A tree
-    edge, tree[v] == (node, k), gives the identity and is skipped.  Each
-    join is ``Subgroup.join``, so a stabilizer of order at most SET_CAP
-    grows by cosets of its element set and no stabilizer chain is built.
+    point); act(node, k) -> the image v of node under G.gens[k], asked
+    once per pair.  Two edges give the identity and are skipped: a tree
+    edge, tree[v] == (node, k), and the back edge of a node reached by an
+    involution, the indices in ``involutions`` (``orbit_walk``), which
+    is not acted on.
+    Each join is ``Subgroup.join``, so a stabilizer of order at most
+    SET_CAP grows by cosets of its element set and no stabilizer chain
+    is built.
     """
     if sub.order == order:
         return sub
+    steps, by_edge = _edge_steps(G.gens, involutions)
     for node in nodes:
-        u = rep_of(node)
-        for k, s in enumerate(G.gens):
+        u, edge = rep_of(node), tree[node]
+        for k, s in steps if edge is None else by_edge[edge[1]]:
             v = act(node, k)
             if tree[v] == (node, k):
                 continue
@@ -801,12 +837,12 @@ def centralizer(G: PermGroup, x) -> Subgroup:
     t = tuple(x)
     if not G.contains(t):
         raise ValueError("element outside the group")
-    cg = G.gen_conj()
-    tree = orbit([t], cg, _apply)
+    cg, invs = G.gen_conj(), G._num().involutions
+    tree = orbit([t], cg, _apply, invs)
     reps = transversal(tree, G.gens, G.identity)
     return _stabilizer_from_orbit(
         G, Subgroup(G, [t]), tree, tree, reps.__getitem__,
-        lambda y, k: cg[k](y), G.order // len(reps))
+        lambda y, k: cg[k](y), G.order // len(reps), invs)
 
 
 def centralizer_order(G: PermGroup, t: tuple[int, ...]) -> int:
@@ -820,7 +856,8 @@ def centralizer_order(G: PermGroup, t: tuple[int, ...]) -> int:
 def element_class_length(G: PermGroup, x) -> int:
     """|x^G|, the length of the conjugacy class of an element x of G:
     its orbit under conjugation by the generators."""
-    return len(orbit([tuple(x)], G.gen_conj(), _apply))
+    return len(orbit([tuple(x)], G.gen_conj(), _apply,
+                     G._num().involutions))
 
 
 @dataclass
@@ -849,7 +886,8 @@ def subgroup_class_id(G: PermGroup, H: Subgroup, key=None) -> int:
     if cid is not None:
         return cid
     cid = len(G._sub_classes)
-    tree = orbit([fp], range(len(G.gens)), G.conj_index_set)
+    tree = orbit([fp], range(len(G.gens)), G.conj_index_set,
+                 G._num().involutions)
     G._sub_classes.append(_SubClass(rep=H, size=len(tree), tree=tree))
     G._sub_class_of.update(dict.fromkeys(tree, cid))
     return cid
@@ -879,36 +917,58 @@ def are_conjugate_subgroups(G: PermGroup, H: Subgroup, K: Subgroup):
     return mul(inv(gh), path_product(tree, kk, G.gens, known))
 
 
-def normalizer(G: PermGroup, H: Subgroup,
-               order: int | None = None) -> Subgroup:
+def normalizer(G: PermGroup, H: Subgroup, order: int | None = None,
+               key=None) -> Subgroup:
     """Normalizer of H in G via orbit-stabilizer on H's class.
 
-    The class is walked lazily from H, on zuppo sets through the
-    conjugation tables, and the Schreier generators over the walk grow H
-    (``_stabilizer_from_orbit``) until the normalizer has ``order``; an
-    element is multiplied out only for the members the walk visits.
-    Without ``order`` it is |G| over H's class length, from G's class
-    cache; a caller that passes it leaves that cache alone.  A normal H
-    is answered before it is keyed, so no key is made for it: by
+    The Schreier generators over H's class, on zuppo sets through the
+    conjugation tables, grow H (``_stabilizer_from_orbit``) until the
+    normalizer has ``order``; an element is multiplied out only for the
+    members visited.  When H's key is the root of its class cached on G,
+    the cached tree is read; otherwise the class is walked lazily from H,
+    and each image the walk makes is kept for the stabilizer loop, so no
+    key is conjugated twice.  Without ``order`` it is |G| over H's class
+    length, from G's class cache; a caller that passes it leaves that
+    cache alone.  ``key`` is H's ``G.subgroup_key``, for a caller that
+    already has it; a key G has registered is the zuppo set of a
+    subgroup of G, so H is then not sifted through G's chain.  A normal
+    H is answered before it is keyed, so no key is made for it: by
     ``order`` = |G| with no conjugation, and without ``order`` by
     ``is_normal_in``.
     """
-    if not all(g in G for g in H.gens):
+    if ((key is None or key not in G._sub_class_of)
+            and not all(g in G for g in H.gens)):
         raise ValueError("subgroup not inside the group")
     if order == G.order or (order is None and H.is_normal_in(G)):
         return G.as_subgroup()
-    fp = G.subgroup_key(H)
+    fp = G.subgroup_key(H) if key is None else key
     cached = G._normalizers.get(fp)
     if cached is not None:
         return cached
+    cid = G._sub_class_of.get(fp)
     if order is None:
-        # H's class length
-        order = G.order // G._sub_classes[subgroup_class_id(G, H, fp)].size
-    tree, known = {fp: None}, {fp: G.identity}
+        cid = subgroup_class_id(G, H, fp)
+        order = G.order // G._sub_classes[cid].size   # H's class length
+    tree = None if cid is None else G._sub_classes[cid].tree
+    invs, conj_set = G._num().involutions, G.conj_index_set
+    if tree is not None and next(iter(tree)) == fp:
+        # H opened its class: the cached tree is the walk from H
+        nodes, act = tree, conj_set
+    else:
+        tree, images = {fp: None}, {}   # (node, k) -> its image
+
+        def step(node, k):
+            images[node, k] = image = conj_set(node, k)
+            return image
+
+        def act(node, k):
+            return images.pop((node, k))
+        nodes = orbit_walk(tree, range(len(G.gens)), step, invs)
+    known = {fp: G.identity}
     result = _stabilizer_from_orbit(
-        G, H, orbit_walk(tree, range(len(G.gens)), G.conj_index_set), tree,
-        lambda key: path_product(tree, key, G.gens, known),
-        G.conj_index_set, order)
+        G, H, nodes, tree,
+        lambda node: path_product(tree, node, G.gens, known), act, order,
+        invs)
     G._normalizers[fp] = result
     return result
 

@@ -55,7 +55,7 @@ from .marks import (
     class_columns,
     mark_row,
 )
-from .perms import conj, conj_by
+from .perms import conj, conj_by, mul
 
 DEFAULT_CAP = 2000
 
@@ -102,12 +102,16 @@ def all_subgroup_classes_brute(G: PermGroup,
             N = normalizer(G, H)
             nconj = ([conj_by(g) for g in N.gens] if H.is_normal_in(N)
                      else ())
+            # the involutions of N's generators, whose back edges the
+            # orbit walks skip
+            invs = frozenset(k for k, g in enumerate(N.gens)
+                             if mul(g, g) == G.identity)
         seen: set = set()
         for x, z, zclass in zups:
             if x in helems or z in seen:
                 continue
             # for H normal in G, the N-orbit of z is its G-class
-            seen.update(zclass if normal else orbit([z], nconj, act))
+            seen.update(zclass if normal else orbit([z], nconj, act, invs))
             gens = H.gens + (x,)
             elems = join_normalizing(helems, H.gens, x)
             if elems is None:

@@ -259,8 +259,13 @@ def _class_dress(S: PermGroup, cid: int,
     join per cyclic subgroup of N(U)/U, or per class of them
     (``groups.cyclic_joins``), each join's class looked up by its key.
     |N(U)| is |S| over the class length, so the normalizer is S itself
-    for a normal U, with no conjugation."""
-    N = normalizer(S, U, S.order // S._sub_classes[cid].size)
+    for a normal U, with no conjugation.  U's key is the root of the
+    class tree when U opened the class or is its only member, so U is
+    keyed only when it is neither."""
+    record = S._sub_classes[cid]
+    key = (next(iter(record.tree)) if U is record.rep or record.size == 1
+           else S.subgroup_key(U))
+    N = normalizer(S, U, S.order // record.size, key)
     counts: dict[int, int] = {}
     for jid, count in cyclic_joins(S, N, U):
         counts[jid] = counts.get(jid, 0) + count

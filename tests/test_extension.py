@@ -539,9 +539,9 @@ def l2_32_step():
     walked, classified = [], []
     real_orbit, real_classify = groups.orbit, groups._Numbering._classify
 
-    def orbit_spy(seeds, gens, act):
+    def orbit_spy(seeds, gens, act, involutions=()):
         walked.append(gens)
-        return real_orbit(seeds, gens, act)
+        return real_orbit(seeds, gens, act, involutions)
 
     def classify_spy(num, x):
         classified.append((num, x))

@@ -499,13 +499,13 @@ def test_rational_classes_walk_subgroup_classes_only(name, monkeypatch):
     walked = []
     real_orbit, real_walk = groups.orbit, groups.orbit_walk
 
-    def spied_orbit(seeds, gens, act):
+    def spied_orbit(seeds, gens, act, involutions=()):
         walked.extend(seeds)
-        return real_orbit(seeds, gens, act)
+        return real_orbit(seeds, gens, act, involutions)
 
-    def spied_walk(tree, gens, act):
+    def spied_walk(tree, gens, act, involutions=()):
         walked.extend(tree)
-        return real_walk(tree, gens, act)
+        return real_walk(tree, gens, act, involutions)
 
     monkeypatch.setattr(groups, "orbit", spied_orbit)
     monkeypatch.setattr(groups, "orbit_walk", spied_walk)
@@ -1075,7 +1075,7 @@ def test_conjugation_tables_match_tuple_conjugation(make):
             tab = num.tabs[k]
             assert all(j < 0 or j == num.index[conj(num.gen[i], s)]
                        for i, j in enumerate(tab))
-            if num.involution[k]:
+            if k in num.involutions:
                 assert all(j < 0 or tab[j] == i for i, j in enumerate(tab))
 
     check()
@@ -1086,7 +1086,8 @@ def test_conjugation_tables_match_tuple_conjugation(make):
     assert all(len(tab) == len(num.gen) and min(tab) >= 0
                for tab in num.tabs)
     # S5 and GL2(3) each have an involutory generator, A6 none
-    assert num.involution == [order_of(s) == 2 for s in G.gens]
+    assert num.involutions == {k for k, s in enumerate(G.gens)
+                               if order_of(s) == 2}
 
 
 # ---------------------------------------------------------------------------
