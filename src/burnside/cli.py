@@ -57,7 +57,6 @@ from .groups import (
     NotSolvableError,
     PermGroup,
     composition_series,
-    normalizer,
 )
 from .lattice import (
     DEFAULT_CAP,
@@ -68,6 +67,7 @@ from .lattice import (
 from .marks import (
     PatternClass,
     SubgroupPattern,
+    class_records,
     extend_table_of_marks,
     trivial_pattern,
     validate_pattern,
@@ -242,12 +242,11 @@ def _class_listing(route: Route) -> list[PatternClass]:
             step = extend_classes(sort_class_reps(reps),
                                   ExtensionContext.create(S, G))
             reps, G = step.reps, S
-        orders = step.normalizer_orders
+        classes = [PatternClass(rep=rep, order=rep.order,
+                                length=G.order // no, normalizer_order=no)
+                   for rep, no in zip(reps, step.normalizer_orders)]
     else:
-        orders = [normalizer(G, rep).order for rep in reps]
-    classes = [PatternClass(rep=rep, order=rep.order, length=G.order // no,
-                            normalizer_order=no)
-               for rep, no in zip(reps, orders)]
+        classes = class_records(G, reps, map(G.subgroup_key, reps))
     classes.sort(key=lambda c: c.order)
     return classes
 

@@ -20,17 +20,20 @@ way.  A caller that names the involutions among the generators (the
 numbering's flags, for class and element walks) saves the back edges:
 a point reached from its parent by an involution is not acted on by it
 again, since that image is the parent; the tree and its order do not
-change.  A coset action is read off the tree edges of the walk that
-gives its transversal; a coset Hg is keyed by the element of it with
-the least base images along H's stabilizer chain, one gather a level.
+change.  One coset walk, in ``coset_action``, gives the action (off
+its tree edges) and the transversal (its representatives); a coset Hg
+is keyed by the element of it with the least base images along H's
+stabilizer chain, one gather a level.
 
 A subgroup handle carries its generators, its degree and, whenever
 the order is at most SET_CAP, its element set; SET_CAP caps element
-sets and nothing else.  A handle belongs to no ambient group.  The
-group that classifies a handle keys it in its own numbering
+sets and nothing else.  No other module reads it: they ask a handle
+(``membership``, a set test or sifts; ``order_profile``, None above
+the cap).  A handle belongs to no ambient group.  The group that
+classifies a handle keys it in its own numbering
 (``PermGroup.subgroup_key``), so one handle can be classified in A and
-in an overgroup S alike.  Conjugacy of subgroups is resolved
-by orbit enumeration with per-class caches stored on that group.
+in an overgroup S alike.  Conjugacy of subgroups is resolved by orbit
+enumeration with per-class caches stored on that group.
 A normalizer takes the Schreier generators of H's class from H only
 until, joined to H one at a time, they span its order: it reads the
 class tree cached on G when H's key is its root, and otherwise walks
@@ -82,8 +85,8 @@ reader of cyclic subgroups takes them from these classes: the rational
 classes of order q are the classes of order q, each represented by its
 least element; ``zuppos(G)``, for the oracle, is the classes of
 prime-power order, each zuppo with its G-class, in order of least
-generator; and the key of a subgroup above SET_CAP is the union of its
-member keys.
+generator, read off them on each call; and the key of a subgroup
+above SET_CAP is the union of its member keys.
 """
 
 from __future__ import annotations
@@ -435,8 +438,7 @@ class PermGroup:
         self.chain = build_chain(self.gens, degree, order)
         self.order: int = _chain_order(self.chain)
         self._elements: list[tuple[int, ...]] | None = None
-        self._zuppos: list | None = None    # zuppos(self), made on first use
-        self._cyclic: list | None = None    # _cyclic_classes(self), likewise
+        self._cyclic: list | None = None    # _cyclic_classes(self), made once
         self._numbering: _Numbering | None = None   # made on first use
         self._whole: Subgroup | None = None   # as_subgroup(), likewise
         # subgroup conjugacy caches
@@ -579,9 +581,9 @@ class Subgroup:
     generators, supplies the chain and the order instead of a closure.
     """
 
-    __slots__ = ("degree", "gens", "order", "_elems", "_group", "_profile")
+    __slots__ = ("degree", "gens", "order", "_elems", "_group")
 
-    def __init__(self, G, gens, *, elems=None, check=False, seed=None,
+    def __init__(self, G, gens, *, elems=None, check=False,
                  group: PermGroup | None = None):
         self.degree = G.degree
         self.gens = _clean_gens(gens, G.degree)
@@ -590,10 +592,8 @@ class Subgroup:
                 if not G.contains(t):
                     raise ValueError("generator outside the ambient group")
         self._group = group
-        self._profile = None
         if elems is None and group is None:
-            elems = close_elements(self.gens, G.degree, cap=SET_CAP,
-                                   seed=seed)
+            elems = close_elements(self.gens, G.degree, cap=SET_CAP)
         elif elems is None and group.order <= SET_CAP:
             elems = group.elements()
         self._elems = None if elems is None else frozenset(elems)
@@ -622,15 +622,24 @@ class Subgroup:
 
     __contains__ = contains
 
+    def membership(self):
+        """The test whether all of some tuples lie in the subgroup: the
+        element set's C-level ``issuperset`` when the handle has it,
+        else a sift of each through the stabilizer chain."""
+        if self._elems is not None:
+            return self._elems.issuperset
+        G = self.as_group()
+        return lambda elems: all(map(G.contains, elems))
+
     def order_profile(self):
-        """Sorted multiset of element orders (small subgroups only)."""
-        if self._profile is None:
-            counts: dict[int, int] = {}
-            for x in self.elements():
-                o = order_of(x)
-                counts[o] = counts.get(o, 0) + 1
-            self._profile = tuple(sorted(counts.items()))
-        return self._profile
+        """Sorted multiset of element orders; None above SET_CAP."""
+        if self.order > SET_CAP:
+            return None
+        counts: dict[int, int] = {}
+        for x in self.elements():
+            o = order_of(x)
+            counts[o] = counts.get(o, 0) + 1
+        return tuple(sorted(counts.items()))
 
     def is_abelian(self) -> bool:
         """True iff the subgroup is abelian: its generators commute."""
@@ -645,7 +654,7 @@ class Subgroup:
                 and self.is_abelian())
 
     def is_subset_of(self, other: "Subgroup") -> bool:
-        return all(g in other for g in self.gens)
+        return other.membership()(self.gens)
 
     def same_subgroup(self, other: "Subgroup") -> bool:
         return (self.order == other.order
@@ -658,17 +667,20 @@ class Subgroup:
         otherwise they are closed by cosets from H's element set.  When
         |H| m > SET_CAP the join, which holds the |H| m elements of
         H<t>, is above the cap whether t normalizes H or not, and gets
-        its stabilizer chain directly, with no closure."""
+        its stabilizer chain directly, with no closure; so does a
+        closure that passes the cap."""
         gens = self.gens + (t,)
         w, m, n = t, 1, order_of(t)
         while self.order * n > SET_CAP >= self.order * m and w not in self:
             w, m = mul(w, t), m + 1
-        if self.order * m > SET_CAP:
-            return PermGroup(gens, self.degree).as_subgroup()
-        elems = join_normalizing(self.elements(), self.gens, t)
-        if elems is not None:
-            return Subgroup(self, gens, elems=elems)
-        return Subgroup(self, gens, seed=self.elements())
+        if self.order * m <= SET_CAP:
+            elems = join_normalizing(self.elements(), self.gens, t)
+            if elems is None:
+                elems = close_elements(gens, self.degree, cap=SET_CAP,
+                                       seed=self.elements())
+            if elems is not None:
+                return Subgroup(self, gens, elems=elems)
+        return PermGroup(gens, self.degree).as_subgroup()
 
     def is_normal_in(self, other) -> bool:
         """True iff this subgroup is normalized by all generators of other."""
@@ -896,14 +908,14 @@ def subgroup_class_id(G: PermGroup, H: Subgroup, key=None) -> int:
 def are_conjugate_subgroups(G: PermGroup, H: Subgroup, K: Subgroup):
     """A conjugating element g with H^g = K, or None.
 
-    Order and element-order-profile mismatches are rejected before any
-    orbit enumeration.
+    Order mismatches, and below SET_CAP element-order-profile
+    mismatches, are rejected before any orbit enumeration.
     """
     if H.order != K.order:
         return None
     if H.same_subgroup(K):
         return G.identity
-    if H.order <= SET_CAP and H.order_profile() != K.order_profile():
+    if H.order_profile() != K.order_profile():
         return None
     kh, kk = G.subgroup_key(H), G.subgroup_key(K)
     ch = subgroup_class_id(G, H, kh)
@@ -996,46 +1008,34 @@ def _coset_key(H: Subgroup):
     return lambda g: shift(least(g))
 
 
-def _coset_walk(G: PermGroup, H: Subgroup):
-    """The right cosets Hg in breadth-first order from H: the Schreier
-    tree over their keys (``_coset_key``), the transversal along it, and
-    the key of every tree edge in walk order, edges[i * len(G.gens) + k]
-    the key of the coset of node i times gens[k]."""
-    # H's key is the identity, the root of the walk
-    key, edges = _coset_key(H), []
-    tree = orbit([G.identity], G.gens,
-                 lambda c, s: edges.append(key(mul(c, s))) or edges[-1])
-    reps = list(transversal(tree, G.gens, G.identity).values())
-    if len(reps) != G.order // H.order:
-        raise RuntimeError(f"{len(reps)} cosets found, expected "
-                           f"{G.order // H.order}")
-    return tree, reps, edges
-
-
-def coset_transversal(G: PermGroup, H: Subgroup) -> list[tuple[int, ...]]:
-    """Deterministic transversal of the right cosets Hg, identity first:
-    the cosets in breadth-first order, each represented by the product
-    of the generators along its tree path."""
-    return [G.identity] if G.order == H.order else _coset_walk(G, H)[1]
-
-
 def coset_action(G: PermGroup, H: Subgroup, order: int | None = None):
-    """Action of G on the cosets of H.
-
-    Returns (image group, reps): the image has degree |G:H|, at most
-    QUOTIENT_CAP, and point i is the coset of reps[i]
-    (``coset_transversal``).  The image of point i under gens[k] is read
-    off the edge from node i by k of the walk that gives reps, one coset
-    key per edge through H's stabilizer chain (``_coset_key``).
+    """Action of G on the right cosets Hg, as (image group, reps): the
+    image has degree |G:H|, at most QUOTIENT_CAP, and point i is the
+    coset of reps[i].  One breadth-first walk from H over the coset keys
+    (``_coset_key``), one key per tree edge, gives both: reps, identity
+    first, are the products of the generators along the tree paths, and
+    point i goes under gens[k] to the key of the edge from i by k.
     ``order`` is the image's order, for a caller that knows it exactly.
     """
     index = G.order // H.order
     if index > QUOTIENT_CAP:
         raise CapExceededError(f"coset action degree {index} over the limit")
-    tree, reps, edges = _coset_walk(G, H)
+    # H's key is the identity, the root of the walk
+    key, edges = _coset_key(H), []
+    tree = orbit([G.identity], G.gens,
+                 lambda c, s: edges.append(key(mul(c, s))) or edges[-1])
+    reps = list(transversal(tree, G.gens, G.identity).values())
+    if len(reps) != index:
+        raise RuntimeError(f"{len(reps)} cosets found, expected {index}")
     label, n = dict(zip(tree, range(index))), len(G.gens)
     return PermGroup([tuple(map(label.__getitem__, edges[k::n]))
                       for k in range(n)], index, order), reps
+
+
+def coset_transversal(G: PermGroup, H: Subgroup) -> list[tuple[int, ...]]:
+    """The representatives of ``coset_action``: a deterministic
+    transversal of the right cosets Hg, identity first."""
+    return [G.identity] if G.order == H.order else coset_action(G, H)[1]
 
 
 def quotient_group(N: PermGroup, H: Subgroup):
@@ -1067,17 +1067,15 @@ def zuppos(G: PermGroup) -> list:
     the certified cyclic classes (``_cyclic_classes``): a member of a
     class of prime-power order d is keyed by the ids of its subgroups,
     and its own id is the one of order d.  The triples come in order of
-    least generator; the list is made once and cached on G."""
-    if G._zuppos is None:
-        num, out = G._num(), []
-        for d, members, _ in _cyclic_classes(G):
-            if len(set(prime_factors(d))) == 1:
-                zclass = tuple(next(z for z in key if num.size[z] == d)
-                               for key in members)
-                out += [(num.gen[z], z, zclass) for z in zclass]
-        out.sort()
-        G._zuppos = out
-    return G._zuppos
+    least generator."""
+    num, out = G._num(), []
+    for d, members, _ in _cyclic_classes(G):
+        if len(set(prime_factors(d))) == 1:
+            zclass = tuple(next(z for z in key if num.size[z] == d)
+                           for key in members)
+            out += [(num.gen[z], z, zclass) for z in zclass]
+    out.sort()
+    return out
 
 
 def _cyclic_classes(W: PermGroup) -> list:

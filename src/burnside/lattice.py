@@ -49,10 +49,10 @@ from .groups import (
 )
 from .marks import (
     ConjugateDuplicatesError,
-    PatternClass,
     PatternStats,
     SubgroupPattern,
     class_columns,
+    class_records,
     mark_row,
 )
 from .perms import conj, conj_by, mul
@@ -144,15 +144,9 @@ def table_of_marks_brute(G: PermGroup,
     representative is keyed and classified once for the whole table."""
     reps = all_subgroup_classes_brute(G, cap)
     keys = [G.subgroup_key(rep) for rep in reps]
-    cids = [subgroup_class_id(G, rep, key) for rep, key in zip(reps, keys)]
-    classes = []
-    for rep, cid in zip(reps, cids):
-        length = G._sub_classes[cid].size
-        classes.append(PatternClass(
-            rep=rep, order=rep.order, length=length,
-            normalizer_order=G.order // length))
-    rows = [mark_row(G, rep, keys[:i + 1], cid)
-            for i, (rep, cid) in enumerate(zip(reps, cids))]
+    classes = class_records(G, reps, keys)
+    rows = [mark_row(G, rep, keys[:i + 1], G._sub_class_of[key])
+            for i, (rep, key) in enumerate(zip(reps, keys))]
     return SubgroupPattern(group=G, classes=classes, rows=rows,
                            stats=PatternStats())
 

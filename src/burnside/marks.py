@@ -35,14 +35,11 @@ V on S/K is nonzero.
 
 A Dress row n(U, -) counts the cosets Ua of U in N(U) by the class of
 <U, a>, which depends only on the class of the cyclic subgroup <Ua> of
-W = N(U)/U.  So U is joined once per cyclic subgroup of W, from one
-walk of N(U)'s element set, or, when N(U) is above SET_CAP, once per
-class of them, read off W's certified cyclic classes; the cosets
-generating each are counted with it, and no coset transversal is
-built.  Below SET_CAP a join is keyed from its cosets and looked up
-among S's known classes, which hold every class of the table once its
-columns are identified, so it gets no subgroup handle; and |N(U)| is
-|S| over U's class length, so a normal U needs no normality test.
+W = N(U)/U.  So U is joined once per cyclic subgroup of W, or once
+per class of them, and the cosets generating each are counted with
+it; the kernel chooses which, and how each join is keyed and looked up
+(``groups.cyclic_joins``).  |N(U)| is |S| over U's class length, so a
+normal U needs no normality test.
 The row depends only on S and U's class, so it is built once per
 group and class, kept on the class record, and shared by the engine
 and the validation of a table.
@@ -78,7 +75,6 @@ from .groups import (
     normalizer,
     subgroup_class_id,
     trivial_subgroup,
-    SET_CAP,
 )
 
 # ---------------------------------------------------------------------------
@@ -231,6 +227,18 @@ def class_columns(S: PermGroup, reps: list[Subgroup]) -> dict[int, int]:
     return cols
 
 
+def class_records(G: PermGroup, reps, keys) -> list[PatternClass]:
+    """The PatternClass of each of ``reps``, whose class keys in G are
+    ``keys``: its length read off its class record in G, and |G| over
+    the length as its normalizer order."""
+    classes = []
+    for rep, key in zip(reps, keys):
+        length = G._sub_classes[subgroup_class_id(G, rep, key)].size
+        classes.append(PatternClass(rep=rep, order=rep.order, length=length,
+                                    normalizer_order=G.order // length))
+    return classes
+
+
 # ---------------------------------------------------------------------------
 # Dress congruence rows
 
@@ -340,9 +348,9 @@ class MarksExtender:
                 self.col_of_a_index[ai] = bi
         # A-column read for each blue column
         self._a_cols = [c.a_indices[0] for c in self.inner]
-        # per outer class: |V|, V, column of V's inner bound
+        # per outer class: |V|, V's generators, column of V's inner bound
         self._outer_cells = [
-            (oc.rep.order, oc.rep, self.col_of_a_index[oc.base_index])
+            (oc.rep.order, oc.rep.gens, self.col_of_a_index[oc.base_index])
             for oc in self.outer]
         self.rows: list[list[int]] = []
         self.stats = PatternStats(extension_p=self.p)
@@ -419,49 +427,43 @@ class MarksExtender:
     # -- row state ----------------------------------------------------------
 
     def init_row(self, ri: int) -> "RowState":
-        """Bounds pass: bottom-left copy, diagonal, Lagrange zeros, and the
-        candidate ranges (congruent to the inner bound mod p, divisible by
-        the decided diagonal).
-
-        A normal K gets no candidates: each cell is |S:K| (the diagonal)
-        when V <= K and 0 otherwise, and must still lie on the inner
-        bound's progression (at most the bound, congruent to it mod p).
-
-        Both kinds of row test V <= K by one predicate: a set test of V's
-        generators against K's element set, or ``is_subset_of`` when K
-        is above SET_CAP, so no element set is built for such a K."""
+        """Bounds pass: bottom-left copy, diagonal, then one loop over the
+        outer cells: the Lagrange zeros, and for a normal K each cell
+        |S:K| (the diagonal) when V <= K and 0 otherwise, checked against
+        the inner bound's progression (at most the bound, congruent to it
+        mod p); any other row gets candidate ranges, congruent to the
+        inner bound mod p, divisible by the diagonal and at least it when
+        V <= K.  V <= K is one test of V's generators, ``K.membership()``."""
         oc = self.outer[ri]
-        i = self.b + ri
-        K = oc.rep
-        if K.order <= SET_CAP:
-            elems = K.elements()
-            inside = lambda V: elems.issuperset(V.gens)
-        else:
-            inside = lambda V: V.is_subset_of(K)
-        diag = oc.normalizer_order // K.order
+        i, K, p = self.b + ri, oc.rep, self.p
+        inside, korder = K.membership(), K.order
+        normal = oc.normalizer_order == self.S.order
+        diag = oc.normalizer_order // korder
         values: list = self.bottom_left_row(ri) + [None] * (ri + 1)
         values[i] = diag
-        cand: dict[int, tuple] = {}
-        decided_by = {}
-        contained: set[int] = set()
-        if oc.normalizer_order == self.S.order:
-            self._init_normal_row(K, inside, i, values, decided_by)
-            return RowState(index=i, ri=ri, values=values, cand=cand,
-                            decided_by=decided_by, contained=contained,
-                            diag=diag)
-        for j, (order, rep, col) in enumerate(self._outer_cells[:ri],
-                                              self.b):
-            if K.order % order:
+        cand, decided_by, contained = {}, {}, set()
+        for j, (order, gens, col) in enumerate(self._outer_cells[:ri],
+                                               self.b):
+            if korder % order:
                 values[j] = 0
                 decided_by[j] = "lagrange"
                 continue
             ub = values[col]
-            opts = tuple(m for m in range(ub % self.p, ub + 1, self.p)
+            if normal:
+                m = diag if inside(gens) else 0
+                if m > ub or (ub - m) % p:
+                    raise InconsistentTableError(
+                        f"normal mark {m} off the inner bound {ub} "
+                        f"at ({i},{j})")
+                values[j] = m
+                decided_by[j] = "bounds"
+                continue
+            opts = tuple(m for m in range(ub % p, ub + 1, p)
                          if m % diag == 0)
             if not opts:
                 raise InconsistentTableError(
                     f"no candidate for cell ({i},{j})")
-            if inside(rep):
+            if inside(gens):
                 contained.add(j)
                 opts = tuple(m for m in opts if m >= diag)
                 if not opts:
@@ -473,29 +475,7 @@ class MarksExtender:
             else:
                 cand[j] = opts
         return RowState(index=i, ri=ri, values=values, cand=cand,
-                        decided_by=decided_by, contained=contained,
-                        diag=diag)
-
-    def _init_normal_row(self, K: Subgroup, inside, i: int, values: list,
-                         decided_by: dict) -> None:
-        """The outer cells of row i, for K normal in S: 0 by Lagrange when
-        |V| does not divide |K|, else |S:K| (values[i]) when V <= K, by
-        the row's containment test ``inside``, and 0 otherwise, each
-        checked against its inner bound."""
-        diag, p, korder = values[i], self.p, K.order
-        for j, (order, rep, col) in enumerate(
-                self._outer_cells[:i - self.b], self.b):
-            if korder % order:
-                values[j] = 0
-                decided_by[j] = "lagrange"
-                continue
-            ub = values[col]
-            m = diag if inside(rep) else 0
-            if m > ub or (ub - m) % p:
-                raise InconsistentTableError(
-                    f"normal mark {m} off the inner bound {ub} at ({i},{j})")
-            values[j] = m
-            decided_by[j] = "bounds"
+                        decided_by=decided_by, contained=contained)
 
     # -- refinement passes ---------------------------------------------------
 
@@ -781,7 +761,6 @@ class RowState:
     cand: dict[int, tuple]
     decided_by: dict[int, str]
     contained: set[int]
-    diag: int
 
     def decide(self, j: int, val: int, tag: str) -> None:
         self.values[j] = val

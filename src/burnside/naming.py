@@ -4,14 +4,15 @@ Covers the families that show up in desk-scale tables: cyclic,
 elementary abelian, dihedral, (generalized) quaternion, a few named
 groups recognized by their element-order profile, and an elementary
 split extension p^k:Cq.  Everything else falls back to G<order>.
-Above SET_CAP no order profile is read: a cyclic group is C<order>
+A subgroup with no order profile (the kernel reads none for a large
+one) is named without one: a cyclic group is C<order>
 (``Subgroup.is_cyclic``), another abelian one G<order>, and a
 non-abelian one is named by its order alone.
 """
 
 from __future__ import annotations
 
-from .groups import SET_CAP, Subgroup, prime_factors
+from .groups import Subgroup, prime_factors
 
 # (order, order profile) -> name, fed by the catalog and by hand
 _PROFILE_NAMES: dict = {}
@@ -26,13 +27,14 @@ def subgroup_name(sub: Subgroup) -> str:
     n = sub.order
     if n == 1:
         return "1"
-    if n > SET_CAP:
+    prof = sub.order_profile()
+    if prof is None:
         if sub.is_cyclic():
             return f"C{n}"
         if sub.is_abelian():
             return f"G{n}"
         return _PROFILE_NAMES.get((n, None), f"G{n}")
-    prof = dict(sub.order_profile())
+    prof = dict(prof)
     named = _PROFILE_NAMES.get((n, tuple(sorted(prof.items()))))
     if named:
         return named

@@ -157,3 +157,15 @@ def test_every_public_name_has_a_caller():
                        for p, pairs in refs.items() for n, line in pairs):
                 orphans.append(f"{path.name}:{node.lineno} {name}")
     assert PERFBENCH.is_dir() and not orphans, orphans
+
+
+def test_only_the_kernel_names_the_element_set_cap():
+    """The element-set policy is the kernel's: ``SET_CAP`` is named,
+    in code or in prose, by ``groups.py`` alone, and other modules ask a
+    subgroup handle (``Subgroup.membership``, ``order_profile``)."""
+    found = [f"{path.name}:{line}"
+             for path in SOURCES if path.name != "groups.py"
+             for line, text in enumerate(path.read_text().splitlines(), 1)
+             if "SET_CAP" in text]
+    assert any(p.name == "groups.py" and "SET_CAP" in p.read_text()
+               for p in SOURCES) and not found, found

@@ -51,7 +51,6 @@ from burnside.marks import (
     DressRow,
     InconsistentTableError,
     MarksExtender,
-    PatternClass,
     RowState,
     SubgroupPattern,
     extend_table_of_marks,
@@ -256,13 +255,8 @@ def _l2_32_counted_table():
     A = CATALOG.get("L2(32)").build()
     reps = subgroup_classes_search(A)
     keys = _keys(A, reps)
-    classes = []
-    for rep, key in zip(reps, keys):
-        length = A._sub_classes[groups.subgroup_class_id(A, rep, key)].size
-        classes.append(PatternClass(rep=rep, order=rep.order, length=length,
-                                    normalizer_order=A.order // length))
     return SubgroupPattern(
-        group=A, classes=classes,
+        group=A, classes=marks.class_records(A, reps, keys),
         rows=[mark_row(A, rep, keys[:i + 1]) for i, rep in enumerate(reps)])
 
 
@@ -336,7 +330,6 @@ def test_mark_row_above_a_small_set_cap(monkeypatch):
     other, and its row, counted on its class orbit of three members,
     equals the coset count too."""
     monkeypatch.setattr(groups, "SET_CAP", 5)
-    monkeypatch.setattr(marks, "SET_CAP", 5)
     G = symmetric_group(4)
     a4 = Subgroup(G, alternating_group(4).gens)
     Hs = [trivial_subgroup(G), _sub(G, "(1,2,3)"), _sub(G, "(1,2)"),
@@ -399,7 +392,6 @@ def test_results_at_small_set_caps_equal_the_default_cap(monkeypatch):
     assert big == []
     for cap in (5, 3):
         monkeypatch.setattr(groups, "SET_CAP", cap)
-        monkeypatch.setattr(marks, "SET_CAP", cap)
         got, big = _results_at_the_current_cap()
         assert big and all(big), cap
         for what in want:
@@ -547,7 +539,7 @@ def _feasible_by_enumeration(st, dr, und, targets, fixed):
 def _row_state(cand):
     n = max(cand) + 1
     return RowState(index=n, ri=0, values=[None] * (n + 1), cand=cand,
-                    decided_by={}, contained=set(), diag=1)
+                    decided_by={}, contained=set())
 
 
 @pytest.mark.parametrize("inner", [False, True])
@@ -699,7 +691,6 @@ def test_dress_rows_above_a_small_set_cap_match_the_coset_loop(
     reps = [c.rep for c in
             table_of_marks_brute(CATALOG.get(name).build()).classes]
     monkeypatch.setattr(groups, "SET_CAP", cap)
-    monkeypatch.setattr(marks, "SET_CAP", cap)
     G = CATALOG.get(name).build()
     reps = [Subgroup(G, U.gens) for U in reps]
     built = []
@@ -1304,7 +1295,7 @@ class _FilteredProbeExtender(MarksExtender):
             V = self.outer[j - self.b]
             if j != j0 and t not in V.rep.elements():
                 continue
-            val = st.diag * sum(
+            val = st.values[st.index] * sum(
                 1 for m in members if all(g in m for g in V.rep.gens))
             if val not in st.cand[j]:
                 raise InconsistentTableError(
@@ -1500,7 +1491,6 @@ def test_normal_rows_above_a_small_set_cap(name, cap, monkeypatch):
     still equal mark_row cell by cell, and no K above the cap gets its
     element set built while its row is decided."""
     monkeypatch.setattr(groups, "SET_CAP", cap)
-    monkeypatch.setattr(marks, "SET_CAP", cap)
     G = (abelian_group((2,) * 4) if name == "C2^4"
          else CATALOG.get(name).build())
     chain = solvable_pattern_chain(G)
@@ -1532,6 +1522,109 @@ def test_normal_rows_above_a_small_set_cap(name, cap, monkeypatch):
             ext.rows.append(st.values)
         assert ext.rows == chain[k].rows
     assert big and not built
+
+
+def _reference_init_row(ext, ri):
+    """The bounds pass as two loops decided it, one for a normal K and
+    one for any other (values, candidates, tags, contained columns):
+    the reference for ``MarksExtender.init_row``.  V <= K is a set test
+    of V's generators against K's element set up to ``groups.SET_CAP``,
+    and a membership test of each generator above it."""
+    oc, i, p = ext.outer[ri], ext.b + ri, ext.p
+    K = oc.rep
+    if K.order <= groups.SET_CAP:
+        elems = K.elements()
+        inside = lambda V: elems.issuperset(V.gens)
+    else:
+        inside = lambda V: all(g in K for g in V.gens)
+    diag = oc.normalizer_order // K.order
+    values = ext.bottom_left_row(ri) + [None] * (ri + 1)
+    values[i] = diag
+    cand, decided_by, contained = {}, {}, set()
+    cells = [(c.rep.order, c.rep, ext.col_of_a_index[c.base_index])
+             for c in ext.outer[:ri]]
+    if oc.normalizer_order == ext.S.order:
+        for j, (order, rep, col) in enumerate(cells, ext.b):
+            if K.order % order:
+                values[j] = 0
+                decided_by[j] = "lagrange"
+                continue
+            ub = values[col]
+            m = diag if inside(rep) else 0
+            if m > ub or (ub - m) % p:
+                raise InconsistentTableError(
+                    f"normal mark {m} off the inner bound {ub} at ({i},{j})")
+            values[j] = m
+            decided_by[j] = "bounds"
+        return values, cand, decided_by, contained
+    for j, (order, rep, col) in enumerate(cells, ext.b):
+        if K.order % order:
+            values[j] = 0
+            decided_by[j] = "lagrange"
+            continue
+        ub = values[col]
+        opts = tuple(m for m in range(ub % p, ub + 1, p) if m % diag == 0)
+        if not opts:
+            raise InconsistentTableError(f"no candidate for cell ({i},{j})")
+        if inside(rep):
+            contained.add(j)
+            opts = tuple(m for m in opts if m >= diag)
+            if not opts:
+                raise InconsistentTableError(
+                    f"contained subgroup got zero bound at ({i},{j})")
+        if len(opts) == 1:
+            values[j] = opts[0]
+            decided_by[j] = "bounds"
+        else:
+            cand[j] = opts
+    return values, cand, decided_by, contained
+
+
+SOLVABLE_CATALOG = [e.name for e in CATALOG.entries.values()
+                    if groups.is_solvable(CATALOG.group(e.name))]
+
+
+@pytest.mark.parametrize("name, cap", [
+    *((name, None) for name in SOLVABLE_CATALOG + ["C2^5"]),
+    ("S5", None), ("S6", None), ("L2(32):5", None),
+    ("S4", 5), ("C2^4", 5)])
+def test_init_row_decides_like_the_two_loop_reference(
+        name, cap, monkeypatch):
+    """One loop decides the bounds of every outer row as the two loops
+    did, a normal K's cells and any other row's candidates: the same
+    values, candidates, tags in the same order and contained columns,
+    on every outer row of each solvable catalog chain and of C2^5, of
+    the S5 and S6 steps from the oracles of A5 and A6, of the L2(32):5
+    step (whose last row, S itself, is a normal K above SET_CAP), and of
+    the chains of S4 and C2^4 with SET_CAP 5."""
+    if cap is not None:
+        monkeypatch.setattr(groups, "SET_CAP", cap)
+    if name == "L2(32):5":
+        steps = [(_l2_32_counted_table(), CATALOG.get(name).build())]
+    elif name in ("S5", "S6"):
+        base = table_of_marks_brute(CATALOG.get(f"A{name[1]}").build())
+        steps = [(base, CATALOG.get(name).build())]
+    else:
+        G = (abelian_group((2,) * int(name[-1])) if name.startswith("C2^")
+             else CATALOG.get(name).build())
+        chain = solvable_pattern_chain(G)
+        steps = [(chain[k - 1], chain[k].group)
+                 for k in range(1, len(chain))]
+    normal_above = 0
+    for base, S in steps:
+        ext = MarksExtender(base, S)
+        for ri, oc in enumerate(ext.outer):
+            st = ext.init_row(ri)
+            values, cand, tags, contained = _reference_init_row(ext, ri)
+            assert (st.values, st.cand, list(st.decided_by.items()),
+                    st.contained) == (values, cand, list(tags.items()),
+                                      contained), (S.order, ri)
+            normal_above += (oc.normalizer_order == S.order
+                             and oc.rep.order > groups.SET_CAP)
+    if name == "L2(32):5":
+        assert ext.outer[-1].rep.order == S.order and normal_above == 1
+    if cap is not None:
+        assert normal_above
 
 
 def test_all_normal_chain_runs_no_transitivity_and_no_identifier(
