@@ -21,11 +21,12 @@ extension.  The rules, in order:
   must be a normal subgroup of prime index, else exit 4;
 * a solvable group: the trivial group, then one step to each group of
   a composition series;
-* a class listing of a catalog group whose class search is complete
-  (L2(32)): the class search;
+* a class listing or an ``auto`` table of a catalog group whose class
+  search is complete (L2(32)): the class search, its table counted;
 * a class listing or an ``auto`` table: the oracle, up to the cap;
 * a catalog group with an extension base (S5 on A5, L2(32):5 on
-  L2(32)): the base group's own route, then one step;
+  L2(32)): the base group's own route, then one step, for ``--via
+  extension`` and above the cap alike;
 * anything else exits 3.
 
 A ``--base`` file is read and validated whenever it is given, and a
@@ -62,12 +63,12 @@ from .lattice import (
     DEFAULT_CAP,
     all_subgroup_classes_brute,
     subgroup_classes_search,
-    table_of_marks_brute,
 )
 from .marks import (
     PatternClass,
     SubgroupPattern,
     class_records,
+    counted_pattern,
     extend_table_of_marks,
     trivial_pattern,
     validate_pattern,
@@ -155,7 +156,7 @@ class Route:
     The source is ``"pattern"`` (a known pattern: a --base file's, or
     the trivial group's below a composition series), ``"oracle"`` (the
     brute-force lattice, up to ``cap``) or ``"search"`` (the class
-    search, for class listings only).
+    search); it gives the transversal of ``group`` (``_transversal``).
     """
 
     source: str
@@ -175,7 +176,7 @@ def _route(name: str, G: PermGroup, entry: CatalogEntry | None,
     it requires its group to be a normal subgroup of G of prime index
     (exit 4).  A catalog entry with an ``extension_base`` plans that
     group here too, as a class listing or as an ``"auto"`` table, and
-    adds one step to G.
+    adds one step to G: for ``"extension"``, else above the cap.
     """
     base = _read_pattern(base_path) if base_path else None
     problems = validate_pattern(base) if base is not None else []
@@ -199,8 +200,9 @@ def _route(name: str, G: PermGroup, entry: CatalogEntry | None,
         if steps is not None:
             trivial = trivial_pattern(G.degree)
             return Route("pattern", trivial.group, steps, pattern=trivial)
-        if need == "classes" and entry is not None and entry.search_ok:
+        if need != "extension" and entry is not None and entry.search_ok:
             return Route("search", G)
+    extends = entry is not None and bool(entry.extension_base)
     if need != "extension":
         value = os.environ.get("MARKS_MAX_ORDER")
         try:
@@ -210,12 +212,12 @@ def _route(name: str, G: PermGroup, entry: CatalogEntry | None,
                            f"bad MARKS_MAX_ORDER value {value!r}")
         if G.order <= cap:
             return Route("oracle", G, cap=cap)
-        if need != "classes":
+        if need == "oracle" or (need == "auto" and not extends):
             raise CliError(
                 UNSUPPORTED,
                 f"{name}: group order {G.order} exceeds the oracle cap; "
                 "set MARKS_MAX_ORDER to raise it")
-    if entry is not None and entry.extension_base:
+    if extends:
         base_entry = CATALOG.get(entry.extension_base)
         route = _route(base_entry.name, CATALOG.group(base_entry.name),
                        base_entry, None,
@@ -228,15 +230,19 @@ def _route(name: str, G: PermGroup, entry: CatalogEntry | None,
         "pass --base <pattern.json> for a normal prime-index subgroup")
 
 
+def _transversal(route: Route) -> list:
+    """The class representatives of the route's base group: its
+    pattern's, the class search's or the oracle's."""
+    if route.source == "pattern":
+        return [c.rep for c in route.pattern.classes]
+    if route.source == "search":
+        return subgroup_classes_search(route.group)
+    return all_subgroup_classes_brute(route.group, cap=route.cap)
+
+
 def _class_listing(route: Route) -> list[PatternClass]:
     """Class transversal with normalizer orders, sorted by order."""
-    G = route.group
-    if route.source == "pattern":
-        reps = [c.rep for c in route.pattern.classes]
-    elif route.source == "search":
-        reps = subgroup_classes_search(G)
-    else:
-        reps = all_subgroup_classes_brute(G, cap=route.cap)
+    G, reps = route.group, _transversal(route)
     if route.steps:
         for S in route.steps:
             step = extend_classes(sort_class_reps(reps),
@@ -254,11 +260,10 @@ def _class_listing(route: Route) -> list[PatternClass]:
 def _patterns(route: Route) -> tuple[list[SubgroupPattern], int]:
     """Patterns along the route, bottom up, and the milliseconds of its
     extension work: the steps above the base (not the oracle or a base
-    file), which for a solvable group is its whole chain."""
-    if route.source == "pattern":
-        chain = [route.pattern]
-    else:
-        chain = [table_of_marks_brute(route.group, cap=route.cap)]
+    file), which for a solvable group is its whole chain.  A route with
+    no pattern counts its base table on its transversal."""
+    chain = [route.pattern or counted_pattern(route.group,
+                                              _transversal(route))]
     start = time.monotonic()
     for S in route.steps:
         chain.append(extend_table_of_marks(chain[-1], S))

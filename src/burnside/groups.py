@@ -890,13 +890,16 @@ def subgroup_class_id(G: PermGroup, H: Subgroup, key=None) -> int:
     The whole class orbit is cached on G, so later identifications of
     any member are dictionary lookups.  Each orbit step conjugates a
     member's zuppo set by one generator through its conjugation table,
-    at every order.  ``key`` is H's ``G.subgroup_key``, for a caller
-    that already has it.
+    at every order.  ``key`` is H's ``G.subgroup_key``, trusted from a
+    caller that has it; a class that H keyed here would open opens only
+    if H's generators sift through G's chain, else ``ValueError``.
     """
     fp = G.subgroup_key(H) if key is None else key
     cid = G._sub_class_of.get(fp)
     if cid is not None:
         return cid
+    if key is None and not all(g in G for g in H.gens):
+        raise ValueError("subgroup not inside the group")
     cid = len(G._sub_classes)
     tree = orbit([fp], range(len(G.gens)), G.conj_index_set,
                  G._num().involutions)

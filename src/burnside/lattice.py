@@ -18,9 +18,7 @@ normalizer of H is closed only up to |G|/2 elements: past that it is G
 by Lagrange, so no closure runs to the end to find G.
 Each join is looked up by its key before a handle is made, and only a
 join that opens a class gets one.  Every mark is counted from its
-definition, independent of the extension engine: the cosets of K fixed
-by H are |N(K):K| for each conjugate of K that contains H, and the
-conjugates are the members of K's class orbit that the kernel keeps.
+definition, independent of the extension engine (``counted_pattern``).
 
 `subgroup_classes_search` extends the same idea to groups beyond the
 brute cap whose proper subgroups are all solvable (e.g. L2(32)): every
@@ -49,11 +47,9 @@ from .groups import (
 )
 from .marks import (
     ConjugateDuplicatesError,
-    PatternStats,
     SubgroupPattern,
     class_columns,
-    class_records,
-    mark_row,
+    counted_pattern,
 )
 from .perms import conj, conj_by, mul
 
@@ -92,10 +88,7 @@ def all_subgroup_classes_brute(G: PermGroup,
     def act(z, c):   # conjugation on zuppo ids, c a map x -> x^g
         return G.zuppo_id(c(least[z]))
 
-    qi = 0
-    while qi < len(reps):
-        H = reps[qi]
-        qi += 1
+    for H in reps:   # grows while it is walked
         helems = H.elements()
         normal = H.is_normal_in(G)
         if not normal:
@@ -139,16 +132,9 @@ def all_subgroup_classes_brute(G: PermGroup,
 
 def table_of_marks_brute(G: PermGroup,
                          cap: int = DEFAULT_CAP) -> SubgroupPattern:
-    """Pattern of G with every entry counted by ``mark_row`` on the
-    class orbit of its K (the package's independent oracle).  Each
-    representative is keyed and classified once for the whole table."""
-    reps = all_subgroup_classes_brute(G, cap)
-    keys = [G.subgroup_key(rep) for rep in reps]
-    classes = class_records(G, reps, keys)
-    rows = [mark_row(G, rep, keys[:i + 1], G._sub_class_of[key])
-            for i, (rep, key) in enumerate(zip(reps, keys))]
-    return SubgroupPattern(group=G, classes=classes, rows=rows,
-                           stats=PatternStats())
+    """Pattern of G counted on the oracle's transversal
+    (``marks.counted_pattern``): the package's independent oracle."""
+    return counted_pattern(G, all_subgroup_classes_brute(G, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +154,7 @@ def subgroup_classes_search(G: PermGroup) -> list[Subgroup]:
     triv = trivial_subgroup(G)
     reps = [triv]
     known = {subgroup_class_id(G, triv)}
-    qi = 0
-    while qi < len(reps):
-        H = reps[qi]
-        qi += 1
+    for H in reps:   # grows while it is walked
         if H.order == G.order:
             continue
         N = normalizer(G, H)

@@ -87,7 +87,6 @@ class PatternClass:
     order: int
     length: int
     normalizer_order: int
-    kind: str | None = None          # "inner" / "outer" for extension output
     gamma_index: int | None = None   # column of rep∩A's class (outer only)
 
 
@@ -145,8 +144,7 @@ class SubgroupPattern:
             gi = pos[c.gamma_index] if c.gamma_index is not None else None
             classes.append(PatternClass(
                 rep=c.rep, order=c.order, length=c.length,
-                normalizer_order=c.normalizer_order, kind=c.kind,
-                gamma_index=gi))
+                normalizer_order=c.normalizer_order, gamma_index=gi))
         rows = [[self.cell(perm[i], perm[j]) for j in range(i + 1)]
                 for i in range(self.n)]
         return SubgroupPattern(group=self.group, classes=classes,
@@ -156,7 +154,7 @@ class SubgroupPattern:
 def trivial_pattern(degree: int = 1) -> SubgroupPattern:
     G = PermGroup([], degree)
     cls = PatternClass(rep=trivial_subgroup(G), order=1, length=1,
-                       normalizer_order=1, kind=None)
+                       normalizer_order=1)
     return SubgroupPattern(group=G, classes=[cls], rows=[[1]])
 
 
@@ -237,6 +235,16 @@ def class_records(G: PermGroup, reps, keys) -> list[PatternClass]:
         classes.append(PatternClass(rep=rep, order=rep.order, length=length,
                                     normalizer_order=G.order // length))
     return classes
+
+
+def counted_pattern(G: PermGroup, reps) -> SubgroupPattern:
+    """Pattern of G on its class transversal ``reps``, sorted by order,
+    every row counted by ``mark_row``; each rep is keyed once."""
+    keys = [G.subgroup_key(rep) for rep in reps]
+    classes = class_records(G, reps, keys)
+    rows = [mark_row(G, rep, keys[:i + 1], G._sub_class_of[key])
+            for i, (rep, key) in enumerate(zip(reps, keys))]
+    return SubgroupPattern(group=G, classes=classes, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -740,12 +748,12 @@ class MarksExtender:
             classes.append(PatternClass(
                 rep=c.rep, order=c.rep.order,
                 length=self.S.order // c.normalizer_order,
-                normalizer_order=c.normalizer_order, kind="inner"))
+                normalizer_order=c.normalizer_order))
         for oc in self.outer:
             classes.append(PatternClass(
                 rep=oc.rep, order=oc.rep.order,
                 length=self.S.order // oc.normalizer_order,
-                normalizer_order=oc.normalizer_order, kind="outer",
+                normalizer_order=oc.normalizer_order,
                 gamma_index=self.col_of_a_index[oc.base_index]))
         return SubgroupPattern(group=self.S, classes=classes,
                                rows=self.rows, stats=self.stats)

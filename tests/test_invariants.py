@@ -34,8 +34,9 @@ def test_centralizer_contains_element_and_center():
 
 def test_top_right_block_is_zero(a5_pattern, s5):
     pat = extend_table_of_marks(a5_pattern, s5)
-    inner = [i for i, c in enumerate(pat.classes) if c.kind == "inner"]
-    outer = [j for j, c in enumerate(pat.classes) if c.kind == "outer"]
+    inner = [i for i, c in enumerate(pat.classes) if c.gamma_index is None]
+    outer = [j for j, c in enumerate(pat.classes)
+             if c.gamma_index is not None]
     for i in inner:
         for j in outer:
             assert pat.cell(i, j) == 0

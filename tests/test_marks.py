@@ -253,11 +253,7 @@ def _l2_32_counted_table():
     """The table of L2(32) counted by ``mark_row`` on the classes of the
     search."""
     A = CATALOG.get("L2(32)").build()
-    reps = subgroup_classes_search(A)
-    keys = _keys(A, reps)
-    return SubgroupPattern(
-        group=A, classes=marks.class_records(A, reps, keys),
-        rows=[mark_row(A, rep, keys[:i + 1]) for i, rep in enumerate(reps)])
+    return marks.counted_pattern(A, subgroup_classes_search(A))
 
 
 def test_l2_32_5_marks_step_from_the_counted_table(monkeypatch):
@@ -594,9 +590,11 @@ def test_dress_zero_inner_forces_zero(s5_ext):
     ext = MarksExtender(s5_ext.pa, s5_ext.S)
     pat = ext.solve()
     i = next(k for k in range(pat.n)
-             if pat.classes[k].order == 12 and pat.classes[k].kind == "outer")
+             if pat.classes[k].order == 12
+             and pat.classes[k].gamma_index is not None)
     d8 = next(k for k in range(pat.n)
-              if pat.classes[k].order == 8 and pat.classes[k].kind == "outer")
+              if pat.classes[k].order == 8
+              and pat.classes[k].gamma_index is not None)
     assert pat.cell(i, d8) == 0
 
 
@@ -891,7 +889,8 @@ def s5_paper_permutation(pat):
     perm = []
     for order, cyclic, kind in spec:
         for k, c in enumerate(pat.classes):
-            if c.order != order or c.kind != kind or k in perm:
+            outer = c.gamma_index is not None
+            if c.order != order or outer != (kind == "outer") or k in perm:
                 continue
             if cyclic is not None:
                 prof = dict(c.rep.order_profile())
@@ -954,7 +953,8 @@ def test_verify_dress_catches_perturbation(a5_pattern, s5):
     assert ok
     # perturb the D12-row entry in the cyclic order-4 column by +1
     i = next(k for k in range(pat.n)
-             if pat.classes[k].order == 12 and pat.classes[k].kind == "outer")
+             if pat.classes[k].order == 12
+             and pat.classes[k].gamma_index is not None)
     ext = MarksExtender(a5_pattern, s5)
     j = _outer_col(ext, 4, True)
     rows = [list(r) for r in pat.rows]

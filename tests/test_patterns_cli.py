@@ -20,6 +20,7 @@ from burnside.cli import main
 from burnside.groups import PermGroup
 from burnside.lattice import DEFAULT_CAP, table_of_marks_brute
 from burnside.marks import (
+    counted_pattern,
     extend_table_of_marks,
     solvable_pattern_chain,
     trivial_pattern,
@@ -230,6 +231,44 @@ def test_cli_subgroups_l2_32_5_matches_golden():
     code, out = _capture(["subgroups", "L2(32):5"])
     assert code == 0
     assert out == (GOLDEN / "l2_32_5_subgroups.txt").read_text()
+
+
+@pytest.fixture(scope="module")
+def l2_32_5_file(tmp_path_factory):
+    """``tom L2(32):5 --format json``: the class search of L2(32), its
+    counted table, then one marks step."""
+    path = tmp_path_factory.mktemp("l2325") / "l2325.json"
+    code, _ = _capture(["tom", "L2(32):5", "--format", "json",
+                        "--out", str(path)])
+    assert code == 0
+    return path
+
+
+def test_cli_tom_l2_32_5_verifies(l2_32_5_file):
+    code, out = _capture(["verify", str(l2_32_5_file)])
+    assert code == 0 and out == "ok: 30 classes, all invariants hold\n"
+
+
+def test_cli_tom_l2_32_5_has_the_golden_class_orders(l2_32_5_file):
+    doc = json.loads(l2_32_5_file.read_text())
+    golden = [int(line.split()[2]) for line in
+              (GOLDEN / "l2_32_5_subgroups.txt").read_text().splitlines()]
+    assert sorted(c["order"] for c in doc["classes"]) == golden
+    assert doc["stats"]["probes"] == 0
+
+
+def test_cli_tom_l2_32_5_equals_a_fresh_count(l2_32_5_file):
+    """The engine's table equals the table counted by ``mark_row`` on a
+    fresh L2(32):5 (reading the file classifies nothing) from the same
+    representatives."""
+    S = CATALOG.get("L2(32):5").build()
+    pat = pattern_from_json(l2_32_5_file.read_text(), S).sorted_ascending()
+    assert counted_pattern(S, [c.rep for c in pat.classes]).rows == pat.rows
+
+
+def test_cli_bench_l2_32_5_row():
+    row = cli._bench_row("L2(32):5")
+    assert row[:5] == ("L2(32):5", 24, 30, 0, 0)
 
 
 def test_cli_names_a_cyclic_group_above_set_cap():
@@ -545,9 +584,8 @@ ROUTES = [
     (["tom", "S5", "--base", "A4"], {}, 4, ""),
     (["tom", "A5", "--base", "A5"], {}, 4, ""),
     # no route
-    (["tom", "L2(32):5"], {}, 3, ""),
-    (["tom", "L2(32):5", "--via", "extension"], {}, 3, ""),
-    (["bench", "L2(32):5"], {}, 3, HEADER),
+    (["tom", "L2(32)", "--via", "extension"], {}, 3, ""),
+    (["tom", "L2(32)", "--via", "oracle"], {}, 3, ""),
     (["bench", "A5"], {}, 3, HEADER),
     (["tom", "A5", "--via", "extension"], {}, 3, ""),
     (["subgroups", "--gens", "(1,2,3)", "--gens", "(3,4,5)", "5"],
@@ -564,6 +602,12 @@ ROUTES = [
     (["tom", "GL23", "--via", "extension"], {}, 0, "GL2(3)/1            48"),
     (["tom", "trivial"], {}, 0, "trivial/1  1"),
     (["bench", "C2"], {}, 0, HEADER),
+    # the class search of L2(32), its table counted, and one step above
+    (["tom", "L2(32)"], {}, 0, "L2(32)/1         32736"),
+    (["tom", "L2(32):5"], {}, 0, "L2(32):5/1          163680"),
+    (["tom", "L2(32):5", "--via", "extension"], {}, 0,
+     "L2(32):5/1          163680"),
+    (["bench", "L2(32):5"], {}, 0, HEADER),
 ]
 
 

@@ -214,3 +214,19 @@ def test_normalizer_sifts_only_an_unregistered_key(monkeypatch):
     sifts.clear()
     got = [normalizer(G, H, key=G.subgroup_key(H)).gens for H in reps]
     assert got == want and not sifts
+
+
+def test_a_handle_outside_g_registers_no_class():
+    """Keying a handle made in S5 for its class in A5 sifts its
+    generators and raises before any class opens, so a later normalizer
+    call with its unregistered key sifts too and raises, where it once
+    returned a group of order 6 holding odd permutations."""
+    G = PermGroup(CATALOG.group("A5").gens, 5)
+    S5 = CATALOG.group("S5")
+    outside = Subgroup(S5, [next(g for g in S5.gens if g not in G)])
+    with pytest.raises(ValueError):
+        groups.subgroup_class_id(G, outside)
+    key = G.subgroup_key(outside)
+    assert G._sub_classes == [] and key not in G._sub_class_of
+    with pytest.raises(ValueError):
+        normalizer(G, outside, key=key)
