@@ -7,8 +7,9 @@ element t maps it to itself up to A-conjugacy; it is then an S-class,
 and otherwise p A-classes, conjugate under powers of t, fuse into one.
 Outer classes correspond to classes of order-p subgroups of normalizer
 quotients W = N_S(H)/H not contained in N_A(H)/H, one for each rational
-class of order-p elements outside the A-part.  The quotient comes from
-``groups.quotient_group`` and each outer representative is
+class of order-p elements outside the A-part.  Those classes come from
+``groups.quotient_classes``, lifted to N_S(H) and read off one coset
+walk with no quotient group built, and each outer representative is
 ``H.join(t)``, the kernel's one construction of <H, t>.
 
 Stability is decided once per class, by A-class ids, in
@@ -52,8 +53,7 @@ from .groups import (
     centralizer_order,
     normalizer,
     prime_factors,
-    quotient_group,
-    rational_classes,
+    quotient_classes,
     subgroup_class_id,
 )
 from .perms import order_of, power
@@ -210,14 +210,13 @@ def extension_elements(ctx: ExtensionContext, c: InnerClass) -> list:
         t = power(ctx.t, order_of(ctx.t) // p)
         return [(t, p * centralizer_order(A, t))]
     N = normalizer(S, H, order)
-    W, lift = quotient_group(N.as_group(), H)
 
     # A is normal, so lying in A is constant on rational classes.  The
-    # rational class of w holds the p - 1 generators of each conjugate
-    # of <w>, so its size R gives |N_W(<w>)| = (p - 1) |W| / R.
+    # rational class of w = H t0 in W = N_S(H)/H holds the p - 1
+    # generators of each conjugate of <w>, so its size R gives
+    # |N_W(<w>)| = (p - 1) |W| / R.
     out = []
-    for w, size in rational_classes(W, p):
-        t0 = lift(w)
+    for t0, size in quotient_classes(N, H, (p,))[p]:
         if A.contains(t0):
             continue
         q = order_of(t0)

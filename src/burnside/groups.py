@@ -20,10 +20,12 @@ way.  A caller that names the involutions among the generators (the
 numbering's flags, for class and element walks) saves the back edges:
 a point reached from its parent by an involution is not acted on by it
 again, since that image is the parent; the tree and its order do not
-change.  One coset walk, in ``coset_action``, gives the action (off
-its tree edges) and the transversal (its representatives); a coset Hg
-is keyed by the element of it with the least base images along H's
-stabilizer chain, one gather a level.
+change.  One coset walk, ``_coset_walk``, gives the action of
+``coset_action`` (off its tree edges), its transversal (the
+representatives) and the order-q classes of ``quotient_classes``; a
+coset Hg is keyed by the element of it with the least base images along
+a stabilizer chain of H, read off H's element set when the handle has
+one, one gather a level.
 
 A subgroup handle carries its generators, its degree and, whenever
 the order is at most SET_CAP, its element set; SET_CAP caps element
@@ -47,8 +49,12 @@ with no walk and no normality test.
 Cyclic extensions are built here only: ``Subgroup.join(t)`` is <H, t>,
 ``cyclic_joins(S, N, H)`` gives the class in S of one <H, a> per cyclic
 subgroup of N/H, or per class of them when N is above SET_CAP, and
-``quotient_group(N, H)`` is N(H)/H with a lift map, under the one cap
-on coset actions, QUOTIENT_CAP.
+``quotient_classes(N, H, primes)`` gives the rational classes of order-q
+elements of N/H, lifted to N, with no quotient group built: the class
+step and the class search read their extensions <H, t> off it.
+``quotient_group(N, H)``, N/H as a regular group with a lift map, serves
+the composition series and ``cyclic_joins`` above SET_CAP.  Both take
+the one cap on coset actions, QUOTIENT_CAP.
 
 Each group numbers its zuppos, the cyclic subgroups of prime-power
 order, on first sight: an element maps to the id of the zuppo it
@@ -782,8 +788,8 @@ def cyclic_joins(S: PermGroup, N: Subgroup, U: Subgroup):
         W, lift = quotient_group(N.as_group(), U)
         yield subgroup_class_id(S, U), 1
         for d, members, x in _cyclic_classes(W):
-            phi = len(_cyclic_layout(d)[-1][3])
-            yield subgroup_class_id(S, U.join(lift(x))), phi * len(members)
+            yield (subgroup_class_id(S, U.join(lift(x))),
+                   euler_phi(d) * len(members))
         return
     u_elems = U.elements()
     known = S._sub_class_of
@@ -992,16 +998,38 @@ def normalizer(G: PermGroup, H: Subgroup, order: int | None = None,
 # coset actions and quotients
 
 
+def _element_levels(elems) -> list[dict]:
+    """The levels of a stabilizer chain read off a subgroup's element
+    set, each a map from the orbit of its base point to an element
+    taking the base there: the base is the first point moved by some
+    element left, and the next level holds the elements that fix it."""
+    idn = identity_tuple(len(next(iter(elems))))
+    levels, rest = [], list(elems)
+    while len(rest) > 1:
+        e = next(h for h in rest if h != idn)
+        base = next(x for x, y in enumerate(e) if x != y)
+        orb: dict = {}
+        for h in rest:
+            orb.setdefault(h[base], h)
+        levels.append(orb)
+        rest = [h for h in rest if h[base] == base]
+    return levels
+
+
 def _coset_key(H: Subgroup):
-    """The key of the right coset Hg, an element of it, read off H's
-    stabilizer chain (Seress, Permutation Group Algorithms, 2003): level
-    by level, the transversal element u that takes the base point to
-    the orbit point of least image under x moves x to ux, so x ends as
-    the element of Hg whose base images are least, in base order.  That
-    element is shifted by the inverse of H's own, so H's key is the
-    identity."""
-    levels = [{pt: left_mul_by(u) for pt, u in lv["orbit"].items()}
-              for lv in H.as_group().chain]
+    """The key of the right coset Hg, an element of it, read off a
+    stabilizer chain of H (Seress, Permutation Group Algorithms, 2003):
+    level by level, the transversal element u that takes the base point
+    to the orbit point of least image under x moves x to ux, so x ends
+    as the element of Hg whose base images are least, in base order.
+    That element is shifted by the inverse of H's own, so H's key is
+    the identity.  The chain is read off H's element set when the
+    handle has one (``_element_levels``), with no Schreier-Sims run, and
+    is H's own otherwise."""
+    orbits = (_element_levels(H._elems) if H._elems is not None
+              else [lv["orbit"] for lv in H.as_group().chain])
+    levels = [{pt: left_mul_by(u) for pt, u in orb.items()}
+              for orb in orbits]
 
     def least(x):
         for orb in levels:
@@ -1011,28 +1039,40 @@ def _coset_key(H: Subgroup):
     return lambda g: shift(least(g))
 
 
-def coset_action(G: PermGroup, H: Subgroup, order: int | None = None):
-    """Action of G on the right cosets Hg, as (image group, reps): the
-    image has degree |G:H|, at most QUOTIENT_CAP, and point i is the
-    coset of reps[i].  One breadth-first walk from H over the coset keys
-    (``_coset_key``), one key per tree edge, gives both: reps, identity
-    first, are the products of the generators along the tree paths, and
-    point i goes under gens[k] to the key of the edge from i by k.
-    ``order`` is the image's order, for a caller that knows it exactly.
-    """
+def _coset_walk(G, H: Subgroup) -> tuple[dict, list[int]]:
+    """The one breadth-first walk of the right cosets Hg of H in G (a
+    group or a subgroup handle) from H, over G's generators in order,
+    one coset key (``_coset_key``) per tree edge: (tree, steps), tree
+    the Schreier tree on the keys, whose discovery order numbers the
+    cosets 0, 1, ..., |G:H| - 1 (at most QUOTIENT_CAP), and steps[i n + k]
+    the number of coset i times gens[k], n = len(gens)."""
     index = G.order // H.order
     if index > QUOTIENT_CAP:
         raise CapExceededError(f"coset action degree {index} over the limit")
     # H's key is the identity, the root of the walk
     key, edges = _coset_key(H), []
-    tree = orbit([G.identity], G.gens,
+    tree = orbit([identity_tuple(G.degree)], G.gens,
                  lambda c, s: edges.append(key(mul(c, s))) or edges[-1])
+    if len(tree) != index:
+        raise RuntimeError(f"{len(tree)} cosets found, expected {index}")
+    label = dict(zip(tree, range(index)))
+    return tree, list(map(label.__getitem__, edges))
+
+
+def coset_action(G: PermGroup, H: Subgroup, order: int | None = None):
+    """Action of G on the right cosets Hg, as (image group, reps): the
+    image has degree |G:H|, at most QUOTIENT_CAP, and point i is the
+    coset of reps[i].  One coset walk (``_coset_walk``) gives both:
+    reps, identity first, are the products of the generators along the
+    tree paths, and point i goes under gens[k] to the coset of the edge
+    from i by k.  ``order`` is the image's order, for a caller that
+    knows it exactly.
+    """
+    tree, steps = _coset_walk(G, H)
     reps = list(transversal(tree, G.gens, G.identity).values())
-    if len(reps) != index:
-        raise RuntimeError(f"{len(reps)} cosets found, expected {index}")
-    label, n = dict(zip(tree, range(index))), len(G.gens)
-    return PermGroup([tuple(map(label.__getitem__, edges[k::n]))
-                      for k in range(n)], index, order), reps
+    n = len(G.gens)
+    return PermGroup([tuple(steps[k::n]) for k in range(n)],
+                     len(reps), order), reps
 
 
 def coset_transversal(G: PermGroup, H: Subgroup) -> list[tuple[int, ...]]:
@@ -1060,6 +1100,80 @@ def quotient_group(N: PermGroup, H: Subgroup):
         return reps[w[0]]
 
     return W, lift
+
+
+def quotient_classes(N: Subgroup, H: Subgroup, primes) -> dict:
+    """q -> [(t, size), ...] for each prime q of ``primes``: one pair
+    per rational class of order-q elements of W = N/H, H normal in N
+    (both subgroup handles), in order of the class's least element,
+    t that element's lift to N and size the class size.  The pairs are
+    ``rational_classes(W, q)`` lifted through ``quotient_group(N, H)``,
+    and no W is built:
+
+    * for a trivial H they are N's own (``rational_classes``);
+    * for |N:H| = q, W is cyclic of order q, one class of q - 1
+      elements, whose least element lifts to N's first generator
+      outside H;
+    * otherwise they are read off the coset walk of ``coset_action``
+      (``_coset_walk``), which numbers the cosets as W's regular image
+      does, so W's element of least tuple in a class is the one of least
+      coset number: the element Hr of coset i has order q when q steps
+      of right multiplication by the tree path of r lead from H back to
+      H (visiting its powers), and the classes are the orbits of the
+      subgroups <Hr> under conjugation by N's generators, each subgroup
+      named by the least coset of its q - 1 generators.
+    """
+    if H.order == 1:
+        return {q: rational_classes(N.as_group(), q) for q in primes}
+    if not H.is_normal_in(N):
+        raise ValueError("subgroup is not normal")
+    index = N.order // H.order
+    out: dict = {q: [] for q in primes}
+    if index in out:
+        out[index] = [(next(g for g in N.gens if g not in H), index - 1)]
+        return out
+    steps = _coset_walk(N, H)[1]
+    gens, n = N.gens, len(N.gens)
+    # paths[j]: the generator indices along the tree path of coset j,
+    # whose tree edge is the first step to it; back[k]: the coset
+    # H gens[k]^-1, the one that gens[k] takes to H
+    paths, back = {0: ()}, [0] * n
+    for e, j in enumerate(steps):
+        i, k = divmod(e, n)
+        if j not in paths:
+            paths[j] = paths[i] + (k,)
+        if not j:
+            back[k] = i
+
+    def times(j: int, i: int) -> int:   # coset j times the rep of coset i
+        for k in paths[i]:
+            j = steps[j * n + k]
+        return j
+
+    def conjugate(i: int, k: int) -> int:   # Hr^gens[k], r the rep of i
+        return steps[times(back[k], i) * n + k]
+
+    for q in primes:
+        name: dict = {}   # coset of order q -> the name of <Hr>
+        for i in range(1, index):
+            if i not in name:
+                powers = [i]   # the cosets of Hr, (Hr)^2, ..., (Hr)^(q-1)
+                while len(powers) < q - 1 and powers[-1]:
+                    powers.append(times(powers[-1], i))
+                if len(powers) == q - 1 and powers[-1] and not times(
+                        powers[-1], i):
+                    name.update(dict.fromkeys(powers, min(powers)))
+        seen: set = set()
+        for i in sorted(set(name.values())):
+            if i not in seen:
+                members = orbit([i], range(n),
+                                lambda j, k: name[conjugate(j, k)])
+                seen.update(members)
+                t = identity_tuple(N.degree)
+                for k in paths[i]:
+                    t = mul(t, gens[k])
+                out[q].append((t, (q - 1) * len(members)))
+    return out
 
 
 def zuppos(G: PermGroup) -> list:
@@ -1158,6 +1272,14 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def euler_phi(n: int) -> int:
+    """Euler's phi: the number of generators of a cyclic group of
+    order n."""
+    for p in set(prime_factors(n)):
+        n = n // p * (p - 1)
+    return n
 
 
 def normal_closure(G: PermGroup, gens) -> list[tuple[int, ...]]:

@@ -39,8 +39,7 @@ from .groups import (
     normalizer,
     orbit,
     prime_factors,
-    quotient_group,
-    rational_classes,
+    quotient_classes,
     subgroup_class_id,
     trivial_subgroup,
     zuppos,
@@ -160,10 +159,9 @@ def subgroup_classes_search(G: PermGroup) -> list[Subgroup]:
         N = normalizer(G, H)
         if N.order == H.order:
             continue
-        W, lift = quotient_group(N.as_group(), H)
-        for q in sorted(set(prime_factors(W.order))):
-            for w, _ in rational_classes(W, q):
-                t = lift(w)
+        primes = sorted(set(prime_factors(N.order // H.order)))
+        for q, pairs in quotient_classes(N, H, primes).items():
+            for t, _ in pairs:
                 if any(conj(g, t) not in H for g in H.gens):
                     raise RuntimeError(
                         "lifted quotient element does not normalize")

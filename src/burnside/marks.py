@@ -58,7 +58,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import compress
-from math import gcd
 
 from .extension import (
     ExtensionContext,
@@ -72,6 +71,7 @@ from .groups import (
     composition_series,
     cyclic_joins,
     element_class_length,
+    euler_phi,
     normalizer,
     subgroup_class_id,
     trivial_subgroup,
@@ -375,8 +375,8 @@ class MarksExtender:
         for c in self.inner:
             V = c.rep
             if V.is_cyclic():
-                phi = sum(gcd(i, V.order) == 1 for i in range(V.order))
-                total += phi * (self.S.order // c.normalizer_order)
+                total += (euler_phi(V.order)
+                          * (self.S.order // c.normalizer_order))
         if total != self.ctx.A.order:
             raise InconsistentTableError(
                 f"the input's cyclic classes hold {total} elements of A, "

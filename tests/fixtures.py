@@ -95,9 +95,10 @@ BENCH_ROWS = {
 
 
 def relabeled(name, seed):
-    """A fresh copy of a catalog group with its points renamed by a
-    seeded permutation (seed 0 keeps the labels)."""
-    G = CATALOG.group(name)
+    """A fresh copy of a catalog group, named, or of a given group, with
+    its points renamed by a seeded permutation (seed 0 keeps the
+    labels)."""
+    G = CATALOG.group(name) if isinstance(name, str) else name
     sigma = list(range(G.degree))
     random.Random(seed).shuffle(sigma)
     gens = [conj(g, tuple(sigma)) for g in G.gens] if seed else G.gens

@@ -7,7 +7,7 @@ import pytest
 
 from fixtures import conjugated, relabeled
 
-from burnside import extension, groups
+from burnside import extension, groups, lattice
 from burnside.catalog import CATALOG, abelian_group, dihedral_group
 from burnside.cli import main
 from burnside.extension import (
@@ -437,25 +437,25 @@ def full_walk_normalizer(S, H):
 
 def spied_step(A, S, a_classes):
     """The class step, and the generators of each N_S(H) it hands to
-    quotient_group, in call order."""
+    quotient_classes, in call order."""
     handed = []
-    real = extension.quotient_group
+    real = extension.quotient_classes
 
-    def spy(N, H):
+    def spy(N, H, primes):
         handed.append(N.gens)
-        return real(N, H)
+        return real(N, H, primes)
 
-    extension.quotient_group = spy
+    extension.quotient_classes = spy
     try:
         step = extend_classes(a_classes, ExtensionContext.create(S, A))
     finally:
-        extension.quotient_group = real
+        extension.quotient_classes = real
     return step, handed
 
 
 def check_against_full_walks(A, S, a_classes, step, handed):
     """Stable flags, inner and outer normalizer orders, and the
-    generators handed to quotient_group, as full walks give them."""
+    generators handed to quotient_classes, as full walks give them."""
     p = S.order // A.order
     norms = [full_walk_normalizer(S, H) for H in a_classes]
     stable = [not all(A.contains(g) for g in N.gens) for N in norms]
@@ -750,3 +750,156 @@ def test_one_pass_class_step_matches_two_pass_l2_32_5(l2_32_step):
     A, S, a_classes, *_ = l2_32_step
     step = check_one_pass_step(A, S, a_classes)
     assert len(step.inner.merged_classes) == 2
+
+
+# ---------------------------------------------------------------------------
+# the order-p classes of N/H, read off one coset walk, against the regular
+# quotient W = N/H that quotient_group builds
+
+
+def regular_quotient_classes(N, H, primes):
+    """``quotient_classes`` as W gives it: the rational classes of the
+    regular quotient ``quotient_group``, each lifted to N."""
+    W, lift = groups.quotient_group(N.as_group(), H)
+    return {q: [(lift(w), size) for w, size in groups.rational_classes(W, q)]
+            for q in primes}
+
+
+def chain_steps(G, series=None):
+    """The class step along G's composition series (``series``, or one
+    made here), from the trivial group."""
+    A, classes = PermGroup([], G.degree), [trivial_subgroup(G)]
+    for S in composition_series(G) if series is None else series:
+        step = extend_classes(classes, ExtensionContext.create(S, A))
+        A, classes = S, sort_class_reps(step.reps)
+
+
+def searched_step(a_name, s_name, seed):
+    """The class search (L2(32)) or oracle of A, then the class step."""
+    A, S = relabeled(a_name, seed), relabeled(s_name, seed)
+    a_classes = (subgroup_classes_search(A) if a_name == "L2(32)"
+                 else all_subgroup_classes_brute(A))
+    extend_classes(sort_class_reps(a_classes), ExtensionContext.create(S, A))
+
+
+QUOTIENT_RUNS = (
+    [(name, lambda seed, n=name: chain_steps(relabeled(n, seed)))
+     for name in SOLVABLE]
+    + [("C2^5", lambda seed: chain_steps(
+        relabeled(abelian_group((2,) * 5), seed)))]
+    + [(f"{a}->{s}", lambda seed, a=a, s=s: searched_step(a, s, seed))
+       for a, s in [("A5", "S5"), ("A6", "S6"), ("L2(32)", "L2(32):5")]])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("run", [run for _, run in QUOTIENT_RUNS],
+                         ids=[name for name, _ in QUOTIENT_RUNS])
+def test_quotient_classes_match_the_regular_quotient(run, seed, monkeypatch):
+    """Every (N, H) that the class step and the class search hand to
+    ``quotient_classes`` gets the lifted rational classes of the regular
+    quotient, equal pairs in equal order, at every prime asked."""
+    calls, real = [], groups.quotient_classes
+
+    def spy(N, H, primes):
+        out = real(N, H, primes)
+        calls.append((N, H, tuple(primes), out))
+        return out
+
+    monkeypatch.setattr(extension, "quotient_classes", spy)
+    monkeypatch.setattr(lattice, "quotient_classes", spy)
+    run(seed)
+    monkeypatch.undo()
+    for N, H, primes, out in calls:
+        assert out == regular_quotient_classes(N, H, primes)
+
+
+@pytest.mark.parametrize("run", [run for name, run in QUOTIENT_RUNS
+                                 if name in ("GL2(3)", "L2(32)->L2(32):5")],
+                         ids=["GL2(3)", "L2(32)->L2(32):5"])
+def test_quotient_classes_meet_every_case(run, monkeypatch):
+    """The reference sweep above meets all three cases on the GL2(3)
+    chain and on the L2(32) search and step: a trivial H, an H of prime
+    index q in N, and the coset walk."""
+    cases, real = [], groups.quotient_classes
+
+    def spy(N, H, primes):
+        cases.append("trivial" if H.order == 1 else "prime"
+                     if N.order // H.order in primes else "walk")
+        return real(N, H, primes)
+
+    monkeypatch.setattr(extension, "quotient_classes", spy)
+    monkeypatch.setattr(lattice, "quotient_classes", spy)
+    run(0)
+    assert {"trivial", "prime", "walk"} <= set(cases)
+
+
+def test_quotient_classes_of_a_trivial_subgroup_are_the_groups_own(s4):
+    """For a trivial H, W is N: the pairs are N's rational classes, the
+    identity lift."""
+    N, H = s4.as_subgroup(), trivial_subgroup(s4)
+    got = groups.quotient_classes(N, H, (2, 3))
+    assert got == {q: groups.rational_classes(s4, q) for q in (2, 3)}
+    assert got == regular_quotient_classes(N, H, (2, 3))
+    assert [size for _, size in got[2]] == [6, 3]
+    assert [size for _, size in got[3]] == [8]
+
+
+def test_quotient_classes_of_prime_index_are_one_class(s4, monkeypatch):
+    """|N:H| = q: W is cyclic of order q, one class of q - 1 elements
+    lifted to N's first generator outside H, with no coset walk; a prime
+    not dividing |N:H| has no class."""
+    a4 = Subgroup(s4, [parse_cycles("(1,2,3)", 4),
+                       parse_cycles("(1,2)(3,4)", 4)])
+    v4 = Subgroup(s4, [parse_cycles("(1,2)(3,4)", 4),
+                       parse_cycles("(1,3)(2,4)", 4)])
+    cases = [(s4.as_subgroup(), a4, 2), (a4, v4, 3)]
+    want = [regular_quotient_classes(N, H, (2, 3)) for N, H, _ in cases]
+    monkeypatch.setattr(groups, "_coset_walk", None)   # a walk would raise
+    for (N, H, q), pairs in zip(cases, want):
+        got = groups.quotient_classes(N, H, (2, 3))
+        t = next(g for g in N.gens if g not in H)
+        assert got == pairs
+        assert got[q] == [(t, q - 1)] and got[5 - q] == []
+
+
+def test_quotient_classes_refuse_a_subgroup_that_is_not_normal(s4):
+    d8 = Subgroup(s4, [parse_cycles("(1,2,3,4)", 4),
+                       parse_cycles("(1,3)", 4)])
+    with pytest.raises(ValueError):
+        groups.quotient_classes(s4.as_subgroup(), d8, (2,))
+
+
+def spied_coset_actions(monkeypatch) -> list:
+    """Record every ``coset_action`` and ``quotient_group`` call, and
+    count the coset walks (``_coset_walk``) under the name "walk"."""
+    calls = []
+    for name in ("coset_action", "quotient_group", "_coset_walk"):
+        real = getattr(groups, name)
+
+        def spy(*args, real=real, name=name):
+            calls.append("walk" if name == "_coset_walk" else name)
+            return real(*args)
+        monkeypatch.setattr(groups, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("G", [CATALOG.group("GL2(3)"),
+                               abelian_group((2,) * 5)],
+                         ids=["GL2(3)", "C2^5"])
+def test_the_chain_steps_build_no_coset_action(G, monkeypatch):
+    """The class steps of the chain-c2x5 groups read the order-p classes
+    off coset walks and build no coset action and no quotient group."""
+    series = composition_series(G)   # its quotients are not the step's
+    calls = spied_coset_actions(monkeypatch)
+    chain_steps(G, series)
+    assert "walk" in calls and set(calls) == {"walk"}
+
+
+def test_the_l2_32_search_and_step_build_no_coset_action(monkeypatch):
+    A, S = relabeled("L2(32)", 0), relabeled("L2(32):5", 0)
+    calls = spied_coset_actions(monkeypatch)
+    a_classes = subgroup_classes_search(A)
+    assert "walk" in calls and set(calls) == {"walk"}
+    calls.clear()
+    extend_classes(sort_class_reps(a_classes), ExtensionContext.create(S, A))
+    assert "walk" in calls and set(calls) == {"walk"}

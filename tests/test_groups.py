@@ -28,6 +28,7 @@ from burnside.groups import (
     coset_action,
     derived_series,
     element_class_length,
+    euler_phi,
     is_solvable,
     normalizer,
     orbit,
@@ -381,6 +382,14 @@ def test_prime_factors_against_trial_division():
             prod *= p
         assert prod == n
     assert prime_factors(163680) == [2] * 5 + [3, 5, 11, 31]
+
+
+def test_euler_phi_counts_the_generators_of_a_cyclic_group():
+    """phi(n) is the number of k < n prime to n, and the number of
+    generators among the positions of ``_cyclic_layout(n)``."""
+    for n in range(1, 400):
+        units = sum(gcd(k, n) == 1 for k in range(n))
+        assert euler_phi(n) == units == len(groups._cyclic_layout(n)[-1][3])
 
 
 def test_orbit_is_a_breadth_first_schreier_tree(s5):
@@ -1016,29 +1025,45 @@ def test_known_order_chain_of_catalog_group_equals_the_full_run(name):
 def test_known_order_chains_of_class_steps_equal_the_full_run(
         base, key, monkeypatch):
     """Every chain built with a known order, in the class search or
-    oracle of A and in the class step to S, has the levels of the full
-    Schreier-Sims run on the same generators.  The step builds its
-    regular quotient images N_S(H)/H that way (degree = order), and the
-    L2(32) search its normalizers with element sets."""
-    from burnside import extension
+    oracle of A, in the class step to S, and in the regular quotients
+    N/H of the (N, H) pairs they hand to ``quotient_classes``, has the
+    levels of the full Schreier-Sims run on the same generators.  The
+    quotients of the step are regular images (degree = order), and the
+    L2(32) search has normalizers with element sets, whose chains are
+    built at their known order too."""
+    from burnside import extension, lattice
     from burnside.lattice import subgroup_classes_search
     A, S = CATALOG.get(base).build(), CATALOG.get(key).build()
     real, calls = groups.build_chain, []
+    real_classes, handed = groups.quotient_classes, []
 
     def spy(gens, degree, order=None):
         if order is not None:
             calls.append((gens, degree, order))
         return real(gens, degree, order)
 
+    def spy_classes(N, H, primes):
+        handed.append((N, H))
+        return real_classes(N, H, primes)
+
     monkeypatch.setattr(groups, "build_chain", spy)
+    monkeypatch.setattr(extension, "quotient_classes", spy_classes)
+    monkeypatch.setattr(lattice, "quotient_classes", spy_classes)
     reps = (subgroup_classes_search(A) if base == "L2(32)"
             else all_subgroup_classes_brute(A))
-    searched = len(calls)
+    searched = len(handed)
     extension.extend_classes(extension.sort_class_reps(reps),
                              extension.ExtensionContext.create(S, A))
-    assert any(degree == order for _, degree, order in calls[searched:])
+    quotients = []
+    for i, (N, H) in enumerate(handed):
+        start = len(calls)
+        quotient_group(N.as_group(), H)
+        quotients.append((i < searched, calls[start:]))
+    assert any(degree == order for in_search, built in quotients
+               if not in_search for _, degree, order in built)
     if base == "L2(32)":
-        assert any(degree != order for _, degree, order in calls[:searched])
+        assert any(degree != order for in_search, built in quotients
+                   if in_search for _, degree, order in built)
     for gens, degree, order in calls:
         assert _levels(real(gens, degree, order)) == \
             _levels(real(gens, degree))

@@ -169,3 +169,22 @@ def test_only_the_kernel_names_the_element_set_cap():
              if "SET_CAP" in text]
     assert any(p.name == "groups.py" and "SET_CAP" in p.read_text()
                for p in SOURCES) and not found, found
+
+
+def test_the_class_step_and_search_build_no_quotient_group():
+    """The class step and the class search read the order-p classes of
+    N/H off one coset walk (``groups.quotient_classes``): ``extension.py``
+    and ``lattice.py`` neither import nor name ``quotient_group`` or
+    ``coset_action``, so no second path to those classes grows back."""
+    banned, found, checked = {"quotient_group", "coset_action"}, [], []
+    for path in SOURCES:
+        if path.name not in ("extension.py", "lattice.py"):
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        names = list(_references(tree)) + [
+            (alias.name, node.lineno) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) for alias in node.names]
+        found += [f"{path.name}:{line} {name}"
+                  for name, line in names if name in banned]
+        checked.append(path.name)
+    assert checked == ["extension.py", "lattice.py"] and not found, found
