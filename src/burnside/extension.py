@@ -51,6 +51,7 @@ from .groups import (
     PermGroup,
     Subgroup,
     centralizer_order,
+    collector_paused,
     normalizer,
     prime_factors,
     quotient_classes,
@@ -76,6 +77,7 @@ class ExtensionContext:
     t: tuple[int, ...]
 
     @classmethod
+    @collector_paused
     def create(cls, S: PermGroup, A: PermGroup) -> "ExtensionContext":
         if S.degree != A.degree:
             raise ValueError("ambient and normal subgroup degrees differ")
@@ -269,6 +271,7 @@ class StepClasses:
                 + [c.normalizer_order for c in self.outer])
 
 
+@collector_paused
 def extend_classes(a_classes: list[Subgroup],
                    ctx: ExtensionContext) -> StepClasses:
     """Classes of S from a transversal of the classes of A.

@@ -93,13 +93,24 @@ least element; ``zuppos(G)``, for the oracle, is the classes of
 prime-power order, each zuppo with its G-class, in order of least
 generator, read off them on each call; and the key of a subgroup
 above SET_CAP is the union of its member keys.
+
+The package's whole computations (the class lists, tables of marks,
+their checks and their JSON) run with Python's cyclic garbage
+collector paused, under ``collector_paused``.  Their data, permutation
+tuples, key frozensets and handles, holds almost no reference cycles,
+yet an automatic collection walks every young container whenever the
+count of new ones passes a threshold, at points that move with the
+allocation order and so with the hash seed; paused, the young objects
+of a call are collected once, at the first allocation after it
+returns.
 """
 
 from __future__ import annotations
 
+import gc
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import chain, repeat
 from math import gcd, lcm
 
@@ -128,6 +139,22 @@ QUOTIENT_CAP = 200_000
 # every element of composite order
 NO_ZUPPO = -1
 _NO_ZUPPOS = frozenset([NO_ZUPPO])
+
+
+def collector_paused(fn):
+    """``fn``, run with the cyclic garbage collector paused and resumed
+    when it returns or raises.  A nested call, or a caller that paused
+    the collector itself, leaves it as it finds it."""
+    @wraps(fn)
+    def run(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return run
 
 
 class NotSolvableError(ValueError):

@@ -35,6 +35,7 @@ from .groups import (
     PermGroup,
     Subgroup,
     close_elements,
+    collector_paused,
     join_normalizing,
     normalizer,
     orbit,
@@ -55,6 +56,7 @@ from .perms import conj, conj_by, mul
 DEFAULT_CAP = 2000
 
 
+@collector_paused
 def all_subgroup_classes_brute(G: PermGroup,
                                cap: int = DEFAULT_CAP) -> list[Subgroup]:
     """Transversal of the subgroup classes by join closure with zuppos.
@@ -129,6 +131,7 @@ def all_subgroup_classes_brute(G: PermGroup,
     return reps
 
 
+@collector_paused
 def table_of_marks_brute(G: PermGroup,
                          cap: int = DEFAULT_CAP) -> SubgroupPattern:
     """Pattern of G counted on the oracle's transversal
@@ -140,6 +143,7 @@ def table_of_marks_brute(G: PermGroup,
 # class-level search past the brute cap
 
 
+@collector_paused
 def subgroup_classes_search(G: PermGroup) -> list[Subgroup]:
     """Transversal of the subgroup classes via prime-cyclic extensions.
 
@@ -196,6 +200,7 @@ class MatchReport:
         return self.matched
 
 
+@collector_paused
 def compare_patterns(a: SubgroupPattern, b: SubgroupPattern) -> MatchReport:
     """Match two patterns up to a permutation of classes.
 

@@ -68,6 +68,7 @@ from .extension import (
 from .groups import (
     PermGroup,
     Subgroup,
+    collector_paused,
     composition_series,
     cyclic_joins,
     element_class_length,
@@ -237,6 +238,7 @@ def class_records(G: PermGroup, reps, keys) -> list[PatternClass]:
     return classes
 
 
+@collector_paused
 def counted_pattern(G: PermGroup, reps) -> SubgroupPattern:
     """Pattern of G on its class transversal ``reps``, sorted by order,
     every row counted by ``mark_row``; each rep is keyed once."""
@@ -776,12 +778,14 @@ class RowState:
         del self.cand[j]
 
 
+@collector_paused
 def extend_table_of_marks(pattern_A: SubgroupPattern,
                           S: PermGroup) -> SubgroupPattern:
     """Subgroup pattern of S from the pattern of a normal prime-index A."""
     return MarksExtender(pattern_A, S).solve()
 
 
+@collector_paused
 def solvable_pattern_chain(G: PermGroup) -> list[SubgroupPattern]:
     """Patterns of every term of a composition series of G, bottom up.
 
@@ -836,6 +840,7 @@ def verify_dress(pattern: SubgroupPattern, columns=None):
     return not violations, violations
 
 
+@collector_paused
 def validate_pattern(pattern: SubgroupPattern) -> list[str]:
     """Structural invariant suite; returns a list of violations.
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 
-from .groups import PermGroup, Subgroup
+from .groups import PermGroup, Subgroup, collector_paused
 from .marks import PatternClass, PatternStats, SubgroupPattern
 from .naming import subgroup_name
 from .perms import format_tuple, parse_cycles
@@ -69,6 +69,7 @@ def _json_rows(rows) -> str:
         for row in rows) + "\n ]"
 
 
+@collector_paused
 def pattern_to_json(pattern: SubgroupPattern, name: str) -> str:
     """``json.dumps(pattern_to_dict(pattern, name), indent=1)``, with the
     marks written row by row by ``str.join``; every string and the rest
@@ -90,6 +91,7 @@ def _expect(value, kind: type, what: str):
     return value
 
 
+@collector_paused
 def pattern_from_dict(doc: dict, group: PermGroup) -> SubgroupPattern:
     try:
         degree = doc["degree"]
@@ -142,6 +144,7 @@ def pattern_from_dict(doc: dict, group: PermGroup) -> SubgroupPattern:
                            rows=[list(r) for r in marks], stats=st)
 
 
+@collector_paused
 def pattern_from_json(text: str, group: PermGroup) -> SubgroupPattern:
     try:
         doc = json.loads(text)

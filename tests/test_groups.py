@@ -1,6 +1,7 @@
 """Kernel tests; expected values come from brute-force scans done right
 here in the test, independent of the library's own machinery."""
 
+import gc
 import json
 import os
 import random
@@ -15,7 +16,7 @@ import pytest
 from fixtures import conjugated, key_elements, relabeled
 
 import burnside
-from burnside import groups, lattice
+from burnside import extension, groups, lattice, marks, patterns
 from burnside.catalog import CATALOG, abelian_group, cyclic_group
 from burnside.groups import (
     CapExceededError,
@@ -1244,3 +1245,112 @@ def test_l2_32_class_search_fills_each_table_entry_once():
     assert sizes == {2: 1023, 3: 496, 11: 496, 31: 528}
     assert len(num.gen) == 2543 and len(G.gens) == 3
     assert len(fills) <= 2543 * 3
+
+
+def test_collector_paused_restores_the_collector_as_it_found_it():
+    inside = []
+
+    @groups.collector_paused
+    def probe(fail=False):
+        inside.append(gc.isenabled())
+        if fail:
+            raise KeyError("fail")
+
+    was = gc.isenabled()
+    try:
+        gc.enable()
+        probe()
+        with pytest.raises(KeyError):
+            probe(fail=True)
+        after_enabled = gc.isenabled()
+        gc.disable()
+        probe()
+        after_disabled = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert inside == [False, False, False]
+    assert after_enabled and not after_disabled
+
+
+def _package_collections(call) -> list[str]:
+    """The package functions on the stack when an automatic collection
+    starts during ``call()``, with every allocation due for one (the
+    young threshold at 1); ``collector_paused``'s own frame does not
+    count, since it allocates before it pauses."""
+    package = os.path.dirname(burnside.__file__)
+    wrapper = groups.collector_paused(len).__code__
+    hits = []
+
+    def seen(phase, info):
+        frame = sys._getframe(1)
+        while phase == "start" and frame is not None:
+            code = frame.f_code
+            if code.co_filename.startswith(package) and code is not wrapper:
+                hits.append(code.co_name)
+                return
+            frame = frame.f_back
+
+    threshold = gc.get_threshold()
+    gc.callbacks.append(seen)
+    gc.set_threshold(1)
+    try:
+        call()
+    finally:
+        gc.set_threshold(*threshold)
+        gc.callbacks.remove(seen)
+    return hits
+
+
+def _s4_calls():
+    """name -> a call of one of the package's whole computations on
+    fresh copies of S4 and A4, its inputs built beforehand."""
+    def fresh():
+        return CATALOG.get("S4").build(), CATALOG.get("A4").build()
+
+    S, A = fresh()
+    pat_a = lattice.table_of_marks_brute(A)
+    S2, A2 = fresh()
+    pat_s = lattice.table_of_marks_brute(S2)
+    text = patterns.pattern_to_json(pat_s, "S4")
+    reps = lattice.all_subgroup_classes_brute(A2)
+    ctx = extension.ExtensionContext.create(S2, A2)
+    groups_ = {k: fresh() for k in range(6)}
+    return {
+        "all_subgroup_classes_brute":
+            lambda: lattice.all_subgroup_classes_brute(groups_[0][0]),
+        "table_of_marks_brute":
+            lambda: lattice.table_of_marks_brute(groups_[1][0]),
+        "subgroup_classes_search":
+            lambda: lattice.subgroup_classes_search(groups_[2][0]),
+        "compare_patterns": lambda: lattice.compare_patterns(pat_s, pat_s),
+        "counted_pattern":
+            lambda: marks.counted_pattern(groups_[3][1], [*reps]),
+        "extend_table_of_marks":
+            lambda: marks.extend_table_of_marks(pat_a, S),
+        "solvable_pattern_chain":
+            lambda: marks.solvable_pattern_chain(groups_[4][0]),
+        "validate_pattern": lambda: marks.validate_pattern(pat_s),
+        "ExtensionContext.create":
+            lambda: extension.ExtensionContext.create(*groups_[5]),
+        "extend_classes": lambda: extension.extend_classes(reps, ctx),
+        "pattern_to_json": lambda: patterns.pattern_to_json(pat_s, "S4"),
+        "pattern_from_json":
+            lambda: patterns.pattern_from_json(text, pat_s.group),
+        "pattern_from_dict": lambda: patterns.pattern_from_dict(
+            json.loads(text), pat_s.group),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_s4_calls()))
+def test_whole_computations_run_with_the_collector_paused(name):
+    """No automatic collection starts inside the package's whole
+    computations, even with every allocation due for one."""
+    assert _package_collections(_s4_calls()[name]) == []
+
+
+def test_kernel_calls_outside_the_whole_computations_see_collections():
+    """The control of the test above: a normalizer, called on its own,
+    runs with the collector on."""
+    S = CATALOG.get("S4").build()
+    H = Subgroup(S, [parse_cycles("(1,2)", 4)])
+    assert _package_collections(lambda: normalizer(S, H))
