@@ -1336,23 +1336,37 @@ def derived_subgroup(G: PermGroup) -> PermGroup:
     return PermGroup(gens, G.degree)
 
 
-def derived_series(G: PermGroup) -> list[PermGroup]:
+def _derived_terms(G: PermGroup) -> list[PermGroup]:
+    """G, G', G'', ... down to the first term that is its own derived
+    subgroup: the trivial group for a solvable G, else the perfect
+    residuum G^oo."""
     series = [G]
     while series[-1].order > 1:
         nxt = derived_subgroup(series[-1])
         if nxt.order == series[-1].order:
-            raise NotSolvableError(
-                f"group of order {G.order} is not solvable")
+            break
         series.append(nxt)
     return series
 
 
+def derived_series(G: PermGroup) -> list[PermGroup]:
+    series = _derived_terms(G)
+    if series[-1].order > 1:
+        raise NotSolvableError(f"group of order {G.order} is not solvable")
+    return series
+
+
+def perfect_residuum(G: PermGroup) -> PermGroup:
+    """G^oo, the last term of the derived series.  A group whose order
+    has at most two prime divisors is solvable (Burnside's p^a q^b
+    theorem), so its residuum is trivial with no series computed."""
+    if len(set(prime_factors(G.order))) <= 2:
+        return PermGroup([], G.degree)
+    return _derived_terms(G)[-1]
+
+
 def is_solvable(G: PermGroup) -> bool:
-    try:
-        derived_series(G)
-        return True
-    except NotSolvableError:
-        return False
+    return perfect_residuum(G).order == 1
 
 
 def composition_series(G: PermGroup) -> list[PermGroup]:

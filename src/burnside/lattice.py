@@ -13,12 +13,20 @@ zuppo's least generator and looks up the id of the zuppo the image
 generates, one conjugation per step rather than one per element.  N
 comes from the kernel, so it is checked here to normalize H; when it
 does not, H is joined with every zuppo, which costs time but never a
-class.  A join <H, z> with z outside the
-normalizer of H is closed only up to |G|/2 elements: past that it is G
-by Lagrange, so no closure runs to the end to find G.
-Each join is looked up by its key before a handle is made, and only a
-join that opens a class gets one.  Every mark is counted from its
-definition, independent of the extension engine (``counted_pattern``).
+class.
+
+A join <H, z> with z outside the normalizer of H is closed only up to
+a cap chosen from the perfect residuum D = G^oo, once per call.  A
+perfect D > 1 has no proper subgroup of index below 5 (acting on its
+cosets, it would map into the solvable S_n, n <= 4), so a subgroup J
+not containing D has |J| <= |J ∩ D| |G:D| <= |G|/5.  A join inside D
+(H <= D, z in D, 1 < |D| < |G|) is capped at |D|/5 and past it is D;
+any other, when D > 1 and |G:D| is 1 or prime, is capped at |G|/5 and
+past it contains D but is not D, so it is G; otherwise the cap is
+|G|/2 and past it the join is G by Lagrange.  Each join is looked up
+by its key before a handle is made, and only a join that opens a class
+gets one.  Every mark is counted from its definition, independent of
+the extension engine (``counted_pattern``).
 
 `subgroup_classes_search` extends the same idea to groups beyond the
 brute cap whose proper subgroups are all solvable (e.g. L2(32)): every
@@ -39,6 +47,7 @@ from .groups import (
     join_normalizing,
     normalizer,
     orbit,
+    perfect_residuum,
     prime_factors,
     quotient_classes,
     subgroup_class_id,
@@ -66,12 +75,12 @@ def all_subgroup_classes_brute(G: PermGroup,
     so the rest of the orbit adds no class, and every class is found by
     the same (H, z) pair as with the full loop over the zuppos.
 
-    A join <H, z> with z outside N_G(H) is closed with the cap |G|/2:
-    a subgroup past it is all of G by Lagrange.  The first such
-    join, while G's class is not yet found, stands for G with all of G's
-    elements; every later one is dropped before it is keyed.  Any other
-    join is keyed by its zuppo ids, and a handle is made only for
-    a join whose class is new, so the transversal is the full loop's.
+    A join <H, z> with z outside N_G(H) is closed with a cap chosen
+    from the perfect residuum D (module docstring), past which it is D
+    or G.  Such a join is keyed by the key of D or G, computed once per
+    call, and stands for that group with all of its elements.  Any
+    other join is keyed by its zuppo ids.  A handle is made only for a
+    join whose class is new, so the transversal is the full loop's.
 
     Deterministic; the result is sorted by subgroup order with
     first-construction tie-breaks.
@@ -82,9 +91,19 @@ def all_subgroup_classes_brute(G: PermGroup,
     triv = trivial_subgroup(G)
     reps = [triv]
     known = {subgroup_class_id(G, triv)}
-    whole_known = False  # G's class is among the representatives
     zups = zuppos(G)
     least = {z: x for x, z, _ in zups}
+    # the closure caps of non-normalizing joins (module docstring);
+    # only a proper D > 1 has joins inside it
+    D = perfect_residuum(G)
+    delems = (frozenset(D.elements()) if 1 < D.order < G.order
+              else frozenset())
+    whole_cap = (G.order // 5 if D.order > 1
+                 and len(prime_factors(G.order // D.order)) <= 1
+                 else G.order // 2)
+    # the elements and class key of D and of G, for a join past its cap
+    d_named = delems, G.elements_key(delems)
+    g_named = G.elements(), G.elements_key(G.elements())
 
     def act(z, c):   # conjugation on zuppo ids, c a map x -> x^g
         return G.zuppo_id(c(least[z]))
@@ -92,6 +111,7 @@ def all_subgroup_classes_brute(G: PermGroup,
     for H in reps:   # grows while it is walked
         helems = H.elements()
         normal = H.is_normal_in(G)
+        h_in_d = delems.issuperset(H.gens)
         if not normal:
             N = normalizer(G, H)
             nconj = ([conj_by(g) for g in N.gens] if H.is_normal_in(N)
@@ -107,18 +127,17 @@ def all_subgroup_classes_brute(G: PermGroup,
             # for H normal in G, the N-orbit of z is its G-class
             seen.update(zclass if normal else orbit([z], nconj, act, invs))
             gens = H.gens + (x,)
-            elems = join_normalizing(helems, H.gens, x)
+            elems, key = join_normalizing(helems, H.gens, x), None
             if elems is None:
-                elems = close_elements(gens, G.degree, seed=helems,
-                                       cap=G.order // 2)
-                if elems is None:
-                    # more than |G|/2 elements: the join is G (Lagrange)
-                    if whole_known:
-                        continue
-                    whole_known = True
-                    elems = G.elements()
-            # the class key G.subgroup_key(K), read off the elements
-            key = G.elements_key(elems)
+                inside = h_in_d and x in delems
+                elems = close_elements(
+                    gens, G.degree, seed=helems,
+                    cap=D.order // 5 if inside else whole_cap)
+                if elems is None:   # past its cap the join is D or G
+                    elems, key = d_named if inside else g_named
+            if key is None:
+                # the class key G.subgroup_key(K), read off the elements
+                key = G.elements_key(elems)
             if G._sub_class_of.get(key) in known:
                 continue
             K = Subgroup(G, gens, elems=elems)
@@ -126,7 +145,6 @@ def all_subgroup_classes_brute(G: PermGroup,
             if cid not in known:
                 known.add(cid)
                 reps.append(K)
-                whole_known = whole_known or K.order == G.order
     reps.sort(key=lambda h: h.order)
     return reps
 

@@ -4,10 +4,11 @@ FIG_A5 / FIG_S5 are the tables of marks of A5 and S5; FIG_S5 is given
 in its original layout (classes in PAPER_S5_ORDER).  GL23_PANELS are
 the intermediate tables along the composition series
 1 < 2 < 4 < Q8 < SL2(3) < GL2(3).  ``relabeled`` makes seeded copies of
-catalog groups on renamed points; ``spy_dress_builds`` records the Dress
-rows built.  ``conjugated`` and ``key_generators`` are reference
-helpers: a conjugate handle built from scratch, and the generators of
-a class key, for checking the kernel's key arithmetic against them.
+catalog groups on renamed points, and ``a5_c2_c2`` builds A5 x C2 x C2;
+``spy_dress_builds`` records the Dress rows built.  ``conjugated`` and
+``key_generators`` are reference helpers: a conjugate handle built from
+scratch, and the generators of a class key, for checking the kernel's
+key arithmetic against them.
 """
 
 import random
@@ -19,7 +20,7 @@ from burnside.groups import (
     Subgroup,
     close_elements,
 )
-from burnside.perms import conj, conj_by
+from burnside.perms import conj, conj_by, parse_cycles
 
 FIG_A5 = [
     [60],
@@ -103,6 +104,14 @@ def relabeled(name, seed):
     random.Random(seed).shuffle(sigma)
     gens = [conj(g, tuple(sigma)) for g in G.gens] if seed else G.gens
     return PermGroup(gens, G.degree)
+
+
+def a5_c2_c2() -> PermGroup:
+    """A5 x C2 x C2 on 9 points: A5 on 1..5, (6,7) and (8,9).  Its
+    perfect residuum A5 has index 4, which is not prime."""
+    a5 = CATALOG.group("A5")
+    return PermGroup([g + (5, 6, 7, 8) for g in a5.gens]
+                     + [parse_cycles(c, 9) for c in ("(6,7)", "(8,9)")], 9)
 
 
 def spy_dress_builds(monkeypatch) -> list:

@@ -33,6 +33,7 @@ from burnside.groups import (
     is_solvable,
     normalizer,
     orbit,
+    perfect_residuum,
     prime_factors,
     quotient_group,
     subgroup_class_id,
@@ -292,6 +293,43 @@ def test_not_solvable(a5):
 def test_derived_series_s4(s4):
     ders = derived_series(s4)
     assert [d.order for d in ders] == [24, 12, 4, 1]
+
+
+@pytest.mark.parametrize("name, order", [
+    ("S6", 360), ("S5", 60), ("A5", 60), ("GL2(3)", 1), ("C2^5", 1)])
+def test_perfect_residuum(name, order):
+    """G^oo is A6 in S6, A5 in S5 and in A5, and trivial for the
+    solvable GL2(3) and C2^5; a nontrivial one is its own derived
+    subgroup and normal in G."""
+    G = (abelian_group((2,) * 5) if name == "C2^5"
+         else CATALOG.group(name))
+    D = perfect_residuum(G)
+    assert D.order == order
+    if order > 1:
+        assert groups.derived_subgroup(D).order == order
+        assert all(conj(x, g) in D for x in D.gens for g in G.gens)
+
+
+@pytest.mark.parametrize("name", [
+    n for n in CATALOG.entries if CATALOG.group(n).order <= 2000]
+    + ["C30", "S4xC5"])
+def test_perfect_residuum_is_where_the_derived_series_stops(name):
+    """The Burnside shortcut (order p^a q^b: trivial residuum) and the
+    series agree: taking derived subgroups from G until they stop
+    shrinking ends at the residuum, on every catalog group under the
+    oracle cap and on two solvable groups of order with three primes."""
+    if name == "C30":
+        G = cyclic_group(30)
+    elif name == "S4xC5":
+        G = PermGroup([g + (4, 5, 6, 7, 8) for g in CATALOG.group("S4").gens]
+                      + [parse_cycles("(5,6,7,8,9)", 9)], 9)
+    else:
+        G = CATALOG.group(name)
+    D = G
+    while groups.derived_subgroup(D).order < D.order:
+        D = groups.derived_subgroup(D)
+    assert perfect_residuum(G).order == D.order
+    assert is_solvable(G) == (D.order == 1)
 
 
 def test_big_group_chain():

@@ -8,6 +8,7 @@ import pytest
 from fixtures import (
     A5_CLASS_ORDERS,
     FIG_A5,
+    a5_c2_c2,
     conjugated,
     key_elements,
     relabeled,
@@ -249,14 +250,64 @@ def full_zuppo_loop(G):
     return [h.gens for h in reps]
 
 
-@pytest.mark.parametrize("seed", [0, 3])
-@pytest.mark.parametrize("name", ["S4", "A5", "S5", "GL2(3)", "A6"])
+def oracle_group(name, seed):
+    """A catalog group, or A5 x C2 x C2, relabeled by the seed."""
+    return relabeled(a5_c2_c2() if name == "A5xC2xC2" else name, seed)
+
+
+@pytest.mark.parametrize(
+    "name, seed",
+    [(name, seed) for name in ["S4", "A5", "S5", "GL2(3)", "A6"]
+     for seed in (0, 3)] + [("A5xC2xC2", 0), ("S6", 0)])
 def test_one_join_per_orbit_keeps_the_full_loop_transversal(name, seed):
     """Joining one zuppo per N(H)-orbit finds every class by the same
-    (H, z) pair as the full loop: same generators, same order."""
-    want = full_zuppo_loop(relabeled(name, seed))
-    got = all_subgroup_classes_brute(relabeled(name, seed))
+    (H, z) pair as the full loop: same generators, same order.  The
+    residuum caps meet each branch: D = G (A5, A6), a D of prime index
+    (S5, S6), a D of composite index (A5 x C2 x C2) and D = 1."""
+    want = full_zuppo_loop(oracle_group(name, seed))
+    got = all_subgroup_classes_brute(oracle_group(name, seed))
     assert [h.gens for h in got] == want
+
+
+@pytest.mark.parametrize("name", ["A5", "S5", "A6", "S6", "A5xC2xC2"])
+def test_every_oracle_class_above_a_fifth_contains_the_residuum(name):
+    """The bound behind the oracle's caps: a subgroup of order above
+    |G|/5 contains the perfect residuum D, since a perfect D > 1 has no
+    proper subgroup of index below 5."""
+    G = oracle_group(name, 0)
+    D = groups.perfect_residuum(G)
+    big = [H for H in all_subgroup_classes_brute(G) if 5 * H.order > G.order]
+    assert big and D.order > 1
+    assert all(H.contains(g) for H in big for g in D.gens)
+
+
+def test_s6_oracle_closes_no_join_past_its_residuum_cap(monkeypatch):
+    """In S6, D = A6 of index 2: a join inside A6 is closed up to
+    |A6|/5 = 72 elements and any other up to |S6|/5 = 144, each cap
+    chosen before its closure, and the transversal stays the full
+    loop's."""
+    G = relabeled("S6", 0)
+
+    def even(g):   # the parity of g, counted from its cycles
+        seen, cycles = set(), 0
+        for x in range(len(g)):
+            if x not in seen:
+                cycles += 1
+                while x not in seen:
+                    seen.add(x)
+                    x = g[x]
+        return (len(g) - cycles) % 2 == 0
+
+    caps = {True: [], False: []}
+
+    def spy_close(gens, degree, **kwargs):
+        caps[all(map(even, gens))].append(kwargs["cap"])
+        return close_elements(gens, degree, **kwargs)
+
+    monkeypatch.setattr(lattice, "close_elements", spy_close)
+    got = all_subgroup_classes_brute(G)
+    assert len(got) == 56
+    assert set(caps[True]) == {72} and set(caps[False]) == {144}
 
 
 def test_a_normalizer_that_does_not_normalize_falls_back(monkeypatch):

@@ -709,3 +709,12 @@ def test_cli_tom_gl23_json_matches_golden(where):
     assert code == 0
     assert _mask_millis(out) == _mask_millis(
         (GOLDEN / "gl23.json").read_text())
+
+
+def test_cli_tom_s6_oracle_json_matches_golden():
+    """The oracle's transversal and counted table of S6, whose perfect
+    residuum A6 lies strictly between 1 and S6, so both of the oracle's
+    residuum caps (|A6|/5 inside A6, |S6|/5 outside) cut its joins."""
+    code, out = _capture(["tom", "S6", "--via", "oracle", "--format", "json"])
+    assert code == 0
+    assert _mask_millis(out) == (GOLDEN / "s6_oracle.json").read_text()
