@@ -284,8 +284,7 @@ def test_every_oracle_class_above_a_fifth_contains_the_residuum(name):
 def test_s6_oracle_closes_no_join_past_its_residuum_cap(monkeypatch):
     """In S6, D = A6 of index 2: a join inside A6 is closed up to
     |A6|/5 = 72 elements and any other up to |S6|/5 = 144, each cap
-    chosen before its closure, and the transversal stays the full
-    loop's."""
+    chosen before its closure, and all 56 classes are still found."""
     G = relabeled("S6", 0)
 
     def even(g):   # the parity of g, counted from its cycles
