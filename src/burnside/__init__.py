@@ -13,7 +13,6 @@ from .groups import (
     composition_series,
     is_solvable,
     normalizer,
-    quotient_group,
 )
 from .extension import (
     ExtensionContext,
@@ -37,7 +36,7 @@ from .catalog import CATALOG
 
 __all__ = [
     "PermGroup", "Subgroup",
-    "composition_series", "is_solvable", "normalizer", "quotient_group",
+    "composition_series", "is_solvable", "normalizer",
     "ExtensionContext", "extend_classes", "extension_elements",
     "outer_classes", "split_inner_classes",
     "SubgroupPattern", "extend_table_of_marks",

@@ -5,9 +5,9 @@ Groups are given by generators.  A deterministic Schreier-Sims chain
 order) backs order and membership, so every computation in the package
 is reproducible run to run.  Each level keeps its transversal and the
 inverses of its elements.  A caller that knows the group order exactly
-(a handle with an element set, the regular quotient N/H, a cyclic
-class representative above SET_CAP) passes it, and Schreier-Sims stops
-once the orbit lengths multiply to it, with the chain of the full run.
+(a handle with an element set, a cyclic class representative above
+SET_CAP) passes it, and Schreier-Sims stops once the orbit lengths
+multiply to it, with the chain of the full run.
 
 Every orbit is walked by one helper, ``orbit(seeds, gens, act)``: a
 breadth-first walk that returns the Schreier tree in discovery order
@@ -48,13 +48,13 @@ with no walk and no normality test.
 
 Cyclic extensions are built here only: ``Subgroup.join(t)`` is <H, t>,
 ``cyclic_joins(S, N, H)`` gives the class in S of one <H, a> per cyclic
-subgroup of N/H, or per class of them when N is above SET_CAP, and
-``quotient_classes(N, H, primes)`` gives the rational classes of order-q
-elements of N/H, lifted to N, with no quotient group built: the class
-step and the class search read their extensions <H, t> off it.
-``quotient_group(N, H)``, N/H as a regular group with a lift map, serves
-the composition series and ``cyclic_joins`` above SET_CAP.  Both take
-the one cap on coset actions, QUOTIENT_CAP.
+subgroup of N/H, or per class of cyclic subgroups of N when N is above
+SET_CAP, and ``quotient_classes(N, H, primes)`` gives the rational
+classes of order-q elements of N/H, lifted to N: the class step and the
+class search read their extensions <H, t> off it.  No computation
+builds a quotient group; the composition series refines the derived
+series on the generators of its terms.  ``quotient_group(N, H)``, N/H
+as a regular group with a lift map, is kept as the tests' reference.
 
 Each group numbers its zuppos, the cyclic subgroups of prime-power
 order, on first sight: an element maps to the id of the zuppo it
@@ -806,17 +806,25 @@ def cyclic_joins(S: PermGroup, N: Subgroup, U: Subgroup):
     once, and K is the union of the cosets U a^i, 0 <= i < m.  K is
     keyed from those elements (``S.elements_key``) and looked up among
     S's known classes; a handle is made only for a K of a class S has
-    not seen.  Above it, U itself once, then one K per class of cyclic
-    subgroups of W = N/U (``quotient_group``), U joined with the lift of
-    the class's generator (``_cyclic_classes``), counted phi(d) times
-    the class length for a class of order d.  No element list is built.
+    not seen.  Above it, N's elements x are counted by the class of
+    K = <U, x>, constant on each class of cyclic subgroups <x> of N
+    (``_cyclic_classes``, S's own when N is S): phi(d) times the class
+    length for a class of order d, with K = U when x lies in U, and 1
+    for the identity.  A coset Ua holds |U| elements, so each total
+    over |U| is its count.  No element list or quotient is built.
     """
     if N.order > SET_CAP:
-        W, lift = quotient_group(N.as_group(), U)
-        yield subgroup_class_id(S, U), 1
-        for d, members, x in _cyclic_classes(W):
-            yield (subgroup_class_id(S, U.join(lift(x))),
-                   euler_phi(d) * len(members))
+        uid = subgroup_class_id(S, U)
+        totals = {uid: 1}
+        for d, members, x in _cyclic_classes(N.as_group()):
+            cid = uid if x in U else subgroup_class_id(S, U.join(x))
+            totals[cid] = totals.get(cid, 0) + euler_phi(d) * len(members)
+        for cid, total in totals.items():
+            count, rest = divmod(total, U.order)
+            if rest:
+                raise RuntimeError(f"{total} elements are no cosets "
+                                   f"of a group of order {U.order}")
+            yield cid, count
         return
     u_elems = U.elements()
     known = S._sub_class_of
@@ -1313,16 +1321,12 @@ def normal_closure(G: PermGroup, gens) -> list[tuple[int, ...]]:
     """Generators of the normal closure of <gens> in G."""
     out = list(dict.fromkeys(gens))
     sub = PermGroup(out, G.degree)
-    changed = True
-    while changed:
-        changed = False
-        for x in list(out):
-            for g in G.gens:
-                y = conj(x, g)
-                if not sub.contains(y):
-                    out.append(y)
-                    sub = PermGroup(out, G.degree)
-                    changed = True
+    for x in out:   # a worklist: each conjugate added is visited in turn
+        for g in G.gens:
+            y = conj(x, g)
+            if not sub.contains(y):
+                out.append(y)
+                sub = PermGroup(out, G.degree)
     return out
 
 
@@ -1375,33 +1379,30 @@ def composition_series(G: PermGroup) -> list[PermGroup]:
     one extension step of prime index over the one before.
 
     Built by refining the derived series (which raises NotSolvableError
-    if G is not solvable): each abelian factor W is peeled into
-    prime-order steps (W's generators in order, smallest primes first),
-    and each step is the join of the term below with a lifted element.
-    An element of W lies in the current term's image exactly when its
-    lift lies in the current term, which contains the bottom of the
-    factor.
+    if G is not solvable): each abelian factor is peeled into
+    prime-order steps on the upper term's own generators g, in order,
+    smallest primes first.  With o the order of g modulo the current
+    term (which contains the bottom of the factor), the step is the
+    join of that term with g^(o/p); every group between two terms of
+    the derived series is normal in the upper one, so no quotient is
+    built.
     """
     dseries = derived_series(G)
     terms = [trivial_subgroup(G)]
     for step in range(len(dseries) - 1, 0, -1):
         # extend from dseries[step] up to dseries[step-1]
-        bottom = terms[-1]
         top = dseries[step - 1]
-        if bottom.order != dseries[step].order:
+        if terms[-1].order != dseries[step].order:
             raise RuntimeError(
-                f"refinement at order {bottom.order}, expected "
+                f"refinement at order {terms[-1].order}, expected "
                 f"{dseries[step].order}")
-        W, lift = quotient_group(top, bottom)
-        for w in W.gens:
-            while not terms[-1].contains(lift(w)):
-                o = 1
-                x = w
-                while not terms[-1].contains(lift(x)):
-                    x = mul(x, w)
-                    o += 1
+        for g in top.gens:
+            while g not in terms[-1]:
+                o, x = 1, g
+                while x not in terms[-1]:
+                    x, o = mul(x, g), o + 1
                 p = prime_factors(o)[0]
-                new_term = terms[-1].join(lift(perm_power(w, o // p)))
+                new_term = terms[-1].join(perm_power(g, o // p))
                 if new_term.order != terms[-1].order * p:
                     raise RuntimeError("prime refinement step failed")
                 terms.append(new_term)

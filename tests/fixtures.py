@@ -5,16 +5,23 @@ in its original layout (classes in PAPER_S5_ORDER).  GL23_PANELS are
 the intermediate tables along the composition series
 1 < 2 < 4 < Q8 < SL2(3) < GL2(3).  ``relabeled`` makes seeded copies of
 catalog groups on renamed points, and ``a5_c2_c2`` builds A5 x C2 x C2;
-``spy_dress_builds`` records the Dress rows built.  ``conjugated`` and
-``key_generators`` are reference helpers: a conjugate handle built from
-scratch, and the generators of a class key, for checking the kernel's
-key arithmetic against them.
+``spy_dress_builds`` records the Dress rows built, and
+``property_suite`` lists the solvable groups of the property suite.
+``conjugated`` and ``key_generators`` are reference helpers: a conjugate
+handle built from scratch, and the generators of a class key, for
+checking the kernel's key arithmetic against them.
 """
 
 import random
 
 from burnside import groups, marks
-from burnside.catalog import CATALOG
+from burnside.catalog import (
+    CATALOG,
+    abelian_group,
+    abelian_types,
+    dicyclic_group,
+    dihedral_group,
+)
 from burnside.groups import (
     PermGroup,
     Subgroup,
@@ -104,6 +111,23 @@ def relabeled(name, seed):
     random.Random(seed).shuffle(sigma)
     gens = [conj(g, tuple(sigma)) for g in G.gens] if seed else G.gens
     return PermGroup(gens, G.degree)
+
+
+def property_suite() -> list:
+    """(name, group) for the 240 solvable groups of the property suite:
+    every abelian group of order 2 to 100, the dihedral groups D6 to
+    D100, the dicyclic Q8 to Q64, A4, S4, SL2(3) and GL2(3)."""
+    out = []
+    for n in range(2, 101):
+        for typ in abelian_types(n):
+            out.append(("x".join(f"C{f}" for f in typ), abelian_group(typ)))
+    for m in range(3, 51):
+        out.append((f"D{2 * m}", dihedral_group(m)))
+    for m in (2, 4, 8, 16):
+        out.append((f"Q{4 * m}", dicyclic_group(m)))
+    for name in ("A4", "S4", "SL2(3)", "GL2(3)"):
+        out.append((name, CATALOG.group(name)))
+    return out
 
 
 def a5_c2_c2() -> PermGroup:

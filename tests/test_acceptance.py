@@ -8,15 +8,9 @@ them.
 
 import time
 
-from fixtures import FIG_A5, FIG_S5, GL23_PANELS
+from fixtures import FIG_A5, FIG_S5, GL23_PANELS, property_suite
 
-from burnside.catalog import (
-    CATALOG,
-    abelian_group,
-    abelian_types,
-    dicyclic_group,
-    dihedral_group,
-)
+from burnside.catalog import CATALOG
 from burnside.extension import ExtensionContext, extend_classes, sort_class_reps
 from burnside.lattice import (
     all_subgroup_classes_brute,
@@ -153,25 +147,10 @@ def test_criterion_5_dress_worked_example():
                "involution congruence; final values (0, 2)")
 
 
-def _property_catalog():
-    groups = []
-    for n in range(2, 101):
-        for typ in abelian_types(n):
-            groups.append(("x".join(f"C{f}" for f in typ),
-                           abelian_group(typ)))
-    for m in range(3, 51):
-        groups.append((f"D{2 * m}", dihedral_group(m)))
-    for m in (2, 4, 8, 16):
-        groups.append((f"Q{4 * m}", dicyclic_group(m)))
-    for name in ("A4", "S4", "SL2(3)", "GL2(3)"):
-        groups.append((name, CATALOG.group(name)))
-    return groups
-
-
 def test_criterion_6_property_suite():
     start = time.monotonic()
     count = 0
-    for name, G in _property_catalog():
+    for name, G in property_suite():
         pe = solvable_pattern_chain(G)[-1]
         po = table_of_marks_brute(G)
         rep = compare_patterns(pe, po)

@@ -887,11 +887,11 @@ def spied_coset_actions(monkeypatch) -> list:
                                abelian_group((2,) * 5)],
                          ids=["GL2(3)", "C2^5"])
 def test_the_chain_steps_build_no_coset_action(G, monkeypatch):
-    """The class steps of the chain-c2x5 groups read the order-p classes
-    off coset walks and build no coset action and no quotient group."""
-    series = composition_series(G)   # its quotients are not the step's
+    """The composition series of the chain-c2x5 groups and their class
+    steps build no coset action and no quotient group: the steps read
+    the order-p classes off coset walks."""
     calls = spied_coset_actions(monkeypatch)
-    chain_steps(G, series)
+    chain_steps(G, composition_series(G))
     assert "walk" in calls and set(calls) == {"walk"}
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from fixtures import conjugated, key_elements, relabeled
+from fixtures import conjugated, key_elements, property_suite, relabeled
 
 import burnside
 from burnside import extension, groups, lattice, marks, patterns
@@ -282,6 +282,39 @@ def test_composition_series_builds_every_term_by_a_join(G, monkeypatch):
     monkeypatch.setattr(groups, "close_elements", counted)
     ser = composition_series(G)
     assert ser[-1].order == G.order and not closures
+
+
+def quotient_refined_series(G):
+    """Reference composition series: each derived factor W = top/bottom
+    built as a regular quotient (``quotient_group``) and peeled on W's
+    generators, each step joining the current term with a lift."""
+    dseries = derived_series(G)
+    terms = [trivial_subgroup(G)]
+    for step in range(len(dseries) - 1, 0, -1):
+        W, lift = quotient_group(dseries[step - 1], terms[-1])
+        for w in W.gens:
+            while lift(w) not in terms[-1]:
+                o, x = 1, w
+                while lift(x) not in terms[-1]:
+                    x, o = mul(x, w), o + 1
+                p = prime_factors(o)[0]
+                terms.append(terms[-1].join(lift(power(w, o // p))))
+    return [G if term.order == G.order else term.as_group()
+            for term in terms[1:]]
+
+
+def test_composition_series_matches_the_quotient_refinement():
+    """Refined on the top term's own generators, with no quotient, the
+    series has the generators of the quotient refinement, term by term,
+    on the property suite, C2^6 and S4 wr C2 x C2."""
+    wreath = PermGroup([parse_cycles(c, 10) for c in (
+        "(1,2,3,4)", "(1,2)", "(1,5)(2,6)(3,7)(4,8)", "(9,10)")], 10)
+    cases = property_suite() + [("C2^6", abelian_group((2,) * 6)),
+                                ("S4 wr C2 x C2", wreath)]
+    for name, G in cases:
+        want = [S.gens for S in quotient_refined_series(G)]
+        G = PermGroup(G.gens, G.degree)   # no cache left by the reference
+        assert [S.gens for S in composition_series(G)] == want, name
 
 
 def test_not_solvable(a5):

@@ -27,6 +27,7 @@ from burnside.catalog import (
     abelian_group,
     alternating_group,
     cyclic_group,
+    l2_32_generators,
     symmetric_group,
 )
 from burnside.groups import (
@@ -37,7 +38,6 @@ from burnside.groups import (
     normalizer,
     orbit,
     path_product,
-    quotient_group,
     trivial_subgroup,
 )
 from burnside.lattice import (
@@ -259,7 +259,7 @@ def _l2_32_counted_table():
 def test_l2_32_5_marks_step_from_the_counted_table(monkeypatch):
     """The paper's largest example: L2(32):5 from the counted table of
     L2(32).  Its Dress rows include L2(32) itself, above SET_CAP, joined
-    once per class of cyclic subgroups of its quotient C5.  Validating
+    once per class of cyclic subgroups of S outside it.  Validating
     the result builds no row the step built: only those of the two inner
     classes merged from five classes of L2(32), which the step skips."""
     base = _l2_32_counted_table()
@@ -276,16 +276,40 @@ def test_l2_32_5_marks_step_from_the_counted_table(monkeypatch):
     assert len(merged) == 2
 
 
+def test_c2_x_l2_32_central_row_builds_no_quotient(monkeypatch):
+    """The central C2 of C2 x L2(32) (order 65 472) has N = S, and its
+    32 736 cosets are counted by the class of the join with no quotient,
+    whose regular coset action would hold over 16 GB: C2 x C for each
+    class of cyclic subgroups C of L2(32), of orders 1, 2, 3, 11, 33
+    and 31, phi(|C|) times the class length.  A coset action of a
+    group above SET_CAP raises, so an |N:U|^2 path fails fast."""
+    z = parse_cycles("(34,35)", 35)
+    S = groups.PermGroup([g + (33, 34) for g in l2_32_generators()] + [z],
+                         35)
+    real = groups.coset_action
+
+    def refused(G, H, order=None):
+        if G.order > groups.SET_CAP:
+            raise AssertionError(f"coset action of order {G.order}")
+        return real(G, H, order)
+
+    monkeypatch.setattr(groups, "coset_action", refused)
+    counts = groups.cyclic_joins(S, S.as_subgroup(), Subgroup(S, [z]))
+    assert S.order == 65472
+    assert sorted(c for _, c in counts) == [
+        1, 992, 1023, 4960, 9920, 15840]
+
+
 def test_l2_32_5_step_lists_no_element_of_a_group_above_set_cap(
         monkeypatch):
     """The L2(32):5 step and the validation of its table build no
     element list of a group above SET_CAP and no coset transversal:
-    the Dress row of the trivial subgroup reads the certified cyclic
-    classes of S, and the row of L2(32) those of its quotient C5.  The
-    rows are those of one join per element of S: the trivial row counts
-    the elements of S by the class of the cyclic subgroup they generate,
-    modulo |S|, and the row of L2(32) is itself once and S four times,
-    modulo 5."""
+    the Dress rows of the trivial subgroup and of L2(32) both read the
+    certified cyclic classes of S.  The rows are those of one join per
+    element of S: the trivial row counts the elements of S by the class
+    of the cyclic subgroup they generate, modulo |S|, and the row of
+    L2(32) counts its own 32 736 elements and S's 130 944 others, over
+    |L2(32)|: itself once and S four times, modulo 5."""
     base = _l2_32_counted_table()
     S = CATALOG.get("L2(32):5").build()
     listed, cosets = [], []
@@ -682,30 +706,39 @@ def test_dress_rows_above_a_small_set_cap_match_the_coset_loop(
         name, cap, big, monkeypatch):
     """With SET_CAP below the order of the group, a row whose normalizer
     N(U) is above the cap joins U once per class of cyclic subgroups of
-    N(U)/U, a quotient built for each nontrivial such U (``big`` of
-    them) and N(U) itself for the trivial U; every other row walks
-    N(U)'s elements.  Joins land on both sides of the cap.  All rows
-    equal the coset loop's."""
+    N(U) (``big`` rows of a nontrivial U, and the trivial U), with no
+    quotient group and no coset action; every other row walks N(U)'s
+    elements.  Joins land on both sides of the cap.  All rows equal the
+    coset loop's."""
     reps = [c.rep for c in
             table_of_marks_brute(CATALOG.get(name).build()).classes]
     monkeypatch.setattr(groups, "SET_CAP", cap)
     G = CATALOG.get(name).build()
     reps = [Subgroup(G, U.gens) for U in reps]
-    built = []
+    above, built = [], []
 
-    def counted(N, H):
-        if H.order > 1:
-            built.append(H.order)
-        return quotient_group(N, H)
+    def joins(S, N, U):
+        if N.order > cap and U.order > 1:
+            above.append(U.order)
+        return groups.cyclic_joins(S, N, U)
 
-    monkeypatch.setattr(groups, "quotient_group", counted)
+    def spy(name, real):
+        def counted(*args):
+            built.append(name)
+            return real(*args)
+        return counted
+
+    monkeypatch.setattr(marks, "cyclic_joins", joins)
+    for fn in ("quotient_group", "coset_action"):
+        monkeypatch.setattr(groups, fn, spy(fn, getattr(groups, fn)))
     cols = marks.class_columns(G, reps)
     rows = [marks.dress_row(G, cols, cid, reps[u])
             for cid, u in cols.items()]
-    assert sorted(built) == sorted(
+    assert not built
+    assert sorted(above) == sorted(
         U.order for U in reps
         if U.order > 1 and normalizer(G, U).order > cap)
-    assert len(built) == big
+    assert len(above) == big
     for u, U in enumerate(reps):
         assert rows[u].coeffs == _coset_loop_row(G, cols, U), u
 
