@@ -67,7 +67,9 @@ A's zuppos keep their ids and tuples and are not classified again.
 The group keeps one conjugation table per generator, zuppo id to zuppo
 id, filled on demand by conjugating one generator of the zuppo through
 the generator's inverse, computed once (``perms.conj_by``); an
-involution's table fills the entries of Z and Z^s together.  Id values
+involution's table fills the entries of Z and Z^s together.  For any
+other element g, ``zuppo_permutation(g)`` gives the whole table at once,
+for the oracle's walks of a normalizer's zuppo orbits.  Id values
 and class-id order depend on what was seen first and have no effect on
 any output.  The class key of a subgroup, at every order, is the
 frozenset of the ids of its zuppos in the classifying group's
@@ -525,10 +527,13 @@ class PermGroup:
         """The maps x -> x^s of the generators s, in generator order."""
         return self._num().conj
 
-    def zuppo_id(self, x: tuple[int, ...]) -> int:
-        """The id of the zuppo that the element x generates, or NO_ZUPPO
-        when its order is no prime power."""
-        return self._num().number(x)
+    def zuppo_permutation(self, g: tuple[int, ...]) -> list[int]:
+        """The conjugation by g, an element of this group, on the zuppo
+        ids: the id of Z^g at the id of Z, one conjugation per zuppo,
+        read through the numbering's index.  Every zuppo must be
+        numbered, as ``zuppos`` leaves them."""
+        num = self._num()
+        return list(map(num.index.__getitem__, map(conj_by(g), num.gen)))
 
     def elements_key(self, elems) -> frozenset:
         """The class key of the subgroup with the given elements (a
@@ -779,14 +784,18 @@ def normalizing_cosets(h_elems: frozenset, z: tuple[int, ...]) -> list:
     return cosets
 
 
-def join_normalizing(h_elems: frozenset, h_gens, z: tuple[int, ...]):
+def join_normalizing(h_elems: frozenset, h_gens, z: tuple[int, ...],
+                     normalizes: bool | None = None):
     """Element set of <H, z> when z normalizes H, else None.
 
     With z normalizing H the join is the plain union of the cosets
     H z^i = z^i H (``normalizing_cosets``), which is much cheaper than a
-    closure BFS.
+    closure BFS.  A caller that knows whether z normalizes H passes it
+    as ``normalizes``, and H's generators are not conjugated then.
     """
-    if any(conj(g, z) not in h_elems for g in h_gens):
+    if normalizes is None:
+        normalizes = all(conj(g, z) in h_elems for g in h_gens)
+    if not normalizes:
         return None
     out = set(h_elems)
     for coset in normalizing_cosets(h_elems, z)[1:]:
@@ -1213,13 +1222,12 @@ def quotient_classes(N: Subgroup, H: Subgroup, primes) -> dict:
 
 def zuppos(G: PermGroup) -> list:
     """The zuppos of G, its cyclic subgroups of prime-power order, as
-    (x, z, zclass) triples: z the zuppo's id in G's numbering
-    (``PermGroup.zuppo_id``), x its least generator and zclass the ids
-    of its G-class, one tuple shared by the class.  They are read off
-    the certified cyclic classes (``_cyclic_classes``): a member of a
-    class of prime-power order d is keyed by the ids of its subgroups,
-    and its own id is the one of order d.  The triples come in order of
-    least generator."""
+    (x, z, zclass) triples: z the zuppo's id in G's numbering, x its
+    least generator and zclass the ids of its G-class, one tuple shared
+    by the class.  They are read off the certified cyclic classes
+    (``_cyclic_classes``): a member of a class of prime-power order d
+    is keyed by the ids of its subgroups, and its own id is the one of
+    order d.  The triples come in order of least generator."""
     num, out = G._num(), []
     for d, members, _ in _cyclic_classes(G):
         if len(set(prime_factors(d))) == 1:

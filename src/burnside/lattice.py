@@ -3,17 +3,17 @@ fixed-coset tables of marks for small groups.
 
 Enumeration is bottom-up join closure: class representatives are
 extended by cyclic subgroups of prime-power order (zuppos) and
-deduplicated up to conjugacy.  A representative H is joined with one
-zuppo per orbit of its normalizer N on the zuppos outside H, since
-conjugate zuppos give conjugate joins.  The zuppos are the kernel's
-list (``groups.zuppos``), each with its G-class, which is the orbit for
-every H normal in G.  Other orbits are walked on the kernel's zuppo
-ids, which also key every subgroup class: a step conjugates the
-zuppo's least generator and looks up the id of the zuppo the image
-generates, one conjugation per step rather than one per element.  N
+deduplicated up to conjugacy.  A representative H is joined with the
+first zuppo, in zuppo order, of each orbit of its normalizer N on the
+zuppos outside H, since conjugate zuppos give conjugate joins.  The
+zuppos are the kernel's list (``groups.zuppos``), each with its
+G-class, the orbit for every H normal in G.  Other N-orbits are found
+once per distinct N, keyed by its class key, and walked on ints: each
+generator of N permutes the zuppo ids, one conjugation per zuppo.  N
 comes from the kernel, so it is checked here to normalize H; when it
 does not, H is joined with every zuppo, which costs time but never a
-class.
+class.  When it does, z normalizes H exactly when z lies in N, and the
+join is told so.
 
 A join <H, z> with z outside the normalizer of H is closed only up to
 a cap chosen from the perfect residuum D = G^oo, once per call.  A
@@ -60,7 +60,7 @@ from .marks import (
     class_columns,
     counted_pattern,
 )
-from .perms import conj, conj_by, mul
+from .perms import conj
 
 DEFAULT_CAP = 2000
 
@@ -73,7 +73,8 @@ def all_subgroup_classes_brute(G: PermGroup,
     Each class representative H is joined with the first zuppo, in
     zuppo order, of each N_G(H)-orbit outside H: <H, z^n> = <H, z>^n,
     so the rest of the orbit adds no class, and every class is found by
-    the same (H, z) pair as with the full loop over the zuppos.
+    the same (H, z) pair as with the full loop over the zuppos.  The
+    orbits are found once per distinct N_G(H) (``_normalizer_leads``).
 
     A join <H, z> with z outside N_G(H) is closed with a cap chosen
     from the perfect residuum D (module docstring), past which it is D
@@ -92,7 +93,6 @@ def all_subgroup_classes_brute(G: PermGroup,
     reps = [triv]
     known = {subgroup_class_id(G, triv)}
     zups = zuppos(G)
-    least = {z: x for x, z, _ in zups}
     # the closure caps of non-normalizing joins (module docstring);
     # only a proper D > 1 has joins inside it
     D = perfect_residuum(G)
@@ -104,30 +104,28 @@ def all_subgroup_classes_brute(G: PermGroup,
     # the elements and class key of D and of G, for a join past its cap
     d_named = delems, G.elements_key(delems)
     g_named = G.elements(), G.elements_key(G.elements())
-
-    def act(z, c):   # conjugation on zuppo ids, c a map x -> x^g
-        return G.zuppo_id(c(least[z]))
+    # N's key -> the zuppos first in their N-orbit; G's are its classes
+    leads = {g_named[1]: _orbit_leads(zups, lambda z, zclass: zclass)}
 
     for H in reps:   # grows while it is walked
         helems = H.elements()
-        normal = H.is_normal_in(G)
         h_in_d = delems.issuperset(H.gens)
-        if not normal:
-            N = normalizer(G, H)
-            nconj = ([conj_by(g) for g in N.gens] if H.is_normal_in(N)
-                     else ())
-            # the involutions of N's generators, whose back edges the
-            # orbit walks skip
-            invs = frozenset(k for k, g in enumerate(N.gens)
-                             if mul(g, g) == G.identity)
-        seen: set = set()
-        for x, z, zclass in zups:
-            if x in helems or z in seen:
+        normal = H.is_normal_in(G)
+        N = G.as_subgroup() if normal else normalizer(G, H)
+        # z normalizes H exactly when it lies in N, unless the kernel's
+        # N fails to normalize H: then every zuppo is joined and tested
+        if normal or H.is_normal_in(N):
+            nkey = g_named[1] if normal else G.subgroup_key(N)
+            if nkey not in leads:
+                leads[nkey] = _normalizer_leads(G, zups, N)
+            lead, in_n = leads[nkey], N.elements().__contains__
+        else:
+            lead, in_n = frozenset(z for _, z, _ in zups), lambda x: None
+        for x, z, _ in zups:
+            if x in helems or z not in lead:
                 continue
-            # for H normal in G, the N-orbit of z is its G-class
-            seen.update(zclass if normal else orbit([z], nconj, act, invs))
             gens = H.gens + (x,)
-            elems, key = join_normalizing(helems, H.gens, x), None
+            elems, key = join_normalizing(helems, H.gens, x, in_n(x)), None
             if elems is None:
                 inside = h_in_d and x in delems
                 elems = close_elements(
@@ -155,6 +153,28 @@ def table_of_marks_brute(G: PermGroup,
     """Pattern of G counted on the oracle's transversal
     (``marks.counted_pattern``): the package's independent oracle."""
     return counted_pattern(G, all_subgroup_classes_brute(G, cap))
+
+
+def _orbit_leads(zups, orbit_of) -> frozenset:
+    """The ids of the zuppos that come first, in zuppo order, in their
+    orbit, ``orbit_of(z, zclass)`` the orbit of zuppo z."""
+    seen, leads = set(), []
+    for _, z, zclass in zups:
+        if z not in seen:
+            leads.append(z)
+            seen.update(orbit_of(z, zclass))
+    return frozenset(leads)
+
+
+def _normalizer_leads(G: PermGroup, zups, N: Subgroup) -> frozenset:
+    """``_orbit_leads`` under N, walked on ints: one permutation of the
+    zuppo ids per generator of N (``PermGroup.zuppo_permutation``), and
+    the back edges of a permutation of order two skipped."""
+    perms = [G.zuppo_permutation(g) for g in N.gens]
+    invs = [k for k, p in enumerate(perms)   # p p is the identity
+            if list(map(p.__getitem__, p)) == sorted(p)]
+    return _orbit_leads(
+        zups, lambda z, _: orbit([z], perms, lambda u, p: p[u], invs))
 
 
 # ---------------------------------------------------------------------------

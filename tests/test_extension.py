@@ -578,14 +578,14 @@ def test_l2_32_5_step_walks_no_element_orbit_and_numbers_a_once(
     monkeypatch.setattr(groups._Numbering, "_classify",
                         lambda n, x: again.append(x))
     a_num = A._numbering
-    assert all(S.zuppo_id(x) == A.zuppo_id(x) for x in a_num.gen)
+    assert all(num.number(x) == a_num.number(x) for x in a_num.gen)
     assert again == [] and num.index is not a_num.index
     monkeypatch.undo()
     before = dict(a_num.index), list(a_num.gen)
     t = next(g for g in S.gens if not A.contains(g))
     x = next(y for y in (mul(z, t) for z in a_num.gen)
              if y not in num.index)
-    S.zuppo_id(x)
+    num.number(x)
     assert x in num.index and (a_num.index, a_num.gen) == before
 
 

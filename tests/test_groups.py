@@ -606,7 +606,7 @@ def first_sight_zuppos(G):
     first sight and z its id in G's numbering."""
     out, seen = [], {groups.NO_ZUPPO}
     for x in sorted(G.elements()):
-        z = G.zuppo_id(x)
+        z = G._num().number(x)
         if z not in seen:
             seen.add(z)
             out.append((x, z))
@@ -621,7 +621,7 @@ def orbit_zuppo_classes(G, pairs):
     least = {z: x for x, z in pairs}
 
     def act(z, c):
-        return G.zuppo_id(c(least[z]))
+        return G._num().number(c(least[z]))
 
     zclass = {}
     for _, z in pairs:
@@ -1265,7 +1265,7 @@ def test_zuppo_list_matches_the_element_set_scan(G):
     assert [x for x, _, _ in zups] == [x for x, _ in want]
     assert len({z for _, z, _ in zups}) == len(zups)
     for (x, z, _), (_, elems) in zip(zups, want):
-        assert G.zuppo_id(x) == z
+        assert G._num().number(x) == z
         assert key_elements(G, frozenset([z])) == elems
     assert lattice.zuppos is groups.zuppos
     assert groups.zuppos(G) == zups

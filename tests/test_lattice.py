@@ -187,7 +187,7 @@ def zuppo_action(G):
     the zuppo that c, a map x -> x^g, maps zuppo z's least generator
     into."""
     least = {z: x for x, z, _ in zuppos(G)}
-    return lambda z, c: G.zuppo_id(c(least[z]))
+    return lambda z, c: G._num().number(c(least[z]))
 
 
 def _conj_set(elems, c):
@@ -208,16 +208,22 @@ def _partition(points, act, gens):
 def test_zuppo_orbits_on_numbers_match_element_set_orbits(G):
     """The orbits walked on zuppo ids are the orbits of the zuppo
     element sets under conjugation, for G and for the normalizer of
-    every class representative."""
+    every class representative: by the zuppo action step by step, and
+    by the oracle's permutations of the ids
+    (``PermGroup.zuppo_permutation``)."""
     zel = {z: key_elements(G, frozenset([z])) for _, z, _ in zuppos(G)}
     act = zuppo_action(G)
-    actions = [G.gen_conj()] + [
-        [conj_by(g) for g in normalizer(G, H).gens]
-        for H in all_subgroup_classes_brute(G)]
+    actions = [G.gens] + [normalizer(G, H).gens
+                          for H in all_subgroup_classes_brute(G)]
     for gens in actions:
-        want = _partition(zel.values(), _conj_set, gens)
+        maps = [conj_by(g) for g in gens]
+        want = _partition(zel.values(), _conj_set, maps)
         got = {frozenset(zel[z] for z in numbered)
-               for numbered in _partition(zel, act, gens)}
+               for numbered in _partition(zel, act, maps)}
+        assert got == want
+        perms = [G.zuppo_permutation(g) for g in gens]
+        got = {frozenset(zel[z] for z in numbered)
+               for numbered in _partition(zel, lambda u, p: p[u], perms)}
         assert got == want
 
 
@@ -366,6 +372,50 @@ def uncapped_loop(G):
                 reps.append(K)
     reps.sort(key=lambda h: h.order)
     return [h.gens for h in reps], joins
+
+
+@pytest.mark.parametrize("name, seed", [("A6", 0), ("S6", 0), ("S6", 1),
+                                        ("S6", 2), ("S6", 3)])
+def test_one_orbit_partition_per_distinct_normalizer(name, seed,
+                                                     monkeypatch):
+    """The oracle partitions the zuppo ids into N-orbits once per
+    distinct normalizer key among its non-normal representatives, and
+    walks orbits only then, one walk per orbit, none per representative.
+    Each join is told whether its zuppo normalizes H, and the
+    representatives are the uncapped loop's."""
+    want, _ = uncapped_loop(relabeled(name, seed))
+    G = relabeled(name, seed)
+    partitions, walks, joins = [], [], []
+    normalizer_leads, walk = lattice._normalizer_leads, lattice.orbit
+
+    def spy_leads(G, zups, N):
+        before = len(walks)
+        leads = normalizer_leads(G, zups, N)
+        partitions.append((G.subgroup_key(N), len(walks) - before,
+                           len(leads)))
+        return leads
+
+    def spy_orbit(*args):
+        walks.append(args)
+        return walk(*args)
+
+    def spy_join(*args):
+        joins.append(args)
+        return join_normalizing(*args)
+
+    monkeypatch.setattr(lattice, "_normalizer_leads", spy_leads)
+    monkeypatch.setattr(lattice, "orbit", spy_orbit)
+    monkeypatch.setattr(lattice, "join_normalizing", spy_join)
+    got = all_subgroup_classes_brute(G)
+    assert [h.gens for h in got] == want
+    keys = {G.subgroup_key(normalizer(G, H)) for H in got
+            if not H.is_normal_in(G)}
+    assert len(partitions) == len(keys) == len({k for k, _, _ in partitions})
+    assert {k for k, _, _ in partitions} == keys
+    assert all(n == orbits for _, n, orbits in partitions)
+    assert len(walks) == sum(n for _, n, _ in partitions)
+    assert len(keys) < sum(not H.is_normal_in(G) for H in got)
+    assert joins and all(isinstance(args[3], bool) for args in joins)
 
 
 ORACLE_GROUPS = [e.name for e in CATALOG.entries.values()
