@@ -109,8 +109,8 @@ def all_subgroup_classes_brute(G: PermGroup,
 
     for H in reps:   # grows while it is walked
         helems = H.elements()
-        h_in_d = delems.issuperset(H.gens)
         normal = H.is_normal_in(G)
+        h_in_d = delems.issuperset(H.gens)
         N = G.as_subgroup() if normal else normalizer(G, H)
         # z normalizes H exactly when it lies in N, unless the kernel's
         # N fails to normalize H: then every zuppo is joined and tested
