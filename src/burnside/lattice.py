@@ -172,7 +172,7 @@ def _normalizer_leads(G: PermGroup, zups, N: Subgroup) -> frozenset:
     the back edges of a permutation of order two skipped."""
     perms = [G.zuppo_permutation(g) for g in N.gens]
     invs = [k for k, p in enumerate(perms)   # p p is the identity
-            if list(map(p.__getitem__, p)) == sorted(p)]
+            if list(map(p.__getitem__, p)) == list(range(len(p)))]
     return _orbit_leads(
         zups, lambda z, _: orbit([z], perms, lambda u, p: p[u], invs))
 

@@ -8,6 +8,8 @@ import random
 import re
 import subprocess
 import sys
+import weakref
+from contextlib import contextmanager
 from math import gcd
 from pathlib import Path
 
@@ -1425,3 +1427,117 @@ def test_kernel_calls_outside_the_whole_computations_see_collections():
     S = CATALOG.get("S4").build()
     H = Subgroup(S, [parse_cycles("(1,2)", 4)])
     assert _package_collections(lambda: normalizer(S, H))
+
+
+@contextmanager
+def _collector_on_with_no_automatic_collection():
+    """The collector enabled, its thresholds out of reach, so every
+    object stays in the generation it is put in; both restored after."""
+    was, threshold = gc.isenabled(), gc.get_threshold()
+    gc.enable()
+    gc.set_threshold(10**9, 10**9, 10**9)
+    try:
+        yield
+    finally:
+        gc.set_threshold(*threshold)
+        (gc.enable if was else gc.disable)()
+
+
+def _generation(obj) -> int | None:
+    """The collector generation that holds obj (None: frozen, or not
+    tracked)."""
+    for gen in range(3):
+        if any(o is obj for o in gc.get_objects(gen)):
+            return gen
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(_s4_calls()))
+def test_whole_computations_leave_their_objects_in_the_oldest_generation(
+        name):
+    """Right after a whole computation returns, what it returns (when
+    tracked) and what was young when it started are in the oldest
+    generation, so no young collection walks them again."""
+    call = _s4_calls()[name]
+    with _collector_on_with_no_automatic_collection():
+        young = []
+        result = call()
+        probes = [young] + [result] * gc.is_tracked(result)
+        gens = [_generation(obj) for obj in probes]
+        count = gc.get_count()[0]
+    assert gens == [2] * len(probes)
+    assert count < 100
+
+
+class _Node:
+    pass
+
+
+def test_a_cycle_made_in_a_whole_computation_dies_at_a_full_collection():
+    """The moved objects are not frozen: a reference cycle made inside
+    outlives a young collection and dies at the next full one."""
+    @groups.collector_paused
+    def make():
+        node = _Node()
+        node.me = node
+        return weakref.ref(node)
+
+    with _collector_on_with_no_automatic_collection():
+        ref = make()
+        gc.collect(1)
+        after_young = ref() is not None
+        gc.collect()
+    assert after_young and ref() is None
+
+
+def test_collector_paused_leaves_a_callers_frozen_objects_frozen():
+    """With a nonzero freeze count the wrapper moves nothing: the count
+    is unchanged and an object made after the caller froze stays
+    young."""
+    probe = groups.collector_paused(list)
+    with _collector_on_with_no_automatic_collection():
+        gc.freeze()
+        try:
+            count = gc.get_freeze_count()
+            young = []
+            probe()
+            after = gc.get_freeze_count(), _generation(young)
+        finally:
+            gc.unfreeze()
+    assert count > 0 and after == (count, 0)
+
+
+def test_nested_or_paused_calls_move_nothing():
+    """A call inside a whole computation, or under a caller that paused
+    the collector itself, takes the early path and moves no object."""
+    inner = groups.collector_paused(list)
+
+    @groups.collector_paused
+    def outer():
+        young = []
+        made = inner()
+        return _generation(young), _generation(made)
+
+    with _collector_on_with_no_automatic_collection():
+        nested = outer()
+        gc.disable()
+        try:
+            young = []
+            paused = _generation(young), _generation(inner())
+        finally:
+            gc.enable()
+    assert nested == paused == (0, 0)
+
+
+def test_a_whole_computation_that_raises_moves_its_objects_too():
+    @groups.collector_paused
+    def fail(made):
+        made.append([])
+        raise KeyError("fail")
+
+    with _collector_on_with_no_automatic_collection():
+        made = []
+        with pytest.raises(KeyError):
+            fail(made)
+        gens = _generation(made), _generation(made[0])
+    assert gens == (2, 2)

@@ -257,6 +257,13 @@ def test_cli_tom_l2_32_5_has_the_golden_class_orders(l2_32_5_file):
     assert doc["stats"]["probes"] == 0
 
 
+def test_cli_tom_l2_32_5_json_matches_golden(l2_32_5_file):
+    """The paper's largest example, whole: every class's generators,
+    orders and table row are pinned, millis masked."""
+    assert _mask_millis(l2_32_5_file.read_text()) == (
+        GOLDEN / "l2_32_5.json").read_text()
+
+
 def test_cli_tom_l2_32_5_equals_a_fresh_count(l2_32_5_file):
     """The engine's table equals the table counted by ``mark_row`` on a
     fresh L2(32):5 (reading the file classifies nothing) from the same
