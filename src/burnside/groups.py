@@ -104,8 +104,8 @@ yet an automatic collection walks every young container whenever the
 count of new ones passes a threshold, at points that move with the
 allocation order and so with the hash seed.  When the outermost call
 returns, its objects move to the oldest generation, so no young
-collection walks them again; a full collection still frees their
-cycles.
+collection walks them again; the cycles of a dropped result (a group,
+its handles and class records) wait for a full collection.
 """
 
 from __future__ import annotations

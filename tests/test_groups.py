@@ -1462,7 +1462,7 @@ def test_whole_computations_leave_their_objects_in_the_oldest_generation(
     with _collector_on_with_no_automatic_collection():
         young = []
         result = call()
-        probes = [young] + [result] * gc.is_tracked(result)
+        probes = [young, result] if gc.is_tracked(result) else [young]
         gens = [_generation(obj) for obj in probes]
         count = gc.get_count()[0]
     assert gens == [2] * len(probes)
