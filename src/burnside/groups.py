@@ -102,15 +102,15 @@ collector paused, under ``collector_paused``.  Their data, permutation
 tuples, key frozensets and handles, holds almost no reference cycles,
 yet an automatic collection walks every young container whenever the
 count of new ones passes a threshold, at points that move with the
-allocation order and so with the hash seed.  When the outermost call
-returns, its objects move to the oldest generation, so no young
-collection walks them again; the cycles of a dropped result (a group,
-its handles and class records) wait for a full collection.
+allocation order and so with the hash seed.  Then all objects move to
+the oldest generation (O(1) on CPython 3.11); no cycle is made (a
+group's own handle holds it weakly), so refcounts free dropped results.
 """
 
 from __future__ import annotations
 
 import gc
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
@@ -145,13 +145,9 @@ _NO_ZUPPOS = frozenset([NO_ZUPPO])
 
 
 def collector_paused(fn):
-    """``fn``, run with the cyclic garbage collector paused and resumed
-    when it returns or raises.  Before it resumes, ``gc.freeze`` and
-    ``gc.unfreeze`` move every tracked object to the oldest generation,
-    in O(1): no young collection re-walks the call's objects, and their
-    cycles die at the next full collection.  A caller's frozen objects
-    stay frozen (nothing moves).  A nested call, or a caller that
-    paused the collector itself, leaves it as it finds it."""
+    """``fn``, run with the cyclic garbage collector paused.  When it
+    returns or raises, objects move to the oldest generation (unless a
+    caller froze some) and the collector resumes, unless it was paused."""
     @wraps(fn)
     def run(*args, **kwargs):
         if not gc.isenabled():
@@ -335,6 +331,7 @@ def build_chain(gens, degree: int, order: int | None = None) -> list[dict]:
             sift_add(g, 0)
             if done:
                 break
+    del sift_add, add_gen   # empty their cells: each closure holds the other
     if order is not None and (
             _chain_order(levels) != order
             or any(_chain_sift(levels, g) != idn for g in gens)):
@@ -606,9 +603,10 @@ class PermGroup:
 
     def as_subgroup(self) -> "Subgroup":
         """The whole group as a subgroup handle, on this group's chain
-        and element list, made once."""
+        and element list, made once; it holds the group weakly."""
         if self._whole is None:
             self._whole = Subgroup(self, self.gens, group=self)
+            self._whole._group = weakref.ref(self)
         return self._whole
 
     def __repr__(self) -> str:
@@ -649,11 +647,14 @@ class Subgroup:
     def as_group(self) -> PermGroup:
         """The subgroup as a PermGroup; with an element set, its order
         is known and ends the chain's Schreier-Sims early."""
-        if self._group is None:
-            self._group = PermGroup(
+        group = self._group
+        if isinstance(group, weakref.ref):   # a group's own handle
+            group = group()
+        if group is None:
+            group = self._group = PermGroup(
                 self.gens, self.degree,
                 None if self._elems is None else len(self._elems))
-        return self._group
+        return group
 
     def elements(self) -> frozenset:
         if self._elems is None:
@@ -726,7 +727,7 @@ class Subgroup:
                                        seed=self.elements())
             if elems is not None:
                 return Subgroup(self, gens, elems=elems)
-        return PermGroup(gens, self.degree).as_subgroup()
+        return Subgroup(self, gens, group=PermGroup(gens, self.degree))
 
     def is_normal_in(self, other) -> bool:
         """True iff this subgroup is normalized by all generators of other."""
@@ -1276,7 +1277,8 @@ def _cyclic_classes(W: PermGroup) -> list:
                 if key in seen:
                     continue
                 rep = (Subgroup(W, [elems[0]], elems=elems) if d <= SET_CAP
-                       else PermGroup([elems[0]], W.degree, d).as_subgroup())
+                       else Subgroup(W, [elems[0]], group=PermGroup(
+                           [elems[0]], W.degree, d)))
                 members = W._sub_classes[subgroup_class_id(W, rep, key)].tree
                 seen.update(members)
                 count += len(positions) * len(members)

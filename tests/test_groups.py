@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import types
 import weakref
 from contextlib import contextmanager
 from math import gcd
@@ -1541,3 +1542,66 @@ def test_a_whole_computation_that_raises_moves_its_objects_too():
             fail(made)
         gens = _generation(made), _generation(made[0])
     assert gens == (2, 2)
+
+
+@contextmanager
+def _collector_off():
+    """The collector off, after a full collection, so that a cycle made
+    inside is found only by the next explicit ``gc.collect()``."""
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def _package_garbage(call) -> list[str]:
+    """The package's objects and functions among the cyclic garbage that
+    ``call`` leaves once its result is dropped (the standard library's
+    JSON encoder, for one, leaves closures of its own)."""
+    with _collector_off():
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            call()
+            gc.collect()
+            found = [getattr(o, "__qualname__", type(o).__qualname__)
+                     for o in gc.garbage
+                     if getattr(o if isinstance(o, types.FunctionType)
+                                else type(o), "__module__", "")
+                     .startswith("burnside")]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(_s4_calls()))
+def test_whole_computations_leave_no_cyclic_garbage(name):
+    """What a whole computation makes and its caller drops is freed by
+    reference counting: no object or function of the package is in the
+    cyclic garbage a full collection finds right after."""
+    assert _package_garbage(_s4_calls()[name]) == []
+
+
+def test_a_dropped_group_is_freed_by_reference_counting():
+    """A group with its whole-group handle, class records, normalizers
+    and numbering, and the handle of a group above SET_CAP, which alone
+    holds that group, die when their last holder drops them, with no
+    collection; while held, the whole-group handle is made once."""
+    with _collector_off():
+        G = CATALOG.get("S4").build()
+        whole = G.as_subgroup()
+        assert G.as_subgroup() is whole
+        lattice.table_of_marks_brute(G)
+        marks.solvable_pattern_chain(G)
+        normalizer(G, Subgroup(G, [parse_cycles("(1,2)", 4)]))
+        big = PermGroup([parse_cycles("(1,2,3,4,5,6,7,8)", 8),
+                         parse_cycles("(1,2)", 8)], 8).as_subgroup()
+        assert big.order > groups.SET_CAP
+        refs = [weakref.ref(G), weakref.ref(big.as_group())]
+        del G, whole, big   # a handle holds its group: both die here
+        alive = [ref() is not None for ref in refs]
+        found = gc.collect()
+    assert alive == [False, False] and found == 0
