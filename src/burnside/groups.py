@@ -99,12 +99,12 @@ above SET_CAP is the union of its member keys.
 The package's whole computations (the class lists, tables of marks,
 their checks and their JSON) run with Python's cyclic garbage
 collector paused, under ``collector_paused``.  Their data, permutation
-tuples, key frozensets and handles, holds almost no reference cycles,
-yet an automatic collection walks every young container whenever the
-count of new ones passes a threshold, at points that move with the
-allocation order and so with the hash seed.  Then all objects move to
-the oldest generation (O(1) on CPython 3.11); no cycle is made (a
-group's own handle holds it weakly), so refcounts free dropped results.
+tuples, key frozensets and handles, holds no reference cycle (a group's
+own handle holds it weakly), so refcounts free dropped results, yet an
+automatic collection walks every young container whenever the count of
+new ones passes a threshold, at points that move with the allocation
+order and so with the hash seed.  After the outermost call, all objects
+move to the oldest generation (O(1) on CPython 3.11).
 """
 
 from __future__ import annotations

@@ -1587,9 +1587,11 @@ def test_whole_computations_leave_no_cyclic_garbage(name):
 
 def test_a_dropped_group_is_freed_by_reference_counting():
     """A group with its whole-group handle, class records, normalizers
-    and numbering, and the handle of a group above SET_CAP, which alone
-    holds that group, die when their last holder drops them, with no
-    collection; while held, the whole-group handle is made once."""
+    and numbering, and a join above SET_CAP, whose handle alone holds
+    its group, die when their last holder drops them, with no
+    collection.  While held, the whole-group handle is made once; once
+    its group is dropped, it builds the group again."""
+    c8, t = parse_cycles("(1,2,3,4,5,6,7,8)", 8), parse_cycles("(1,2)", 8)
     with _collector_off():
         G = CATALOG.get("S4").build()
         whole = G.as_subgroup()
@@ -1597,9 +1599,9 @@ def test_a_dropped_group_is_freed_by_reference_counting():
         lattice.table_of_marks_brute(G)
         marks.solvable_pattern_chain(G)
         normalizer(G, Subgroup(G, [parse_cycles("(1,2)", 4)]))
-        big = PermGroup([parse_cycles("(1,2,3,4,5,6,7,8)", 8),
-                         parse_cycles("(1,2)", 8)], 8).as_subgroup()
-        assert big.order > groups.SET_CAP
+        big = Subgroup(PermGroup([c8], 8), [c8]).join(t)
+        assert big.order == 40320 > groups.SET_CAP
+        assert PermGroup([c8, t], 8).as_subgroup().as_group().order == 40320
         refs = [weakref.ref(G), weakref.ref(big.as_group())]
         del G, whole, big   # a handle holds its group: both die here
         alive = [ref() is not None for ref in refs]
