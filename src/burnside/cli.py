@@ -84,11 +84,22 @@ from .perms import CycleParseError, parse_cycles
 
 OK, INPUT_ERROR, UNSUPPORTED, VALIDATION_FAILURE = 0, 2, 3, 4
 
+# the largest degree an inline or file group may have; the catalog's
+# largest is 33, and a permutation of degree d is a tuple of d ints
+MAX_DEGREE = 100_000
+
 
 class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
+
+
+def _check_degree(degree: int) -> None:
+    """Refuse a degree above MAX_DEGREE before any tuple is built."""
+    if degree > MAX_DEGREE:
+        raise CliError(INPUT_ERROR,
+                       f"degree {degree} is above the limit {MAX_DEGREE}")
 
 
 def _resolve_group(args) -> tuple[str, PermGroup, CatalogEntry | None]:
@@ -98,6 +109,7 @@ def _resolve_group(args) -> tuple[str, PermGroup, CatalogEntry | None]:
         except ValueError:
             raise CliError(INPUT_ERROR,
                            "with --gens the positional argument is the degree")
+        _check_degree(degree)
         try:
             gens = [parse_cycles(s, degree) for s in args.gens]
         except CycleParseError as exc:
@@ -122,6 +134,7 @@ def _file_group(name: str, doc: dict) -> PermGroup:
             or name != f"<{degree}>"):
         raise CliError(INPUT_ERROR,
                        f"pattern file names unknown group {name!r}")
+    _check_degree(degree)
     try:
         gens = doc["classes"][-1]["generators"]
         return PermGroup([parse_cycles(s, degree) for s in gens], degree)

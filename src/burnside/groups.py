@@ -24,22 +24,21 @@ change.  One coset walk, ``_coset_walk``, gives the action of
 ``coset_action`` (off its tree edges), its transversal (the
 representatives) and the order-q classes of ``quotient_classes``; a
 coset Hg is keyed by the element of it with the least base images along
-a stabilizer chain of H, read off H's element set when the handle has
-one, one gather a level.
+H's own stabilizer chain, one gather a level.
 
 A subgroup handle carries its generators, its degree and, whenever
 the order is at most SET_CAP, its element set; SET_CAP caps element
-sets and nothing else.  No other module reads it: they ask a handle
-(``membership``, a set test or sifts; ``order_profile``, None above
-the cap).  A handle belongs to no ambient group.  The group that
-classifies a handle keys it in its own numbering
-(``PermGroup.subgroup_key``), so one handle can be classified in A and
-in an overgroup S alike.  Conjugacy of subgroups is resolved by orbit
-enumeration with per-class caches stored on that group.
+sets and nothing else.  No code outside the handle reads it: other
+code asks the handle (``membership``, a set test or sifts;
+``order_profile``, None above the cap).  A handle belongs to no
+ambient group.  The group that classifies a handle keys it in its own
+numbering (``PermGroup.subgroup_key``), so one handle can be
+classified in A and in an overgroup S alike.  Conjugacy of subgroups
+is resolved by orbit enumeration with per-class caches stored on that
+group.
 A normalizer takes the Schreier generators of H's class from H only
-until, joined to H one at a time, they span its order: it reads the
-class tree cached on G when H's key is its root, and otherwise walks
-the class lazily from H, keeping each image the walk makes for the
+until, joined to H one at a time, they span its order: it walks the
+class lazily from H, keeping each image the walk makes for the
 stabilizer loop, so each key is conjugated once per generator.  A
 caller that knows the order passes it, and no class is cached then;
 a caller that has H's key passes it too, and a key G has registered
@@ -91,10 +90,10 @@ the group order) certifies it complete.  No element list is built,
 and each class is registered as a subgroup class of the group.  Every
 reader of cyclic subgroups takes them from these classes: the rational
 classes of order q are the classes of order q, each represented by its
-least element; ``zuppos(G)``, for the oracle, is the classes of
-prime-power order, each zuppo with its G-class, in order of least
-generator, read off them on each call; and the key of a subgroup
-above SET_CAP is the union of its member keys.
+least element; ``zuppos(G)``, for the oracle, is the zuppos of the
+classes of prime-power order, in order of least generator, read off
+them on each call; and the key of a subgroup above SET_CAP is the
+union of its member keys.
 
 The package's whole computations (the class lists, tables of marks,
 their checks and their JSON) run with Python's cyclic garbage
@@ -700,13 +699,6 @@ class Subgroup:
         return (lcm(*map(order_of, self.gens)) == self.order
                 and self.is_abelian())
 
-    def is_subset_of(self, other: "Subgroup") -> bool:
-        return other.membership()(self.gens)
-
-    def same_subgroup(self, other: "Subgroup") -> bool:
-        return (self.order == other.order
-                and self.is_subset_of(other))
-
     def join(self, t: tuple[int, ...]) -> "Subgroup":
         """<H, t>, generated by H.gens + (t,).  When t normalizes H, and
         |H| m <= SET_CAP for the least m with t^m in H (m divides the
@@ -921,7 +913,7 @@ def centralizer_order(G: PermGroup, t: tuple[int, ...]) -> int:
     C_G(t) is spanned by the zuppos of G (``zuppos``) whose generator t
     centralizes, each element a product of prime-power powers of itself."""
     c = conj_by(t)
-    return PermGroup([x for x, _, _ in zuppos(G) if c(x) == x], G.degree).order
+    return PermGroup([x for x, _ in zuppos(G) if c(x) == x], G.degree).order
 
 
 def element_class_length(G: PermGroup, x) -> int:
@@ -968,17 +960,8 @@ def subgroup_class_id(G: PermGroup, H: Subgroup, key=None) -> int:
 
 
 def are_conjugate_subgroups(G: PermGroup, H: Subgroup, K: Subgroup):
-    """A conjugating element g with H^g = K, or None.
-
-    Order mismatches, and below SET_CAP element-order-profile
-    mismatches, are rejected before any orbit enumeration.
-    """
-    if H.order != K.order:
-        return None
-    if H.same_subgroup(K):
-        return G.identity
-    if H.order_profile() != K.order_profile():
-        return None
+    """A conjugating element g with H^g = K, or None: H and K are
+    conjugate exactly when they have one class id in G."""
     kh, kk = G.subgroup_key(H), G.subgroup_key(K)
     ch = subgroup_class_id(G, H, kh)
     if ch != subgroup_class_id(G, K, kk):
@@ -998,10 +981,9 @@ def normalizer(G: PermGroup, H: Subgroup, order: int | None = None,
     The Schreier generators over H's class, on zuppo sets through the
     conjugation tables, grow H (``_stabilizer_from_orbit``) until the
     normalizer has ``order``; an element is multiplied out only for the
-    members visited.  When H's key is the root of its class cached on G,
-    the cached tree is read; otherwise the class is walked lazily from H,
-    and each image the walk makes is kept for the stabilizer loop, so no
-    key is conjugated twice.  Without ``order`` it is |G| over H's class
+    members visited.  The class is walked lazily from H, and each image
+    the walk makes is kept for the stabilizer loop, so no key is
+    conjugated twice.  Without ``order`` it is |G| over H's class
     length, from G's class cache; a caller that passes it leaves that
     cache alone.  ``key`` is H's ``G.subgroup_key``, for a caller that
     already has it; a key G has registered is the zuppo set of a
@@ -1019,25 +1001,19 @@ def normalizer(G: PermGroup, H: Subgroup, order: int | None = None,
     cached = G._normalizers.get(fp)
     if cached is not None:
         return cached
-    cid = G._sub_class_of.get(fp)
     if order is None:
         cid = subgroup_class_id(G, H, fp)
         order = G.order // G._sub_classes[cid].size   # H's class length
-    tree = None if cid is None else G._sub_classes[cid].tree
     invs, conj_set = G._num().involutions, G.conj_index_set
-    if tree is not None and next(iter(tree)) == fp:
-        # H opened its class: the cached tree is the walk from H
-        nodes, act = tree, conj_set
-    else:
-        tree, images = {fp: None}, {}   # (node, k) -> its image
+    tree, images = {fp: None}, {}   # (node, k) -> its image
 
-        def step(node, k):
-            images[node, k] = image = conj_set(node, k)
-            return image
+    def step(node, k):
+        images[node, k] = image = conj_set(node, k)
+        return image
 
-        def act(node, k):
-            return images.pop((node, k))
-        nodes = orbit_walk(tree, range(len(G.gens)), step, invs)
+    def act(node, k):
+        return images.pop((node, k))
+    nodes = orbit_walk(tree, range(len(G.gens)), step, invs)
     known = {fp: G.identity}
     result = _stabilizer_from_orbit(
         G, H, nodes, tree,
@@ -1051,24 +1027,6 @@ def normalizer(G: PermGroup, H: Subgroup, order: int | None = None,
 # coset actions and quotients
 
 
-def _element_levels(elems) -> list[dict]:
-    """The levels of a stabilizer chain read off a subgroup's element
-    set, each a map from the orbit of its base point to an element
-    taking the base there: the base is the first point moved by some
-    element left, and the next level holds the elements that fix it."""
-    idn = identity_tuple(len(next(iter(elems))))
-    levels, rest = [], list(elems)
-    while len(rest) > 1:
-        e = next(h for h in rest if h != idn)
-        base = next(x for x, y in enumerate(e) if x != y)
-        orb: dict = {}
-        for h in rest:
-            orb.setdefault(h[base], h)
-        levels.append(orb)
-        rest = [h for h in rest if h[base] == base]
-    return levels
-
-
 def _coset_key(H: Subgroup):
     """The key of the right coset Hg, an element of it, read off a
     stabilizer chain of H (Seress, Permutation Group Algorithms, 2003):
@@ -1076,13 +1034,10 @@ def _coset_key(H: Subgroup):
     to the orbit point of least image under x moves x to ux, so x ends
     as the element of Hg whose base images are least, in base order.
     That element is shifted by the inverse of H's own, so H's key is
-    the identity.  The chain is read off H's element set when the
-    handle has one (``_element_levels``), with no Schreier-Sims run, and
-    is H's own otherwise."""
-    orbits = (_element_levels(H._elems) if H._elems is not None
-              else [lv["orbit"] for lv in H.as_group().chain])
-    levels = [{pt: left_mul_by(u) for pt, u in orb.items()}
-              for orb in orbits]
+    the identity.  The chain is H's own (``Subgroup.as_group``), whose
+    Schreier-Sims run ends early when H holds its element set."""
+    levels = [{pt: left_mul_by(u) for pt, u in lv["orbit"].items()}
+              for lv in H.as_group().chain]
 
     def least(x):
         for orb in levels:
@@ -1164,9 +1119,6 @@ def quotient_classes(N: Subgroup, H: Subgroup, primes) -> dict:
     and no W is built:
 
     * for a trivial H they are N's own (``rational_classes``);
-    * for |N:H| = q, W is cyclic of order q, one class of q - 1
-      elements, whose least element lifts to N's first generator
-      outside H;
     * otherwise they are read off the coset walk of ``coset_action``
       (``_coset_walk``), which numbers the cosets as W's regular image
       does, so W's element of least tuple in a class is the one of least
@@ -1182,9 +1134,6 @@ def quotient_classes(N: Subgroup, H: Subgroup, primes) -> dict:
         raise ValueError("subgroup is not normal")
     index = N.order // H.order
     out: dict = {q: [] for q in primes}
-    if index in out:
-        out[index] = [(next(g for g in N.gens if g not in H), index - 1)]
-        return out
     steps = _coset_walk(N, H)[1]
     gens, n = N.gens, len(N.gens)
     # paths[j]: the generator indices along the tree path of coset j,
@@ -1231,18 +1180,16 @@ def quotient_classes(N: Subgroup, H: Subgroup, primes) -> dict:
 
 def zuppos(G: PermGroup) -> list:
     """The zuppos of G, its cyclic subgroups of prime-power order, as
-    (x, z, zclass) triples: z the zuppo's id in G's numbering, x its
-    least generator and zclass the ids of its G-class, one tuple shared
-    by the class.  They are read off the certified cyclic classes
+    (x, z) pairs: z the zuppo's id in G's numbering and x its least
+    generator.  They are read off the certified cyclic classes
     (``_cyclic_classes``): a member of a class of prime-power order d
     is keyed by the ids of its subgroups, and its own id is the one of
-    order d.  The triples come in order of least generator."""
+    order d.  The pairs come in order of least generator."""
     num, out = G._num(), []
     for d, members, _ in _cyclic_classes(G):
         if len(set(prime_factors(d))) == 1:
-            zclass = tuple(next(z for z in key if num.size[z] == d)
-                           for key in members)
-            out += [(num.gen[z], z, zclass) for z in zclass]
+            out += [(num.gen[z], z) for key in members
+                    for z in key if num.size[z] == d]
     out.sort()
     return out
 

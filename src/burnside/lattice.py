@@ -6,14 +6,13 @@ extended by cyclic subgroups of prime-power order (zuppos) and
 deduplicated up to conjugacy.  A representative H is joined with the
 first zuppo, in zuppo order, of each orbit of its normalizer N on the
 zuppos outside H, since conjugate zuppos give conjugate joins.  The
-zuppos are the kernel's list (``groups.zuppos``), each with its
-G-class, the orbit for every H normal in G.  Other N-orbits are found
-once per distinct N, keyed by its class key, and walked on ints: each
-generator of N permutes the zuppo ids, one conjugation per zuppo.  N
-comes from the kernel, so it is checked here to normalize H; when it
-does not, H is joined with every zuppo, which costs time but never a
-class.  When it does, z normalizes H exactly when z lies in N, and the
-join is told so.
+zuppos are the kernel's list (``groups.zuppos``).  The N-orbits are
+found once per distinct N, G itself for every H normal in G, keyed by
+its class key, and walked on ints: each generator of N permutes the
+zuppo ids, one conjugation per zuppo.  N comes from the kernel, so it
+is checked here to normalize H; when it does not, H is joined with
+every zuppo, which costs time but never a class.  When it does, z
+normalizes H exactly when z lies in N, and the join is told so.
 
 A join <H, z> with z outside the normalizer of H is closed only up to
 a cap chosen from the perfect residuum D = G^oo, once per call.  A
@@ -104,8 +103,7 @@ def all_subgroup_classes_brute(G: PermGroup,
     # the elements and class key of D and of G, for a join past its cap
     d_named = delems, G.elements_key(delems)
     g_named = G.elements(), G.elements_key(G.elements())
-    # N's key -> the zuppos first in their N-orbit; G's are its classes
-    leads = {g_named[1]: _orbit_leads(zups, lambda z, zclass: zclass)}
+    leads: dict = {}   # N's key -> the zuppos first in their N-orbit
 
     for H in reps:   # grows while it is walked
         helems = H.elements()
@@ -120,8 +118,8 @@ def all_subgroup_classes_brute(G: PermGroup,
                 leads[nkey] = _normalizer_leads(G, zups, N)
             lead, in_n = leads[nkey], N.elements().__contains__
         else:
-            lead, in_n = frozenset(z for _, z, _ in zups), lambda x: None
-        for x, z, _ in zups:
+            lead, in_n = frozenset(z for _, z in zups), lambda x: None
+        for x, z in zups:
             if x in helems or z not in lead:
                 continue
             gens = H.gens + (x,)
@@ -155,26 +153,20 @@ def table_of_marks_brute(G: PermGroup,
     return counted_pattern(G, all_subgroup_classes_brute(G, cap))
 
 
-def _orbit_leads(zups, orbit_of) -> frozenset:
-    """The ids of the zuppos that come first, in zuppo order, in their
-    orbit, ``orbit_of(z, zclass)`` the orbit of zuppo z."""
-    seen, leads = set(), []
-    for _, z, zclass in zups:
-        if z not in seen:
-            leads.append(z)
-            seen.update(orbit_of(z, zclass))
-    return frozenset(leads)
-
-
 def _normalizer_leads(G: PermGroup, zups, N: Subgroup) -> frozenset:
-    """``_orbit_leads`` under N, walked on ints: one permutation of the
-    zuppo ids per generator of N (``PermGroup.zuppo_permutation``), and
-    the back edges of a permutation of order two skipped."""
+    """The ids of the zuppos that come first, in zuppo order, in their
+    N-orbit, walked on ints: one permutation of the zuppo ids per
+    generator of N (``PermGroup.zuppo_permutation``), and the back edges
+    of a permutation of order two skipped."""
     perms = [G.zuppo_permutation(g) for g in N.gens]
     invs = [k for k, p in enumerate(perms)   # p p is the identity
             if list(map(p.__getitem__, p)) == list(range(len(p)))]
-    return _orbit_leads(
-        zups, lambda z, _: orbit([z], perms, lambda u, p: p[u], invs))
+    seen, leads = set(), []
+    for _, z in zups:
+        if z not in seen:
+            leads.append(z)
+            seen.update(orbit([z], perms, lambda u, p: p[u], invs))
+    return frozenset(leads)
 
 
 # ---------------------------------------------------------------------------

@@ -416,7 +416,7 @@ def test_class_members_conjugators_and_normalizers(name, seed):
             K = Subgroup(G, gens)
             g = are_conjugate_subgroups(G, rep, K)
             assert g is not None and G.contains(g)
-            assert conjugated(rep, g).same_subgroup(K)
+            assert conjugated(rep, g).elements() == K.elements()
 
 
 def test_subgroups_output_ignores_the_hash_seed():
@@ -853,7 +853,7 @@ def test_close_elements_matches_a_breadth_first_closure(name):
     by cosets from scratch and from H's element set, is the group the
     plain product closure finds."""
     G = CATALOG.group(name)
-    zups = [x for x, _, _ in zuppos(G)]
+    zups = [x for x, _ in zuppos(G)]
     for H in all_subgroup_classes_brute(G):
         for z in zups:
             gens = H.gens + (z,)
@@ -1265,9 +1265,9 @@ def test_zuppo_list_matches_the_element_set_scan(G):
     the same function, and a second call gives the same list."""
     zups = groups.zuppos(G)
     want = scanned_zuppos(G)
-    assert [x for x, _, _ in zups] == [x for x, _ in want]
-    assert len({z for _, z, _ in zups}) == len(zups)
-    for (x, z, _), (_, elems) in zip(zups, want):
+    assert [x for x, _ in zups] == [x for x, _ in want]
+    assert len({z for _, z in zups}) == len(zups)
+    for (x, z), (_, elems) in zip(zups, want):
         assert G._num().number(x) == z
         assert key_elements(G, frozenset([z])) == elems
     assert lattice.zuppos is groups.zuppos
@@ -1280,20 +1280,19 @@ def test_zuppos_match_the_first_sight_scan_and_the_orbit_loop(
         name, set_cap, monkeypatch):
     """The zuppos read off the certified cyclic classes, made first on
     a fresh group, are the pairs of the former scan of the sorted
-    elements, in its order, and each carries the G-class that the
-    former orbit loop walks on ids, one tuple per class.  With SET_CAP
-    3 the classes above the cap are keyed and walked alike."""
+    elements, in its order, and the oracle's partition under G leads
+    each G-class that the former orbit loop walks on ids with its first
+    zuppo.  With SET_CAP 3 the classes above the cap are keyed and
+    walked alike."""
     monkeypatch.setattr(groups, "SET_CAP", set_cap)
     G = (relabeled("S6", 5) if name == "S6 relabeled"
          else CATALOG.get(name).build())
     zups = groups.zuppos(G)
     want = first_sight_zuppos(G)
-    assert [(x, z) for x, z, _ in zups] == want
+    assert zups == want
     zclass = orbit_zuppo_classes(G, want)
-    shared = {}
-    for _, z, cls in zups:
-        assert sorted(cls) == sorted(zclass[z])
-        assert shared.setdefault(frozenset(cls), cls) is cls
+    assert lattice._normalizer_leads(G, zups, G.as_subgroup()) == {
+        cls[0] for cls in zclass.values()}
 
 
 def test_l2_32_class_search_fills_each_table_entry_once():

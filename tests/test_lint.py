@@ -1,8 +1,9 @@
 """Source lint: checks on inputs and invariants must survive
 ``python -O``, so the package holds no ``assert`` statement; the
 package exports only names it defines, references every private helper
-it defines, keeps each private name inside its own module, and builds
-every object through its ``__init__``."""
+it defines, keeps each private name inside its own module, lets no code
+outside the subgroup handle read its element set, and builds every
+object through its ``__init__``."""
 
 import ast
 from pathlib import Path
@@ -169,6 +170,23 @@ def test_only_the_kernel_names_the_element_set_cap():
              if "SET_CAP" in text]
     assert any(p.name == "groups.py" and "SET_CAP" in p.read_text()
                for p in SOURCES) and not found, found
+
+
+def test_only_the_subgroup_handle_reads_its_element_set():
+    """The element set is the handle's own: no code outside ``class
+    Subgroup`` names its ``_elems`` attribute, as an attribute or as a
+    string, and other code asks the handle (``elements``,
+    ``membership``)."""
+    found, inside = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        own = [range(node.lineno, node.end_lineno + 1) for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "Subgroup"]
+        for name, line in _references(tree, strings=True):
+            if name == "_elems":
+                (inside if any(line in r for r in own) else found).append(
+                    f"{path.name}:{line}")
+    assert inside and not found, found
 
 
 def test_the_class_step_and_search_build_no_quotient_group():

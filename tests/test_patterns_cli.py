@@ -4,6 +4,7 @@ import json
 import io
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -436,6 +437,31 @@ def test_cli_inline_group_file_needs_its_degree_and_generators(
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and message in err, argv
+
+
+@pytest.mark.parametrize("command", ["tom", "verify"])
+def test_cli_refuses_a_huge_degree(command, tmp_path):
+    """A degree above ``cli.MAX_DEGREE``, inline or in a file naming
+    ``<d>``, exits 2 before any tuple of that degree is built.  The
+    file's last class has no generators, so its group would start from
+    the identity.  The child's address space is capped at 2 GB, so such
+    a tuple dies of a MemoryError instead of filling the machine."""
+    degree = 10 ** 13
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"group": f"<{degree}>", "degree": degree,
+                                "classes": [{"generators": []}]}))
+    argv = (["tom", str(degree), "--gens", "(1,2)"] if command == "tom"
+            else ["verify", str(path)])
+    run = subprocess.run(
+        [sys.executable, "-m", "burnside.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(
+            Path(burnside.__file__).resolve().parents[1])),
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(
+            resource.RLIMIT_AS, (2 * 10 ** 9, 2 * 10 ** 9)))
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr == (f"error: degree {degree} is above the limit "
+                          f"{cli.MAX_DEGREE}\n")
 
 
 def test_cli_verify_parse_failure(tmp_path):
