@@ -32,9 +32,9 @@ extension.  The rules, in order:
 A ``--base`` file is read and validated whenever it is given, and a
 table computed from it is validated again before it is printed.
 
-Exit codes: 0 ok, 2 input error, 3 unsupported computation path,
-4 validation failure (a base pattern that makes the extension step
-inconsistent included).
+Exit codes: 0 ok, 2 input error, 3 unsupported computation path (a
+computation that runs out of memory included), 4 validation failure (a
+base pattern that makes the extension step inconsistent included).
 """
 
 from __future__ import annotations
@@ -400,6 +400,9 @@ def main(argv=None) -> int:
     except InconsistentTableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return VALIDATION_FAILURE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return UNSUPPORTED
 
 
 if __name__ == "__main__":  # pragma: no cover

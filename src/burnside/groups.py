@@ -4,10 +4,7 @@ Groups are given by generators.  A deterministic Schreier-Sims chain
 (base points chosen smallest-moved-first, orbits in BFS discovery
 order) backs order and membership, so every computation in the package
 is reproducible run to run.  Each level keeps its transversal and the
-inverses of its elements.  A caller that knows the group order exactly
-(a handle with an element set, a cyclic class representative above
-SET_CAP) passes it, and Schreier-Sims stops once the orbit lengths
-multiply to it, with the chain of the full run.
+inverses of its elements.  Every chain comes from one full run.
 
 Every orbit is walked by one helper, ``orbit(seeds, gens, act)``: a
 breadth-first walk that returns the Schreier tree in discovery order
@@ -59,10 +56,9 @@ Each group numbers its zuppos, the cyclic subgroups of prime-power
 order, on first sight: an element maps to the id of the zuppo it
 generates, or to NO_ZUPPO (the identity, composite orders), and all
 elements of a cyclic subgroup are classified together from the powers
-of one of them.  ``elements()`` lets the numbering adopt the tuples of
-its list, so the two share one tuple per element; a group over a normal
-subgroup A starts from a copy of A's numbering (``number_from``), so
-A's zuppos keep their ids and tuples and are not classified again.
+of one of them.  A group over a normal subgroup A starts from a copy
+of A's numbering (``number_from``), so A's zuppos keep their ids and
+tuples and are not classified again.
 The group keeps one conjugation table per generator, zuppo id to zuppo
 id, filled on demand by conjugating one generator of the zuppo through
 the generator's inverse, computed once (``perms.conj_by``); an
@@ -272,24 +268,15 @@ def _chain_sift(levels: list[dict], g: tuple[int, ...]) -> tuple[int, ...]:
     return g
 
 
-def build_chain(gens, degree: int, order: int | None = None) -> list[dict]:
+def build_chain(gens, degree: int) -> list[dict]:
     """Deterministic Schreier-Sims; returns the list of chain levels.
 
     Level i holds the strong generators fixing the first i base points,
     so the generator lists are nested: a sifted residue is installed at
     every level from where it got stuck down to the first base it moves.
-
-    ``order``, when the caller knows |<gens>| exactly, stops the run as
-    soon as the orbit lengths multiply to it (the known-order shortcut,
-    Seress, Permutation Group Algorithms, 2003): the orbits are then the
-    basic orbits of a complete chain, every later Schreier generator
-    sifts to the identity, and the levels are those of the full run.
-    Every input generator is then checked to sift through the chain, and
-    a chain of another order is refused.
     """
     idn = identity_tuple(degree)
     levels: list[dict] = []
-    done = False   # the orbit lengths multiply to ``order``
 
     def sift_add(g: tuple[int, ...], i: int) -> None:
         # a residue stuck at some level moves its base point
@@ -298,7 +285,6 @@ def build_chain(gens, degree: int, order: int | None = None) -> list[dict]:
             add_gen(g)
 
     def add_gen(h: tuple[int, ...]) -> None:
-        nonlocal done
         # h enters every level whose earlier bases it fixes
         m = 0
         while m < len(levels) and h[levels[m]["base"]] == levels[m]["base"]:
@@ -310,9 +296,6 @@ def build_chain(gens, degree: int, order: int | None = None) -> list[dict]:
             lv = levels[i]
             lv["gens"].append(h)
             _orbit_rebuild(lv, degree)
-        if order is not None and _chain_order(levels) >= order:
-            done = True
-            return
         for i in range(m + 1):
             lv = levels[i]
             reps, inverse = lv["orbit"], lv["inverse"]
@@ -322,19 +305,11 @@ def build_chain(gens, degree: int, order: int | None = None) -> list[dict]:
                     sg = mul(mul(u, s), inverse[s[pt]])
                     if sg != idn:
                         sift_add(sg, i + 1)
-                        if done:
-                            return
 
     for g in gens:
         if g != idn:
             sift_add(g, 0)
-            if done:
-                break
     del sift_add, add_gen   # empty their cells: each closure holds the other
-    if order is not None and (
-            _chain_order(levels) != order
-            or any(_chain_sift(levels, g) != idn for g in gens)):
-        raise RuntimeError(f"generators span no group of order {order}")
     return levels
 
 
@@ -413,8 +388,7 @@ class _Numbering:
     order, numbered on first sight.
 
     ``index`` maps each element seen to the id of the zuppo it
-    generates, or to NO_ZUPPO; an element of the group's element list
-    maps to None until it is seen.  All elements of a cyclic subgroup
+    generates, or to NO_ZUPPO.  All elements of a cyclic subgroup
     <x> are classified together, from the powers of x, when the first
     of them is seen.  ``gen`` holds the least generator of each zuppo
     and ``size`` its order.  Each generator s of the group has a
@@ -450,7 +424,7 @@ class _Numbering:
         classified whole."""
         index, powers = self.index, _powers(x, self.idn)
         for first, d, zuppo, positions in _cyclic_layout(len(powers)):
-            if index.get(powers[first]) is not None:
+            if powers[first] in index:
                 continue
             z = NO_ZUPPO
             if zuppo:
@@ -470,11 +444,10 @@ class PermGroup:
     sharing instances across computations is safe and profitable.
     """
 
-    def __init__(self, gens, degree: int, order: int | None = None):
+    def __init__(self, gens, degree: int):
         self.degree = degree
         self.gens: tuple[tuple[int, ...], ...] = _clean_gens(gens, degree)
-        # ``order``, when known exactly, ends Schreier-Sims early
-        self.chain = build_chain(self.gens, degree, order)
+        self.chain = build_chain(self.gens, degree)
         self.order: int = _chain_order(self.chain)
         self._elements: list[tuple[int, ...]] | None = None
         self._cyclic: list | None = None    # _cyclic_classes(self), made once
@@ -500,19 +473,12 @@ class PermGroup:
     __contains__ = contains
 
     def elements(self) -> list[tuple[int, ...]]:
-        """All elements, in deterministic chain order.  The numbering
-        adopts the list's tuples, each unclassified until it is seen,
-        so the list and the numbering share one tuple per element."""
+        """All elements, in deterministic chain order, made once."""
         if self._elements is None:
             if self.order > ELEMENTS_CAP:
                 raise CapExceededError(
                     f"group of order {self.order} exceeds element cap")
-            elems = list(_chain_elements(self.chain, self.degree))
-            num = self._num()
-            index = dict.fromkeys(elems)
-            index.update(num.index)   # an existing key keeps its tuple
-            num.index = index
-            self._elements = elems
+            self._elements = list(_chain_elements(self.chain, self.degree))
         return self._elements
 
     # -- zuppo numbering ---------------------------------------------------
@@ -543,13 +509,13 @@ class PermGroup:
         """The class key of the subgroup with the given elements (a
         re-iterable collection): the ids of the zuppos among them.
         Each element is a product of powers of itself of prime-power
-        order, so the subgroup is generated by its zuppos."""
+        order, so the subgroup is generated by its zuppos.  Each element
+        is looked up in the numbering's index; once one is missing, each
+        is numbered."""
         num = self._num()
         try:
             ids = frozenset(map(num.index.__getitem__, elems))
         except KeyError:
-            ids = None
-        if ids is None or None in ids:
             ids = frozenset(map(num.number, elems))
         return ids - _NO_ZUPPOS
 
@@ -644,15 +610,18 @@ class Subgroup:
                       else len(self._elems))
 
     def as_group(self) -> PermGroup:
-        """The subgroup as a PermGroup; with an element set, its order
-        is known and ends the chain's Schreier-Sims early."""
+        """The subgroup as a PermGroup, made once; a handle whose
+        generators span a group of another order than its element set
+        is refused."""
         group = self._group
         if isinstance(group, weakref.ref):   # a group's own handle
             group = group()
         if group is None:
-            group = self._group = PermGroup(
-                self.gens, self.degree,
-                None if self._elems is None else len(self._elems))
+            group = PermGroup(self.gens, self.degree)
+            if self._elems is not None and group.order != len(self._elems):
+                raise RuntimeError(f"generators span a group of order "
+                                   f"{group.order}, not {len(self._elems)}")
+            self._group = group
         return group
 
     def elements(self) -> frozenset:
@@ -961,7 +930,11 @@ def subgroup_class_id(G: PermGroup, H: Subgroup, key=None) -> int:
 
 def are_conjugate_subgroups(G: PermGroup, H: Subgroup, K: Subgroup):
     """A conjugating element g with H^g = K, or None: H and K are
-    conjugate exactly when they have one class id in G."""
+    conjugate exactly when they have one class id in G.  Both handles'
+    generators are sifted through G's chain before either is keyed,
+    else ``ValueError``."""
+    if not all(g in G for g in H.gens + K.gens):
+        raise ValueError("subgroup not inside the group")
     kh, kk = G.subgroup_key(H), G.subgroup_key(K)
     ch = subgroup_class_id(G, H, kh)
     if ch != subgroup_class_id(G, K, kk):
@@ -1034,8 +1007,7 @@ def _coset_key(H: Subgroup):
     to the orbit point of least image under x moves x to ux, so x ends
     as the element of Hg whose base images are least, in base order.
     That element is shifted by the inverse of H's own, so H's key is
-    the identity.  The chain is H's own (``Subgroup.as_group``), whose
-    Schreier-Sims run ends early when H holds its element set."""
+    the identity.  The chain is H's own (``Subgroup.as_group``)."""
     levels = [{pt: left_mul_by(u) for pt, u in lv["orbit"].items()}
               for lv in H.as_group().chain]
 
@@ -1067,20 +1039,18 @@ def _coset_walk(G, H: Subgroup) -> tuple[dict, list[int]]:
     return tree, list(map(label.__getitem__, edges))
 
 
-def coset_action(G: PermGroup, H: Subgroup, order: int | None = None):
+def coset_action(G: PermGroup, H: Subgroup):
     """Action of G on the right cosets Hg, as (image group, reps): the
     image has degree |G:H|, at most QUOTIENT_CAP, and point i is the
     coset of reps[i].  One coset walk (``_coset_walk``) gives both:
     reps, identity first, are the products of the generators along the
     tree paths, and point i goes under gens[k] to the coset of the edge
-    from i by k.  ``order`` is the image's order, for a caller that
-    knows it exactly.
+    from i by k.
     """
     tree, steps = _coset_walk(G, H)
     reps = list(transversal(tree, G.gens, G.identity).values())
     n = len(G.gens)
-    return PermGroup([tuple(steps[k::n]) for k in range(n)],
-                     len(reps), order), reps
+    return PermGroup([tuple(steps[k::n]) for k in range(n)], len(reps)), reps
 
 
 def coset_transversal(G: PermGroup, H: Subgroup) -> list[tuple[int, ...]]:
@@ -1095,14 +1065,14 @@ def quotient_group(N: PermGroup, H: Subgroup):
     H must be normal in N.  Returns (W, lift) where lift maps a
     W-element tuple to a coset representative in N; lift of the
     identity is the identity (which lies in H).  N itself for a
-    trivial H; otherwise |N:H| is at most QUOTIENT_CAP.  The image is
-    regular, of the known order |N:H|.
+    trivial H; otherwise |N:H| is at most QUOTIENT_CAP, and the image
+    is regular, of order |N:H|.
     """
     if H.order == 1:
         return N, lambda w: w
     if not H.is_normal_in(N):
         raise ValueError("subgroup is not normal")
-    W, reps = coset_action(N, H, N.order // H.order)
+    W, reps = coset_action(N, H)
 
     def lift(w: tuple[int, ...]) -> tuple[int, ...]:
         return reps[w[0]]
@@ -1225,7 +1195,7 @@ def _cyclic_classes(W: PermGroup) -> list:
                     continue
                 rep = (Subgroup(W, [elems[0]], elems=elems) if d <= SET_CAP
                        else Subgroup(W, [elems[0]], group=PermGroup(
-                           [elems[0]], W.degree, d)))
+                           [elems[0]], W.degree)))
                 members = W._sub_classes[subgroup_class_id(W, rep, key)].tree
                 seen.update(members)
                 count += len(positions) * len(members)

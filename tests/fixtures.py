@@ -160,7 +160,7 @@ def conjugated(H, g):
     gens = [c(x) for x in H.gens]
     if H.order <= groups.SET_CAP:
         return Subgroup(H, gens, elems=map(c, H.elements()))
-    return PermGroup(gens, H.degree, H.order).as_subgroup()
+    return PermGroup(gens, H.degree).as_subgroup()
 
 
 def key_generators(G, key):

@@ -169,6 +169,30 @@ def test_conjugate_subgroups(s5, s4):
     assert are_conjugate_subgroups(s4, h2, h2) == s4.identity
 
 
+def test_conjugate_subgroups_refuses_handles_outside_the_group(s4):
+    """Handles made in S4 whose generators lie outside A4 are refused
+    before either is keyed: A4 registers no class and numbers nothing,
+    and a transposition still has no class id in A4."""
+    a4 = PermGroup(CATALOG.group("A4").gens, 4)
+    h = Subgroup(s4, [parse_cycles("(1,2)", 4)])
+    k = Subgroup(s4, [parse_cycles("(3,4)", 4)])
+    with pytest.raises(ValueError):
+        are_conjugate_subgroups(a4, h, k)
+    assert (a4._sub_classes, a4._sub_class_of, a4._numbering) == ([], {},
+                                                                  None)
+    with pytest.raises(ValueError):
+        subgroup_class_id(a4, h)
+    assert a4._sub_classes == []
+
+
+def test_as_group_refuses_generators_of_another_order(a4):
+    """A handle holding A4's element set whose one generator, (1,2),
+    spans a group of order 2 is refused when its chain is built."""
+    handle = Subgroup(a4, [parse_cycles("(1,2)", 4)], elems=a4.elements())
+    with pytest.raises(RuntimeError):
+        handle.as_group()
+
+
 def coset_hom(H, reps):
     """The image of g in the action on the cosets H r, r in reps, one
     coset key per point: point i goes to the point of the coset of
@@ -1074,86 +1098,7 @@ def test_normalizers_build_no_chain_once_the_classes_are_walked(
 
 
 # ---------------------------------------------------------------------------
-# known-order chains and conjugation tables
-
-
-def _levels(chain):
-    """Everything a chain level holds, in its order, with each inverse
-    checked against its transversal element."""
-    for lv in chain:
-        idn = tuple(range(len(lv["gens"][0])))
-        assert all(mul(u, lv["inverse"][pt]) == idn
-                   for pt, u in lv["orbit"].items())
-    return [(lv["base"], lv["gens"], list(lv["orbit"].items()),
-             list(lv["inverse"].items())) for lv in chain]
-
-
-@pytest.mark.parametrize("name", sorted(CATALOG.entries))
-def test_known_order_chain_of_catalog_group_equals_the_full_run(name):
-    G = CATALOG.get(name).build()
-    assert _levels(groups.build_chain(G.gens, G.degree, G.order)) == \
-        _levels(G.chain)
-
-
-@pytest.mark.parametrize("base,key", [("A5", "S5"), ("A6", "S6"),
-                                      ("L2(32)", "L2(32):5")])
-def test_known_order_chains_of_class_steps_equal_the_full_run(
-        base, key, monkeypatch):
-    """Every chain built with a known order, in the class search or
-    oracle of A, in the class step to S, and in the regular quotients
-    N/H of the (N, H) pairs they hand to ``quotient_classes``, has the
-    levels of the full Schreier-Sims run on the same generators.  The
-    quotients of the step are regular images (degree = order), and the
-    L2(32) search has normalizers with element sets, whose chains are
-    built at their known order too."""
-    from burnside import extension, lattice
-    from burnside.lattice import subgroup_classes_search
-    A, S = CATALOG.get(base).build(), CATALOG.get(key).build()
-    real, calls = groups.build_chain, []
-    real_classes, handed = groups.quotient_classes, []
-
-    def spy(gens, degree, order=None):
-        if order is not None:
-            calls.append((gens, degree, order))
-        return real(gens, degree, order)
-
-    def spy_classes(N, H, primes):
-        handed.append((N, H))
-        return real_classes(N, H, primes)
-
-    monkeypatch.setattr(groups, "build_chain", spy)
-    monkeypatch.setattr(extension, "quotient_classes", spy_classes)
-    monkeypatch.setattr(lattice, "quotient_classes", spy_classes)
-    reps = (subgroup_classes_search(A) if base == "L2(32)"
-            else all_subgroup_classes_brute(A))
-    searched = len(handed)
-    extension.extend_classes(extension.sort_class_reps(reps),
-                             extension.ExtensionContext.create(S, A))
-    quotients = []
-    for i, (N, H) in enumerate(handed):
-        start = len(calls)
-        quotient_group(N.as_group(), H)
-        quotients.append((i < searched, calls[start:]))
-    assert any(degree == order for in_search, built in quotients
-               if not in_search for _, degree, order in built)
-    if base == "L2(32)":
-        assert any(degree != order for in_search, built in quotients
-                   if in_search for _, degree, order in built)
-    for gens, degree, order in calls:
-        assert _levels(real(gens, degree, order)) == \
-            _levels(real(gens, degree))
-
-
-def test_known_order_stop_checks_every_generator():
-    """A run stopped at a wrong order is refused: (1,2,3) alone reaches
-    order 3, and (1,2) then does not sift; an order never reached is
-    refused too.  The right order gives the full run's levels."""
-    s3 = [parse_cycles("(1,2,3)", 3), parse_cycles("(1,2)", 3)]
-    for wrong in (3, 12):
-        with pytest.raises(RuntimeError):
-            groups.build_chain(s3, 3, wrong)
-    assert _levels(groups.build_chain(s3, 3, 6)) == \
-        _levels(groups.build_chain(s3, 3))
+# conjugation tables
 
 
 @pytest.mark.parametrize("make", [lambda: CATALOG.get("S5").build(),

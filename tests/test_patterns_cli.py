@@ -464,6 +464,25 @@ def test_cli_refuses_a_huge_degree(command, tmp_path):
                           f"{cli.MAX_DEGREE}\n")
 
 
+def test_cli_out_of_memory_exits_3():
+    """A computation that runs out of memory exits 3 with one error
+    line and no traceback.  The chain of an 8000-cycle holds two
+    8000 x 8000 tables of element tuples, which a child whose address
+    space is capped at 500 MB cannot build."""
+    degree = 8000
+    cycle = "(" + ",".join(map(str, range(1, degree + 1))) + ")"
+    run = subprocess.run(
+        [sys.executable, "-m", "burnside.cli", "tom", str(degree),
+         "--gens", cycle],
+        env=dict(os.environ, PYTHONPATH=str(
+            Path(burnside.__file__).resolve().parents[1])),
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(
+            resource.RLIMIT_AS, (5 * 10 ** 8, 5 * 10 ** 8)))
+    assert (run.returncode, run.stdout) == (3, "")
+    assert run.stderr == "error: out of memory\n"
+
+
 def test_cli_verify_parse_failure(tmp_path):
     f = tmp_path / "junk.json"
     f.write_text("{not json")
